@@ -1,9 +1,8 @@
 """Average bit error rate of square M-QAM over Nakagami-m fading.
 
 Series closed forms, an adaptive-quadrature reference, discrepancy and
-timing comparisons, and the special functions they stand on.  The hot
-kernels run compiled when the extension built; the pure-Python twin is
-selected automatically otherwise (NAKABER_BACKEND=python forces it).
+timing comparisons, and the special functions they stand on.  Pure
+Python: the numeric kernels live in ``_purekernels``.
 """
 
 from ._backend import backend_name
@@ -15,8 +14,8 @@ from .channel import (ChannelParams, Modulation, QApproxVariant, ber_exact,
                       ber_lu_approx, mgf, pdf, q_exp_approx)
 from .quad import (ConvergenceError, QuadratureResult, QuadratureSpec,
                    integrate_finite, integrate_semi_infinite)
-from .specfun import (Accuracy, appell_f1, beta, gauss_q, log_beta, log_gamma,
-                      pochhammer, reg_inc_beta)
+from .specfun import (Accuracy, appell_f1, gauss_q, log_beta, log_gamma,
+                      reg_inc_beta)
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,6 @@ __all__ = [
     "backend_name",
     "ber_exact",
     "ber_lu_approx",
-    "beta",
     "discrepancy",
     "gauss_q",
     "integrate_finite",
@@ -50,7 +48,6 @@ __all__ = [
     "mgf",
     "oracle_result",
     "pdf",
-    "pochhammer",
     "q_exp_approx",
     "r2_quadrature",
     "r2_series",

@@ -1,45 +1,16 @@
-"""Kernel backend selection.
+"""The numeric kernels every layer calls.
 
-The hot numeric kernels exist twice: a Cython extension
-(``_fastkernels``) and a pure-Python twin (``_purekernels``).  The
-compiled one is preferred when importable; set NAKABER_BACKEND=python
-or =c to force a choice (``auto`` or empty keeps the default).  Both
-expose the same functions and agree to near machine precision, which
-tests/test_backends.py and benchmarks/backend_bench.py exercise.
+aber, channel and specfun look kernels up as ``_backend.kernels.<name>``
+at call time, so a caller can swap or wrap one kernel without touching
+the modules that use it.  The kernels are pure Python
+(``_purekernels``).
 """
 
 from __future__ import annotations
 
-import os
-
-
-def load(name: str):
-    """Import and return a kernel backend module by name."""
-    key = name.strip().lower()
-    if key in ("python", "pure"):
-        from . import _purekernels
-        return _purekernels
-    if key in ("c", "fast", "compiled"):
-        from . import _fastkernels
-        return _fastkernels
-    raise ValueError(f"unknown kernel backend {name!r}")
-
-
-def _select():
-    forced = os.environ.get("NAKABER_BACKEND", "").strip().lower()
-    if forced and forced != "auto":
-        return load(forced)
-    try:
-        from . import _fastkernels
-        return _fastkernels
-    except ImportError:
-        from . import _purekernels
-        return _purekernels
-
-
-kernels = _select()
+from . import _purekernels as kernels
 
 
 def backend_name() -> str:
-    """Name of the backend in use: 'c' or 'python'."""
+    """Name of the kernel backend in use ('python')."""
     return kernels.BACKEND_NAME

@@ -1,9 +1,8 @@
-"""Pure-Python kernel backend.
+"""Numeric kernels: special functions and the correction-term integrals.
 
-Algorithmic twin of the compiled ``_fastkernels`` extension: same
-formulas, same branch structure, same constants, so the two backends
-agree to near machine precision and either can serve the public API.
-Keep edits here mirrored in the .pyx file.
+Plain functions of floats that return floats or (value, error_estimate,
+evaluations, converged) tuples; the validated public front end is
+``specfun`` and ``aber``.
 """
 
 from __future__ import annotations
@@ -18,8 +17,11 @@ BACKEND_NAME = "python"
 _SQRT1_2 = math.sqrt(0.5)
 _HALF_PI = math.pi / 2.0
 _INV_FOUR_PI = 1.0 / (4.0 * math.pi)
+_EPS = 2.220446049250313e-16
+# Veltkamp's splitter for doubles, 2^27 + 1
+_SPLITTER = 134217729.0
 
-# continued-fraction controls shared with the compiled twin
+# continued-fraction controls
 _CF_MAX_ITER = 400
 _CF_EPS = 1e-16
 _CF_TINY = 1e-300
@@ -35,17 +37,6 @@ def gauss_q(z: float) -> float:
 
 def log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def beta(a: float, b: float) -> float:
-    return math.exp(log_beta(a, b))
-
-
-def pochhammer(x: float, n: int) -> float:
-    out = 1.0
-    for k in range(n):
-        out *= x + k
-    return out
 
 
 def _beta_cf(x: float, a: float, b: float) -> float:
@@ -129,41 +120,127 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
     return res.value * scale, res.error_estimate * scale, res.evaluations, res.converged
 
 
-def r2_term_scaled(n: int, m: float, b: float,
-                   rel_tol: float, abs_tol: float, max_subdivisions: int):
-    """b^m * F1(n+m+1; m, n+1/2; n+m+3/2; -b, -(1+b)) without forming b^m.
+def _horner(coefs, r: float) -> float:
+    p = 0.0
+    for c in reversed(coefs):
+        p = p * r + c
+    return p
 
-    For very small mean SNR, b = m/(alpha*gbar) is so large that F1
-    underflows while b^m overflows; folding the prefactor into the
-    integrand as (1/b + t)^(-m) keeps everything in double range.
-    Returns (value, error_estimate, evaluations, converged).
+
+def _low_parts(coefs, m: float) -> list[float]:
+    """coefs[n]'s rounding error against the exact coefficient
+    c_n = 2 * prod_{k<=n} (k-m)(2k-1)/(k(2k+1)), so that coefs[n] + low[n]
+    is c_n to about twice the working precision.  m = p/q exactly, so
+    c_n is a ratio of integers."""
+    p, q = m.as_integer_ratio()
+    num, den = 2, 1
+    low = []
+    for k, c in enumerate(coefs):
+        if k > 0:
+            num *= (k * q - p) * (2 * k - 1)
+            den *= q * k * (2 * k + 1)
+        a, s = c.as_integer_ratio()
+        low.append((num * s - a * den) / (den * s))
+    return low
+
+
+def _horner_compensated(coefs, low, r: float) -> float:
+    """Horner's scheme on the double-double coefficients coefs + low that
+    carries each step's rounding error along (Graillat, Langlois and
+    Louvet, 2005): as accurate as plain Horner in twice the working
+    precision.  Products are split exactly with Veltkamp's splitter,
+    sums with Knuth's TwoSum."""
+    t = _SPLITTER * r
+    r_hi = t - (t - r)
+    r_lo = r - r_hi
+    s = coefs[-1]
+    comp = low[-1]
+    for n in range(len(coefs) - 2, -1, -1):
+        c = coefs[n]
+        p = s * r
+        t = _SPLITTER * s
+        s_hi = t - (t - s)
+        s_lo = s - s_hi
+        p_err = s_lo * r_lo - (((p - s_hi * r_hi) - s_lo * r_hi) - s_hi * r_lo)
+        s = p + c
+        z = s - p
+        s_err = (p - (s - z)) + (c - z)
+        comp = comp * r + (p_err + s_err + low[n])
+    return s + comp
+
+
+def r2_term_scaled(coefs, m: float, b: float,
+                   rel_tol: float, abs_tol: float, max_subdivisions: int):
+    """Truncated squared-Q correction series R2_N as one integral.
+
+    Term n of the series integrates the same theta-integrand times
+    r^n, r = t/(1 + (1+b)*t) with t = cos^2(theta), so the sum over
+    n <= N is the integral of that integrand times the polynomial
+    P_N(r) = sum_n coefs[n] * r^n, coefs[n] = (1-m)_n/(n! (n+1/2)):
+
+        R2_N = 1/(4*pi*B(1/2, m)) * int_0^{pi/2} 2*cos(theta)
+               * (b*t/(1 + b*t))^m * (1 + (1+b)*t)^(-1/2) * P_N(r) dtheta
+
+    (b*t/(1 + b*t))^m peaks at theta = 0, where it is (b/(1+b))^m.  The
+    integrand divides that peak out and the result multiplies it back in
+    log space, so b^m neither overflows at tiny mean SNR nor drags the
+    integrand into subnormals at high mean SNR and large m.  abs_tol
+    applies to the peak-scaled integral.
+
+    For m > 1 the coefficients alternate in sign, and P_N(r) can be far
+    smaller than its terms (by about 1.5^m at high mean SNR).  Where that
+    cancellation at r_max = 1/(2+b) lets rounding of the coefficients or
+    of Horner's scheme reach a tenth of rel_tol, P_N is evaluated in
+    twice the working precision.  Past what that carries (m above about
+    100 at high mean SNR) the rounding noise keeps the quadrature from
+    converging.  Returns (value, error_estimate, evaluations, converged).
     """
-    a = n + m + 1.0
-    two_am1 = 2.0 * a - 1.0
-    inv_b = 1.0 / b
     one_plus_b = 1.0 + b
-    n_half = n + 0.5
+    r_max = 1.0 / (2.0 + b)
+    magnitude = _horner([abs(c) for c in coefs], r_max)
+    low = None
+    if 4 * len(coefs) * _EPS * magnitude > 0.1 * rel_tol * abs(_horner(coefs, r_max)):
+        low = _low_parts(coefs, m)
+    rev = coefs[::-1]
 
     def h(theta: float) -> float:
         ct = math.cos(theta)
         t = ct * ct
-        log_out = (two_am1 * math.log(ct) - m * math.log(inv_b + t)
-                   - n_half * math.log1p(one_plus_b * t))
-        return 2.0 * math.exp(log_out)
+        if t == 0.0:
+            return 0.0
+        st = math.sin(theta)
+        u = one_plus_b * t
+        r = t / (1.0 + u)
+        if low is None:
+            p = 0.0
+            for c in rev:
+                p = p * r + c
+        else:
+            p = _horner_compensated(coefs, low, r)
+        # (b*t/(1+b*t))^m / (b/(1+b))^m = (1 + sin^2/((1+b)*t))^-m
+        return 2.0 * ct * p * math.exp(-m * math.log1p(st * st / u) - 0.5 * math.log1p(u))
 
     spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol,
                           max_subdivisions=max_subdivisions)
     res = quad.integrate_finite(h, 0.0, _HALF_PI, spec)
-    scale = math.exp(-log_beta(a, 0.5))
-    return res.value * scale, res.error_estimate * scale, res.evaluations, res.converged
+    log_scale = -m * math.log1p(1.0 / b) - log_beta(0.5, m)
+    return (_scaled(res.value, log_scale), _scaled(res.error_estimate, log_scale),
+            res.evaluations, res.converged)
+
+
+def _scaled(x: float, log_scale: float) -> float:
+    """x * exp(log_scale) / (4*pi), without under- or overflowing early."""
+    if x == 0.0:
+        return 0.0
+    return math.copysign(_INV_FOUR_PI * math.exp(log_scale + math.log(abs(x))), x)
 
 
 def r2_integral(b: float, m: float,
                 rel_tol: float, abs_tol: float, max_subdivisions: int):
     """Squared-Q correction term by quadrature over [0, oo).
 
-    The integrand keeps the b^m/(b+1+p)^m ratio in log space; see
-    r2_term_scaled for why.  Returns (value, error_estimate,
+    The integrand keeps the b^m/(b+1+p)^m ratio in log space, so tiny
+    and large mean SNR stay in double range.  Returns (value, error_estimate,
     evaluations, converged).
     """
 

@@ -1,12 +1,13 @@
 """Average bit error rate of square M-QAM over Nakagami-m fading.
 
 Three independent routes to the same quantity live here: a
-truncated-series closed form built from incomplete-beta and Appell-F1
-pieces, an exact closed form for the sum-of-Q BER approximation, and
-direct adaptive quadrature of the defining average, which acts as the
-reference the closed forms are judged against.  The discrepancy metric
-and the series/quadrature split of the squared-Q correction term are
-exposed so the comparison machinery can be driven from the CLI.
+truncated-series closed form built from an incomplete beta and a series
+of Appell-F1 terms summed in one integral, an exact closed form for the
+sum-of-Q BER approximation, and direct adaptive quadrature of the
+defining average, which acts as the reference the closed forms are
+judged against.  The discrepancy metric and the series/quadrature
+split of the squared-Q correction term are exposed so the comparison
+machinery can be driven from the CLI.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ __all__ = [
     "r2_series",
 ]
 
-_FOUR_PI = 4.0 * math.pi
 _SERIES_CAP = 200
-# exponent budget for forming b^m * F1 directly in doubles
-_LOG_RANGE = 600.0
+_MAX_SUBDIVISIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,11 @@ class TruncationPolicy:
     """How many correction-series terms the closed form keeps.
 
     fixed_terms sums indices n = 0..n_max inclusive, so n_max = 0 is the
-    one-term evaluation.  adaptive stops once a term falls below
-    term_tol relative to the running sum, capped at 200 terms with a
-    quadrature fallback if the terms refuse to decay.
+    one-term evaluation.  adaptive picks the first n >= 1 whose term
+    bound |c_n| * r_max^n falls below term_tol relative to the bounds
+    summed so far (r_max = 1/(2+b) bounds the integrand's r); a series
+    that needs more than 200 terms raises ConvergenceError.  Either way
+    an integer m stops the series at its exact zero.
     """
 
     mode: str = "fixed_terms"
@@ -131,12 +132,15 @@ def r2_series(ch: ChannelParams, alpha: float,
               accuracy: specfun.Accuracy | None = None) -> SeriesResult:
     """Squared-Q correction term as a truncated hypergeometric series.
 
-    Term n carries (1-m)_n, a beta-function ratio, and an Appell F1
-    value; coefficients are accumulated in log space with explicit sign
-    tracking because (1-m)_n alternates for m > 1.  For integer m the
-    rising factorial hits an exact zero and the series terminates at
-    n = m-1 with the closed form exact.  Raises ConvergenceError naming
-    the offending term if an F1 evaluation cannot reach tolerance.
+    Term n is c_n * b^m * F1(n+m+1; m, n+1/2; n+m+3/2; -b, -(1+b)) up to
+    a common factor, with c_n = (1-m)_n / (n! (n+1/2)) and
+    b = m/(alpha*mean_snr).  Every F1 shares one theta-integrand times
+    r(theta)^n, so the terms kept are summed as a polynomial inside a
+    single quadrature (see the r2_term_scaled kernel).  For integer m
+    (1-m)_n hits an exact zero and the series terminates at n = m-1 with
+    the closed form exact.  The quadrature target is accuracy.rel_tol,
+    relative only.  Raises ConvergenceError if the quadrature cannot
+    reach it, or if adaptive truncation needs more than 200 terms.
     """
     if trunc is None:
         trunc = TruncationPolicy()
@@ -144,93 +148,57 @@ def r2_series(ch: ChannelParams, alpha: float,
         raise ValueError("alpha must be positive and finite")
     m = ch.m
     b = m / (alpha * ch.mean_snr)
-    log_b = math.log(b)
-    kern = _backend.kernels
-    log_beta_norm = kern.log_beta(0.5, m)
     acc = specfun.Accuracy() if accuracy is None else accuracy
 
-    total = 0.0
-    terms_used = 0
-    log_poch = 0.0  # running log|(1-m)_n|
-    sign = 1.0
-    n = 0
-    while True:
-        if n > 0:
-            factor = (1.0 - m) + (n - 1.0)
-            if factor == 0.0:
-                break  # integer m: every later term carries this zero
-            log_poch += math.log(abs(factor))
-            if factor < 0.0:
-                sign = -sign
-        a = n + m + 1.0
-        log_coef = (log_poch + kern.log_beta(a, 0.5) - kern.log_gamma(n + 1.0)
-                    - math.log(n + 0.5) - log_beta_norm)
-        if log_b > 0.0 and (m + n + 0.5) * log_b > _LOG_RANGE:
-            # tiny mean SNR: fold b^m into the F1 integrand
-            g, err, _, ok = kern.r2_term_scaled(
-                n, m, b, acc.rel_tol, acc.abs_floor, 2000)
-            if not ok:
-                raise ConvergenceError(
-                    f"correction series term n={n} did not converge",
-                    value=g, error_estimate=err)
-            term = 0.0 if g == 0.0 else sign * math.exp(log_coef + math.log(g)) / _FOUR_PI
-        else:
-            # the term scales F1 by b^m, so an absolute floor on the bare
-            # F1 value is amplified by the same factor; shrink it so the
-            # floor keeps its meaning at term scale (b^m <= e^600 here,
-            # so the product stays a normal positive double)
-            term_acc = acc if log_b <= 0.0 else specfun.Accuracy(
-                acc.rel_tol, acc.abs_floor * math.exp(-m * log_b))
-            try:
-                f1 = specfun.appell_f1(a, m, n + 0.5, a + 0.5,
-                                       -b, -(1.0 + b), accuracy=term_acc)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"correction series term n={n} did not converge",
-                    value=exc.value, error_estimate=exc.error_estimate) from exc
-            term = 0.0 if f1 == 0.0 else sign * math.exp(
-                log_coef + m * log_b + math.log(f1)) / _FOUR_PI
-        total += term
-        terms_used = n + 1
-        if trunc.mode == "fixed_terms":
-            if n == trunc.n_max:
+    # adaptive mode bounds term n by |c_n| * r_max^n, since r <= 1/(2+b)
+    r_max = 1.0 / (2.0 + b)
+    r_pow = 1.0
+    coefs = [2.0]  # c_0 = 1/(1/2)
+    bound_sum = 2.0
+    adaptive = trunc.mode == "adaptive"
+    for n in range(1, _SERIES_CAP if adaptive else trunc.n_max + 1):
+        factor = (1.0 - m) + (n - 1.0)
+        if factor == 0.0:
+            break  # integer m: every later coefficient carries this zero
+        coefs.append(coefs[-1] * factor / n * (n - 0.5) / (n + 0.5))
+        if adaptive:
+            r_pow *= r_max
+            bound_sum += coefs[-1] * r_pow
+            if abs(coefs[-1]) * r_pow <= trunc.term_tol * abs(bound_sum):
                 break
-        else:
-            if n > 0 and abs(term) <= trunc.term_tol * abs(total):
-                break
-            if terms_used >= _SERIES_CAP:
-                # no decay by the cap: the quadrature form is the safer answer
-                return SeriesResult(r2_quadrature(ch, alpha), terms_used)
-        n += 1
-    return SeriesResult(total, terms_used)
+    else:
+        if adaptive:
+            raise ConvergenceError(
+                f"correction series needs more than {_SERIES_CAP} terms "
+                f"for term_tol={trunc.term_tol:g}")
+    value, err, _, ok = _backend.kernels.r2_term_scaled(
+        tuple(coefs), m, b, acc.rel_tol, 0.0, _MAX_SUBDIVISIONS)
+    if not ok:
+        raise ConvergenceError("correction series quadrature did not converge",
+                               value=value, error_estimate=err)
+    return SeriesResult(value, len(coefs))
 
 
 def aber_closed_with_terms(ch: ChannelParams, mod: Modulation,
                            trunc: TruncationPolicy | None = None,
-                           accuracy: specfun.Accuracy | None = None,
-                           single_c0_weight: bool = False) -> tuple[float, int]:
+                           accuracy: specfun.Accuracy | None = None) -> tuple[float, int]:
     """Series closed form of the average BER; returns (value, terms used).
 
     Combines the averaged Q and Q^2 pieces into
-    (2*c0 - c0^2) * I_x(m, 1/2) + 4*c0^2 * R2.  single_c0_weight swaps
-    the incomplete-beta weight to a bare c0; that variant disagrees with
-    the defining average whenever c0 != 1 and exists purely as a
-    diagnostic (see the gamma->0 check in the acceptance tests).
+    (2*c0 - c0^2) * I_x(m, 1/2) + 4*c0^2 * R2.
     """
     c0 = mod.c0
     x = ch.m / (ch.m + mod.c1 * ch.mean_snr)
     i_term = _backend.kernels.reg_inc_beta(x, ch.m, 0.5)
     r2, terms = r2_series(ch, mod.c1, trunc, accuracy)
-    weight = c0 if single_c0_weight else 2.0 * c0 - c0 * c0
-    return weight * i_term + 4.0 * c0 * c0 * r2, terms
+    return (2.0 * c0 - c0 * c0) * i_term + 4.0 * c0 * c0 * r2, terms
 
 
 def aber_closed(ch: ChannelParams, mod: Modulation,
                 trunc: TruncationPolicy | None = None,
-                accuracy: specfun.Accuracy | None = None,
-                single_c0_weight: bool = False) -> float:
+                accuracy: specfun.Accuracy | None = None) -> float:
     """Series closed form of the average BER (value only)."""
-    return aber_closed_with_terms(ch, mod, trunc, accuracy, single_c0_weight)[0]
+    return aber_closed_with_terms(ch, mod, trunc, accuracy)[0]
 
 
 def aber_lu_closed(ch: ChannelParams, mod: Modulation) -> float:

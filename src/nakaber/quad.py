@@ -93,8 +93,8 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be finite and non-negative")
         if not (10 <= self.max_subdivisions <= 10000):
             raise ValueError("max_subdivisions must lie in [10, 10000]")
-        if self.infinite_map not in ("none", "rational", "exp"):
-            raise ValueError("infinite_map must be 'none', 'rational' or 'exp'")
+        if self.infinite_map not in ("rational", "exp"):
+            raise ValueError("infinite_map must be 'rational' or 'exp'")
 
 
 @dataclass(frozen=True)
@@ -221,8 +221,6 @@ def integrate_semi_infinite(f: Callable[[float], float], lo: float,
         spec = QuadratureSpec()
     if not math.isfinite(lo):
         raise ValueError("lower limit must be finite")
-    if spec.infinite_map == "none":
-        raise ValueError("a semi-infinite range needs infinite_map 'rational' or 'exp'")
 
     if spec.infinite_map == "rational":
         def g(t: float) -> float:

@@ -1,9 +1,8 @@
 """Special functions backing the error-rate formulas.
 
-Validated front end over the selected kernel backend: log-gamma, the
-Gaussian tail function, beta and regularized incomplete beta, rising
-factorials, and the two-variable hypergeometric F1.  All operations are
-pure and reentrant.
+Validated front end over the numeric kernels: log-gamma, the Gaussian
+tail function, log-beta and the regularized incomplete beta, and the
+two-variable hypergeometric F1.  All operations are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -17,11 +16,9 @@ from .quad import ConvergenceError
 __all__ = [
     "Accuracy",
     "appell_f1",
-    "beta",
     "gauss_q",
     "log_beta",
     "log_gamma",
-    "pochhammer",
     "reg_inc_beta",
 ]
 
@@ -67,27 +64,6 @@ def log_beta(a: float, b: float) -> float:
     if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
         raise ValueError("log_beta requires finite a > 0 and b > 0")
     return _backend.kernels.log_beta(a, b)
-
-
-def beta(a: float, b: float) -> float:
-    """Beta function B(a, b), for a, b > 0."""
-    if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("beta requires finite a > 0 and b > 0")
-    return _backend.kernels.beta(a, b)
-
-
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial x(x+1)...(x+n-1); 1 for n = 0.
-
-    Exact sign handling for negative x: a zero factor makes the product
-    exactly 0, which is what terminates integer-order series.  Overflow
-    is reported by returning inf rather than raising.
-    """
-    if n < 0 or n != int(n):
-        raise ValueError("pochhammer requires integer n >= 0")
-    if not math.isfinite(x):
-        raise ValueError("pochhammer requires finite x")
-    return _backend.kernels.pochhammer(x, int(n))
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:

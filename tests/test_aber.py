@@ -198,14 +198,53 @@ def test_aber_closed_low_snr_limit():
     assert aber_closed(ch, QPSK) == pytest.approx(0.4375, abs=1e-4)
 
 
+def single_c0_weight_form(ch, mod, trunc=None):
+    """c0 * I_x(m, 1/2) + 4*c0^2 * R2: the closed form with the
+    incomplete-beta weight (2*c0 - c0^2) replaced by a bare c0, a
+    deliberately wrong diagnostic form for any constellation with c0 != 1."""
+    x = ch.m / (ch.m + mod.c1 * ch.mean_snr)
+    r2 = r2_series(ch, mod.c1, trunc).value
+    return mod.c0 * reg_inc_beta(x, ch.m, 0.5) + 4.0 * mod.c0 ** 2 * r2
+
+
 def test_aber_closed_diagnostic_weight_differs():
-    # the single-c0 weighting is a deliberately wrong diagnostic form
-    # for any constellation with c0 != 1
     ch = ChannelParams(1.0, 1e-10)
     mod = Modulation(16)
     good = aber_closed(ch, mod)
-    bad = aber_closed(ch, mod, single_c0_weight=True)
+    bad = single_c0_weight_form(ch, mod)
     assert abs(good - bad) > 0.1
+
+
+def test_aber_closed_adaptive_large_m():
+    # 30-digit value of the Craig-form average at m=45.5, 20 dB, QPSK;
+    # the alternating correction series loses ~7 digits to cancellation
+    # here, which a per-term sum in doubles could not recover
+    ch = ChannelParams(45.5, 100.0)
+    got = aber_closed(ch, QPSK, TruncationPolicy.adaptive())
+    assert got == pytest.approx(5.3552545392030535e-25, rel=1e-10)
+
+
+def test_r2_series_cancelling_coefficients_stay_accurate():
+    # for m = 80.5 the alternating coefficients cancel by ~1e13 at r_max;
+    # a sum with coefficients rounded to doubles is off by ~3e-6 here.
+    # Reference: 50-digit quadrature of the N -> oo series weight
+    ch = ChannelParams(80.5, 1000.0)
+    res = r2_series(ch, QPSK.c1, TruncationPolicy.adaptive())
+    assert res.value == pytest.approx(2.643414182312956982841031e-93, rel=1e-10)
+
+
+def test_r2_series_cancellation_beyond_double_double_raises():
+    # at m = 190.5 the cancellation (~1e33) exceeds even twice the
+    # working precision; the series must refuse rather than return noise
+    ch = ChannelParams(190.5, 1000.0)
+    with pytest.raises(ConvergenceError):
+        r2_series(ch, QPSK.c1, TruncationPolicy.adaptive())
+
+
+def test_adaptive_series_past_the_term_cap_raises():
+    ch = ChannelParams(500.5, 1000.0)
+    with pytest.raises(ConvergenceError):
+        r2_series(ch, QPSK.c1, TruncationPolicy.adaptive())
 
 
 def test_aber_lu_closed_frozen_value():

@@ -211,7 +211,9 @@ def test_05_series_closed_form_end_to_end():
     ch0 = ChannelParams(1.0, 1e-10)
     mod16 = Modulation(16)
     diag_ref = aber_oracle(ch0, mod16, spec=REF_SPEC)
-    diag_bad = aber_closed(ch0, mod16, trunc, single_c0_weight=True)
+    x0 = ch0.m / (ch0.m + mod16.c1 * ch0.mean_snr)
+    diag_bad = (mod16.c0 * reg_inc_beta(x0, ch0.m, 0.5)
+                + 4.0 * mod16.c0 ** 2 * r2_series(ch0, mod16.c1, trunc).value)
     diag_ok = abs(diag_bad - diag_ref) / diag_ref > 1e-6
 
     ok = main_ok and diag_ok

@@ -108,6 +108,14 @@ def test_aber_expq_different_pairs_get_custom_label(capsys):
     assert 0.0 < float(kv["aber"]) < 1.0
 
 
+def test_aber_adaptive_past_the_term_cap_is_numerical_failure(capsys):
+    code, _, err = run_cli(capsys, "aber", "--m", "500.5", "--snr-db", "30",
+                           "--mod", "4", "--method", "closed",
+                           "--adaptive-tol", "1e-12")
+    assert code == 3
+    assert "200 terms" in err
+
+
 # --- usage errors ------------------------------------------------------------
 
 def test_unsupported_modulation_is_usage_error(capsys):

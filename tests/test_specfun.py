@@ -13,11 +13,9 @@ from nakaber.quad import ConvergenceError
 from nakaber.specfun import (
     Accuracy,
     appell_f1,
-    beta,
     gauss_q,
     log_beta,
     log_gamma,
-    pochhammer,
     reg_inc_beta,
 )
 
@@ -119,12 +117,6 @@ def test_gauss_q_rejects_nan():
 
 # --- beta / log_beta -------------------------------------------------------
 
-def test_beta_trivials():
-    assert beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-    assert beta(2.0, 0.5) == pytest.approx(4.0 / 3.0, rel=1e-13)
-    assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
-
-
 def test_log_beta_frozen():
     assert log_beta(0.3, 7.7) == pytest.approx(0.4971779900216656495754, rel=1e-12)
 
@@ -138,30 +130,7 @@ def test_beta_symmetry(a, b):
 
 def test_beta_domain():
     with pytest.raises(ValueError):
-        beta(0.0, 1.0)
-    with pytest.raises(ValueError):
         log_beta(1.0, -2.0)
-
-
-# --- pochhammer ------------------------------------------------------------
-
-def test_pochhammer_values():
-    assert pochhammer(3.0, 0) == 1.0
-    assert pochhammer(0.4, 3) == pytest.approx(0.4 * 1.4 * 2.4, rel=1e-15)
-    assert pochhammer(1.0, 5) == 120.0
-    assert pochhammer(-3.0, 4) == 0.0  # hits the zero factor
-    assert pochhammer(-2.5, 3) == pytest.approx(-2.5 * -1.5 * -0.5, rel=1e-15)
-
-
-def test_pochhammer_overflow_is_inf():
-    assert math.isinf(pochhammer(1e300, 2))
-
-
-def test_pochhammer_domain():
-    with pytest.raises(ValueError):
-        pochhammer(1.0, -1)
-    with pytest.raises(ValueError):
-        pochhammer(float("inf"), 2)
 
 
 # --- reg_inc_beta ----------------------------------------------------------
