@@ -239,16 +239,25 @@ def r2_integral(b: float, m: float,
                 rel_tol: float, abs_tol: float, max_subdivisions: int):
     """Squared-Q correction term by quadrature over [0, oo).
 
-    The integrand keeps the b^m/(b+1+p)^m ratio in log space, so tiny
-    and large mean SNR stay in double range.  Returns (value, error_estimate,
+    R2 = 1/(4*pi) * int_0^oo I_{1/(b+2+p)}(1/2, m) * (b/(b+1+p))^m
+         * dp / (sqrt(p) * (1+p)),
+
+    integrated in s with p = s^2: dp/(sqrt(p)*(1+p)) = 2*ds/(1+s^2).
+    That removes the 1/sqrt(p) endpoint singularity, which an adaptive
+    Gauss-Kronrod rule resolves only by bisecting towards p = 0 many
+    times, and leaves an integrand that is smooth at s = 0 and decays
+    like s^-(3+2m), which the rational map folds onto [0, 1) as
+    (1-t)^(1+2m).  The b^m/(b+1+p)^m ratio stays in log space, so tiny and
+    large mean SNR stay in double range.  Returns (value, error_estimate,
     evaluations, converged).
     """
 
-    def f(p: float) -> float:
+    def f(s: float) -> float:
+        p = s * s
         ib = reg_inc_beta(1.0 / (b + 2.0 + p), 0.5, m)
         if ib == 0.0:
             return 0.0
-        return ib * math.exp(-m * math.log1p((1.0 + p) / b)) / (math.sqrt(p) * (1.0 + p))
+        return 2.0 * ib * math.exp(-m * math.log1p((1.0 + p) / b)) / (1.0 + p)
 
     spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol,
                           max_subdivisions=max_subdivisions,

@@ -9,10 +9,7 @@ ratios meaningful.
 from __future__ import annotations
 
 import math
-import random
-import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -113,6 +110,10 @@ class SweepResult:
 
 def _map_tasks(fn: Callable, tasks: Sequence, jobs: int) -> list:
     if jobs > 1:
+        # imported here, like statistics and random below: every CLI
+        # process imports this module and most never need them
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
@@ -174,6 +175,8 @@ def run_discrepancy(sweep: SweepSpec, oracle_spec: QuadratureSpec | None = None,
 
 
 def _median_time_ns(fn: Callable[[], object], reps: int) -> int:
+    import statistics
+
     fn()
     fn()  # two warmup calls keep allocator and cache effects out of rep 0
     samples = []
@@ -331,6 +334,8 @@ def _check_lemma3() -> list[CheckResult]:
 
 
 def _check_reflection() -> list[CheckResult]:
+    import random
+
     rng = random.Random(20250818)
     worst = 0.0
     for _ in range(300):

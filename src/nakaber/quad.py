@@ -143,7 +143,7 @@ def _kronrod15(f: Callable[[float], float], lo: float, hi: float):
     if resabs > _UFLOW / (50.0 * _EPS):
         err = max(err, 50.0 * _EPS * resabs)
     if not (math.isfinite(value) and math.isfinite(err)):
-        raise ValueError("integrand produced a non-finite value")
+        raise ConvergenceError("integrand produced a non-finite value")
     return value, err
 
 
@@ -153,7 +153,8 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
 
     Never raises on slow convergence; the result records converged=False
     instead, with the error estimate still honest.  Raises ValueError on
-    a malformed interval or a non-finite integrand value.
+    a malformed interval and ConvergenceError on a non-finite integrand
+    value, which is a numerical failure, not a usage error.
     """
     if spec is None:
         spec = QuadratureSpec()

@@ -84,9 +84,35 @@ def test_avg_q_rejects_bad_alpha():
 
 # --- correction term ---------------------------------------------------------
 
-def test_r2_quadrature_frozen_value():
-    got = r2_quadrature(RAYLEIGH_UNIT, 1.0, spec=TIGHT)
-    assert got == pytest.approx(0.038245089301743883995, rel=1e-11)
+@pytest.mark.parametrize("ch, spec, expected, rel", [
+    (RAYLEIGH_UNIT, TIGHT, 0.038245089301743883995, 1e-11),
+    # 50-digit Craig form I_x(m, 1/2)/4 - (1/pi) int_0^{pi/4}
+    # (1 + gbar/(m sin^2))^-m dtheta at the double m = 4.1; the default
+    # spec's absolute floor must not end the bisection early at 30 dB
+    (ChannelParams(4.1, 1000.0), None, 1.0551786267554558e-11, 1e-9),
+], ids=["rayleigh-tight", "m4.1-30dB-default"])
+def test_r2_quadrature_frozen_value(ch, spec, expected, rel):
+    got = r2_quadrature(ch, 1.0, spec=spec)
+    # abs=0: approx's default 1e-12 absolute slack would swallow a
+    # relative error of any size at R2 ~ 1e-11
+    assert got == pytest.approx(expected, rel=rel, abs=0.0)
+
+
+def test_r2_integral_evaluation_budget():
+    # the integrand is smooth at the lower endpoint, so no call on the
+    # selftest identity grid needs deep bisection there
+    from nakaber import _backend
+    from nakaber.harness import _IDENTITY_SPEC, _identity_grid
+
+    spec = _IDENTITY_SPEC
+    worst = 0
+    for ch, mod, _ in _identity_grid():
+        b = ch.m / (mod.c1 * ch.mean_snr)
+        _, _, evaluations, converged = _backend.kernels.r2_integral(
+            b, ch.m, spec.rel_tol, spec.abs_tol, spec.max_subdivisions)
+        assert converged
+        worst = max(worst, evaluations)
+    assert worst <= 500
 
 
 def test_r2_quadrature_closes_the_identity():

@@ -1,7 +1,8 @@
 """Command-line interface tests.
 
 Runs the entry point in process and checks stdout, files, and exit
-codes; a single subprocess test covers module execution.
+codes; subprocess tests cover module execution and what a fresh
+import pulls in.
 """
 
 import csv
@@ -114,6 +115,16 @@ def test_aber_adaptive_past_the_term_cap_is_numerical_failure(capsys):
                            "--adaptive-tol", "1e-12")
     assert code == 3
     assert "200 terms" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--m", "0.001", "--method", "oracle"),
+    ("--m", "1e200", "--method", "closed", "--terms", "5"),
+], ids=["oracle-tiny-m", "closed-huge-m"])
+def test_aber_nonfinite_integrand_is_numerical_failure(capsys, argv):
+    code, _, err = run_cli(capsys, "aber", "--snr-db", "10", "--mod", "4", *argv)
+    assert code == 3
+    assert "non-finite" in err
 
 
 # --- usage errors ------------------------------------------------------------
@@ -349,3 +360,16 @@ def test_module_execution_smoke():
         capture_output=True, text=True, check=True)
     kv = parse_kv_line(out.stdout)
     assert float(kv["aber"]) == pytest.approx(0.14644660940672624, rel=1e-14)
+
+
+def test_cli_import_leaves_unused_stdlib_modules_out():
+    # measured against the bare interpreter, whose site hooks may load
+    # some of these modules themselves
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import nakaber.cli\n"
+             "new = set(sys.modules) - before\n"
+             "print(' '.join(sorted(new & {'concurrent.futures', 'statistics', 'random'})))\n")
+    out = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""

@@ -189,9 +189,9 @@ def test_bad_interval_rejected():
 
 
 def test_nonfinite_integrand_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConvergenceError):
         integrate_finite(lambda t: float("nan"), 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConvergenceError):
         integrate_finite(lambda t: math.inf if t > 0.5 else 1.0, 0.0, 1.0)
 
 
