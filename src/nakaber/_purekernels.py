@@ -181,6 +181,16 @@ def r2_term_scaled(coefs, m: float, b: float,
         R2_N = 1/(4*pi*B(1/2, m)) * int_0^{pi/2} 2*cos(theta)
                * (b*t/(1 + b*t))^m * (1 + (1+b)*t)^(-1/2) * P_N(r) dtheta
 
+    The quadrature runs in w with phi = pi/2 - theta = w^k on
+    [0, (pi/2)^(1/k)], k = max(1, 2/(1+m)): cos(theta) = sin(phi),
+    sin(theta) = cos(phi) and dtheta becomes k*(phi/w)*dw.  Near
+    theta = pi/2 the theta-integrand behaves like a constant times
+    phi^(1+2m), a fractional power for non-integer m, which an adaptive
+    Gauss-Kronrod rule resolves only by bisecting towards that endpoint
+    many times.  In w it behaves like w^(k*(2+2m)-1), which is w^3 for
+    every m < 1; for m >= 1, k = 1 and the integrand is the
+    theta-integrand reflected.
+
     (b*t/(1 + b*t))^m peaks at theta = 0, where it is (b/(1+b))^m.  The
     integrand divides that peak out and the result multiplies it back in
     log space, so b^m neither overflows at tiny mean SNR nor drags the
@@ -202,13 +212,15 @@ def r2_term_scaled(coefs, m: float, b: float,
     if 4 * len(coefs) * _EPS * magnitude > 0.1 * rel_tol * abs(_horner(coefs, r_max)):
         low = _low_parts(coefs, m)
     rev = coefs[::-1]
+    k = max(1.0, 2.0 / (1.0 + m))
 
-    def h(theta: float) -> float:
-        ct = math.cos(theta)
+    def h(w: float) -> float:
+        phi = w ** k
+        ct = math.sin(phi)
         t = ct * ct
         if t == 0.0:
             return 0.0
-        st = math.sin(theta)
+        st = math.cos(phi)
         u = one_plus_b * t
         r = t / (1.0 + u)
         if low is None:
@@ -218,11 +230,12 @@ def r2_term_scaled(coefs, m: float, b: float,
         else:
             p = _horner_compensated(coefs, low, r)
         # (b*t/(1+b*t))^m / (b/(1+b))^m = (1 + sin^2/((1+b)*t))^-m
-        return 2.0 * ct * p * math.exp(-m * math.log1p(st * st / u) - 0.5 * math.log1p(u))
+        return (2.0 * k * phi / w * ct * p
+                * math.exp(-m * math.log1p(st * st / u) - 0.5 * math.log1p(u)))
 
     spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol,
                           max_subdivisions=max_subdivisions)
-    res = quad.integrate_finite(h, 0.0, _HALF_PI, spec)
+    res = quad.integrate_finite(h, 0.0, _HALF_PI ** (1.0 / k), spec)
     log_scale = -m * math.log1p(1.0 / b) - log_beta(0.5, m)
     return (_scaled(res.value, log_scale), _scaled(res.error_estimate, log_scale),
             res.evaluations, res.converged)

@@ -118,12 +118,16 @@ def r2_quadrature(ch: ChannelParams, alpha: float,
     where the integrand is smooth, so the adaptive rule needs a few
     hundred evaluations and no deep bisection towards the endpoint,
     which an absolute floor could otherwise end before the endpoint is
-    resolved.
+    resolved.  With spec=None the quadrature is relative-only
+    (abs_tol=0), as in r2_series: R2 falls far below any fixed absolute
+    floor at high mean SNR and large m (1.6e-68 at m=50, 30 dB), where
+    such a floor would end the bisection at once.  An explicit spec is
+    used as given.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
     if spec is None:
-        spec = QuadratureSpec()
+        spec = QuadratureSpec(abs_tol=0.0)
     b = ch.m / (alpha * ch.mean_snr)
     value, err, _, converged = _backend.kernels.r2_integral(
         b, ch.m, spec.rel_tol, spec.abs_tol, spec.max_subdivisions)

@@ -90,7 +90,12 @@ def test_avg_q_rejects_bad_alpha():
     # (1 + gbar/(m sin^2))^-m dtheta at the double m = 4.1; the default
     # spec's absolute floor must not end the bisection early at 30 dB
     (ChannelParams(4.1, 1000.0), None, 1.0551786267554558e-11, 1e-9),
-], ids=["rayleigh-tight", "m4.1-30dB-default"])
+    # the same 50-digit form where R2 is dozens of decades below any
+    # absolute floor: the default spec must converge on relative error
+    (ChannelParams(50.0, 1000.0), None, 1.5783802198025831671e-68, 1e-9),
+    (ChannelParams(20.5, 1000.0), None, 5.0737298221946191915e-37, 1e-9),
+], ids=["rayleigh-tight", "m4.1-30dB-default", "m50-30dB-default",
+        "m20.5-30dB-default"])
 def test_r2_quadrature_frozen_value(ch, spec, expected, rel):
     got = r2_quadrature(ch, 1.0, spec=spec)
     # abs=0: approx's default 1e-12 absolute slack would swallow a
@@ -113,6 +118,34 @@ def test_r2_integral_evaluation_budget():
         assert converged
         worst = max(worst, evaluations)
     assert worst <= 500
+
+
+def test_r2_term_scaled_evaluation_budget(monkeypatch):
+    # for m < 1 the theta-integrand has a fractional-power endpoint at
+    # theta = pi/2; the kernel's variable makes it smooth, so no call on
+    # the small-m panel needs deep bisection there
+    from nakaber import _backend
+
+    kernel = _backend.kernels.r2_term_scaled
+    counts = []
+
+    def counted(*args):
+        res = kernel(*args)
+        assert args[3:5] == (Accuracy().rel_tol, 0.0)
+        assert res[3]
+        counts.append(res[2])
+        return res
+
+    monkeypatch.setattr(_backend.kernels, "r2_term_scaled", counted)
+    for m in (0.05, 0.2, 0.6, 0.95):
+        for snr_db in (-30, -10, 0, 10, 30, 60, 80):
+            ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
+            for order in (4, 256):
+                for trunc in (TruncationPolicy.fixed(5), TruncationPolicy.adaptive()):
+                    r2_series(ch, Modulation(order).c1, trunc)
+    assert len(counts) == 112
+    assert max(counts) <= 300
+    assert sum(counts) <= 12000
 
 
 def test_r2_quadrature_closes_the_identity():
@@ -248,6 +281,20 @@ def test_aber_closed_adaptive_large_m():
     ch = ChannelParams(45.5, 100.0)
     got = aber_closed(ch, QPSK, TruncationPolicy.adaptive())
     assert got == pytest.approx(5.3552545392030535e-25, rel=1e-10)
+
+
+@pytest.mark.parametrize("m, snr_db, order, expected", [
+    (0.05, -10.0, 4, 0.39421735413477998),
+    (0.2, 30.0, 256, 0.059749272637879283),
+    (0.6, 80.0, 4, 3.2712644822292165e-06),
+], ids=["m0.05--10dB-M4", "m0.2-30dB-M256", "m0.6-80dB-M4"])
+def test_aber_closed_adaptive_small_m(m, snr_db, order, expected):
+    # 30-digit Craig-form averages; check 5's grid has no non-integer m
+    # below 0.6, where the correction integrand's theta = pi/2 endpoint
+    # is least smooth
+    ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
+    got = aber_closed(ch, Modulation(order), TruncationPolicy.adaptive())
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_r2_series_cancelling_coefficients_stay_accurate():
