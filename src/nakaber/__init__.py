@@ -11,7 +11,7 @@ from .aber import (AberMethod, TruncationPolicy, aber_closed,
                    aber_oracle, discrepancy, lemma2_avg_q, oracle_result,
                    r2_quadrature, r2_series)
 from .channel import (ChannelParams, Modulation, QApproxVariant, ber_exact,
-                      ber_lu_approx, mgf, pdf, q_exp_approx)
+                      ber_lu_approx, fading_average, mgf, pdf, q_exp_approx)
 from .quad import (ConvergenceError, QuadratureResult, QuadratureSpec,
                    integrate_finite, integrate_semi_infinite)
 from .specfun import (Accuracy, appell_f1, gauss_q, log_beta, log_gamma,
@@ -39,6 +39,7 @@ __all__ = [
     "ber_exact",
     "ber_lu_approx",
     "discrepancy",
+    "fading_average",
     "gauss_q",
     "integrate_finite",
     "integrate_semi_infinite",

@@ -273,8 +273,7 @@ def r2_integral(b: float, m: float,
         return 2.0 * ib * math.exp(-m * math.log1p((1.0 + p) / b)) / (1.0 + p)
 
     spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol,
-                          max_subdivisions=max_subdivisions,
-                          infinite_map="rational")
+                          max_subdivisions=max_subdivisions)
     res = quad.integrate_semi_infinite(f, 0.0, spec)
     return (res.value * _INV_FOUR_PI, res.error_estimate * _INV_FOUR_PI,
             res.evaluations, res.converged)

@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import _backend, channel, specfun, quad
+from . import _backend, channel, specfun
 from .channel import ChannelParams, Modulation, QApproxVariant
-from .quad import ConvergenceError, QuadratureSpec
+from .quad import ConvergenceError, QuadratureResult, QuadratureSpec
 
 __all__ = [
     "AberMethod",
     "MethodValue",
-    "OracleResult",
     "SeriesResult",
     "TruncationPolicy",
     "aber_closed",
@@ -78,13 +77,6 @@ class TruncationPolicy:
 class SeriesResult(NamedTuple):
     value: float
     terms_used: int
-
-
-class OracleResult(NamedTuple):
-    value: float
-    error_estimate: float
-    evaluations: int
-    converged: bool
 
 
 class MethodValue(NamedTuple):
@@ -249,28 +241,23 @@ def _ber_kernel(mod: Modulation, ber_kind: str,
 
 def oracle_result(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
                   spec: QuadratureSpec | None = None,
-                  variant: QApproxVariant | None = None) -> OracleResult:
+                  variant: QApproxVariant | None = None) -> QuadratureResult:
     """Average BER by direct quadrature of BER(snr)*pdf(snr) over [0, oo).
 
     Full diagnostic record; converged=False is reported, never hidden.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    kernel = _ber_kernel(mod, ber_kind, variant)
-    gbar = ch.mean_snr
+    return channel.fading_average(ch, _ber_kernel(mod, ber_kind, variant), spec)
 
-    # integrate in units of the mean: the density then keeps its mass at
-    # O(1) for any mean_snr, where the first panel's nodes can see it; in
-    # raw units a mean below node scale reads as the zero function
-    def f(u: float) -> float:
-        g = gbar * u
-        w = channel.pdf(ch, g)
-        if w == 0.0:
-            return 0.0
-        return kernel(g) * w * gbar
 
-    res = quad.integrate_semi_infinite(f, 0.0, spec)
-    return OracleResult(res.value, res.error_estimate, res.evaluations, res.converged)
+def _converged_oracle(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
+                      spec: QuadratureSpec | None = None,
+                      variant: QApproxVariant | None = None) -> QuadratureResult:
+    res = oracle_result(ch, mod, ber_kind, spec, variant)
+    if not res.converged:
+        raise ConvergenceError(
+            "average-BER quadrature did not reach its tolerance",
+            value=res.value, error_estimate=res.error_estimate)
+    return res
 
 
 def aber_oracle(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
@@ -281,12 +268,7 @@ def aber_oracle(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
     The ConvergenceError carries the best value and error estimate, so
     callers that want the unconverged number can still read it.
     """
-    res = oracle_result(ch, mod, ber_kind, spec, variant)
-    if not res.converged:
-        raise ConvergenceError(
-            "average-BER quadrature did not reach its tolerance",
-            value=res.value, error_estimate=res.error_estimate)
-    return res.value
+    return _converged_oracle(ch, mod, ber_kind, spec, variant).value
 
 
 def aber_expq_closed(ch: ChannelParams, mod: Modulation,
@@ -295,11 +277,9 @@ def aber_expq_closed(ch: ChannelParams, mod: Modulation,
 
     Substituting Q(x) ~ sum w_i exp(-r_i x^2) into the BER turns the
     average into MGF evaluations at negative arguments, so no quadrature
-    is needed.  Only exp_sum variants are accepted.
+    is needed.
     """
     v = QApproxVariant.chiani_two_term() if variant is None else variant
-    if v.tag != "exp_sum":
-        raise ValueError("aber_expq_closed needs an exp_sum variant")
     c0 = mod.c0
     two_c1 = 2.0 * mod.c1
     linear = 0.0
@@ -388,10 +368,6 @@ class AberMethod:
         if self.tag == "lu_closed":
             return MethodValue(aber_lu_closed(ch, mod), 0, None, True)
         if self.tag == "oracle":
-            res = oracle_result(ch, mod, "exact", self.spec)
-            if not res.converged:
-                raise ConvergenceError(
-                    "average-BER quadrature did not reach its tolerance",
-                    value=res.value, error_estimate=res.error_estimate)
-            return MethodValue(res.value, 0, res.error_estimate, res.converged)
+            res = _converged_oracle(ch, mod, spec=self.spec)
+            return MethodValue(res.value, 0, res.error_estimate, True)
         return MethodValue(aber_expq_closed(ch, mod, self.variant), 0, None, True)

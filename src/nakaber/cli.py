@@ -15,8 +15,8 @@ import sys
 
 from .aber import AberMethod, TruncationPolicy
 from .channel import ChannelParams, Modulation, QApproxVariant
-from .harness import (SweepSpec, db_to_linear, run_bench, run_discrepancy,
-                      run_selftest, run_sweep, selftest_groups)
+from .harness import (SweepSpec, db_grid, db_to_linear, run_bench,
+                      run_discrepancy, run_selftest, run_sweep, selftest_groups)
 from .quad import ConvergenceError, QuadratureSpec
 
 EXIT_OK = 0
@@ -47,6 +47,8 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise _UsageError(f"--snr-db-range wants numeric a:b:step, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise _UsageError(f"--snr-db-range wants finite a:b:step, got {text!r}")
     return start, stop, step
 
 
@@ -302,8 +304,7 @@ def _cmd_bench(args) -> int:
         start, stop, step = _parse_range(args.snr_db_range)
         if not (start < stop and step > 0.0):
             raise _UsageError("--snr-db-range wants start < stop and step > 0")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        snr_dbs = [start + i * step for i in range(count)]
+        snr_dbs = db_grid(start, stop, step)
     elif args.snr_db is not None:
         snr_dbs = [args.snr_db]
     else:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import aber as aber_mod
 from . import quad, specfun
 from .aber import AberMethod, TruncationPolicy
-from .channel import ChannelParams, Modulation, QApproxVariant
+from .channel import ChannelParams, Modulation, fading_average
 from .quad import QuadratureSpec
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "SweepResult",
+    "db_grid",
     "db_to_linear",
     "run_bench",
     "run_discrepancy",
@@ -38,6 +39,14 @@ __all__ = [
 def db_to_linear(snr_db: float) -> float:
     """dB to linear power ratio; the only dB conversion in the package."""
     return 10.0 ** (snr_db / 10.0)
+
+
+def db_grid(start: float, stop: float, step: float) -> list[float]:
+    """start, start + step, ... up to and including stop (step > 0)."""
+    # the epsilon absorbs accumulated binary-step error so the stop
+    # point itself is kept
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [start + i * step for i in range(count)]
 
 
 class SweepRow(NamedTuple):
@@ -96,11 +105,7 @@ class SweepSpec:
             raise ValueError("sweep requires at least one method")
 
     def snr_db_grid(self) -> list[float]:
-        # the epsilon absorbs accumulated binary-step error so the stop
-        # point itself is kept
-        count = int(math.floor((self.snr_db_stop - self.snr_db_start)
-                               / self.snr_db_step + 1e-9)) + 1
-        return [self.snr_db_start + i * self.snr_db_step for i in range(count)]
+        return db_grid(self.snr_db_start, self.snr_db_stop, self.snr_db_step)
 
 
 @dataclass(frozen=True)
@@ -252,31 +257,6 @@ def _rel_diff(a: float, b: float) -> float:
     return abs(a - b) / abs(b)
 
 
-def _avg_q_oracle(ch: ChannelParams, alpha: float) -> float:
-    from . import channel as channel_mod
-
-    def f(g: float) -> float:
-        w = channel_mod.pdf(ch, g)
-        if w == 0.0:
-            return 0.0
-        return specfun.gauss_q(math.sqrt(2.0 * alpha * g)) * w
-
-    return quad.integrate_semi_infinite(f, 0.0, spec=_IDENTITY_SPEC).value
-
-
-def _avg_q2_oracle(ch: ChannelParams, alpha: float) -> float:
-    from . import channel as channel_mod
-
-    def f(g: float) -> float:
-        w = channel_mod.pdf(ch, g)
-        if w == 0.0:
-            return 0.0
-        q = specfun.gauss_q(math.sqrt(2.0 * alpha * g))
-        return q * q * w
-
-    return quad.integrate_semi_infinite(f, 0.0, spec=_IDENTITY_SPEC).value
-
-
 def _check_lemma1() -> list[CheckResult]:
     out = []
     for z in (0.1, 0.5, 1.0, 2.0, 4.0):
@@ -306,7 +286,9 @@ def _check_lemma2() -> list[CheckResult]:
     worst_at = ""
     for ch, mod, snr_db in _identity_grid():
         closed = aber_mod.lemma2_avg_q(ch, mod.c1)
-        oracle = _avg_q_oracle(ch, mod.c1)
+        oracle = fading_average(
+            ch, lambda g: specfun.gauss_q(math.sqrt(2.0 * mod.c1 * g)),
+            _IDENTITY_SPEC).value
         rd = _rel_diff(closed, oracle)
         if rd > worst:
             worst, worst_at = rd, f"m={ch.m:g} snr={snr_db:g}dB M={mod.order}"
@@ -324,7 +306,9 @@ def _check_lemma3() -> list[CheckResult]:
         quarter_i = 0.25 * specfun.reg_inc_beta(x, ch.m, 0.5)
         closed = quarter_i - aber_mod.r2_quadrature(ch, mod.c1,
                                                     spec=_IDENTITY_SPEC)
-        oracle = _avg_q2_oracle(ch, mod.c1)
+        oracle = fading_average(
+            ch, lambda g: specfun.gauss_q(math.sqrt(2.0 * mod.c1 * g)) ** 2,
+            _IDENTITY_SPEC).value
         rd = _rel_diff(closed, oracle)
         if rd > worst:
             worst, worst_at = rd, f"m={ch.m:g} snr={snr_db:g}dB M={mod.order}"

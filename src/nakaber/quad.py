@@ -3,8 +3,8 @@
 Finite intervals go through a 15-point Kronrod rule with the embedded
 7-point Gauss rule for error estimation; the interval with the worst
 error estimate is bisected until the global estimate meets the
-tolerance.  Semi-infinite ranges are folded onto [0, 1) by a change of
-variable first.
+tolerance.  Semi-infinite ranges are folded onto [0, 1) by the
+rational change of variable x = lo + t/(1-t) first.
 
 Everything here is pure: no caches, no global state, identical inputs
 give bit-identical outputs.  That makes results reproducible across
@@ -77,14 +77,12 @@ class ConvergenceError(RuntimeError):
 class QuadratureSpec:
     """Tolerance and budget knobs for the adaptive engine.
 
-    rel_tol and abs_tol combine as err <= max(abs_tol, rel_tol*|value|);
-    infinite_map picks the fold used for semi-infinite ranges.
+    rel_tol and abs_tol combine as err <= max(abs_tol, rel_tol*|value|).
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_subdivisions: int = 2000
-    infinite_map: str = "rational"
 
     def __post_init__(self):
         if not (1e-14 <= self.rel_tol <= 1e-3):
@@ -93,8 +91,6 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be finite and non-negative")
         if not (10 <= self.max_subdivisions <= 10000):
             raise ValueError("max_subdivisions must lie in [10, 10000]")
-        if self.infinite_map not in ("rational", "exp"):
-            raise ValueError("infinite_map must be 'rational' or 'exp'")
 
 
 @dataclass(frozen=True)
@@ -212,36 +208,22 @@ def integrate_semi_infinite(f: Callable[[float], float], lo: float,
                             spec: QuadratureSpec | None = None) -> QuadratureResult:
     """Adaptive integral of f over [lo, oo).
 
-    The 'rational' map substitutes x = lo + t/(1-t), which tolerates
-    algebraic tails; 'exp' substitutes x = lo - log(1-t) and suits
-    exponentially decaying integrands.  A zero integrand value short
-    circuits the Jacobian so far-tail underflow cannot poison the sum
-    with 0*inf.
+    Substitutes x = lo + t/(1-t), which tolerates algebraic tails as
+    well as exponential ones.  A zero integrand value short circuits the
+    Jacobian so far-tail underflow cannot poison the sum with 0*inf.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if not math.isfinite(lo):
         raise ValueError("lower limit must be finite")
 
-    if spec.infinite_map == "rational":
-        def g(t: float) -> float:
-            w = 1.0 - t
-            if w <= 0.0:
-                # a panel edge can round onto t = 1; the transformed
-                # integrand of any integrable f vanishes there
-                return 0.0
-            fx = f(lo + t / w)
-            if fx == 0.0:
-                return 0.0
-            return fx / (w * w)
-    else:  # exp
-        def g(t: float) -> float:
-            w = 1.0 - t
-            if w <= 0.0:
-                return 0.0
-            fx = f(lo - math.log(w))
-            if fx == 0.0:
-                return 0.0
-            return fx / w
+    def g(t: float) -> float:
+        w = 1.0 - t
+        if w <= 0.0:
+            # a panel edge can round onto t = 1; the transformed
+            # integrand of any integrable f vanishes there
+            return 0.0
+        fx = f(lo + t / w)
+        if fx == 0.0:
+            return 0.0
+        return fx / (w * w)
 
     return integrate_finite(g, 0.0, 1.0, spec)

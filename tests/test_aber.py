@@ -393,11 +393,6 @@ def test_expq_closed_low_snr_limit():
     assert aber_expq_closed(ch, QPSK) == pytest.approx(expected, rel=1e-5)
 
 
-def test_expq_closed_rejects_exact_variant():
-    with pytest.raises(ValueError):
-        aber_expq_closed(RAYLEIGH_UNIT, QPSK, QApproxVariant.exact())
-
-
 def test_expq_closed_custom_pairs():
     v = QApproxVariant.from_pairs([(1.0 / 12.0, 0.5), (0.25, 2.0 / 3.0)])
     assert aber_expq_closed(RAYLEIGH_UNIT, QPSK, v) == pytest.approx(
@@ -469,4 +464,4 @@ def test_method_payload_validation():
     with pytest.raises(ValueError):
         AberMethod("closed_form", spec=QuadratureSpec())
     with pytest.raises(ValueError):
-        AberMethod("oracle", variant=QApproxVariant.exact())
+        AberMethod("oracle", variant=QApproxVariant.chiani_two_term())

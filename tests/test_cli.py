@@ -7,12 +7,18 @@ import pulls in.
 
 import csv
 import io
+import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from nakaber.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +165,22 @@ def test_thin_bench_reps_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "bench", "--m", "0.6", "--mod", "256",
                            "--snr-db", "10", "--terms", "0", "--reps", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("grid", ["5:1:1", "0:5:0", "0:5:-1"])
+def test_bench_bad_range_is_usage_error(capsys, grid):
+    code, _, err = run_cli(capsys, "bench", "--m", "0.6", "--mod", "256",
+                           f"--snr-db-range={grid}", "--terms", "0")
+    assert code == 2
+    assert "--snr-db-range wants start < stop and step > 0" in err
+
+
+@pytest.mark.parametrize("sub", ["sweep", "bench"])
+def test_nonfinite_range_is_usage_error(capsys, sub):
+    code, _, err = run_cli(capsys, sub, "--m", "1", "--mod", "4",
+                           "--snr-db-range=0:inf:1", "--terms", "0")
+    assert code == 2
+    assert "finite" in err
 
 
 def test_missing_snr_flags_is_usage_error(capsys):
@@ -353,11 +375,19 @@ def test_emit_plot_scripts_compile(tmp_path, capsys):
 
 # --- module entry point ------------------------------------------------------
 
+def _child_env():
+    # a child interpreter imports nakaber from this checkout, installed or not
+    src = str(ROOT / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_module_execution_smoke():
     out = subprocess.run(
         [sys.executable, "-m", "nakaber", "aber", "--m", "1", "--mod", "4",
          "--snr-db", "0", "--method", "lu"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True, env=_child_env())
     kv = parse_kv_line(out.stdout)
     assert float(kv["aber"]) == pytest.approx(0.14644660940672624, rel=1e-14)
 
@@ -371,5 +401,47 @@ def test_cli_import_leaves_unused_stdlib_modules_out():
              "new = set(sys.modules) - before\n"
              "print(' '.join(sorted(new & {'concurrent.futures', 'statistics', 'random'})))\n")
     out = subprocess.run([sys.executable, "-c", probe],
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True, env=_child_env())
     assert out.stdout.strip() == ""
+
+
+# --- README examples ---------------------------------------------------------
+
+def _readme_examples():
+    """(argv, shown output lines) for every ```-fenced `$ nakaber` block."""
+    examples = []
+    block = None
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            if block and block[0].startswith("$ nakaber "):
+                examples.append((shlex.split(block[0])[2:], block[1:]))
+            block = [] if block is None else None
+        elif block is not None:
+            block.append(line)
+    return examples
+
+
+_EXAMPLES = _readme_examples()
+
+
+def _matches(shown, printed):
+    """printed reproduces shown, where a '...' line stands for any run of lines."""
+    pattern = ".*".join(re.escape(piece) for piece in "\n".join(shown).split("..."))
+    return re.fullmatch(pattern, "\n".join(printed), re.DOTALL) is not None
+
+
+def test_readme_has_examples_for_every_subcommand():
+    assert sorted({argv[0] for argv, _ in _EXAMPLES}) == [
+        "aber", "bench", "discrepancy", "selftest", "sweep"]
+
+
+@pytest.mark.parametrize("argv,shown", _EXAMPLES,
+                         ids=[f"{argv[0]}{i}" for i, (argv, _) in enumerate(_EXAMPLES)])
+def test_readme_example_prints_what_it_shows(capsys, argv, shown):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    printed = out.splitlines()
+    if argv[0] == "bench":
+        # timings differ from host to host; the header is the contract
+        shown, printed = shown[:1], printed[:1]
+    assert _matches(shown, printed), "\n".join(printed)

@@ -44,23 +44,13 @@ def test_linearity():
 
 
 def test_gamma_identity_rational_map():
-    spec = QuadratureSpec(infinite_map="rational")
-    res = integrate_semi_infinite(lambda x: x**3.1 * math.exp(-x), 0.0, spec=spec)
+    res = integrate_semi_infinite(lambda x: x**3.1 * math.exp(-x), 0.0)
     assert res.converged
     assert res.value == pytest.approx(math.gamma(4.1), rel=1e-10)
 
 
-def test_gamma_identity_exp_map():
-    spec = QuadratureSpec(infinite_map="exp")
-    res = integrate_semi_infinite(lambda x: x**3.1 * math.exp(-x), 0.0, spec=spec)
-    assert res.converged
-    assert res.value == pytest.approx(math.gamma(4.1), rel=1e-10)
-
-
-@pytest.mark.parametrize("mapping", ["rational", "exp"])
-def test_unit_exponential_both_maps(mapping):
-    spec = QuadratureSpec(infinite_map=mapping)
-    res = integrate_semi_infinite(lambda x: math.exp(-x), 0.0, spec=spec)
+def test_unit_exponential():
+    res = integrate_semi_infinite(lambda x: math.exp(-x), 0.0)
     assert res.converged
     assert res.value == pytest.approx(1.0, rel=1e-11)
 
@@ -163,8 +153,6 @@ def test_spec_validation():
         QuadratureSpec(max_subdivisions=9)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=10001)
-    with pytest.raises(ValueError):
-        QuadratureSpec(infinite_map="sinh")
 
 
 def test_spec_defaults():
@@ -172,13 +160,6 @@ def test_spec_defaults():
     assert spec.rel_tol == 1e-10
     assert spec.abs_tol == 1e-14
     assert spec.max_subdivisions == 2000
-    assert spec.infinite_map == "rational"
-
-
-def test_none_map_rejected_for_half_line():
-    # every semi-infinite range needs a fold, so the spec refuses "none"
-    with pytest.raises(ValueError):
-        QuadratureSpec(infinite_map="none")
 
 
 def test_bad_interval_rejected():
