@@ -14,14 +14,12 @@ from .channel import (ChannelParams, Modulation, QApproxVariant, ber_exact,
                       ber_lu_approx, fading_average, mgf, pdf, q_exp_approx)
 from .quad import (ConvergenceError, QuadratureResult, QuadratureSpec,
                    integrate_finite, integrate_semi_infinite)
-from .specfun import (Accuracy, appell_f1, gauss_q, log_beta, log_gamma,
-                      reg_inc_beta)
+from .specfun import appell_f1, gauss_q, log_beta, log_gamma, reg_inc_beta
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AberMethod",
-    "Accuracy",
     "ChannelParams",
     "ConvergenceError",
     "Modulation",

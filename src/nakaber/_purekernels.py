@@ -1,8 +1,8 @@
 """Numeric kernels: special functions and the correction-term integrals.
 
-Plain functions of floats that return floats or (value, error_estimate,
-evaluations, converged) tuples; the validated public front end is
-``specfun`` and ``aber``.
+Plain functions of floats; the quadrature-backed ones take a
+``quad.QuadratureSpec`` and return a ``quad.QuadratureResult``.  The
+validated public front end is ``specfun`` and ``aber``.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 from . import quad
-from .quad import QuadratureSpec
 
 BACKEND_NAME = "python"
 
@@ -93,13 +92,12 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
-              rel_tol: float, abs_tol: float, max_subdivisions: int):
+              spec: quad.QuadratureSpec) -> quad.QuadratureResult:
     """F1(a; b1, b2; c; x, y) for x, y <= 0 via its one-dimensional
     integral representation.
 
     The substitution t = cos^2(theta) absorbs both algebraic endpoint
     factors, so the quadrature sees a smooth integrand on [0, pi/2].
-    Returns (value, error_estimate, evaluations, converged).
     """
     two_am1 = 2.0 * a - 1.0
     two_cam1 = 2.0 * (c - a) - 1.0
@@ -113,11 +111,10 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
             out *= st ** two_cam1
         return out
 
-    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol,
-                          max_subdivisions=max_subdivisions)
     res = quad.integrate_finite(h, 0.0, _HALF_PI, spec)
     scale = math.exp(-log_beta(a, c - a))
-    return res.value * scale, res.error_estimate * scale, res.evaluations, res.converged
+    return res._replace(value=res.value * scale,
+                        error_estimate=res.error_estimate * scale)
 
 
 def _horner(coefs, r: float) -> float:
@@ -170,7 +167,7 @@ def _horner_compensated(coefs, low, r: float) -> float:
 
 
 def r2_term_scaled(coefs, m: float, b: float,
-                   rel_tol: float, abs_tol: float, max_subdivisions: int):
+                   spec: quad.QuadratureSpec) -> quad.QuadratureResult:
     """Truncated squared-Q correction series R2_N as one integral.
 
     Term n of the series integrates the same theta-integrand times
@@ -194,22 +191,22 @@ def r2_term_scaled(coefs, m: float, b: float,
     (b*t/(1 + b*t))^m peaks at theta = 0, where it is (b/(1+b))^m.  The
     integrand divides that peak out and the result multiplies it back in
     log space, so b^m neither overflows at tiny mean SNR nor drags the
-    integrand into subnormals at high mean SNR and large m.  abs_tol
-    applies to the peak-scaled integral.
+    integrand into subnormals at high mean SNR and large m.
+    spec.abs_tol applies to the peak-scaled integral.
 
     For m > 1 the coefficients alternate in sign, and P_N(r) can be far
     smaller than its terms (by about 1.5^m at high mean SNR).  Where that
     cancellation at r_max = 1/(2+b) lets rounding of the coefficients or
-    of Horner's scheme reach a tenth of rel_tol, P_N is evaluated in
+    of Horner's scheme reach a tenth of spec.rel_tol, P_N is evaluated in
     twice the working precision.  Past what that carries (m above about
     100 at high mean SNR) the rounding noise keeps the quadrature from
-    converging.  Returns (value, error_estimate, evaluations, converged).
+    converging.
     """
     one_plus_b = 1.0 + b
     r_max = 1.0 / (2.0 + b)
     magnitude = _horner([abs(c) for c in coefs], r_max)
     low = None
-    if 4 * len(coefs) * _EPS * magnitude > 0.1 * rel_tol * abs(_horner(coefs, r_max)):
+    if 4 * len(coefs) * _EPS * magnitude > 0.1 * spec.rel_tol * abs(_horner(coefs, r_max)):
         low = _low_parts(coefs, m)
     rev = coefs[::-1]
     k = max(1.0, 2.0 / (1.0 + m))
@@ -233,12 +230,10 @@ def r2_term_scaled(coefs, m: float, b: float,
         return (2.0 * k * phi / w * ct * p
                 * math.exp(-m * math.log1p(st * st / u) - 0.5 * math.log1p(u)))
 
-    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol,
-                          max_subdivisions=max_subdivisions)
     res = quad.integrate_finite(h, 0.0, _HALF_PI ** (1.0 / k), spec)
     log_scale = -m * math.log1p(1.0 / b) - log_beta(0.5, m)
-    return (_scaled(res.value, log_scale), _scaled(res.error_estimate, log_scale),
-            res.evaluations, res.converged)
+    return res._replace(value=_scaled(res.value, log_scale),
+                        error_estimate=_scaled(res.error_estimate, log_scale))
 
 
 def _scaled(x: float, log_scale: float) -> float:
@@ -249,7 +244,7 @@ def _scaled(x: float, log_scale: float) -> float:
 
 
 def r2_integral(b: float, m: float,
-                rel_tol: float, abs_tol: float, max_subdivisions: int):
+                spec: quad.QuadratureSpec) -> quad.QuadratureResult:
     """Squared-Q correction term by quadrature over [0, oo).
 
     R2 = 1/(4*pi) * int_0^oo I_{1/(b+2+p)}(1/2, m) * (b/(b+1+p))^m
@@ -261,8 +256,7 @@ def r2_integral(b: float, m: float,
     times, and leaves an integrand that is smooth at s = 0 and decays
     like s^-(3+2m), which the rational map folds onto [0, 1) as
     (1-t)^(1+2m).  The b^m/(b+1+p)^m ratio stays in log space, so tiny and
-    large mean SNR stay in double range.  Returns (value, error_estimate,
-    evaluations, converged).
+    large mean SNR stay in double range.
     """
 
     def f(s: float) -> float:
@@ -272,8 +266,6 @@ def r2_integral(b: float, m: float,
             return 0.0
         return 2.0 * ib * math.exp(-m * math.log1p((1.0 + p) / b)) / (1.0 + p)
 
-    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=abs_tol,
-                          max_subdivisions=max_subdivisions)
     res = quad.integrate_semi_infinite(f, 0.0, spec)
-    return (res.value * _INV_FOUR_PI, res.error_estimate * _INV_FOUR_PI,
-            res.evaluations, res.converged)
+    return res._replace(value=res.value * _INV_FOUR_PI,
+                        error_estimate=res.error_estimate * _INV_FOUR_PI)

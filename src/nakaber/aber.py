@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from . import _backend, channel, specfun
+from . import _backend, channel
 from .channel import ChannelParams, Modulation, QApproxVariant
-from .quad import ConvergenceError, QuadratureResult, QuadratureSpec
+from .quad import (ConvergenceError, QuadratureResult, QuadratureSpec,
+                   require_converged)
 
 __all__ = [
     "AberMethod",
@@ -38,7 +39,6 @@ __all__ = [
 ]
 
 _SERIES_CAP = 200
-_MAX_SUBDIVISIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -92,6 +92,7 @@ def lemma2_avg_q(ch: ChannelParams, alpha: float) -> float:
 
     Equals (1/2) * I_x(m, 1/2) with x = m/(m + alpha*mean_snr); checked
     against direct quadrature of the defining average by the self tests.
+    Every route that averages Q in closed form (closed, lu) calls this.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
@@ -121,17 +122,14 @@ def r2_quadrature(ch: ChannelParams, alpha: float,
     if spec is None:
         spec = QuadratureSpec(abs_tol=0.0)
     b = ch.m / (alpha * ch.mean_snr)
-    value, err, _, converged = _backend.kernels.r2_integral(
-        b, ch.m, spec.rel_tol, spec.abs_tol, spec.max_subdivisions)
-    if not converged:
-        raise ConvergenceError("squared-Q correction quadrature did not converge",
-                               value=value, error_estimate=err)
-    return value
+    return require_converged(
+        _backend.kernels.r2_integral(b, ch.m, spec),
+        "squared-Q correction quadrature did not converge").value
 
 
 def r2_series(ch: ChannelParams, alpha: float,
               trunc: TruncationPolicy | None = None,
-              accuracy: specfun.Accuracy | None = None) -> SeriesResult:
+              spec: QuadratureSpec | None = None) -> SeriesResult:
     """Squared-Q correction term as a truncated hypergeometric series.
 
     Term n is c_n * b^m * F1(n+m+1; m, n+1/2; n+m+3/2; -b, -(1+b)) up to
@@ -140,9 +138,10 @@ def r2_series(ch: ChannelParams, alpha: float,
     r(theta)^n, so the terms kept are summed as a polynomial inside a
     single quadrature (see the r2_term_scaled kernel).  For integer m
     (1-m)_n hits an exact zero and the series terminates at n = m-1 with
-    the closed form exact.  The quadrature target is accuracy.rel_tol,
-    relative only.  Raises ConvergenceError if the quadrature cannot
-    reach it, or if adaptive truncation needs more than 200 terms.
+    the closed form exact.  spec=None means the relative-only
+    QuadratureSpec(rel_tol=1e-11, abs_tol=0), as in r2_quadrature.  Raises
+    ConvergenceError if the quadrature cannot meet spec, or if adaptive
+    truncation needs more than 200 terms.
     """
     if trunc is None:
         trunc = TruncationPolicy()
@@ -150,7 +149,8 @@ def r2_series(ch: ChannelParams, alpha: float,
         raise ValueError("alpha must be positive and finite")
     m = ch.m
     b = m / (alpha * ch.mean_snr)
-    acc = specfun.Accuracy() if accuracy is None else accuracy
+    if spec is None:
+        spec = QuadratureSpec(rel_tol=1e-11, abs_tol=0.0)
 
     # adaptive mode bounds term n by |c_n| * r_max^n, since r <= 1/(2+b)
     r_max = 1.0 / (2.0 + b)
@@ -173,51 +173,43 @@ def r2_series(ch: ChannelParams, alpha: float,
             raise ConvergenceError(
                 f"correction series needs more than {_SERIES_CAP} terms "
                 f"for term_tol={trunc.term_tol:g}")
-    value, err, _, ok = _backend.kernels.r2_term_scaled(
-        tuple(coefs), m, b, acc.rel_tol, 0.0, _MAX_SUBDIVISIONS)
-    if not ok:
-        raise ConvergenceError("correction series quadrature did not converge",
-                               value=value, error_estimate=err)
-    return SeriesResult(value, len(coefs))
+    res = require_converged(
+        _backend.kernels.r2_term_scaled(tuple(coefs), m, b, spec),
+        "correction series quadrature did not converge")
+    return SeriesResult(res.value, len(coefs))
 
 
 def aber_closed_with_terms(ch: ChannelParams, mod: Modulation,
-                           trunc: TruncationPolicy | None = None,
-                           accuracy: specfun.Accuracy | None = None) -> tuple[float, int]:
+                           trunc: TruncationPolicy | None = None) -> tuple[float, int]:
     """Series closed form of the average BER; returns (value, terms used).
 
     Combines the averaged Q and Q^2 pieces into
-    (2*c0 - c0^2) * I_x(m, 1/2) + 4*c0^2 * R2.
+    (4*c0 - 2*c0^2) * E[Q] + 4*c0^2 * R2, E[Q] = (1/2) * I_x(m, 1/2).
     """
     c0 = mod.c0
-    x = ch.m / (ch.m + mod.c1 * ch.mean_snr)
-    i_term = _backend.kernels.reg_inc_beta(x, ch.m, 0.5)
-    r2, terms = r2_series(ch, mod.c1, trunc, accuracy)
-    return (2.0 * c0 - c0 * c0) * i_term + 4.0 * c0 * c0 * r2, terms
+    avg_q = lemma2_avg_q(ch, mod.c1)
+    r2, terms = r2_series(ch, mod.c1, trunc)
+    return (4.0 * c0 - 2.0 * c0 * c0) * avg_q + 4.0 * c0 * c0 * r2, terms
 
 
 def aber_closed(ch: ChannelParams, mod: Modulation,
-                trunc: TruncationPolicy | None = None,
-                accuracy: specfun.Accuracy | None = None) -> float:
+                trunc: TruncationPolicy | None = None) -> float:
     """Series closed form of the average BER (value only)."""
-    return aber_closed_with_terms(ch, mod, trunc, accuracy)[0]
+    return aber_closed_with_terms(ch, mod, trunc)[0]
 
 
 def aber_lu_closed(ch: ChannelParams, mod: Modulation) -> float:
     """Exact closed form of the averaged sum-of-Q BER approximation.
 
-    2*c0 * sum_j I_{m/(m + c1*(2j-1)^2*mean_snr)}(m, 1/2); no truncation
-    is involved, so it matches the quadrature of its own kernel to
-    oracle accuracy.
+    4*c0 * sum_j E[Q(sqrt(2*c1*(2j-1)^2*snr))]; no truncation is
+    involved, so it matches the quadrature of its own kernel to oracle
+    accuracy.
     """
-    m = ch.m
-    c1 = mod.c1
     total = 0.0
     for j in range(1, int(round(math.sqrt(mod.order))) // 2 + 1):
         k = 2.0 * j - 1.0
-        x = m / (m + c1 * k * k * ch.mean_snr)
-        total += _backend.kernels.reg_inc_beta(x, m, 0.5)
-    return 2.0 * mod.c0 * total
+        total += lemma2_avg_q(ch, mod.c1 * k * k)
+    return 4.0 * mod.c0 * total
 
 
 def _ber_kernel(mod: Modulation, ber_kind: str,
@@ -252,12 +244,8 @@ def oracle_result(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
 def _converged_oracle(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
                       spec: QuadratureSpec | None = None,
                       variant: QApproxVariant | None = None) -> QuadratureResult:
-    res = oracle_result(ch, mod, ber_kind, spec, variant)
-    if not res.converged:
-        raise ConvergenceError(
-            "average-BER quadrature did not reach its tolerance",
-            value=res.value, error_estimate=res.error_estimate)
-    return res
+    return require_converged(oracle_result(ch, mod, ber_kind, spec, variant),
+                             "average-BER quadrature did not reach its tolerance")
 
 
 def aber_oracle(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",

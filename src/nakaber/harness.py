@@ -42,11 +42,15 @@ def db_to_linear(snr_db: float) -> float:
 
 
 def db_grid(start: float, stop: float, step: float) -> list[float]:
-    """start, start + step, ... up to and including stop (step > 0)."""
+    """start, start + step, ... up to and including stop (step > 0).  A
+    grid of more than 100,000 points raises ValueError before it is built."""
     # the epsilon absorbs accumulated binary-step error so the stop
     # point itself is kept
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    steps = (stop - start) / step + 1e-9
+    if not steps < 100_000:
+        raise ValueError(f"dB grid {start:g}:{stop:g}:{step:g} has more than "
+                         "100000 points")
+    return [start + i * step for i in range(int(math.floor(steps)) + 1)]
 
 
 class SweepRow(NamedTuple):
@@ -302,8 +306,7 @@ def _check_lemma3() -> list[CheckResult]:
     worst = 0.0
     worst_at = ""
     for ch, mod, snr_db in _identity_grid():
-        x = ch.m / (ch.m + mod.c1 * ch.mean_snr)
-        quarter_i = 0.25 * specfun.reg_inc_beta(x, ch.m, 0.5)
+        quarter_i = 0.5 * aber_mod.lemma2_avg_q(ch, mod.c1)
         closed = quarter_i - aber_mod.r2_quadrature(ch, mod.c1,
                                                     spec=_IDENTITY_SPEC)
         oracle = fading_average(
@@ -354,10 +357,9 @@ def _check_sandwich() -> list[CheckResult]:
     ok = True
     detail = ""
     for ch, mod, snr_db in _identity_grid():
-        x = ch.m / (ch.m + mod.c1 * ch.mean_snr)
-        quarter_i = 0.25 * specfun.reg_inc_beta(x, ch.m, 0.5)
-        r2 = aber_mod.r2_quadrature(ch, mod.c1)
         avg_q = aber_mod.lemma2_avg_q(ch, mod.c1)
+        quarter_i = 0.5 * avg_q
+        r2 = aber_mod.r2_quadrature(ch, mod.c1)
         avg_q2 = quarter_i - r2
         here = (0.0 <= r2 <= quarter_i * (1.0 + 1e-9) + 1e-15
                 and 0.0 < avg_q2 <= avg_q * (1.0 + 1e-9)

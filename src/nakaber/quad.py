@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 __all__ = [
     "ConvergenceError",
@@ -24,6 +24,7 @@ __all__ = [
     "QuadratureSpec",
     "integrate_finite",
     "integrate_semi_infinite",
+    "require_converged",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -93,12 +94,20 @@ class QuadratureSpec:
             raise ValueError("max_subdivisions must lie in [10, 10000]")
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int
     converged: bool
+
+
+def require_converged(res: QuadratureResult, message: str) -> QuadratureResult:
+    """res itself if it converged; otherwise raise ConvergenceError with
+    message, carrying res's value and error estimate."""
+    if not res.converged:
+        raise ConvergenceError(message, value=res.value,
+                               error_estimate=res.error_estimate)
+    return res
 
 
 def _kronrod15(f: Callable[[float], float], lo: float, hi: float):

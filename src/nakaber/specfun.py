@@ -8,41 +8,17 @@ two-variable hypergeometric F1.  All operations are pure and reentrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _backend
-from .quad import ConvergenceError
+from .quad import QuadratureSpec, require_converged
 
 __all__ = [
-    "Accuracy",
     "appell_f1",
     "gauss_q",
     "log_beta",
     "log_gamma",
     "reg_inc_beta",
 ]
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Accuracy request for quadrature-backed special functions.
-
-    rel_tol is the target relative error; abs_floor cuts the relative
-    criterion off for results indistinguishable from zero.
-    """
-
-    rel_tol: float = 1e-11
-    abs_floor: float = 1e-14
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise ValueError("rel_tol must lie in (0, 1e-3]")
-        if not (0.0 < self.abs_floor <= 1e-10):
-            raise ValueError("abs_floor must lie in (0, 1e-10]")
-
-
-_DEFAULT_ACCURACY = Accuracy()
-_APPELL_MAX_SUBDIVISIONS = 2000
 
 
 def log_gamma(x: float) -> float:
@@ -80,15 +56,15 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
-              accuracy: Accuracy | None = None) -> float:
+              spec: QuadratureSpec | None = None) -> float:
     """Appell hypergeometric F1(a; b1, b2; c; x, y) for x, y <= 0.
 
     Evaluated through its single-integral representation, which stays
     valid where the defining double series diverges.  Requires c > a so
-    the representation applies.  Raises ConvergenceError (carrying the
-    achieved value and estimate) if the requested accuracy is not met.
+    the representation applies.  spec=None means
+    QuadratureSpec(rel_tol=1e-11).  Raises ConvergenceError (carrying the
+    achieved value and estimate) if the quadrature does not meet spec.
     """
-    acc = _DEFAULT_ACCURACY if accuracy is None else accuracy
     for name, v in (("a", a), ("b1", b1), ("b2", b2), ("c", c), ("x", x), ("y", y)):
         if not math.isfinite(v):
             raise ValueError(f"appell_f1 argument {name} must be finite")
@@ -98,10 +74,8 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
         raise ValueError("appell_f1 requires c > a")
     if x > 0.0 or y > 0.0:
         raise ValueError("appell_f1 supports only x <= 0 and y <= 0")
-    value, err, _, converged = _backend.kernels.appell_f1(
-        a, b1, b2, c, x, y, acc.rel_tol, acc.abs_floor, _APPELL_MAX_SUBDIVISIONS)
-    if not converged:
-        raise ConvergenceError(
-            "appell_f1 quadrature did not reach the requested accuracy",
-            value=value, error_estimate=err)
-    return value
+    if spec is None:
+        spec = QuadratureSpec(rel_tol=1e-11)
+    return require_converged(
+        _backend.kernels.appell_f1(a, b1, b2, c, x, y, spec),
+        "appell_f1 quadrature did not reach the requested accuracy").value

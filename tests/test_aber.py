@@ -26,7 +26,7 @@ from nakaber.aber import (
 )
 from nakaber.channel import ChannelParams, Modulation, QApproxVariant
 from nakaber.quad import ConvergenceError, QuadratureSpec
-from nakaber.specfun import Accuracy, reg_inc_beta
+from nakaber.specfun import reg_inc_beta
 
 RAYLEIGH_UNIT = ChannelParams(1.0, 1.0)
 QPSK = Modulation(4)
@@ -113,10 +113,9 @@ def test_r2_integral_evaluation_budget():
     worst = 0
     for ch, mod, _ in _identity_grid():
         b = ch.m / (mod.c1 * ch.mean_snr)
-        _, _, evaluations, converged = _backend.kernels.r2_integral(
-            b, ch.m, spec.rel_tol, spec.abs_tol, spec.max_subdivisions)
-        assert converged
-        worst = max(worst, evaluations)
+        res = _backend.kernels.r2_integral(b, ch.m, spec)
+        assert res.converged
+        worst = max(worst, res.evaluations)
     assert worst <= 500
 
 
@@ -131,9 +130,9 @@ def test_r2_term_scaled_evaluation_budget(monkeypatch):
 
     def counted(*args):
         res = kernel(*args)
-        assert args[3:5] == (Accuracy().rel_tol, 0.0)
-        assert res[3]
-        counts.append(res[2])
+        assert args[3] == QuadratureSpec(rel_tol=1e-11, abs_tol=0.0)
+        assert res.converged
+        counts.append(res.evaluations)
         return res
 
     monkeypatch.setattr(_backend.kernels, "r2_term_scaled", counted)
@@ -189,8 +188,8 @@ def test_r2_series_error_decreases_with_terms():
     alpha = Modulation(256).c1
     ref = r2_quadrature(ch, alpha, spec=QuadratureSpec(rel_tol=1e-13,
                                                        abs_tol=1e-300))
-    acc = Accuracy(rel_tol=1e-13)
-    errs = [abs(r2_series(ch, alpha, TruncationPolicy.fixed(n), acc).value - ref)
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0)
+    errs = [abs(r2_series(ch, alpha, TruncationPolicy.fixed(n), spec).value - ref)
             for n in (0, 1, 2, 3, 5)]
     assert all(e2 <= e1 for e1, e2 in zip(errs, errs[1:]))
     assert errs[-1] < 1e-10 * ref
@@ -373,11 +372,20 @@ def test_oracle_sees_density_far_below_node_scale():
     assert got == pytest.approx(0.4375, abs=1e-4)
 
 
-def test_oracle_starved_budget_raises_with_payload():
-    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=10)
-    ch = ChannelParams(0.6, 10.0)
-    with pytest.raises(ConvergenceError) as exc_info:
-        aber_oracle(ch, QPSK, spec=spec)
+STARVED = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=10)
+
+
+@pytest.mark.parametrize("route, message", [
+    (lambda ch: aber_oracle(ch, QPSK, spec=STARVED),
+     "average-BER quadrature did not reach its tolerance"),
+    (lambda ch: r2_quadrature(ch, QPSK.c1, spec=STARVED),
+     "squared-Q correction quadrature did not converge"),
+    (lambda ch: r2_series(ch, QPSK.c1, spec=STARVED),
+     "correction series quadrature did not converge"),
+], ids=["oracle", "r2_quadrature", "r2_series"])
+def test_starved_budget_raises_with_payload(route, message):
+    with pytest.raises(ConvergenceError, match=message) as exc_info:
+        route(ChannelParams(0.6, 10.0))
     err = exc_info.value
     # best-effort value is still in the right ballpark
     assert 0.0 < err.value < 0.5

@@ -149,9 +149,11 @@ def test_multiple_methods_rejected_for_single_point(capsys):
 
 
 def test_bad_range_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--m", "1", "--mod", "4",
-                           "--snr-db-range", "5:1:1", "--method", "lu")
-    assert code == 2
+    # the second range would need about 1e15 grid points
+    for grid in ("5:1:1", "0:1e9:1e-6"):
+        code, _, _ = run_cli(capsys, "sweep", "--m", "1", "--mod", "4",
+                             "--snr-db-range", grid, "--method", "lu")
+        assert code == 2, grid
 
 
 def test_unknown_method_is_usage_error(capsys):

@@ -8,6 +8,7 @@ from nakaber.aber import AberMethod, TruncationPolicy
 from nakaber.channel import ChannelParams, Modulation
 from nakaber.harness import (
     SweepSpec,
+    db_grid,
     db_to_linear,
     run_bench,
     run_discrepancy,
@@ -55,6 +56,12 @@ def test_grid_includes_endpoint_despite_rounding():
     assert len(grid) == 93
     assert grid[0] == 0.0
     assert grid[-1] == pytest.approx(23.0, abs=1e-9)
+
+
+def test_db_grid_caps_point_count():
+    assert len(db_grid(0.0, 99999.0, 1.0)) == 100000
+    with pytest.raises(ValueError, match="more than 100000 points"):
+        db_grid(0.0, 100001.0, 1.0)
 
 
 def test_sweep_produces_sorted_rows():

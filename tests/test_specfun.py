@@ -9,9 +9,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nakaber.quad import ConvergenceError
+from nakaber.quad import ConvergenceError, QuadratureSpec
 from nakaber.specfun import (
-    Accuracy,
     appell_f1,
     gauss_q,
     log_beta,
@@ -252,25 +251,9 @@ def test_appell_f1_unreachable_accuracy_raises_with_payload():
     # with the absolute floor out of the way, a 1e-14 relative request
     # sits below the summed per-panel roundoff bound (50*eps*resabs),
     # so the engine can never certify it
-    acc = Accuracy(rel_tol=1e-14, abs_floor=1e-300)
+    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300)
     with pytest.raises(ConvergenceError) as exc_info:
-        appell_f1(2.0, 1.0, 0.5, 2.5, -0.6, -1.6, accuracy=acc)
+        appell_f1(2.0, 1.0, 0.5, 2.5, -0.6, -1.6, spec=spec)
     err = exc_info.value
     assert err.value == pytest.approx(0.46024614866852609153, rel=1e-10)
     assert err.error_estimate > 0.0
-
-
-# --- Accuracy --------------------------------------------------------------
-
-def test_accuracy_defaults_and_validation():
-    acc = Accuracy()
-    assert acc.rel_tol == 1e-11
-    assert acc.abs_floor == 1e-14
-    with pytest.raises(ValueError):
-        Accuracy(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        Accuracy(rel_tol=1e-2)
-    with pytest.raises(ValueError):
-        Accuracy(abs_floor=0.0)
-    with pytest.raises(ValueError):
-        Accuracy(abs_floor=1e-9)
