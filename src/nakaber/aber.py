@@ -80,11 +80,14 @@ class SeriesResult(NamedTuple):
 
 
 class MethodValue(NamedTuple):
-    """One evaluated ABER with whatever diagnostics the method carries."""
+    """One evaluated ABER with whatever diagnostics the method carries.
+
+    Only converged values are returned: an oracle that misses its
+    tolerance raises ConvergenceError instead.
+    """
     value: float
     terms: int
     error_estimate: float | None
-    converged: bool
 
 
 def lemma2_avg_q(ch: ChannelParams, alpha: float) -> float:
@@ -132,16 +135,17 @@ def r2_series(ch: ChannelParams, alpha: float,
               spec: QuadratureSpec | None = None) -> SeriesResult:
     """Squared-Q correction term as a truncated hypergeometric series.
 
-    Term n is c_n * b^m * F1(n+m+1; m, n+1/2; n+m+3/2; -b, -(1+b)) up to
-    a common factor, with c_n = (1-m)_n / (n! (n+1/2)) and
-    b = m/(alpha*mean_snr).  Every F1 shares one theta-integrand times
-    r(theta)^n, so the terms kept are summed as a polynomial inside a
-    single quadrature (see the r2_term_scaled kernel).  For integer m
-    (1-m)_n hits an exact zero and the series terminates at n = m-1 with
-    the closed form exact.  spec=None means the relative-only
-    QuadratureSpec(rel_tol=1e-11, abs_tol=0), as in r2_quadrature.  Raises
-    ConvergenceError if the quadrature cannot meet spec, or if adaptive
-    truncation needs more than 200 terms.
+    Term n is B(n+m+1, 1/2)/(4*pi*B(1/2, m)) * c_n * b^m
+    * F1(n+m+1; m, n+1/2; n+m+3/2; -b, -(1+b)), with
+    c_n = (1-m)_n / (n! (n+1/2)) and b = m/(alpha*mean_snr).  Every F1
+    shares one theta-integrand times r(theta)^n, so the terms kept are
+    summed as a polynomial inside a single quadrature (see the
+    r2_term_scaled kernel).  For integer m (1-m)_n hits an exact zero and
+    the series terminates at n = m-1 with the closed form exact.
+    spec=None means the relative-only QuadratureSpec(rel_tol=1e-11,
+    abs_tol=0), as in r2_quadrature.  Raises ConvergenceError if the
+    quadrature cannot meet spec, or if adaptive truncation needs more
+    than 200 terms.
     """
     if trunc is None:
         trunc = TruncationPolicy()
@@ -352,10 +356,10 @@ class AberMethod:
     def evaluate(self, ch: ChannelParams, mod: Modulation) -> MethodValue:
         if self.tag == "closed_form":
             value, terms = aber_closed_with_terms(ch, mod, self.trunc)
-            return MethodValue(value, terms, None, True)
+            return MethodValue(value, terms, None)
         if self.tag == "lu_closed":
-            return MethodValue(aber_lu_closed(ch, mod), 0, None, True)
+            return MethodValue(aber_lu_closed(ch, mod), 0, None)
         if self.tag == "oracle":
             res = _converged_oracle(ch, mod, spec=self.spec)
-            return MethodValue(res.value, 0, res.error_estimate, True)
-        return MethodValue(aber_expq_closed(ch, mod, self.variant), 0, None, True)
+            return MethodValue(res.value, 0, res.error_estimate)
+        return MethodValue(aber_expq_closed(ch, mod, self.variant), 0, None)

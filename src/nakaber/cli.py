@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 
 from .aber import AberMethod, TruncationPolicy
 from .channel import ChannelParams, Modulation, QApproxVariant
-from .harness import (SweepSpec, db_grid, db_to_linear, run_bench,
-                      run_discrepancy, run_selftest, run_sweep, selftest_groups)
+from .harness import (db_grid, db_to_linear, run_bench, run_discrepancy,
+                      run_selftest, run_sweep, selftest_groups)
 from .quad import ConvergenceError, QuadratureSpec
 
 EXIT_OK = 0
@@ -24,10 +23,6 @@ EXIT_SELFTEST = 1
 EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
 EXIT_IO = 4
-
-
-class _UsageError(ValueError):
-    pass
 
 
 def _fmt(x) -> str:
@@ -39,17 +34,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_range(text: str) -> tuple[float, float, float]:
+def _parse_range(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise _UsageError(f"--snr-db-range wants a:b:step, got {text!r}")
+        raise ValueError(f"--snr-db-range wants a:b:step, got {text!r}")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
-        raise _UsageError(f"--snr-db-range wants numeric a:b:step, got {text!r}") from None
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise _UsageError(f"--snr-db-range wants finite a:b:step, got {text!r}")
-    return start, stop, step
+        raise ValueError(f"--snr-db-range wants numeric a:b:step, got {text!r}") from None
+    try:
+        return db_grid(start, stop, step)
+    except ValueError as exc:
+        raise ValueError(f"--snr-db-range {exc}") from None
 
 
 def _parse_expq(text: str | None) -> QApproxVariant | None:
@@ -59,25 +55,22 @@ def _parse_expq(text: str | None) -> QApproxVariant | None:
     for item in text.split(","):
         w, sep, r = item.partition(":")
         if not sep:
-            raise _UsageError(f"--expq wants w1:r1,w2:r2,..., got {text!r}")
+            raise ValueError(f"--expq wants w1:r1,w2:r2,..., got {text!r}")
         try:
             pairs.append((float(w), float(r)))
         except ValueError:
-            raise _UsageError(f"--expq pair {item!r} is not numeric") from None
+            raise ValueError(f"--expq pair {item!r} is not numeric") from None
     try:
         return QApproxVariant.from_pairs(pairs)
     except ValueError as exc:
-        raise _UsageError(f"--expq: {exc}") from None
+        raise ValueError(f"--expq: {exc}") from None
 
 
 def _parse_terms_list(text: str) -> list[int]:
     try:
-        out = [int(p) for p in text.split(",") if p.strip() != ""]
+        return [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
-        raise _UsageError(f"--terms wants integers, got {text!r}") from None
-    if not out:
-        raise _UsageError("--terms needs at least one term count")
-    return out
+        raise ValueError(f"--terms wants integers, got {text!r}") from None
 
 
 def _truncation(args) -> TruncationPolicy:
@@ -99,8 +92,8 @@ def _parse_methods(text: str, args) -> tuple[AberMethod, ...]:
         elif name == "expq":
             methods.append(AberMethod.expq_closed(_parse_expq(args.expq)))
         else:
-            raise _UsageError(f"unknown method {name!r} "
-                              "(choose from closed, lu, oracle, expq)")
+            raise ValueError(f"unknown method {name!r} "
+                             "(choose from closed, lu, oracle, expq)")
     return tuple(methods)
 
 
@@ -127,11 +120,11 @@ def _config_tokens(path: str) -> list[str]:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
-                raise _UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key = key.strip().replace("_", "-")
             value = value.strip()
             if not key:
-                raise _UsageError(f"{path}:{lineno}: empty key")
+                raise ValueError(f"{path}:{lineno}: empty key")
             if value.lower() in ("true", "yes", "on") and key in ("no-timing", "list"):
                 tokens.append(f"--{key}")
             elif value.lower() in ("false", "no", "off") and key in ("no-timing", "list"):
@@ -252,7 +245,7 @@ def _emit_plot(path: str, kind: str, rows) -> None:
 def _cmd_aber(args) -> int:
     methods = _parse_methods(args.method, args)
     if len(methods) != 1:
-        raise _UsageError("aber evaluates exactly one method; use sweep for several")
+        raise ValueError("aber evaluates exactly one method; use sweep for several")
     method = methods[0]
     ch = ChannelParams(args.m, db_to_linear(args.snr_db))
     mod = Modulation(args.mod)
@@ -261,36 +254,30 @@ def _cmd_aber(args) -> int:
     if method.tag == "closed_form":
         extra = f" terms={mv.terms}"
     elif method.tag == "oracle":
-        extra = (f" error_estimate={mv.error_estimate:.3e}"
-                 f" converged={mv.converged}")
+        # evaluate raises rather than return an unconverged oracle value
+        extra = f" error_estimate={mv.error_estimate:.3e} converged=True"
     print(f"aber={_fmt(mv.value)} method={method.label()} m={args.m:g} "
           f"mod={args.mod} snr_db={args.snr_db:g}{extra}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    start, stop, step = _parse_range(args.snr_db_range)
-    sweep = SweepSpec(start, stop, step, _parse_methods(args.method, args),
-                      ChannelParams(args.m, 1.0), Modulation(args.mod))
-    result = run_sweep(sweep, jobs=args.jobs)
-    if args.no_timing:
-        header = ["snr_db", "method", "value", "terms"]
-        rows = [(r.snr_db, r.method, r.value, r.terms) for r in result.rows]
-    else:
-        header = ["snr_db", "method", "value", "terms", "wall_time_ns"]
-        rows = list(result.rows)
+    rows = run_sweep(args.m, args.mod, _parse_range(args.snr_db_range),
+                     _parse_methods(args.method, args), jobs=args.jobs)
     if args.emit_plot:
-        _emit_plot(args.emit_plot, "sweep", result.rows)
+        _emit_plot(args.emit_plot, "sweep", rows)
+    header = ["snr_db", "method", "value", "terms", "wall_time_ns"]
+    if args.no_timing:
+        header = header[:-1]
+        rows = [r[:-1] for r in rows]
     _write_csv(args.out, header, rows)
     return EXIT_OK
 
 
 def _cmd_discrepancy(args) -> int:
-    start, stop, step = _parse_range(args.snr_db_range)
-    sweep = SweepSpec(start, stop, step, _parse_methods(args.method, args),
-                      ChannelParams(args.m, 1.0), Modulation(args.mod))
-    rows = run_discrepancy(sweep, QuadratureSpec(rel_tol=args.rel_tol),
-                           jobs=args.jobs)
+    rows = run_discrepancy(args.m, args.mod, _parse_range(args.snr_db_range),
+                           _parse_methods(args.method, args),
+                           QuadratureSpec(rel_tol=args.rel_tol), jobs=args.jobs)
     if args.emit_plot:
         _emit_plot(args.emit_plot, "discrepancy", rows)
     _write_csv(args.out, ["snr_db", "candidate_method", "epsilon_db"], rows)
@@ -298,17 +285,12 @@ def _cmd_discrepancy(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.reps < 10:
-        raise _UsageError("--reps must be at least 10 for stable medians")
     if args.snr_db_range:
-        start, stop, step = _parse_range(args.snr_db_range)
-        if not (start < stop and step > 0.0):
-            raise _UsageError("--snr-db-range wants start < stop and step > 0")
-        snr_dbs = db_grid(start, stop, step)
+        snr_dbs = _parse_range(args.snr_db_range)
     elif args.snr_db is not None:
         snr_dbs = [args.snr_db]
     else:
-        raise _UsageError("bench needs --snr-db or --snr-db-range")
+        raise ValueError("bench needs --snr-db or --snr-db-range")
     rows = run_bench(args.m, args.mod, snr_dbs,
                      _parse_terms_list(args.terms), args.reps)
     if args.emit_plot:
@@ -326,10 +308,7 @@ def _cmd_selftest(args) -> int:
     groups = None
     if args.group:
         groups = [g.strip() for item in args.group for g in item.split(",")]
-    try:
-        results = run_selftest(groups)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    results = run_selftest(groups)
     failures = 0
     for res in results:
         mark = "ok  " if res.passed else "FAIL"
@@ -395,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", type=str, default=None,
                          help="CSV path (default: stdout)")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="concurrent grid evaluations")
+                         help="concurrent grid evaluations (1 to 64)")
     p_sweep.add_argument("--no-timing", action="store_true",
                          help="drop the wall-time column (byte-stable CSV)")
     p_sweep.add_argument("--emit-plot", type=str, default=None,
@@ -413,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--out", type=str, default=None,
                         help="CSV path (default: stdout)")
     p_disc.add_argument("--jobs", type=int, default=1,
-                        help="concurrent grid evaluations")
+                        help="concurrent grid evaluations (1 to 64)")
     p_disc.add_argument("--emit-plot", type=str, default=None,
                         help="write a self-contained plot script here")
     p_disc.set_defaults(func=_cmd_discrepancy)
@@ -453,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
-    except _UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:
@@ -462,9 +441,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ConvergenceError as exc:
         detail = ""
         if exc.value is not None:

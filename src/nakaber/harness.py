@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import aber as aber_mod
@@ -24,8 +23,6 @@ __all__ = [
     "CheckResult",
     "DiscrepancyRow",
     "SweepRow",
-    "SweepSpec",
-    "SweepResult",
     "db_grid",
     "db_to_linear",
     "run_bench",
@@ -42,14 +39,27 @@ def db_to_linear(snr_db: float) -> float:
 
 
 def db_grid(start: float, stop: float, step: float) -> list[float]:
-    """start, start + step, ... up to and including stop (step > 0).  A
-    grid of more than 100,000 points raises ValueError before it is built."""
+    """start, start + step, ... up to and including stop.
+
+    The one rule for a dB grid: finite bounds, start < stop, step > 0 and
+    at most 100,000 points.  A broken rule raises ValueError naming it,
+    before any point is built.
+    """
+    grid = f"{start:g}:{stop:g}:{step:g}"
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"wants finite start:stop:step, got {grid}")
+    if not start < stop:
+        raise ValueError(f"wants start < stop and step > 0, got {grid} "
+                         "(start is not below stop)")
+    if not step > 0.0:
+        raise ValueError(f"wants start < stop and step > 0, got {grid} "
+                         "(step is not positive)")
     # the epsilon absorbs accumulated binary-step error so the stop
     # point itself is kept
     steps = (stop - start) / step + 1e-9
     if not steps < 100_000:
-        raise ValueError(f"dB grid {start:g}:{stop:g}:{step:g} has more than "
-                         "100000 points")
+        raise ValueError(f"wants at most 100000 points, got {grid} "
+                         "(more than 100000 points)")
     return [start + i * step for i in range(int(math.floor(steps)) + 1)]
 
 
@@ -82,42 +92,14 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A dB grid, the methods to run on it, and the fixed channel shape.
-
-    channel supplies the fading figure only; its mean_snr field is a
-    placeholder that the grid overrides point by point.
-    """
-
-    snr_db_start: float
-    snr_db_stop: float
-    snr_db_step: float
-    methods: tuple[AberMethod, ...]
-    channel: ChannelParams
-    modulation: Modulation
-
-    def __post_init__(self):
-        if not (math.isfinite(self.snr_db_start) and math.isfinite(self.snr_db_stop)
-                and math.isfinite(self.snr_db_step)):
-            raise ValueError("sweep bounds must be finite")
-        if not self.snr_db_start < self.snr_db_stop:
-            raise ValueError("sweep requires start < stop")
-        if not self.snr_db_step > 0.0:
-            raise ValueError("sweep requires step > 0")
-        if not self.methods:
-            raise ValueError("sweep requires at least one method")
-
-    def snr_db_grid(self) -> list[float]:
-        return db_grid(self.snr_db_start, self.snr_db_stop, self.snr_db_step)
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
+# the pool's ceiling, so that outside input cannot decide how many OS
+# threads start (a grid may hold 100,000 points x 4 methods)
+_MAX_JOBS = 64
 
 
 def _map_tasks(fn: Callable, tasks: Sequence, jobs: int) -> list:
+    if not 1 <= jobs <= _MAX_JOBS:
+        raise ValueError(f"jobs must lie in [1, {_MAX_JOBS}], got {jobs}")
     if jobs > 1:
         # imported here, like statistics and random below: every CLI
         # process imports this module and most never need them
@@ -128,15 +110,21 @@ def _map_tasks(fn: Callable, tasks: Sequence, jobs: int) -> list:
     return [fn(t) for t in tasks]
 
 
-def run_sweep(sweep: SweepSpec, jobs: int = 1) -> SweepResult:
+def _require_methods(methods: Sequence[AberMethod]) -> None:
+    if not methods:
+        raise ValueError("a grid run needs at least one method")
+
+
+def run_sweep(m: float, order: int, snr_dbs: Sequence[float],
+              methods: Sequence[AberMethod], jobs: int = 1) -> list[SweepRow]:
     """Evaluate every method at every grid point.
 
     Rows come back sorted by (snr_db, method label); wall times are
     per-evaluation and vary run to run, everything else is
     deterministic.
     """
-    m = sweep.channel.m
-    mod = sweep.modulation
+    _require_methods(methods)
+    mod = Modulation(order)
 
     def run_one(task: tuple[float, AberMethod]) -> SweepRow:
         snr_db, method = task
@@ -149,36 +137,36 @@ def run_sweep(sweep: SweepSpec, jobs: int = 1) -> SweepResult:
                              f"outside [0, 1] at {snr_db} dB: {mv.value}")
         return SweepRow(snr_db, method.label(), mv.value, mv.terms, elapsed)
 
-    tasks = [(snr_db, meth) for snr_db in sweep.snr_db_grid()
-             for meth in sweep.methods]
+    tasks = [(snr_db, meth) for snr_db in snr_dbs for meth in methods]
     rows = _map_tasks(run_one, tasks, jobs)
     rows.sort(key=lambda r: (r.snr_db, r.method))
-    return SweepResult(tuple(rows))
+    return rows
 
 
-def run_discrepancy(sweep: SweepSpec, oracle_spec: QuadratureSpec | None = None,
+def run_discrepancy(m: float, order: int, snr_dbs: Sequence[float],
+                    methods: Sequence[AberMethod],
+                    oracle_spec: QuadratureSpec | None = None,
                     jobs: int = 1) -> list[DiscrepancyRow]:
     """Per grid point: reference oracle (exact kernel) vs each method.
 
-    The reference is always the exact-kernel quadrature; methods listed
-    in the sweep are the candidates.
+    The reference is always the exact-kernel quadrature; the methods
+    are the candidates.
     """
-    m = sweep.channel.m
-    mod = sweep.modulation
+    _require_methods(methods)
+    mod = Modulation(order)
     spec = QuadratureSpec() if oracle_spec is None else oracle_spec
 
     def run_point(snr_db: float) -> list[DiscrepancyRow]:
         ch = ChannelParams(m, db_to_linear(snr_db))
         reference = aber_mod.aber_oracle(ch, mod, "exact", spec)
         out = []
-        for method in sweep.methods:
+        for method in methods:
             value = method.evaluate(ch, mod).value
             out.append(DiscrepancyRow(snr_db, method.label(),
                                       aber_mod.discrepancy(reference, value)))
         return out
 
-    points = sweep.snr_db_grid()
-    rows = [row for chunk in _map_tasks(run_point, points, jobs) for row in chunk]
+    rows = [row for chunk in _map_tasks(run_point, snr_dbs, jobs) for row in chunk]
     rows.sort(key=lambda r: (r.snr_db, r.candidate_method))
     return rows
 

@@ -147,6 +147,28 @@ def test_r2_term_scaled_evaluation_budget(monkeypatch):
     assert sum(counts) <= 12000
 
 
+@pytest.mark.parametrize("m", [0.6, 2.5, 4.1])
+@pytest.mark.parametrize("b", [0.3, 0.05, 1.7])
+def test_r2_term_is_the_papers_appell_f1_term(m, b):
+    # the one-integral series kernel, given a one-hot coefficient vector,
+    # reproduces term n of the paper's series:
+    # B(n+m+1, 1/2)/(4 pi B(1/2, m)) * c_n * b^m
+    #     * F1(n+m+1; m, n+1/2; n+m+3/2; -b, -(1+b))
+    from nakaber import _purekernels
+    from nakaber.specfun import appell_f1, log_beta
+
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0)
+    c_n = 2.0  # c_n = (1-m)_n / (n! (n+1/2))
+    for n in range(5):
+        if n:
+            c_n *= (n - m) / n * (n - 0.5) / (n + 0.5)
+        got = _purekernels.r2_term_scaled((0.0,) * n + (c_n,), m, b, spec).value
+        factor = math.exp(log_beta(n + m + 1, 0.5) - log_beta(0.5, m)) / (4 * math.pi)
+        term = factor * c_n * b ** m * appell_f1(
+            n + m + 1, m, n + 0.5, n + m + 1.5, -b, -(1 + b), spec)
+        assert got == pytest.approx(term, rel=1e-12, abs=0.0), n
+
+
 def test_r2_quadrature_closes_the_identity():
     # for m = 1 the series terminates at one term, so I/4 - R2 has an
     # independent closed form through the terminating series

@@ -31,7 +31,7 @@ from nakaber.aber import (
 )
 from nakaber.channel import ChannelParams, Modulation
 from nakaber.harness import (
-    SweepSpec,
+    db_grid,
     db_to_linear,
     run_bench,
     run_discrepancy,
@@ -248,11 +248,10 @@ def test_06_lu_average_exactness():
 
 
 def test_07_low_snr_method_ordering():
-    spec = SweepSpec(0.0, 15.0, 1.0,
-                     (AberMethod.closed_form(TruncationPolicy.fixed(0)),
-                      AberMethod.lu_closed()),
-                     ChannelParams(0.6, 1.0), Modulation(256))
-    rows = run_discrepancy(spec, oracle_spec=REF_SPEC)
+    rows = run_discrepancy(0.6, 256, db_grid(0.0, 15.0, 1.0),
+                           (AberMethod.closed_form(TruncationPolicy.fixed(0)),
+                            AberMethod.lu_closed()),
+                           oracle_spec=REF_SPEC)
     closed = {r.snr_db: r.epsilon_db for r in rows if r.candidate_method == "closed(N=0)"}
     lu = {r.snr_db: r.epsilon_db for r in rows if r.candidate_method == "lu"}
     gaps = [lu[s] - closed[s] for s in sorted(closed)]

@@ -234,6 +234,18 @@ def test_sweep_out_file_and_jobs(tmp_path, capsys):
     assert target.read_text() == inline_out
 
 
+@pytest.mark.parametrize("sub, jobs", [("sweep", "0"), ("sweep", "65"),
+                                       ("discrepancy", "-3")])
+def test_jobs_outside_bounds_is_usage_error(capsys, sub, jobs):
+    # refused before any pool thread starts
+    code, out, err = run_cli(capsys, sub, "--m", "1", "--mod", "4",
+                             "--snr-db-range", "0:2:1", "--method", "lu",
+                             "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "jobs must lie in [1, 64]" in err
+
+
 def test_sweep_negative_range_needs_equals_form(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--m", "2.5", "--mod", "16",
                            "--snr-db-range=-6:0:3", "--method", "lu",

@@ -7,7 +7,6 @@ import pytest
 from nakaber.aber import AberMethod, TruncationPolicy
 from nakaber.channel import ChannelParams, Modulation
 from nakaber.harness import (
-    SweepSpec,
     db_grid,
     db_to_linear,
     run_bench,
@@ -18,15 +17,11 @@ from nakaber.harness import (
     stabilized_oracle_spec,
 )
 
-CH_PLACEHOLDER = ChannelParams(4.1, 1.0)
-
-
 def three_method_sweep():
-    return SweepSpec(0.0, 30.0, 1.0,
+    return run_sweep(4.1, 256, db_grid(0.0, 30.0, 1.0),
                      (AberMethod.closed_form(TruncationPolicy.fixed(0)),
                       AberMethod.lu_closed(),
-                      AberMethod.oracle()),
-                     CH_PLACEHOLDER, Modulation(256))
+                      AberMethod.oracle()))
 
 
 def test_db_to_linear():
@@ -36,23 +31,26 @@ def test_db_to_linear():
     assert db_to_linear(3.0) == pytest.approx(10.0 ** 0.3, rel=1e-14)
 
 
-def test_sweep_spec_validation():
-    good = three_method_sweep()
-    assert len(good.snr_db_grid()) == 31
-    with pytest.raises(ValueError):
-        SweepSpec(5.0, 5.0, 1.0, (AberMethod.lu_closed(),),
-                  CH_PLACEHOLDER, Modulation(4))
-    with pytest.raises(ValueError):
-        SweepSpec(0.0, 5.0, -1.0, (AberMethod.lu_closed(),),
-                  CH_PLACEHOLDER, Modulation(4))
-    with pytest.raises(ValueError):
-        SweepSpec(0.0, 5.0, 1.0, (), CH_PLACEHOLDER, Modulation(4))
+def test_db_grid_names_broken_condition():
+    for grid, broken in (((5.0, 5.0, 1.0), "start is not below stop"),
+                         ((5.0, 1.0, 1.0), "start is not below stop"),
+                         ((0.0, 5.0, 0.0), "step is not positive"),
+                         ((0.0, 5.0, -1.0), "step is not positive"),
+                         ((0.0, math.nan, 1.0), "wants finite"),
+                         ((-math.inf, 5.0, 1.0), "wants finite")):
+        with pytest.raises(ValueError, match=broken):
+            db_grid(*grid)
+
+
+@pytest.mark.parametrize("runner", [run_sweep, run_discrepancy])
+def test_runners_reject_empty_methods(runner):
+    with pytest.raises(ValueError, match="at least one method"):
+        runner(4.1, 4, db_grid(0.0, 5.0, 1.0), ())
 
 
 def test_grid_includes_endpoint_despite_rounding():
-    spec = SweepSpec(0.0, 23.0, 0.25, (AberMethod.lu_closed(),),
-                     CH_PLACEHOLDER, Modulation(4))
-    grid = spec.snr_db_grid()
+    assert len(db_grid(0.0, 30.0, 1.0)) == 31
+    grid = db_grid(0.0, 23.0, 0.25)
     assert len(grid) == 93
     assert grid[0] == 0.0
     assert grid[-1] == pytest.approx(23.0, abs=1e-9)
@@ -65,8 +63,7 @@ def test_db_grid_caps_point_count():
 
 
 def test_sweep_produces_sorted_rows():
-    result = run_sweep(three_method_sweep())
-    rows = result.rows
+    rows = three_method_sweep()
     assert len(rows) == 93  # 31 grid points x 3 methods
     assert list(rows) == sorted(rows, key=lambda r: (r.snr_db, r.method))
     assert {r.method for r in rows} == {"closed(N=0)", "lu", "oracle"}
@@ -80,9 +77,8 @@ def test_sweep_produces_sorted_rows():
 
 
 def test_sweep_values_decrease_with_snr():
-    result = run_sweep(three_method_sweep())
     by_method = {}
-    for r in result.rows:
+    for r in three_method_sweep():
         by_method.setdefault(r.method, []).append((r.snr_db, r.value))
     for method, pts in by_method.items():
         values = [v for _, v in sorted(pts)]
@@ -90,30 +86,24 @@ def test_sweep_values_decrease_with_snr():
 
 
 def test_sweep_jobs_do_not_change_values():
-    spec = SweepSpec(0.0, 6.0, 2.0,
-                     (AberMethod.closed_form(), AberMethod.lu_closed()),
-                     ChannelParams(1.0, 1.0), Modulation(16))
-    solo = run_sweep(spec, jobs=1)
-    multi = run_sweep(spec, jobs=4)
-    assert [(r.snr_db, r.method, r.value, r.terms) for r in solo.rows] == \
-           [(r.snr_db, r.method, r.value, r.terms) for r in multi.rows]
+    args = (1.0, 16, db_grid(0.0, 6.0, 2.0),
+            (AberMethod.closed_form(), AberMethod.lu_closed()))
+    solo = run_sweep(*args, jobs=1)
+    multi = run_sweep(*args, jobs=4)
+    assert [r[:-1] for r in solo] == [r[:-1] for r in multi]
 
 
 def test_sweep_rejects_out_of_range_values():
     # the approximating method exceeds 1 at strongly negative SNR for
     # wide constellations, which the row type refuses to carry
-    spec = SweepSpec(-12.0, -8.0, 2.0, (AberMethod.lu_closed(),),
-                     ChannelParams(0.6, 1.0), Modulation(4096))
     with pytest.raises(ValueError):
-        run_sweep(spec)
+        run_sweep(0.6, 4096, db_grid(-12.0, -8.0, 2.0), (AberMethod.lu_closed(),))
 
 
 def test_discrepancy_rows():
-    spec = SweepSpec(0.0, 4.0, 2.0,
-                     (AberMethod.closed_form(TruncationPolicy.fixed(0)),
-                      AberMethod.lu_closed()),
-                     ChannelParams(0.6, 1.0), Modulation(256))
-    rows = run_discrepancy(spec)
+    rows = run_discrepancy(0.6, 256, db_grid(0.0, 4.0, 2.0),
+                           (AberMethod.closed_form(TruncationPolicy.fixed(0)),
+                            AberMethod.lu_closed()))
     assert len(rows) == 6
     assert [(r.snr_db, r.candidate_method) for r in rows] == [
         (0.0, "closed(N=0)"), (0.0, "lu"),
@@ -127,9 +117,7 @@ def test_discrepancy_rows():
 def test_discrepancy_oracle_candidate_hits_sentinel():
     # an oracle candidate sharing the reference spec reproduces the
     # reference exactly, so the log-scaled gap is -inf
-    spec = SweepSpec(0.0, 2.0, 2.0, (AberMethod.oracle(),),
-                     ChannelParams(1.0, 1.0), Modulation(4))
-    rows = run_discrepancy(spec)
+    rows = run_discrepancy(1.0, 4, db_grid(0.0, 2.0, 2.0), (AberMethod.oracle(),))
     assert all(r.epsilon_db == -math.inf for r in rows)
 
 
