@@ -139,27 +139,115 @@ def mgf(ch: ChannelParams, p: float) -> float:
     return math.exp(-ch.m * math.log1p(-u))
 
 
+def _log_peak_density(m: float) -> float:
+    """log(m^m * e^-m / Gamma(m)), the Gamma(m, 1/m) density at z = 1
+    with its factor z^(m-1) * e^(-m*(z-1)) divided out.
+
+    Past m = 100 it comes from Stirling's series, because m*log(m) - m
+    and lgamma(m) cancel to a residue of about log(m)/2 there."""
+    if m < 100.0:
+        return m * math.log(m) - m - _backend.kernels.log_gamma(m)
+    inv2 = 1.0 / (m * m)
+    return (0.5 * math.log(m / (2.0 * math.pi))
+            - (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) / m)
+
+
+def _log1p_minus_small(s: float) -> float:
+    """log(1 + s) - s for |s| < 0.1, to full relative accuracy.
+
+    The difference cancels there, so it is taken from
+    log1p(s) - s = -s^2/(2+s) + 2*(atanh(u) - u), u = s/(2+s), with the
+    odd atanh series summed; |u| < 0.053 leaves the first dropped term,
+    2*u^17/17, below 1e-20 of the result."""
+    u = s / (2.0 + s)
+    u2 = u * u
+    odd = u * u2 * (1.0 / 3.0 + u2 * (1.0 / 5.0 + u2 * (1.0 / 7.0 + u2 * (
+        1.0 / 9.0 + u2 * (1.0 / 11.0 + u2 * (1.0 / 13.0 + u2 / 15.0))))))
+    return -s * s / (2.0 + s) + 2.0 * odd
+
+
 def fading_average(ch: ChannelParams, h: Callable[[float], float],
-                   spec: quad.QuadratureSpec | None = None) -> quad.QuadratureResult:
+                   spec: quad.QuadratureSpec | None = None,
+                   rate: float = 0.0) -> quad.QuadratureResult:
     """E[h(snr)] = integral of h(snr) * pdf(snr) over [0, oo), by quadrature.
 
     h takes a linear SNR.  The one defining-average integrand: the
     average-BER oracle and the self-test identities all run through it.
+    rate is the slowest exponential decay of h, h(snr) ~ e^(-rate*snr)
+    up to slower factors (0 for an h that does not decay).  Every
+    rate >= 0 defines the same integral, but only a rate near h's decay
+    puts the mass where the quadrature looks: with rate=0 an h that
+    decays fast against the mean SNR keeps its mass near z = 0, where the
+    first panels can miss it and report a converged zero.
+
+    The integral runs in z = snr / (mean_snr * lam), lam = 1/(1 + rate *
+    mean_snr/m), where h * pdf behaves like z^(m-1) * e^(-m*z) at any
+    mean SNR, so the mass sits at z = O(1).  The density's constant is
+    taken once, in log space, with its shape scaled to 1 at z = 1, near
+    the mode, where large m concentrates the mass in a width of about
+    1/sqrt(m).  One finite quadrature over x in [0, 2] covers the head
+    z <= 1 (x < 1) and the tail z >= 1 (x >= 1), so its first bisection
+    falls on z = 1:
+      head, m <= 1  z = x^(1/m), so z^(m-1) dz = dx/m and the density's
+                    endpoint power leaves the integrand;
+      head, m > 1   z = x/(x + w*(1-x)), which spreads the mode's left
+                    flank, of width w = 1/sqrt(m), over the whole panel;
+      tail          z = 1 + w*t/(1-t), t = x-1, with w = 1/m for m <= 1
+                    (the tail's decay length) and 1/sqrt(m) above.
     Full diagnostic record; converged=False is reported, never hidden.
     """
-    gbar = ch.mean_snr
+    if not (rate >= 0.0 and math.isfinite(rate)):
+        raise ValueError("rate must be finite and non-negative")
+    m = ch.m
+    tilt = rate * ch.mean_snr / m
+    snr_per_z = ch.mean_snr / (1.0 + tilt)
+    # the z-density (m*lam)^m z^(m-1) e^(-m*lam*z) / Gamma(m) is
+    # exp(log_k + (m-1)*log(z) - m*(z-1) + rate*snr): log_k is
+    # log((m*lam)^m * e^-m / Gamma(m)), and rate*snr = m*(1-lam)*z turns
+    # the shape's e^(-m*z) back into e^(-m*lam*z)
+    log_k = _log_peak_density(m) - m * math.log1p(tilt)
+    rate_per_z = rate * snr_per_z
+    power_head = m <= 1.0
+    log_k_head = log_k - math.log(m)
+    head_power = 1.0 / m
+    width = 1.0 / m if power_head else 1.0 / math.sqrt(m)
 
-    # integrate in units of the mean: the density then keeps its mass at
-    # O(1) for any mean_snr, where the first panel's nodes can see it; in
-    # raw units a mean below node scale reads as the zero function
-    def f(u: float) -> float:
-        g = gbar * u
-        w = pdf(ch, g)
+    def f(x: float) -> float:
+        if x < 1.0:
+            if power_head:
+                z = x ** head_power
+                log_w = log_k_head + m * (1.0 - z)
+                jac = 1.0
+            else:
+                d = x + width * (1.0 - x)
+                y = width * (1.0 - x) / d  # 1 - z, kept exact near the mode
+                if y >= 1.0:
+                    return 0.0  # z = 0, where z^(m-1) vanishes
+                z = x / d
+                lz = math.log(z)
+                # (m-1)*log(z) - m*(z-1) = m*(log1p(-y) + y) - log(z)
+                peak = lz + y if y >= 0.1 else _log1p_minus_small(-y)
+                log_w = log_k + m * peak - lz
+                jac = width / (d * d)
+        else:
+            t = x - 1.0
+            u = 1.0 - t
+            if u <= 0.0:
+                # a panel edge can round onto t = 1, where the folded
+                # integrand of any integrable average vanishes
+                return 0.0
+            s = width * t / u
+            z = 1.0 + s
+            lz = math.log1p(s)
+            peak = lz - s if s >= 0.1 else _log1p_minus_small(s)
+            log_w = log_k + m * peak - lz
+            jac = width / (u * u)
+        w = math.exp(log_w + rate_per_z * z)
         if w == 0.0:
             return 0.0
-        return h(g) * w * gbar
+        return h(snr_per_z * z) * (w * jac)
 
-    return quad.integrate_semi_infinite(f, 0.0, spec)
+    return quad.integrate_finite(f, 0.0, 2.0, spec)
 
 
 def ber_exact(mod: Modulation, snr: float) -> float:

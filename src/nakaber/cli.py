@@ -73,6 +73,12 @@ def _parse_terms_list(text: str) -> list[int]:
         raise ValueError(f"--terms wants integers, got {text!r}") from None
 
 
+def _oracle_spec(args) -> QuadratureSpec:
+    # relative-only, as the library's own default: average BERs fall far
+    # below any fixed absolute floor at high SNR
+    return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=0.0)
+
+
 def _truncation(args) -> TruncationPolicy:
     if getattr(args, "adaptive_tol", None) is not None:
         return TruncationPolicy.adaptive(args.adaptive_tol)
@@ -88,7 +94,7 @@ def _parse_methods(text: str, args) -> tuple[AberMethod, ...]:
         elif name == "lu":
             methods.append(AberMethod.lu_closed())
         elif name == "oracle":
-            methods.append(AberMethod.oracle(QuadratureSpec(rel_tol=args.rel_tol)))
+            methods.append(AberMethod.oracle(_oracle_spec(args)))
         elif name == "expq":
             methods.append(AberMethod.expq_closed(_parse_expq(args.expq)))
         else:
@@ -277,7 +283,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_discrepancy(args) -> int:
     rows = run_discrepancy(args.m, args.mod, _parse_range(args.snr_db_range),
                            _parse_methods(args.method, args),
-                           QuadratureSpec(rel_tol=args.rel_tol), jobs=args.jobs)
+                           _oracle_spec(args), jobs=args.jobs)
     if args.emit_plot:
         _emit_plot(args.emit_plot, "discrepancy", rows)
     _write_csv(args.out, ["snr_db", "candidate_method", "epsilon_db"], rows)

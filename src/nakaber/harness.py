@@ -154,7 +154,7 @@ def run_discrepancy(m: float, order: int, snr_dbs: Sequence[float],
     """
     _require_methods(methods)
     mod = Modulation(order)
-    spec = QuadratureSpec() if oracle_spec is None else oracle_spec
+    spec = QuadratureSpec(abs_tol=0.0) if oracle_spec is None else oracle_spec
 
     def run_point(snr_db: float) -> list[DiscrepancyRow]:
         ch = ChannelParams(m, db_to_linear(snr_db))
@@ -192,10 +192,10 @@ def stabilized_oracle_spec(ch: ChannelParams, mod: Modulation) -> QuadratureSpec
     the 'equal precision' footing for timing ratios.
     """
     rel = 1e-4
-    spec = QuadratureSpec(rel_tol=rel, abs_tol=1e-18)
+    spec = QuadratureSpec(rel_tol=rel, abs_tol=0.0)
     prev = aber_mod.aber_oracle(ch, mod, "exact", spec)
     while rel > 1e-13:
-        tighter = QuadratureSpec(rel_tol=rel / 10.0, abs_tol=1e-18)
+        tighter = QuadratureSpec(rel_tol=rel / 10.0, abs_tol=0.0)
         cur = aber_mod.aber_oracle(ch, mod, "exact", tighter)
         if abs(cur - prev) <= 1e-5 * abs(cur):
             return spec
@@ -280,7 +280,7 @@ def _check_lemma2() -> list[CheckResult]:
         closed = aber_mod.lemma2_avg_q(ch, mod.c1)
         oracle = fading_average(
             ch, lambda g: specfun.gauss_q(math.sqrt(2.0 * mod.c1 * g)),
-            _IDENTITY_SPEC).value
+            _IDENTITY_SPEC, rate=mod.c1).value
         rd = _rel_diff(closed, oracle)
         if rd > worst:
             worst, worst_at = rd, f"m={ch.m:g} snr={snr_db:g}dB M={mod.order}"
@@ -299,7 +299,7 @@ def _check_lemma3() -> list[CheckResult]:
                                                     spec=_IDENTITY_SPEC)
         oracle = fading_average(
             ch, lambda g: specfun.gauss_q(math.sqrt(2.0 * mod.c1 * g)) ** 2,
-            _IDENTITY_SPEC).value
+            _IDENTITY_SPEC, rate=2.0 * mod.c1).value
         rd = _rel_diff(closed, oracle)
         if rd > worst:
             worst, worst_at = rd, f"m={ch.m:g} snr={snr_db:g}dB M={mod.order}"

@@ -394,6 +394,69 @@ def test_oracle_sees_density_far_below_node_scale():
     assert got == pytest.approx(0.4375, abs=1e-4)
 
 
+# 30-digit Craig-form values (perfbench/reference.py's `precise`),
+# (m, dB, M, value) across the domain's corners
+ORACLE_WHOLE_DOMAIN = [
+    (0.6, 60.0, 4, 5.1846034842145436e-05),
+    (50.0, 40.0, 4, 2.7611068993736395e-117),
+    (20.5, 40.0, 4096, 1.5398785954880265e-12),
+    (0.05, 80.0, 4096, 0.06640795956296394),
+    (2.5, -20.0, 4, 0.3966085050292539),
+]
+
+
+@pytest.mark.parametrize("m,snr_db,order,expected", ORACLE_WHOLE_DOMAIN)
+def test_oracle_frozen_whole_domain_values(m, snr_db, order, expected):
+    res = oracle_result(ChannelParams(m, 10.0 ** (snr_db / 10.0)), Modulation(order))
+    assert res.converged
+    assert res.value == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("m,expected", [
+    (1e6, 3.87231709350749e-06),
+    (1e8, 3.872106593435388e-06),
+    (1e12, 3.872104467429155e-06),
+])
+def test_oracle_huge_m_is_never_a_silent_zero(m, expected):
+    # the density is a spike of width 1/sqrt(m) at its mode; quadrature
+    # nodes that straddle it read a converged zero unless the integrand
+    # is scaled to the spike (30-digit Craig values, 10 dB)
+    got = aber_oracle(ChannelParams(m, 10.0), QPSK)
+    assert got == pytest.approx(expected, rel=1e-8)
+
+
+def test_oracle_evaluation_budget():
+    # evaluation counts are deterministic; a panel over the whole domain
+    # (m x dB x M) and a small-m point, where the density's z^(m-1)
+    # endpoint sets the cost
+    total = 0
+    for m in (0.05, 0.2, 0.6, 1.0, 2.5, 4.1, 20.5, 50.0):
+        for snr_db in (-30.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0, 60.0, 80.0):
+            for order in (4, 256, 4096):
+                res = oracle_result(ChannelParams(m, 10.0 ** (snr_db / 10.0)),
+                                    Modulation(order))
+                assert res.converged, (m, snr_db, order)
+                total += res.evaluations
+    assert total <= 100_000
+    assert oracle_result(ChannelParams(0.05, 10.0),
+                         Modulation(256)).evaluations <= 500
+
+
+@pytest.mark.parametrize("kind,variant", [
+    ("lu", None),
+    ("expq", QApproxVariant.from_pairs([(0.3, 0.6), (0.1, 0.4)])),
+], ids=["lu", "expq-custom"])
+def test_oracle_kernels_at_high_snr_match_their_closed_forms(kind, variant):
+    # each kernel passes its own decay rate (c1, or 2*c1*min r_i for a
+    # custom exponential sum), so the mass stays visible at 60 dB
+    ch = ChannelParams(0.6, 1e6)
+    mod = Modulation(16)
+    closed = (aber_lu_closed(ch, mod) if kind == "lu"
+              else aber_expq_closed(ch, mod, variant))
+    got = aber_oracle(ch, mod, ber_kind=kind, variant=variant)
+    assert got == pytest.approx(closed, rel=1e-9)
+
+
 STARVED = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=10)
 
 

@@ -82,6 +82,22 @@ def test_pdf_normalizes_and_has_mean_gbar(m, gbar):
     assert mean.value == pytest.approx(gbar, rel=1e-9)
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.7, 5.0])
+def test_fading_average_rate_moves_nodes_not_value(rate):
+    # rate only says where the mass is; the integral is the same
+    ch = ChannelParams(2.5, 3.0)
+    avg = fading_average(ch, lambda g: math.exp(-0.7 * g),
+                         QuadratureSpec(rel_tol=1e-12, abs_tol=0.0), rate=rate)
+    assert avg.converged
+    assert avg.value == pytest.approx(mgf(ch, -0.7), rel=1e-11)
+
+
+@pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
+def test_fading_average_rejects_bad_rate(rate):
+    with pytest.raises(ValueError, match="rate"):
+        fading_average(ChannelParams(1.0, 1.0), lambda g: 1.0, rate=rate)
+
+
 def test_pdf_survives_extreme_prefactors():
     # log-space evaluation has to cover huge shape and tiny mean
     assert pdf(ChannelParams(500.0, 1.0), 1.0) > 0.0

@@ -124,13 +124,23 @@ def test_aber_adaptive_past_the_term_cap_is_numerical_failure(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--m", "0.001", "--method", "oracle"),
     ("--m", "1e200", "--method", "closed", "--terms", "5"),
-], ids=["oracle-tiny-m", "closed-huge-m"])
+], ids=["closed-huge-m"])
 def test_aber_nonfinite_integrand_is_numerical_failure(capsys, argv):
     code, _, err = run_cli(capsys, "aber", "--snr-db", "10", "--mod", "4", *argv)
     assert code == 3
     assert "non-finite" in err
+
+
+def test_aber_oracle_tiny_m_value(capsys):
+    # the density's z^(m-1) endpoint is integrated in v = z^m, so even
+    # m = 0.001 gives a finite integrand (30-digit Craig value)
+    code, out, _ = run_cli(capsys, "aber", "--snr-db", "10", "--mod", "4",
+                           "--m", "0.001", "--method", "oracle")
+    assert code == 0
+    kv = parse_kv_line(out)
+    assert kv["converged"] == "True"
+    assert float(kv["aber"]) == pytest.approx(0.43296119999787414, rel=1e-10)
 
 
 # --- usage errors ------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from nakaber.aber import AberMethod, TruncationPolicy
+from nakaber.aber import AberMethod, TruncationPolicy, aber_oracle
 from nakaber.channel import ChannelParams, Modulation
 from nakaber.harness import (
     db_grid,
@@ -16,6 +16,7 @@ from nakaber.harness import (
     selftest_groups,
     stabilized_oracle_spec,
 )
+from nakaber.quad import QuadratureSpec
 
 def three_method_sweep():
     return run_sweep(4.1, 256, db_grid(0.0, 30.0, 1.0),
@@ -125,6 +126,16 @@ def test_stabilized_oracle_spec_is_reasonable():
     ch = ChannelParams(0.6, 10.0)
     spec = stabilized_oracle_spec(ch, Modulation(256))
     assert 1e-14 <= spec.rel_tol <= 1e-4
+
+
+def test_stabilized_spec_value_matches_tight_oracle():
+    # the value is 9e-47: an absolute floor above it (1e-18, say) ends
+    # the quadrature after its first panel, 0.5% off
+    ch = ChannelParams(25.0, db_to_linear(50.0))
+    mod = Modulation(1024)
+    got = aber_oracle(ch, mod, "exact", stabilized_oracle_spec(ch, mod))
+    tight = aber_oracle(ch, mod, "exact", QuadratureSpec(rel_tol=1e-12, abs_tol=0.0))
+    assert got == pytest.approx(tight, rel=1e-5)
 
 
 def test_bench_rows():
