@@ -192,7 +192,6 @@ def r2_term_scaled(coefs, m: float, b: float,
     integrand divides that peak out and the result multiplies it back in
     log space, so b^m neither overflows at tiny mean SNR nor drags the
     integrand into subnormals at high mean SNR and large m.
-    spec.abs_tol applies to the peak-scaled integral.
 
     For m > 1 the coefficients alternate in sign, and P_N(r) can be far
     smaller than its terms (by about 1.5^m at high mean SNR).  Where that
@@ -244,7 +243,7 @@ def _scaled(x: float, log_scale: float) -> float:
 
 
 def r2_integral(b: float, m: float,
-                spec: quad.QuadratureSpec) -> quad.QuadratureResult:
+                spec: quad.QuadratureSpec | None) -> quad.QuadratureResult:
     """Squared-Q correction term by quadrature over [0, oo).
 
     R2 = 1/(4*pi) * int_0^oo I_{1/(b+2+p)}(1/2, m) * (b/(b+1+p))^m

@@ -112,18 +112,10 @@ def r2_quadrature(ch: ChannelParams, alpha: float,
     defining integral over p in [0, oo) has a 1/sqrt(p) endpoint
     singularity; the r2_integral kernel integrates it in s = sqrt(p),
     where the integrand is smooth, so the adaptive rule needs a few
-    hundred evaluations and no deep bisection towards the endpoint,
-    which an absolute floor could otherwise end before the endpoint is
-    resolved.  With spec=None the quadrature is relative-only
-    (abs_tol=0), as in r2_series: R2 falls far below any fixed absolute
-    floor at high mean SNR and large m (1.6e-68 at m=50, 30 dB), where
-    such a floor would end the bisection at once.  An explicit spec is
-    used as given.
+    hundred evaluations and no deep bisection towards the endpoint.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
-    if spec is None:
-        spec = QuadratureSpec(abs_tol=0.0)
     b = ch.m / (alpha * ch.mean_snr)
     return require_converged(
         _backend.kernels.r2_integral(b, ch.m, spec),
@@ -142,10 +134,9 @@ def r2_series(ch: ChannelParams, alpha: float,
     summed as a polynomial inside a single quadrature (see the
     r2_term_scaled kernel).  For integer m (1-m)_n hits an exact zero and
     the series terminates at n = m-1 with the closed form exact.
-    spec=None means the relative-only QuadratureSpec(rel_tol=1e-11,
-    abs_tol=0), as in r2_quadrature.  Raises ConvergenceError if the
-    quadrature cannot meet spec, or if adaptive truncation needs more
-    than 200 terms.
+    spec=None means QuadratureSpec(rel_tol=1e-11).  Raises
+    ConvergenceError if the quadrature cannot meet spec, or if adaptive
+    truncation needs more than 200 terms.
     """
     if trunc is None:
         trunc = TruncationPolicy()
@@ -154,7 +145,7 @@ def r2_series(ch: ChannelParams, alpha: float,
     m = ch.m
     b = m / (alpha * ch.mean_snr)
     if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-11, abs_tol=0.0)
+        spec = QuadratureSpec(rel_tol=1e-11)
 
     # adaptive mode bounds term n by |c_n| * r_max^n, since r <= 1/(2+b)
     r_max = 1.0 / (2.0 + b)
@@ -241,13 +232,8 @@ def oracle_result(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
                   variant: QApproxVariant | None = None) -> QuadratureResult:
     """Average BER by direct quadrature of BER(snr)*pdf(snr) over [0, oo).
 
-    spec=None means the relative-only QuadratureSpec(abs_tol=0), as in
-    r2_quadrature: at high mean SNR and large m the average BER falls
-    far below any fixed absolute floor (2.8e-117 at m=50, 40 dB, QPSK).
     Full diagnostic record; converged=False is reported, never hidden.
     """
-    if spec is None:
-        spec = QuadratureSpec(abs_tol=0.0)
     kernel, rate = _ber_kernel(mod, ber_kind, variant)
     return channel.fading_average(ch, kernel, spec, rate=rate)
 

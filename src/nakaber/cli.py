@@ -74,9 +74,7 @@ def _parse_terms_list(text: str) -> list[int]:
 
 
 def _oracle_spec(args) -> QuadratureSpec:
-    # relative-only, as the library's own default: average BERs fall far
-    # below any fixed absolute floor at high SNR
-    return QuadratureSpec(rel_tol=args.rel_tol, abs_tol=0.0)
+    return QuadratureSpec(rel_tol=args.rel_tol)
 
 
 def _truncation(args) -> TruncationPolicy:

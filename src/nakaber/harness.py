@@ -154,11 +154,10 @@ def run_discrepancy(m: float, order: int, snr_dbs: Sequence[float],
     """
     _require_methods(methods)
     mod = Modulation(order)
-    spec = QuadratureSpec(abs_tol=0.0) if oracle_spec is None else oracle_spec
 
     def run_point(snr_db: float) -> list[DiscrepancyRow]:
         ch = ChannelParams(m, db_to_linear(snr_db))
-        reference = aber_mod.aber_oracle(ch, mod, "exact", spec)
+        reference = aber_mod.aber_oracle(ch, mod, "exact", oracle_spec)
         out = []
         for method in methods:
             value = method.evaluate(ch, mod).value
@@ -192,10 +191,10 @@ def stabilized_oracle_spec(ch: ChannelParams, mod: Modulation) -> QuadratureSpec
     the 'equal precision' footing for timing ratios.
     """
     rel = 1e-4
-    spec = QuadratureSpec(rel_tol=rel, abs_tol=0.0)
+    spec = QuadratureSpec(rel_tol=rel)
     prev = aber_mod.aber_oracle(ch, mod, "exact", spec)
     while rel > 1e-13:
-        tighter = QuadratureSpec(rel_tol=rel / 10.0, abs_tol=0.0)
+        tighter = QuadratureSpec(rel_tol=rel / 10.0)
         cur = aber_mod.aber_oracle(ch, mod, "exact", tighter)
         if abs(cur - prev) <= 1e-5 * abs(cur):
             return spec
@@ -239,10 +238,7 @@ _IDENTITY_MS = (0.6, 1.0, 2.5, 4.1)
 _IDENTITY_DBS = (-5.0, 0.0, 10.0, 20.0, 30.0)
 _IDENTITY_ORDERS = (4, 16, 256, 4096)
 
-# the identity integrals shrink to ~1e-11 at the high-SNR corner of the
-# grid, so convergence has to be driven by relative error alone; the
-# default absolute floor (1e-14) would otherwise dominate them
-_IDENTITY_SPEC = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300)
+_IDENTITY_SPEC = QuadratureSpec(rel_tol=1e-11)
 
 
 def _rel_diff(a: float, b: float) -> float:

@@ -3,7 +3,7 @@
 Finite intervals go through a 15-point Kronrod rule with the embedded
 7-point Gauss rule for error estimation; the interval with the worst
 error estimate is bisected until the global estimate meets the
-tolerance.  Semi-infinite ranges are folded onto [0, 1) by the
+relative tolerance.  Semi-infinite ranges are folded onto [0, 1) by the
 rational change of variable x = lo + t/(1-t) first.
 
 Everything here is pure: no caches, no global state, identical inputs
@@ -78,18 +78,16 @@ class ConvergenceError(RuntimeError):
 class QuadratureSpec:
     """Tolerance and budget knobs for the adaptive engine.
 
-    rel_tol and abs_tol combine as err <= max(abs_tol, rel_tol*|value|).
+    Convergence is relative only, err <= rel_tol*|value|, so a value of
+    1e-117 gets the same relative accuracy as one of 0.4.
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
     max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not (1e-14 <= self.rel_tol <= 1e-3):
             raise ValueError("rel_tol must lie in [1e-14, 1e-3]")
-        if not (0.0 <= self.abs_tol < math.inf):
-            raise ValueError("abs_tol must be finite and non-negative")
         if not (10 <= self.max_subdivisions <= 10000):
             raise ValueError("max_subdivisions must lie in [10, 10000]")
 
@@ -179,7 +177,7 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     frozen: list[tuple[float, float, float]] = []  # (lo, value, err) of unsplittable panels
     splits = 0
 
-    while total_e > max(spec.abs_tol, spec.rel_tol * abs(total_v)):
+    while total_e > spec.rel_tol * abs(total_v):
         if splits >= spec.max_subdivisions or not heap:
             break
         _, _, a, b, va, ea = heapq.heappop(heap)
@@ -209,7 +207,7 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     for _, pv, pe in panels:
         value += pv
         error += pe
-    converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value))
+    converged = error <= spec.rel_tol * abs(value)
     return QuadratureResult(value, error, evaluations, converged)
 
 

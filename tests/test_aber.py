@@ -34,7 +34,7 @@ QPSK = Modulation(4)
 # mean of Q(sqrt(2*snr)) under unit-mean Rayleigh fading: (1 - sqrt(1/2))/2
 AVG_Q_RAYLEIGH = 0.5 * (1.0 - math.sqrt(0.5))
 
-TIGHT = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300)
+TIGHT = QuadratureSpec(rel_tol=1e-12)
 
 
 # --- truncation policy -------------------------------------------------------
@@ -130,7 +130,7 @@ def test_r2_term_scaled_evaluation_budget(monkeypatch):
 
     def counted(*args):
         res = kernel(*args)
-        assert args[3] == QuadratureSpec(rel_tol=1e-11, abs_tol=0.0)
+        assert args[3] == QuadratureSpec(rel_tol=1e-11)
         assert res.converged
         counts.append(res.evaluations)
         return res
@@ -157,7 +157,7 @@ def test_r2_term_is_the_papers_appell_f1_term(m, b):
     from nakaber import _purekernels
     from nakaber.specfun import appell_f1, log_beta
 
-    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0)
+    spec = QuadratureSpec(rel_tol=1e-13)
     c_n = 2.0  # c_n = (1-m)_n / (n! (n+1/2))
     for n in range(5):
         if n:
@@ -208,9 +208,8 @@ def test_r2_series_terminates_at_integer_m(m, gbar):
 def test_r2_series_error_decreases_with_terms():
     ch = ChannelParams(4.1, 1.0)
     alpha = Modulation(256).c1
-    ref = r2_quadrature(ch, alpha, spec=QuadratureSpec(rel_tol=1e-13,
-                                                       abs_tol=1e-300))
-    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0)
+    ref = r2_quadrature(ch, alpha, spec=QuadratureSpec(rel_tol=1e-13))
+    spec = QuadratureSpec(rel_tol=1e-13)
     errs = [abs(r2_series(ch, alpha, TruncationPolicy.fixed(n), spec).value - ref)
             for n in (0, 1, 2, 3, 5)]
     assert all(e2 <= e1 for e1, e2 in zip(errs, errs[1:]))
@@ -231,8 +230,7 @@ def test_r2_series_fractional_m_stress():
     ch = ChannelParams(0.6, 1000.0)
     alpha = Modulation(256).c1
     res = r2_series(ch, alpha, TruncationPolicy.adaptive(1e-13))
-    ref = r2_quadrature(ch, alpha, spec=QuadratureSpec(rel_tol=1e-13,
-                                                       abs_tol=1e-300))
+    ref = r2_quadrature(ch, alpha, spec=QuadratureSpec(rel_tol=1e-13))
     assert res.value == pytest.approx(ref, rel=1e-7)
 
 
@@ -457,7 +455,7 @@ def test_oracle_kernels_at_high_snr_match_their_closed_forms(kind, variant):
     assert got == pytest.approx(closed, rel=1e-9)
 
 
-STARVED = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=10)
+STARVED = QuadratureSpec(rel_tol=1e-14, max_subdivisions=10)
 
 
 @pytest.mark.parametrize("route, message", [

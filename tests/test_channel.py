@@ -87,9 +87,19 @@ def test_fading_average_rate_moves_nodes_not_value(rate):
     # rate only says where the mass is; the integral is the same
     ch = ChannelParams(2.5, 3.0)
     avg = fading_average(ch, lambda g: math.exp(-0.7 * g),
-                         QuadratureSpec(rel_tol=1e-12, abs_tol=0.0), rate=rate)
+                         QuadratureSpec(rel_tol=1e-12), rate=rate)
     assert avg.converged
     assert avg.value == pytest.approx(mgf(ch, -0.7), rel=1e-11)
+
+
+def test_fading_average_default_spec_is_relative():
+    # the QPSK average BER at m=50, 40 dB is 2.8e-117 (30-digit Craig
+    # form); the default spec must resolve it to its relative tolerance
+    qpsk = Modulation(4)
+    avg = fading_average(ChannelParams(50.0, 1e4), lambda g: ber_exact(qpsk, g),
+                         rate=qpsk.c1)
+    assert avg.converged
+    assert avg.value == pytest.approx(2.7611068993736395e-117, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])

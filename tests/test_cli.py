@@ -234,7 +234,7 @@ def test_sweep_out_file_and_jobs(tmp_path, capsys):
                            "--jobs", "4", "--no-timing", "--out", str(target))
     assert code == 0
     assert out == ""
-    rows = list(csv.reader(target.open()))
+    rows = list(csv.reader(target.read_text().splitlines()))
     assert len(rows) == 1 + 4 * 2
 
     inline_code, inline_out, _ = run_cli(
@@ -431,21 +431,25 @@ def test_cli_import_leaves_unused_stdlib_modules_out():
 
 # --- README examples ---------------------------------------------------------
 
-def _readme_examples():
-    """(argv, shown output lines) for every ```-fenced `$ nakaber` block."""
-    examples = []
+def _readme_blocks():
+    """(info string, lines) for every ```-fenced block."""
+    blocks = []
     block = None
     for line in (ROOT / "README.md").read_text().splitlines():
         if line.startswith("```"):
-            if block and block[0].startswith("$ nakaber "):
-                examples.append((shlex.split(block[0])[2:], block[1:]))
-            block = [] if block is None else None
+            if block is None:
+                info, block = line[3:].strip(), []
+            else:
+                blocks.append((info, block))
+                block = None
         elif block is not None:
             block.append(line)
-    return examples
+    return blocks
 
 
-_EXAMPLES = _readme_examples()
+# (argv, shown output lines) for every `$ nakaber` block
+_EXAMPLES = [(shlex.split(lines[0])[2:], lines[1:]) for _, lines in _readme_blocks()
+             if lines and lines[0].startswith("$ nakaber ")]
 
 
 def _matches(shown, printed):
@@ -469,3 +473,18 @@ def test_readme_example_prints_what_it_shows(capsys, argv, shown):
         # timings differ from host to host; the header is the contract
         shown, printed = shown[:1], printed[:1]
     assert _matches(shown, printed), "\n".join(printed)
+
+
+# a line `expr   # <number> ...` shows repr(expr)
+_SHOWN_VALUE = re.compile(
+    r"(?P<expr>[^#]*?)\s*#\s*(?P<shown>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?:\s|$)")
+
+
+def test_readme_python_quick_start_returns_what_it_shows():
+    (code,) = [lines for info, lines in _readme_blocks() if info == "python"]
+    namespace = {}
+    exec("\n".join(code), namespace)
+    hits = [hit for hit in map(_SHOWN_VALUE.match, code) if hit is not None]
+    assert hits
+    assert ([repr(eval(hit["expr"], namespace)) for hit in hits]
+            == [hit["shown"] for hit in hits])

@@ -115,6 +115,22 @@ def test_error_estimate_honesty_semi_infinite(f, truth):
     assert true_err <= max(10.0 * res.error_estimate, 1e-13 * abs(truth))
 
 
+# values far below any fixed absolute floor: the default spec converges
+# on relative error alone, so a 1e-20 integral is resolved as finely as
+# one of order 1
+@pytest.mark.parametrize("integrate,truth", [
+    (lambda: integrate_finite(
+        lambda t: 1e-20 / math.sqrt(t) if t > 0.0 else 0.0, 0.0, 1.0), 2e-20),
+    (lambda: integrate_semi_infinite(
+        lambda x: 1e-20 * math.exp(-x) / math.sqrt(x) if x > 0.0 else 0.0, 0.0),
+     1e-20 * math.sqrt(math.pi)),
+], ids=["finite", "semi_infinite"])
+def test_default_spec_resolves_tiny_integrals(integrate, truth):
+    res = integrate()
+    assert res.converged
+    assert res.value == pytest.approx(truth, rel=1e-9, abs=0.0)
+
+
 def test_interior_cusp_value():
     # a cusp strictly inside a panel defeats nested-rule error
     # estimation (callers should split at known singular points), but
@@ -126,7 +142,7 @@ def test_interior_cusp_value():
 
 
 def test_starved_budget_reports_nonconvergence():
-    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=0.0, max_subdivisions=10)
+    spec = QuadratureSpec(rel_tol=1e-14, max_subdivisions=10)
     res = integrate_finite(lambda t: t ** (-0.9) if t > 0.0 else 0.0,
                            1e-300, 1.0, spec=spec)
     assert not res.converged
@@ -148,8 +164,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=1e-2)
     with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
-    with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=9)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=10001)
@@ -158,7 +172,6 @@ def test_spec_validation():
 def test_spec_defaults():
     spec = QuadratureSpec()
     assert spec.rel_tol == 1e-10
-    assert spec.abs_tol == 1e-14
     assert spec.max_subdivisions == 2000
 
 

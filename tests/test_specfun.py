@@ -230,6 +230,14 @@ def test_appell_f1_reduces_to_gauss_2f1():
     assert got == pytest.approx(ref, rel=1e-10)
 
 
+def test_appell_f1_tiny_value_at_default_spec():
+    # F1(a; b1, b2; c; x, x) = 2F1(a, b1 + b2; c; x), here the 30-digit
+    # 2F1(3, 16; 4; -1e4): far below any fixed absolute floor, so only
+    # relative convergence resolves it
+    got = appell_f1(3.0, 8.0, 8.0, 4.0, -1e4, -1e4)
+    assert got == pytest.approx(2.1978021978021978e-15, rel=1e-10, abs=0.0)
+
+
 def test_appell_f1_positive_for_supported_signs():
     assert appell_f1(2.5, 1.1, 0.4, 3.0, -50.0, -51.0) > 0.0
 
@@ -248,10 +256,10 @@ def test_appell_f1_domain():
 
 
 def test_appell_f1_unreachable_accuracy_raises_with_payload():
-    # with the absolute floor out of the way, a 1e-14 relative request
-    # sits below the summed per-panel roundoff bound (50*eps*resabs),
-    # so the engine can never certify it
-    spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300)
+    # a 1e-14 relative request sits below the summed per-panel roundoff
+    # bound (50*eps*resabs, about 1.11e-14 relative), so the engine can
+    # never certify it
+    spec = QuadratureSpec(rel_tol=1e-14)
     with pytest.raises(ConvergenceError) as exc_info:
         appell_f1(2.0, 1.0, 0.5, 2.5, -0.6, -1.6, spec=spec)
     err = exc_info.value
