@@ -13,13 +13,12 @@ machinery can be driven from the CLI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import _backend, channel
 from .channel import ChannelParams, Modulation, QApproxVariant
 from .quad import (ConvergenceError, QuadratureResult, QuadratureSpec,
-                   require_converged)
+                   _Value, require_converged)
 
 __all__ = [
     "AberMethod",
@@ -41,8 +40,7 @@ __all__ = [
 _SERIES_CAP = 200
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(_Value):
     """How many correction-series terms the closed form keeps.
 
     fixed_terms sums indices n = 0..n_max inclusive, so n_max = 0 is the
@@ -53,11 +51,11 @@ class TruncationPolicy:
     an integer m stops the series at its exact zero.
     """
 
-    mode: str = "fixed_terms"
-    n_max: int = 5
-    term_tol: float = 1e-12
+    __slots__ = ("mode", "n_max", "term_tol")
 
-    def __post_init__(self):
+    def __init__(self, mode: str = "fixed_terms", n_max: int = 5,
+                 term_tol: float = 1e-12):
+        self._init(mode, n_max, term_tol)
         if self.mode not in ("fixed_terms", "adaptive"):
             raise ValueError("mode must be 'fixed_terms' or 'adaptive'")
         if not (0 <= self.n_max <= _SERIES_CAP):
@@ -293,8 +291,7 @@ def discrepancy(reference: float, candidate: float) -> float:
     return 10.0 * math.log10(d)
 
 
-@dataclass(frozen=True)
-class AberMethod:
+class AberMethod(_Value):
     """Tagged selector for one way of producing an average BER value.
 
     Exactly one payload may accompany its tag: closed_form carries a
@@ -302,12 +299,12 @@ class AberMethod:
     carries a QApproxVariant, lu_closed carries nothing.
     """
 
-    tag: str
-    trunc: TruncationPolicy | None = None
-    spec: QuadratureSpec | None = None
-    variant: QApproxVariant | None = None
+    __slots__ = ("tag", "trunc", "spec", "variant")
 
-    def __post_init__(self):
+    def __init__(self, tag: str, trunc: TruncationPolicy | None = None,
+                 spec: QuadratureSpec | None = None,
+                 variant: QApproxVariant | None = None):
+        self._init(tag, trunc, spec, variant)
         if self.tag not in ("closed_form", "lu_closed", "oracle", "expq_closed"):
             raise ValueError("tag must be closed_form, lu_closed, oracle, or expq_closed")
         allowed = {"closed_form": "trunc", "oracle": "spec",

@@ -4,16 +4,17 @@ Holds the fading density, its moment generating function and the
 quadrature of any average over it, the exact and approximate
 instantaneous-BER expressions, and the exponential Gauss-Q
 approximation family used as a baseline.  SNR is linear
-everywhere in this module; dB conversion belongs to the CLI boundary.
+everywhere in this module; db_to_linear is the package's one dB
+conversion, for the CLI boundary.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 from . import _backend, quad
+from .quad import _Value
 
 __all__ = [
     "ChannelParams",
@@ -22,6 +23,7 @@ __all__ = [
     "SUPPORTED_ORDERS",
     "ber_exact",
     "ber_lu_approx",
+    "db_to_linear",
     "fading_average",
     "mgf",
     "pdf",
@@ -35,8 +37,12 @@ SUPPORTED_ORDERS = (4, 16, 64, 256, 1024, 4096)
 _CHIANI_PAIRS = ((1.0 / 12.0, 0.5), (0.25, 2.0 / 3.0))
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+def db_to_linear(snr_db: float) -> float:
+    """dB to linear power ratio; the only dB conversion in the package."""
+    return 10.0 ** (snr_db / 10.0)
+
+
+class ChannelParams(_Value):
     """Nakagami-m fading parameters.
 
     m is the fading figure (m < 1 means fading heavier than Rayleigh,
@@ -44,44 +50,42 @@ class ChannelParams:
     ratio, never dB.
     """
 
-    m: float
-    mean_snr: float
+    __slots__ = ("m", "mean_snr")
 
-    def __post_init__(self):
+    def __init__(self, m: float, mean_snr: float):
+        self._init(m, mean_snr)
         if not (self.m > 0.0 and math.isfinite(self.m)):
             raise ValueError("fading figure m must be positive and finite")
         if not (self.mean_snr > 0.0 and math.isfinite(self.mean_snr)):
             raise ValueError("mean_snr must be positive and finite (linear scale)")
 
 
-@dataclass(frozen=True)
-class Modulation:
-    """Square M-QAM constellation with its BER expansion coefficients."""
+class Modulation(_Value):
+    """Square M-QAM constellation with its BER expansion coefficients
+    c0 and c1, derived from the order."""
 
-    order: int
-    c0: float = field(init=False)
-    c1: float = field(init=False)
+    __slots__ = ("order", "c0", "c1")
 
-    def __post_init__(self):
-        if self.order not in SUPPORTED_ORDERS:
+    def __init__(self, order: int):
+        if order not in SUPPORTED_ORDERS:
             raise ValueError(f"order must be one of {SUPPORTED_ORDERS}")
-        root = math.sqrt(self.order)
-        bits = math.log2(self.order)
-        object.__setattr__(self, "c0", (root - 1.0) / (root * bits))
-        object.__setattr__(self, "c1", 3.0 * bits / (2.0 * (self.order - 1.0)))
+        root = math.sqrt(order)
+        bits = math.log2(order)
+        self._init(order, (root - 1.0) / (root * bits),
+                   3.0 * bits / (2.0 * (order - 1.0)))
 
 
-@dataclass(frozen=True)
-class QApproxVariant:
+class QApproxVariant(_Value):
     """Exponential-sum approximation of the Gaussian tail.
 
     Q(x) ~ sum(w_i * exp(-r_i * x^2)) over the (weight, rate) pairs in
     coefficients; the sum averages in closed form through the MGF.
     """
 
-    coefficients: tuple[tuple[float, float], ...]
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
+    def __init__(self, coefficients: tuple[tuple[float, float], ...]):
+        self._init(coefficients)
         if not self.coefficients:
             raise ValueError("an exponential sum needs at least one (weight, rate) pair")
         for w, r in self.coefficients:
@@ -178,7 +182,8 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     rate >= 0 defines the same integral, but only a rate near h's decay
     puts the mass where the quadrature looks: with rate=0 an h that
     decays fast against the mean SNR keeps its mass near z = 0, where the
-    first panels can miss it and report a converged zero.
+    first panels can miss it.  A value of exactly 0.0 means no node saw
+    mass, so it is reported with converged=False.
 
     The integral runs in z = snr / (mean_snr * lam), lam = 1/(1 + rate *
     mean_snr/m), where h * pdf behaves like z^(m-1) * e^(-m*z) at any
@@ -247,7 +252,10 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
             return 0.0
         return h(snr_per_z * z) * (w * jac)
 
-    return quad.integrate_finite(f, 0.0, 2.0, spec)
+    res = quad.integrate_finite(f, 0.0, 2.0, spec)
+    if res.value == 0.0:
+        return res._replace(converged=False)
+    return res
 
 
 def ber_exact(mod: Modulation, snr: float) -> float:

@@ -4,18 +4,19 @@ Subcommands: aber (single point), sweep (SNR grid to CSV), discrepancy
 (accuracy vs the quadrature reference), bench (timing ratios), selftest
 (invariant suite).  Exit codes: 0 success, 1 selftest failure, 2 usage
 error, 3 numerical non-convergence, 4 I/O failure.
+
+Each command imports what it runs: aber needs only the routes, so the
+harness (and csv) load inside the commands and helpers that use them.
+A CLI process pays for every module it imports, every time.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from .aber import AberMethod, TruncationPolicy
-from .channel import ChannelParams, Modulation, QApproxVariant
-from .harness import (db_grid, db_to_linear, run_bench, run_discrepancy,
-                      run_selftest, run_sweep, selftest_groups)
+from .channel import ChannelParams, Modulation, QApproxVariant, db_to_linear
 from .quad import ConvergenceError, QuadratureSpec
 
 EXIT_OK = 0
@@ -35,6 +36,8 @@ def _fmt(x) -> str:
 
 
 def _parse_range(text: str) -> list[float]:
+    from .harness import db_grid
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"--snr-db-range wants a:b:step, got {text!r}")
@@ -156,6 +159,8 @@ def _merge_config(argv: list[str]) -> list[str]:
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
+    import csv
+
     def emit(fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -266,6 +271,8 @@ def _cmd_aber(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .harness import run_sweep
+
     rows = run_sweep(args.m, args.mod, _parse_range(args.snr_db_range),
                      _parse_methods(args.method, args), jobs=args.jobs)
     if args.emit_plot:
@@ -279,6 +286,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_discrepancy(args) -> int:
+    from .harness import run_discrepancy
+
     rows = run_discrepancy(args.m, args.mod, _parse_range(args.snr_db_range),
                            _parse_methods(args.method, args),
                            _oracle_spec(args), jobs=args.jobs)
@@ -289,6 +298,8 @@ def _cmd_discrepancy(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .harness import run_bench
+
     if args.snr_db_range:
         snr_dbs = _parse_range(args.snr_db_range)
     elif args.snr_db is not None:
@@ -305,6 +316,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .harness import run_selftest, selftest_groups
+
     if args.list:
         for name in selftest_groups():
             print(name)

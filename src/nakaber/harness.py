@@ -15,7 +15,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from . import aber as aber_mod
 from . import quad, specfun
 from .aber import AberMethod, TruncationPolicy
-from .channel import ChannelParams, Modulation, fading_average
+from .channel import ChannelParams, Modulation, db_to_linear, fading_average
 from .quad import QuadratureSpec
 
 __all__ = [
@@ -31,11 +31,6 @@ __all__ = [
     "run_sweep",
     "selftest_groups",
 ]
-
-
-def db_to_linear(snr_db: float) -> float:
-    """dB to linear power ratio; the only dB conversion in the package."""
-    return 10.0 ** (snr_db / 10.0)
 
 
 def db_grid(start: float, stop: float, step: float) -> list[float]:
@@ -101,8 +96,9 @@ def _map_tasks(fn: Callable, tasks: Sequence, jobs: int) -> list:
     if not 1 <= jobs <= _MAX_JOBS:
         raise ValueError(f"jobs must lie in [1, {_MAX_JOBS}], got {jobs}")
     if jobs > 1:
-        # imported here, like statistics and random below: every CLI
-        # process imports this module and most never need them
+        # imported here, like statistics and random below: each of
+        # sweep, discrepancy, bench and selftest imports this module and
+        # needs at most one of them
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:

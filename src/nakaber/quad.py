@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -74,18 +73,64 @@ class ConvergenceError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class _Value:
+    """Base of the package's immutable value objects.
+
+    A subclass names its fields in __slots__ and sets them once, with
+    _init, in its __init__.  Values of the same class with equal fields
+    are equal and hash alike; a value of another class never equals
+    one.  repr reads Name(field=value, ...), and assigning to a field
+    raises AttributeError.  This stands in for frozen dataclasses, whose
+    import pulls inspect, ast and tokenize into every CLI process.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    # copy and pickle restore the fields without calling __init__
+    def __getstate__(self):
+        return self._values()
+
+    def __setstate__(self, state):
+        self._init(*state)
+
+
+class QuadratureSpec(_Value):
     """Tolerance and budget knobs for the adaptive engine.
 
     Convergence is relative only, err <= rel_tol*|value|, so a value of
     1e-117 gets the same relative accuracy as one of 0.4.
     """
 
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
+    __slots__ = ("rel_tol", "max_subdivisions")
 
-    def __post_init__(self):
+    def __init__(self, rel_tol: float = 1e-10, max_subdivisions: int = 2000):
+        self._init(rel_tol, max_subdivisions)
         if not (1e-14 <= self.rel_tol <= 1e-3):
             raise ValueError("rel_tol must lie in [1e-14, 1e-3]")
         if not (10 <= self.max_subdivisions <= 10000):

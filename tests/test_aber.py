@@ -43,16 +43,18 @@ def test_truncation_policy_validation():
     TruncationPolicy.fixed(0)
     TruncationPolicy.fixed(200)
     TruncationPolicy.adaptive(1e-10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mode must be 'fixed_terms' or 'adaptive'"):
         TruncationPolicy("bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n_max must lie in \[0, 200\]"):
         TruncationPolicy.fixed(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"n_max must lie in \[0, 200\]"):
         TruncationPolicy.fixed(201)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"term_tol must lie in \[1e-16, 1e-4\]"):
         TruncationPolicy.adaptive(1e-17)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"term_tol must lie in \[1e-16, 1e-4\]"):
         TruncationPolicy.adaptive(1e-3)
+    with pytest.raises(ValueError, match=r"n_max must lie in \[0, 200\]"):
+        TruncationPolicy(n_max=-1)
 
 
 def test_truncation_policy_defaults():
@@ -407,7 +409,7 @@ ORACLE_WHOLE_DOMAIN = [
 def test_oracle_frozen_whole_domain_values(m, snr_db, order, expected):
     res = oracle_result(ChannelParams(m, 10.0 ** (snr_db / 10.0)), Modulation(order))
     assert res.converged
-    assert res.value == pytest.approx(expected, rel=1e-9)
+    assert res.value == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("m,expected", [
@@ -420,7 +422,7 @@ def test_oracle_huge_m_is_never_a_silent_zero(m, expected):
     # nodes that straddle it read a converged zero unless the integrand
     # is scaled to the spike (30-digit Craig values, 10 dB)
     got = aber_oracle(ChannelParams(m, 10.0), QPSK)
-    assert got == pytest.approx(expected, rel=1e-8)
+    assert got == pytest.approx(expected, rel=1e-8, abs=0.0)
 
 
 def test_oracle_evaluation_budget():
@@ -548,11 +550,14 @@ def test_method_dispatch_matches_direct_calls():
 
 
 def test_method_payload_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tag must be closed_form, lu_closed, "
+                                         "oracle, or expq_closed"):
         AberMethod("bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lu_closed does not take trunc"):
         AberMethod("lu_closed", trunc=TruncationPolicy())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="closed_form does not take spec"):
         AberMethod("closed_form", spec=QuadratureSpec())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="oracle does not take variant"):
         AberMethod("oracle", variant=QApproxVariant.chiani_two_term())
+    with pytest.raises(ValueError, match="expq_closed does not take spec"):
+        AberMethod(tag="expq_closed", spec=QuadratureSpec())

@@ -25,24 +25,28 @@ from nakaber.specfun import gauss_q
 
 def test_channel_params_validation():
     ChannelParams(0.5, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fading figure m must be positive and finite"):
         ChannelParams(0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fading figure m must be positive and finite"):
         ChannelParams(-1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"mean_snr must be positive and finite \(linear scale\)"):
         ChannelParams(1.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"mean_snr must be positive and finite \(linear scale\)"):
         ChannelParams(1.0, float("inf"))
+    with pytest.raises(ValueError, match="fading figure m must be positive and finite"):
+        ChannelParams(m=math.nan, mean_snr=1.0)
 
 
 def test_modulation_orders():
     assert SUPPORTED_ORDERS == (4, 16, 64, 256, 1024, 4096)
     for order in SUPPORTED_ORDERS:
         Modulation(order)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"order must be one of \(4, 16, 64, 256, 1024, 4096\)"):
         Modulation(8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"order must be one of \(4, 16, 64, 256, 1024, 4096\)"):
         Modulation(2)
+    with pytest.raises(ValueError, match=r"order must be one of \(4, 16, 64, 256, 1024, 4096\)"):
+        Modulation(order=32)
 
 
 def test_modulation_coefficients():
@@ -100,6 +104,18 @@ def test_fading_average_default_spec_is_relative():
                          rate=qpsk.c1)
     assert avg.converged
     assert avg.value == pytest.approx(2.7611068993736395e-117, rel=1e-9, abs=0.0)
+
+
+def test_fading_average_reports_a_zero_as_unconverged():
+    # with rate=0 no node sees the QPSK BER's mass at m=2.5, 60 dB, so
+    # the quadrature sums to exactly 0.0; the right rate finds the value
+    ch, qpsk = ChannelParams(2.5, 1e6), Modulation(4)
+    missed = fading_average(ch, lambda g: ber_exact(qpsk, g))
+    assert missed.value == 0.0
+    assert not missed.converged
+    found = fading_average(ch, lambda g: ber_exact(qpsk, g), rate=qpsk.c1)
+    assert found.converged
+    assert found.value == pytest.approx(1.6567342475583142e-15, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
@@ -209,12 +225,14 @@ def test_variant_constructors():
 
 
 def test_variant_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"an exponential sum needs at least one \(weight, rate\) pair"):
         QApproxVariant(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weights and rates must be positive and finite"):
         QApproxVariant.from_pairs([(0.0, 1.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="weights and rates must be positive and finite"):
         QApproxVariant.from_pairs([(0.5, -1.0)])
+    with pytest.raises(ValueError, match="weights and rates must be positive and finite"):
+        QApproxVariant(coefficients=((0.5, math.inf),))
 
 
 def test_q_exp_approx_values():

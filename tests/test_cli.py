@@ -423,7 +423,8 @@ def test_cli_import_leaves_unused_stdlib_modules_out():
              "before = set(sys.modules)\n"
              "import nakaber.cli\n"
              "new = set(sys.modules) - before\n"
-             "print(' '.join(sorted(new & {'concurrent.futures', 'statistics', 'random'})))\n")
+             "print(' '.join(sorted(new & {'concurrent.futures', 'statistics', 'random',\n"
+             "                             'dataclasses', 'inspect', 'csv', 'nakaber.harness'})))\n")
     out = subprocess.run([sys.executable, "-c", probe],
                          capture_output=True, text=True, check=True, env=_child_env())
     assert out.stdout.strip() == ""

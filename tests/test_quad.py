@@ -4,10 +4,14 @@ Reference values are antiderivatives or gamma-function identities, so
 every check here is independent of the module under test.
 """
 
+import copy
 import math
+import pickle
 
 import pytest
 
+from nakaber.aber import AberMethod, TruncationPolicy
+from nakaber.channel import ChannelParams, Modulation, QApproxVariant
 from nakaber.quad import (
     ConvergenceError,
     QuadratureSpec,
@@ -159,14 +163,54 @@ def test_convergence_error_carries_payload():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"rel_tol must lie in \[1e-14, 1e-3\]"):
         QuadratureSpec(rel_tol=1e-15)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"rel_tol must lie in \[1e-14, 1e-3\]"):
         QuadratureSpec(rel_tol=1e-2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"max_subdivisions must lie in \[10, 10000\]"):
         QuadratureSpec(max_subdivisions=9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"max_subdivisions must lie in \[10, 10000\]"):
         QuadratureSpec(max_subdivisions=10001)
+    with pytest.raises(ValueError, match=r"max_subdivisions must lie in \[10, 10000\]"):
+        QuadratureSpec(1e-10, 5)
+
+
+# the package's six value objects: (class, positional args, the same
+# fields as keywords, the repr)
+_VALUE_OBJECTS = [
+    (QuadratureSpec, (1e-8, 500), {"rel_tol": 1e-8, "max_subdivisions": 500},
+     "QuadratureSpec(rel_tol=1e-08, max_subdivisions=500)"),
+    (ChannelParams, (0.6, 10.0), {"m": 0.6, "mean_snr": 10.0},
+     "ChannelParams(m=0.6, mean_snr=10.0)"),
+    (Modulation, (16,), {"order": 16},
+     "Modulation(order=16, c0=0.1875, c1=0.4)"),
+    (QApproxVariant, (((0.1, 0.5),),), {"coefficients": ((0.1, 0.5),)},
+     "QApproxVariant(coefficients=((0.1, 0.5),))"),
+    (TruncationPolicy, ("adaptive", 5, 1e-10), {"mode": "adaptive", "term_tol": 1e-10},
+     "TruncationPolicy(mode='adaptive', n_max=5, term_tol=1e-10)"),
+    (AberMethod, ("oracle", None, QuadratureSpec()), {"tag": "oracle", "spec": QuadratureSpec()},
+     "AberMethod(tag='oracle', trunc=None, spec=QuadratureSpec(rel_tol=1e-10, "
+     "max_subdivisions=2000), variant=None)"),
+]
+
+
+@pytest.mark.parametrize("cls,args,kwargs,shown", _VALUE_OBJECTS,
+                         ids=[row[0].__name__ for row in _VALUE_OBJECTS])
+def test_value_object_contract(cls, args, kwargs, shown):
+    a, b = cls(*args), cls(**kwargs)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == shown
+    # a value of another class with the same fields is never equal
+    lookalike = type("Lookalike", (cls,), {})(*args)
+    assert a != lookalike and lookalike != a
+    field = next(iter(kwargs))
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
 
 
 def test_spec_defaults():
