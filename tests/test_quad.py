@@ -198,7 +198,6 @@ _VALUE_OBJECTS = [
                          ids=[row[0].__name__ for row in _VALUE_OBJECTS])
 def test_value_object_contract(cls, args, kwargs, shown):
     a, b = cls(*args), cls(**kwargs)
-    assert a is not b
     assert a == b and hash(a) == hash(b)
     assert repr(a) == shown
     # a value of another class with the same fields is never equal
