@@ -17,8 +17,10 @@ _SQRT1_2 = math.sqrt(0.5)
 _HALF_PI = math.pi / 2.0
 _INV_FOUR_PI = 1.0 / (4.0 * math.pi)
 _EPS = 2.220446049250313e-16
-# Veltkamp's splitter for doubles, 2^27 + 1
-_SPLITTER = 134217729.0
+# binary point of the fixed-point correction polynomial, and the bits
+# its value at r_max must keep there
+_FIXED_BITS = 110
+_FIXED_KEEP = 64
 
 # continued-fraction controls
 _CF_MAX_ITER = 400
@@ -124,46 +126,32 @@ def _horner(coefs, r: float) -> float:
     return p
 
 
-def _low_parts(coefs, m: float) -> list[float]:
-    """coefs[n]'s rounding error against the exact coefficient
-    c_n = 2 * prod_{k<=n} (k-m)(2k-1)/(k(2k+1)), so that coefs[n] + low[n]
-    is c_n to about twice the working precision.  m = p/q exactly, so
-    c_n is a ratio of integers."""
+def _fixed_coefs(n_terms: int, m: float) -> list[int]:
+    """The exact coefficients c_n = 2 * prod_{k<=n} (k-m)(2k-1)/(k(2k+1)),
+    n < n_terms, scaled by 2^_FIXED_BITS and floored.  m = p/q exactly,
+    so c_n is a ratio of integers."""
     p, q = m.as_integer_ratio()
     num, den = 2, 1
-    low = []
-    for k, c in enumerate(coefs):
+    out = []
+    for k in range(n_terms):
         if k > 0:
             num *= (k * q - p) * (2 * k - 1)
             den *= q * k * (2 * k + 1)
-        a, s = c.as_integer_ratio()
-        low.append((num * s - a * den) / (den * s))
-    return low
+        out.append((num << _FIXED_BITS) // den)
+    return out
 
 
-def _horner_compensated(coefs, low, r: float) -> float:
-    """Horner's scheme on the double-double coefficients coefs + low that
-    carries each step's rounding error along (Graillat, Langlois and
-    Louvet, 2005): as accurate as plain Horner in twice the working
-    precision.  Products are split exactly with Veltkamp's splitter,
-    sums with Knuth's TwoSum."""
-    t = _SPLITTER * r
-    r_hi = t - (t - r)
-    r_lo = r - r_hi
-    s = coefs[-1]
-    comp = low[-1]
-    for n in range(len(coefs) - 2, -1, -1):
-        c = coefs[n]
-        p = s * r
-        t = _SPLITTER * s
-        s_hi = t - (t - s)
-        s_lo = s - s_hi
-        p_err = s_lo * r_lo - (((p - s_hi * r_hi) - s_lo * r_hi) - s_hi * r_lo)
-        s = p + c
-        z = s - p
-        s_err = (p - (s - z)) + (c - z)
-        comp = comp * r + (p_err + s_err + low[n])
-    return s + comp
+def _horner_fixed(rev, r: float) -> int:
+    """Horner's scheme in integers on the fixed-point coefficients rev
+    (highest degree first) at r = a/2^shift, which a double is exactly.
+    Each step floors once, so the result is P(r) * 2^_FIXED_BITS to
+    within len(rev) units."""
+    a, s = r.as_integer_ratio()
+    shift = s.bit_length() - 1
+    p = 0
+    for c in rev:
+        p = (p * a >> shift) + c
+    return p
 
 
 def r2_term_scaled(coefs, m: float, b: float,
@@ -197,37 +185,51 @@ def r2_term_scaled(coefs, m: float, b: float,
     smaller than its terms (by about 1.5^m at high mean SNR).  Where that
     cancellation at r_max = 1/(2+b) lets rounding of the coefficients or
     of Horner's scheme reach a tenth of spec.rel_tol, P_N is evaluated in
-    twice the working precision.  Past what that carries (m above about
-    100 at high mean SNR) the rounding noise keeps the quadrature from
-    converging.
+    fixed point: Horner's scheme in integers on the exact coefficients of
+    m (coefs then only gives their count) scaled by 2^110, which rounds
+    each node's P_N(r) to about 2^-110 absolute.  Raises ConvergenceError
+    if P_N(r_max) keeps fewer than 64 significant bits at that scale.
     """
     one_plus_b = 1.0 + b
     r_max = 1.0 / (2.0 + b)
     magnitude = _horner([abs(c) for c in coefs], r_max)
-    low = None
+    fixed = None
     if 4 * len(coefs) * _EPS * magnitude > 0.1 * spec.rel_tol * abs(_horner(coefs, r_max)):
-        low = _low_parts(coefs, m)
+        fixed = _fixed_coefs(len(coefs), m)[::-1]
+        if abs(_horner_fixed(fixed, r_max)).bit_length() < _FIXED_KEEP:
+            raise quad.ConvergenceError(
+                f"correction polynomial keeps fewer than {_FIXED_KEEP} bits "
+                f"at r_max in 2^{_FIXED_BITS} fixed point (m={m:g})")
     rev = coefs[::-1]
     k = max(1.0, 2.0 / (1.0 + m))
+    # phi = w when k = 1, since w ** 1.0 == w and 2*phi/w == 2 exactly
+    power = k != 1.0
+    two_k = 2.0 * k
+    neg_m = -m
+    sin, cos, exp, log1p, ldexp = math.sin, math.cos, math.exp, math.log1p, math.ldexp
 
     def h(w: float) -> float:
-        phi = w ** k
-        ct = math.sin(phi)
+        if power:
+            phi = w ** k
+            jac = two_k * phi / w
+        else:
+            phi = w
+            jac = 2.0
+        ct = sin(phi)
         t = ct * ct
         if t == 0.0:
             return 0.0
-        st = math.cos(phi)
+        st = cos(phi)
         u = one_plus_b * t
         r = t / (1.0 + u)
-        if low is None:
+        if fixed is None:
             p = 0.0
             for c in rev:
                 p = p * r + c
         else:
-            p = _horner_compensated(coefs, low, r)
+            p = ldexp(_horner_fixed(fixed, r), -_FIXED_BITS)
         # (b*t/(1+b*t))^m / (b/(1+b))^m = (1 + sin^2/((1+b)*t))^-m
-        return (2.0 * k * phi / w * ct * p
-                * math.exp(-m * math.log1p(st * st / u) - 0.5 * math.log1p(u)))
+        return jac * ct * p * exp(neg_m * log1p(st * st / u) - 0.5 * log1p(u))
 
     res = quad.integrate_finite(h, 0.0, _HALF_PI ** (1.0 / k), spec)
     log_scale = -m * math.log1p(1.0 / b) - log_beta(0.5, m)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 from . import _backend, channel
 from .channel import ChannelParams, Modulation, QApproxVariant
-from .quad import (ConvergenceError, QuadratureResult, QuadratureSpec,
+from .quad import (_EPS, ConvergenceError, QuadratureResult, QuadratureSpec,
                    _Value, require_converged)
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _SERIES_CAP = 200
+# largest m whose closed-form E[Q] holds to 1e-10 (see lemma2_avg_q)
+_AVG_Q_M_MAX = 3000.0
 
 
 class TruncationPolicy(_Value):
@@ -94,9 +96,19 @@ def lemma2_avg_q(ch: ChannelParams, alpha: float) -> float:
     Equals (1/2) * I_x(m, 1/2) with x = m/(m + alpha*mean_snr); checked
     against direct quadrature of the defining average by the self tests.
     Every route that averages Q in closed form (closed, lu) calls this.
+
+    Its error grows with m; it is worst at low mean SNR, where
+    1 - x = alpha*mean_snr/(m + alpha*mean_snr) keeps only the rounding
+    of x.  Against 40- to 50-digit references over -30 to 80 dB and all
+    six orders it first passes 1e-10 at m = 3750 (4096-QAM near -30 dB),
+    so for m above _AVG_Q_M_MAX = 3000 it raises ConvergenceError.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
+    if ch.m > _AVG_Q_M_MAX:
+        raise ConvergenceError(
+            f"closed-form E[Q] is not accurate to 1e-10 for m above "
+            f"{_AVG_Q_M_MAX:g} (m={ch.m:g})")
     x = ch.m / (ch.m + alpha * ch.mean_snr)
     return 0.5 * _backend.kernels.reg_inc_beta(x, ch.m, 0.5)
 
@@ -132,9 +144,14 @@ def r2_series(ch: ChannelParams, alpha: float,
     summed as a polynomial inside a single quadrature (see the
     r2_term_scaled kernel).  For integer m (1-m)_n hits an exact zero and
     the series terminates at n = m-1 with the closed form exact.
-    spec=None means QuadratureSpec(rel_tol=1e-11).  Raises
-    ConvergenceError if the quadrature cannot meet spec, or if adaptive
-    truncation needs more than 200 terms.
+    spec=None means QuadratureSpec(rel_tol=1e-11).  Where the
+    coefficients cancel (m > 1, high mean SNR) the kernel sums them in
+    fixed point at 2^110.  Raises ConvergenceError if the quadrature
+    cannot meet spec, if adaptive truncation needs more than 200 terms,
+    if the adaptive stop rule would rest on a bound sum that cancels past
+    double precision (eps * sum |c_n| r_max^n above 1% of
+    |sum c_n r_max^n|), or if P_N(r_max) keeps fewer than 64 bits at the
+    kernel's fixed-point scale.
     """
     if trunc is None:
         trunc = TruncationPolicy()
@@ -149,7 +166,7 @@ def r2_series(ch: ChannelParams, alpha: float,
     r_max = 1.0 / (2.0 + b)
     r_pow = 1.0
     coefs = [2.0]  # c_0 = 1/(1/2)
-    bound_sum = 2.0
+    bound_sum = abs_sum = 2.0
     adaptive = trunc.mode == "adaptive"
     for n in range(1, _SERIES_CAP if adaptive else trunc.n_max + 1):
         factor = (1.0 - m) + (n - 1.0)
@@ -158,8 +175,16 @@ def r2_series(ch: ChannelParams, alpha: float,
         coefs.append(coefs[-1] * factor / n * (n - 0.5) / (n + 0.5))
         if adaptive:
             r_pow *= r_max
+            term = abs(coefs[-1]) * r_pow
             bound_sum += coefs[-1] * r_pow
-            if abs(coefs[-1]) * r_pow <= trunc.term_tol * abs(bound_sum):
+            abs_sum += term
+            if term <= trunc.term_tol * abs(bound_sum):
+                # bound_sum is a sum in doubles: its rounding, about
+                # eps * abs_sum, must not decide where the series stops
+                if _EPS * abs_sum > 0.01 * abs(bound_sum):
+                    raise ConvergenceError(
+                        "correction series cancels past double precision at "
+                        f"r_max: its stop rule cannot be trusted (m={m:g})")
                 break
     else:
         if adaptive:
@@ -180,8 +205,8 @@ def aber_closed_with_terms(ch: ChannelParams, mod: Modulation,
     (4*c0 - 2*c0^2) * E[Q] + 4*c0^2 * R2, E[Q] = (1/2) * I_x(m, 1/2).
     """
     c0 = mod.c0
-    avg_q = lemma2_avg_q(ch, mod.c1)
     r2, terms = r2_series(ch, mod.c1, trunc)
+    avg_q = lemma2_avg_q(ch, mod.c1)
     return (4.0 * c0 - 2.0 * c0 * c0) * avg_q + 4.0 * c0 * c0 * r2, terms
 
 

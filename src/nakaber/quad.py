@@ -160,28 +160,55 @@ def _kronrod15(f: Callable[[float], float], lo: float, hi: float):
     difference is sharpened by the panel's variation and floored at the
     roundoff level of the absolute integral.
     """
+    x0, x1, x2, x3, x4, x5, x6 = _XGK
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g0, g1, g2, g3 = _WG
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
+    # nodes c -/+ h*x_i; every sum adds the centre's term first, then
+    # i = 0..6, QUADPACK's order: the panel's bits depend on it, and
+    # tests/test_quad.py pins them
     fc = f(c)
-    resg = _WG[3] * fc
-    resk = _WGK[7] * fc
-    resabs = abs(resk)
-    pairs = []
-    for i in range(7):
-        dx = h * _XGK[i]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
-        pairs.append((f1, f2))
-        s = f1 + f2
-        resk += _WGK[i] * s
-        if i % 2 == 1:
-            resg += _WG[i // 2] * s
-        resabs += _WGK[i] * (abs(f1) + abs(f2))
+    d = h * x0
+    a0 = f(c - d)
+    b0 = f(c + d)
+    d = h * x1
+    a1 = f(c - d)
+    b1 = f(c + d)
+    d = h * x2
+    a2 = f(c - d)
+    b2 = f(c + d)
+    d = h * x3
+    a3 = f(c - d)
+    b3 = f(c + d)
+    d = h * x4
+    a4 = f(c - d)
+    b4 = f(c + d)
+    d = h * x5
+    a5 = f(c - d)
+    b5 = f(c + d)
+    d = h * x6
+    a6 = f(c - d)
+    b6 = f(c + d)
+    s1 = a1 + b1
+    s3 = a3 + b3
+    s5 = a5 + b5
+    resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
+    resk = (k7 * fc + k0 * (a0 + b0) + k1 * s1 + k2 * (a2 + b2) + k3 * s3
+            + k4 * (a4 + b4) + k5 * s5 + k6 * (a6 + b6))
+    resabs = (abs(k7 * fc) + k0 * (abs(a0) + abs(b0)) + k1 * (abs(a1) + abs(b1))
+              + k2 * (abs(a2) + abs(b2)) + k3 * (abs(a3) + abs(b3))
+              + k4 * (abs(a4) + abs(b4)) + k5 * (abs(a5) + abs(b5))
+              + k6 * (abs(a6) + abs(b6)))
     reskh = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - reskh)
-    for i in range(7):
-        f1, f2 = pairs[i]
-        resasc += _WGK[i] * (abs(f1 - reskh) + abs(f2 - reskh))
+    resasc = (k7 * abs(fc - reskh)
+              + k0 * (abs(a0 - reskh) + abs(b0 - reskh))
+              + k1 * (abs(a1 - reskh) + abs(b1 - reskh))
+              + k2 * (abs(a2 - reskh) + abs(b2 - reskh))
+              + k3 * (abs(a3 - reskh) + abs(b3 - reskh))
+              + k4 * (abs(a4 - reskh) + abs(b4 - reskh))
+              + k5 * (abs(a5 - reskh) + abs(b5 - reskh))
+              + k6 * (abs(a6 - reskh) + abs(b6 - reskh)))
     value = resk * h
     resabs *= abs(h)
     resasc *= abs(h)

@@ -77,6 +77,24 @@ def test_avg_q_frozen_value():
         0.24352123264548251852, rel=1e-13)
 
 
+@pytest.mark.parametrize("snr_db, order, expected", [
+    (10.0, 4, 3.9434784111023362333e-6),
+    (-30.0, 4096, 0.49881718824732926026),
+    (-29.34, 4096, 0.49872380944338715139),
+    (0.0, 4096, 0.46265089443339102756),
+])
+def test_avg_q_holds_to_1e_10_at_the_largest_m_it_takes(snr_db, order, expected):
+    # 50-digit quadrature of Craig's form; m = 3000 is the largest m the
+    # closed form takes, and 4096-QAM at -29.34 dB is its worst point
+    # there on a 0.02 dB grid (8.9e-11 off)
+    ch = ChannelParams(3000.0, 10.0 ** (snr_db / 10.0))
+    got = lemma2_avg_q(ch, Modulation(order).c1)
+    assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
+    with pytest.raises(ConvergenceError, match="not accurate to 1e-10"):
+        lemma2_avg_q(ChannelParams(math.nextafter(3000.0, math.inf), ch.mean_snr),
+                     Modulation(order).c1)
+
+
 def test_avg_q_rejects_bad_alpha():
     with pytest.raises(ValueError):
         lemma2_avg_q(RAYLEIGH_UNIT, 0.0)
@@ -328,11 +346,42 @@ def test_r2_series_cancelling_coefficients_stay_accurate():
 
 
 def test_r2_series_cancellation_beyond_double_double_raises():
-    # at m = 190.5 the cancellation (~1e33) exceeds even twice the
-    # working precision; the series must refuse rather than return noise
+    # at m = 190.5 the adaptive bound sum cancels by ~1e33, so its
+    # rounding in doubles would decide where the series stops: the stop
+    # rule refuses; trusting it gives 4.8e-155 where R2 is 2.75e-154.
+    # Five terms cancel far less, and the fixed-point polynomial keeps
+    # its 64 bits there.  Reference: quadrature of the N = 5
+    # theta-integral in 50-digit arithmetic, good to ~1e-13
     ch = ChannelParams(190.5, 1000.0)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="cancels past double precision"):
         r2_series(ch, QPSK.c1, TruncationPolicy.adaptive())
+    res = r2_series(ch, QPSK.c1, TruncationPolicy.fixed(5))
+    assert res.value == pytest.approx(-9.3285654361203e-147, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [13.35, 30.5, 45.2, 80.5])
+def test_fixed_point_correction_polynomial_is_correctly_rounded(m):
+    # the series kernel's P_N(r) where its coefficients cancel, against
+    # an exact rational evaluation at 101 r in [0, r_max]; with the
+    # coefficients scaled by 2^53 instead, most of these points are off
+    from fractions import Fraction
+
+    from nakaber import _purekernels
+
+    ch = ChannelParams(m, 1000.0)
+    n_terms = r2_series(ch, QPSK.c1, TruncationPolicy.adaptive()).terms_used
+    fixed = _purekernels._fixed_coefs(n_terms, m)[::-1]
+    exact = [Fraction(2)]
+    for k in range(1, n_terms):
+        exact.append(exact[-1] * (k - Fraction(m)) * (2 * k - 1) / (k * (2 * k + 1)))
+    r_max = 1.0 / (2.0 + ch.m / (QPSK.c1 * ch.mean_snr))
+    for i in range(101):
+        r = r_max * i / 100
+        p = Fraction(0)
+        for c in reversed(exact):
+            p = p * Fraction(r) + c
+        got = math.ldexp(_purekernels._horner_fixed(fixed, r), -_purekernels._FIXED_BITS)
+        assert got == float(p), r
 
 
 def test_adaptive_series_past_the_term_cap_raises():

@@ -132,6 +132,18 @@ def test_aber_nonfinite_integrand_is_numerical_failure(capsys, argv):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("method", [("closed", "--terms", "0"), ("lu",)],
+                         ids=["closed", "lu"])
+def test_aber_huge_m_closed_form_is_numerical_failure(capsys, method):
+    # the closed-form E[Q] is 2e-7 off at m = 1e8; it refuses rather
+    # than print a wrong number with exit 0
+    code, out, err = run_cli(capsys, "aber", "--m", "1e8", "--snr-db", "10",
+                             "--mod", "4", "--method", *method)
+    assert code == 3
+    assert out == ""
+    assert "not accurate to 1e-10 for m above" in err
+
+
 def test_aber_oracle_tiny_m_value(capsys):
     # the density's z^(m-1) endpoint is integrated in v = z^m, so even
     # m = 0.001 gives a finite integrand (30-digit Craig value)

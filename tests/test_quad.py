@@ -80,6 +80,53 @@ def test_determinism_is_bitwise():
     assert a.evaluations == b.evaluations
 
 
+# one Kronrod panel's (value, error) to the last bit, as the summation
+# order of the QUADPACK loop gives them.  exp and sqrt on [0, 1] and the
+# correction-series integrand are the named cases; with the six cosines
+# cos(a*x + b) on [lo, hi] they catch every swap of two terms in any of
+# the panel's four sums (but the first two, which commute exactly) and
+# about 99% of the sums' random reorderings
+_PANEL_BITS = [
+    (math.exp, 0.0, 1.0, 1.718281828459045, 1.9076760487502454e-14),
+    (math.sqrt, 0.0, 1.0, 0.6666801255484175, 0.022590647385225964),
+]
+_PANEL_COSINES = [
+    (0.37, -0.79, 1.33, 1.36, 0.028726929796169982, 3.189329888649837e-16),
+    (2.4, -1.51, 0.38, 2.71, -0.1656742929157676, 2.574052622280164e-10),
+    (-0.26, 1.9, -0.69, 0.12, -0.31730472458770864, 3.522790110596182e-15),
+    (2.75, -0.81, -1.45, 0.55, -0.12736453291596136, 1.0603590937034652e-10),
+    (2.38, 0.26, -0.99, 0.92, 0.6315942388537708, 7.259607238055624e-12),
+    (1.03, -1.74, 1.03, 1.33, 0.25862552535302935, 2.8713201300271035e-15),
+]
+
+
+def test_kronrod_panel_bits_are_pinned(monkeypatch):
+    from nakaber import _purekernels, quad
+
+    for f, lo, hi, value, error in _PANEL_BITS:
+        assert quad._kronrod15(f, lo, hi) == (value, error), f
+    for a, b, lo, hi, value, error in _PANEL_COSINES:
+        panel = quad._kronrod15(lambda x: math.cos(a * x + b), lo, hi)
+        assert panel == (value, error), (a, b)
+
+    # the correction-series integrand at m = 0.6, b = 0.3, five terms
+    integrands = []
+
+    def first_panel(f, lo, hi, spec=None):
+        integrands.append((f, lo, hi))
+        return quad.QuadratureResult(1.0, 0.0, 15, True)
+
+    monkeypatch.setattr(quad, "integrate_finite", first_panel)
+    m = 0.6
+    coefs = [2.0]
+    for n in range(1, 6):
+        coefs.append(coefs[-1] * ((1.0 - m) + (n - 1.0)) / n * (n - 0.5) / (n + 0.5))
+    _purekernels.r2_term_scaled(tuple(coefs), m, 0.3, QuadratureSpec(rel_tol=1e-11))
+    f, lo, hi = integrands[0]
+    assert (lo, hi) == (0.0, 1.4351453944188655)
+    assert quad._kronrod15(f, lo, hi) == (2.387349130402547, 5.4487363243601e-07)
+
+
 # integrals with known closed forms; the estimate must not understate
 # the true error by more than a small honesty factor
 _HONESTY_CASES = [
