@@ -17,10 +17,14 @@ _SQRT1_2 = math.sqrt(0.5)
 _HALF_PI = math.pi / 2.0
 _INV_FOUR_PI = 1.0 / (4.0 * math.pi)
 _EPS = 2.220446049250313e-16
+_DBL_MIN = 2.2250738585072014e-308  # smallest normal double
 # binary point of the fixed-point correction polynomial, and the bits
 # its value at r_max must keep there
 _FIXED_BITS = 110
 _FIXED_KEEP = 64
+# how far, relative to the largest, coefs may sit from the exact series
+# coefficients that the fixed-point path sums in their place
+_COEF_TOL = 1e-12
 
 # continued-fraction controls
 _CF_MAX_ITER = 400
@@ -187,15 +191,25 @@ def r2_term_scaled(coefs, m: float, b: float,
     of Horner's scheme reach a tenth of spec.rel_tol, P_N is evaluated in
     fixed point: Horner's scheme in integers on the exact coefficients of
     m (coefs then only gives their count) scaled by 2^110, which rounds
-    each node's P_N(r) to about 2^-110 absolute.  Raises ConvergenceError
-    if P_N(r_max) keeps fewer than 64 significant bits at that scale.
+    each node's P_N(r) to about 2^-110 absolute.  Raises ValueError if
+    coefs there is more than 1e-12 (relative to the largest coefficient)
+    from those exact coefficients, so another vector is never silently
+    replaced by the series, and ConvergenceError if P_N(r_max) keeps
+    fewer than 64 significant bits at that scale.
     """
     one_plus_b = 1.0 + b
     r_max = 1.0 / (2.0 + b)
     magnitude = _horner([abs(c) for c in coefs], r_max)
     fixed = None
     if 4 * len(coefs) * _EPS * magnitude > 0.1 * spec.rel_tol * abs(_horner(coefs, r_max)):
-        fixed = _fixed_coefs(len(coefs), m)[::-1]
+        fixed = _fixed_coefs(len(coefs), m)
+        exact = [math.ldexp(c, -_FIXED_BITS) for c in fixed]
+        largest = max(abs(c) for c in exact)
+        if max(abs(c - e) for c, e in zip(coefs, exact)) > _COEF_TOL * largest:
+            raise ValueError(
+                f"coefs are not the correction-series coefficients of m={m:g}, "
+                "which the fixed-point polynomial sums in their place")
+        fixed.reverse()
         if abs(_horner_fixed(fixed, r_max)).bit_length() < _FIXED_KEEP:
             raise quad.ConvergenceError(
                 f"correction polynomial keeps fewer than {_FIXED_KEEP} bits "
@@ -246,27 +260,40 @@ def _scaled(x: float, log_scale: float) -> float:
 
 def r2_integral(b: float, m: float,
                 spec: quad.QuadratureSpec | None) -> quad.QuadratureResult:
-    """Squared-Q correction term by quadrature over [0, oo).
+    """Squared-Q correction term by quadrature over [0, pi/2).
 
-    R2 = 1/(4*pi) * int_0^oo I_{1/(b+2+p)}(1/2, m) * (b/(b+1+p))^m
-         * dp / (sqrt(p) * (1+p)),
+    The defining half-line integral
 
-    integrated in s with p = s^2: dp/(sqrt(p)*(1+p)) = 2*ds/(1+s^2).
-    That removes the 1/sqrt(p) endpoint singularity, which an adaptive
-    Gauss-Kronrod rule resolves only by bisecting towards p = 0 many
-    times, and leaves an integrand that is smooth at s = 0 and decays
-    like s^-(3+2m), which the rational map folds onto [0, 1) as
-    (1-t)^(1+2m).  The b^m/(b+1+p)^m ratio stays in log space, so tiny and
-    large mean SNR stay in double range.
+        R2 = 1/(4*pi) * int_0^oo I_{1/(b+2+p)}(1/2, m) * (b/(b+1+p))^m
+             * dp / (sqrt(p) * (1+p))
+
+    is integrated in phi with p = tan^2(phi), where
+    dp/(sqrt(p)*(1+p)) = 2*dphi.  With c = cos^2(phi) = 1/(1+p):
+
+        R2 = 1/(2*pi) * int_0^{pi/2} I_{c/(1+(1+b)*c)}(1/2, m)
+             * (b*c/(1 + b*c))^m dphi.
+
+    That removes the 1/sqrt(p) endpoint singularity and the slow tail
+    at once, so one finite quadrature takes the place of a rational
+    fold of the half line.  The ratio (b*c/(1+b*c))^m stays in log
+    space, exp(-m*log1p(1/(b*c))), so tiny and large mean SNR stay in
+    double range.  Where b*c is subnormal, 1/(b*c) would overflow or
+    carry few bits; there log1p(1/(b*c)) is -log(b) - log(c) to
+    rounding.
     """
+    cos, exp, log, log1p = math.cos, math.exp, math.log, math.log1p
 
-    def f(s: float) -> float:
-        p = s * s
-        ib = reg_inc_beta(1.0 / (b + 2.0 + p), 0.5, m)
-        if ib == 0.0:
+    def f(phi: float) -> float:
+        ct = cos(phi)
+        c = ct * ct
+        ib = reg_inc_beta(c / (1.0 + (1.0 + b) * c), 0.5, m)
+        if ib == 0.0:  # c == 0 included
             return 0.0
-        return 2.0 * ib * math.exp(-m * math.log1p((1.0 + p) / b)) / (1.0 + p)
+        bc = b * c
+        if bc < _DBL_MIN:
+            return 2.0 * ib * exp(m * (log(b) + log(c)))
+        return 2.0 * ib * exp(-m * log1p(1.0 / bc))
 
-    res = quad.integrate_semi_infinite(f, 0.0, spec)
+    res = quad.integrate_finite(f, 0.0, _HALF_PI, spec)
     return res._replace(value=res.value * _INV_FOUR_PI,
                         error_estimate=res.error_estimate * _INV_FOUR_PI)

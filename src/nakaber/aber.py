@@ -120,9 +120,10 @@ def r2_quadrature(ch: ChannelParams, alpha: float,
     This is the series-free reference for the correction: the fading
     average of Q^2 equals (1/4)*I_x(m, 1/2) minus this value.  The
     defining integral over p in [0, oo) has a 1/sqrt(p) endpoint
-    singularity; the r2_integral kernel integrates it in s = sqrt(p),
-    where the integrand is smooth, so the adaptive rule needs a few
-    hundred evaluations and no deep bisection towards the endpoint.
+    singularity and an algebraic tail; the r2_integral kernel
+    integrates it in phi on [0, pi/2) with p = tan^2(phi), where the
+    integrand is smooth at both ends, so one finite quadrature needs a
+    few hundred evaluations and no deep bisection towards either end.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")

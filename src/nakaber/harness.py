@@ -111,13 +111,19 @@ def _require_methods(methods: Sequence[AberMethod]) -> None:
         raise ValueError("a grid run needs at least one method")
 
 
+# the routes whose values must be probabilities; lu and expq average an
+# approximate BER, which exceeds 1 at low mean SNR for wide constellations
+_RANGE_CHECKED = ("closed_form", "oracle")
+
+
 def run_sweep(m: float, order: int, snr_dbs: Sequence[float],
               methods: Sequence[AberMethod], jobs: int = 1) -> list[SweepRow]:
     """Evaluate every method at every grid point.
 
     Rows come back sorted by (snr_db, method label); wall times are
     per-evaluation and vary run to run, everything else is
-    deterministic.
+    deterministic.  A closed-form or oracle value outside [0, 1] raises
+    ValueError; lu and expq values are kept as they are.
     """
     _require_methods(methods)
     mod = Modulation(order)
@@ -128,7 +134,7 @@ def run_sweep(m: float, order: int, snr_dbs: Sequence[float],
         t0 = time.perf_counter_ns()
         mv = method.evaluate(ch, mod)
         elapsed = time.perf_counter_ns() - t0
-        if not 0.0 <= mv.value <= 1.0:
+        if method.tag in _RANGE_CHECKED and not 0.0 <= mv.value <= 1.0:
             raise ValueError(f"method {method.label()} produced a value "
                              f"outside [0, 1] at {snr_db} dB: {mv.value}")
         return SweepRow(snr_db, method.label(), mv.value, mv.terms, elapsed)
@@ -242,14 +248,18 @@ def _rel_diff(a: float, b: float) -> float:
 
 
 def _check_lemma1() -> list[CheckResult]:
+    # the paper's tail identity, Q(z) = e^{-z^2/2}/(2 pi)
+    # * int_0^oo e^{-z^2 x/2} dx/(sqrt(x)(1+x)), integrated in phi with
+    # x = tan^2(phi), where dx/(sqrt(x)(1+x)) = 2 dphi on [0, pi/2)
     out = []
     for z in (0.1, 0.5, 1.0, 2.0, 4.0):
         z2 = z * z
 
-        def f(x: float) -> float:
-            return math.exp(-0.5 * z2 * x) / (math.sqrt(x) * (1.0 + x))
+        def f(phi: float) -> float:
+            t = math.tan(phi)
+            return 2.0 * math.exp(-0.5 * z2 * t * t)
 
-        integral = quad.integrate_semi_infinite(f, 0.0).value
+        integral = quad.integrate_finite(f, 0.0, 0.5 * math.pi).value
         numeric = math.exp(-0.5 * z2) * integral / (2.0 * math.pi)
         rd = _rel_diff(numeric, specfun.gauss_q(z))
         out.append(CheckResult("lemma1", f"z={z:g}", rd <= 1e-9,

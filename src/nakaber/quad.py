@@ -3,8 +3,16 @@
 Finite intervals go through a 15-point Kronrod rule with the embedded
 7-point Gauss rule for error estimation; the interval with the worst
 error estimate is bisected until the global estimate meets the
-relative tolerance.  Semi-infinite ranges are folded onto [0, 1) by the
-rational change of variable x = lo + t/(1-t) first.
+relative tolerance or _MAX_SUBDIVISIONS bisections are spent.  The
+tolerance is the one setting.
+
+Every integrand in the library runs on a finite interval.  A half-line
+integrand with the weight dx/(sqrt(x)*(1+x)) becomes 2*dphi on
+[0, pi/2) under x = tan^2(phi), which is how the correction-term
+reference and the selftest tail identity are written.
+integrate_semi_infinite, which folds [lo, oo) onto [0, 1) by
+x = lo + t/(1-t), has no caller in the library; it stays public
+because the benchmark tracer wraps it by name.
 
 Everything here is pure: no caches, no global state, identical inputs
 give bit-identical outputs.  That makes results reproducible across
@@ -28,6 +36,9 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
+# bisections one adaptive integral may spend before it reports
+# converged=False
+_MAX_SUBDIVISIONS = 2000
 
 # 15-point Kronrod abscissae on [-1, 1] (positive half; the rule is
 # symmetric).  Every other node, starting at index 1, is a node of the
@@ -121,20 +132,18 @@ class _Value:
 
 
 class QuadratureSpec(_Value):
-    """Tolerance and budget knobs for the adaptive engine.
+    """The adaptive engine's one setting, its relative tolerance.
 
     Convergence is relative only, err <= rel_tol*|value|, so a value of
     1e-117 gets the same relative accuracy as one of 0.4.
     """
 
-    __slots__ = ("rel_tol", "max_subdivisions")
+    __slots__ = ("rel_tol",)
 
-    def __init__(self, rel_tol: float = 1e-10, max_subdivisions: int = 2000):
-        self._init(rel_tol, max_subdivisions)
+    def __init__(self, rel_tol: float = 1e-10):
+        self._init(rel_tol)
         if not (1e-14 <= self.rel_tol <= 1e-3):
             raise ValueError("rel_tol must lie in [1e-14, 1e-3]")
-        if not (10 <= self.max_subdivisions <= 10000):
-            raise ValueError("max_subdivisions must lie in [10, 10000]")
 
 
 class QuadratureResult(NamedTuple):
@@ -250,7 +259,7 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     splits = 0
 
     while total_e > spec.rel_tol * abs(total_v):
-        if splits >= spec.max_subdivisions or not heap:
+        if splits >= _MAX_SUBDIVISIONS or not heap:
             break
         _, _, a, b, va, ea = heapq.heappop(heap)
         mid = 0.5 * (a + b)

@@ -277,10 +277,23 @@ def test_sweep_negative_range_needs_equals_form(capsys):
 
 
 def test_sweep_unit_interval_guard(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--m", "0.6", "--mod", "4096",
-                           "--snr-db-range=-12:-8:2", "--method", "lu")
+    code, _, err = run_cli(capsys, "sweep", "--m", "50", "--mod", "4",
+                           "--snr-db-range=8:12:2", "--method", "closed",
+                           "--terms", "5")
     assert code == 2
     assert "outside [0, 1]" in err
+
+
+def test_sweep_writes_approximations_above_one(capsys):
+    # the sum-of-Q approximation exceeds 1 at low mean SNR for 4096-QAM
+    # (3.18 at -12 dB); it is an approximation, so the sweep keeps it
+    code, out, _ = run_cli(capsys, "sweep", "--m", "0.6", "--mod", "4096",
+                           "--snr-db-range=-12:-8:2", "--method", "lu",
+                           "--no-timing")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[:2] for r in rows[1:]] == [["-12", "lu"], ["-10", "lu"], ["-8", "lu"]]
+    assert all(float(r[2]) > 1.0 for r in rows[1:])
 
 
 # --- discrepancy -------------------------------------------------------------

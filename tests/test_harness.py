@@ -95,10 +95,11 @@ def test_sweep_jobs_do_not_change_values():
 
 
 def test_sweep_rejects_out_of_range_values():
-    # the approximating method exceeds 1 at strongly negative SNR for
-    # wide constellations, which the row type refuses to carry
-    with pytest.raises(ValueError):
-        run_sweep(0.6, 4096, db_grid(-12.0, -8.0, 2.0), (AberMethod.lu_closed(),))
+    # the five-term closed form is -8.34e-6 at m = 50, 10 dB, QPSK (the
+    # truth is 1.0248e-5): a closed-form value must be a probability
+    with pytest.raises(ValueError, match=r"closed\(N=5\) produced a value outside \[0, 1\]"):
+        run_sweep(50.0, 4, db_grid(8.0, 12.0, 2.0),
+                  (AberMethod.closed_form(TruncationPolicy.fixed(5)),))
 
 
 def test_discrepancy_rows():
@@ -168,6 +169,28 @@ def test_selftest_all_groups_pass():
     failing = [r for r in results if not r.passed]
     assert failing == []
     assert {r.group for r in results} == set(selftest_groups())
+
+
+def test_selftest_lemma1_is_a_short_finite_quadrature(monkeypatch):
+    # the tail identity in phi with x = tan^2(phi) is smooth on
+    # [0, pi/2): 765 evaluations over the five z, errors at most 1.3e-15
+    from nakaber import quad
+
+    counts = []
+    engine = quad.integrate_finite
+
+    def counted(*args, **kwargs):
+        res = engine(*args, **kwargs)
+        counts.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(quad, "integrate_finite", counted)
+    results = run_selftest(["lemma1"])
+    assert len(results) == 5 and all(r.passed for r in results)
+    for r in results:
+        assert float(r.detail.split()[0].split("=")[1]) <= 2e-15, r
+    assert len(counts) == 5
+    assert sum(counts) <= 1000
 
 
 def test_selftest_single_group():
