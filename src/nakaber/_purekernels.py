@@ -23,7 +23,8 @@ _DBL_MIN = 2.2250738585072014e-308  # smallest normal double
 _FIXED_BITS = 110
 _FIXED_KEEP = 64
 # how far, relative to the largest, coefs may sit from the exact series
-# coefficients that the fixed-point path sums in their place
+# coefficients that the fixed-point path sums in their place; the
+# coefficients r2_series builds in doubles sit within 3.1e-15
 _COEF_TOL = 1e-12
 
 # continued-fraction controls
@@ -192,10 +193,9 @@ def r2_term_scaled(coefs, m: float, b: float,
     fixed point: Horner's scheme in integers on the exact coefficients of
     m (coefs then only gives their count) scaled by 2^110, which rounds
     each node's P_N(r) to about 2^-110 absolute.  Raises ValueError if
-    coefs there is more than 1e-12 (relative to the largest coefficient)
-    from those exact coefficients, so another vector is never silently
-    replaced by the series, and ConvergenceError if P_N(r_max) keeps
-    fewer than 64 significant bits at that scale.
+    coefs there is not that series (to 1e-12 of its largest
+    coefficient), and ConvergenceError if P_N(r_max) keeps fewer than
+    64 significant bits at that scale.
     """
     one_plus_b = 1.0 + b
     r_max = 1.0 / (2.0 + b)
@@ -262,24 +262,17 @@ def r2_integral(b: float, m: float,
                 spec: quad.QuadratureSpec | None) -> quad.QuadratureResult:
     """Squared-Q correction term by quadrature over [0, pi/2).
 
-    The defining half-line integral
+    R2 = 1/(4*pi) * int_0^oo I_{1/(b+2+p)}(1/2, m) * (b/(b+1+p))^m
+         * dp / (sqrt(p) * (1+p)),
 
-        R2 = 1/(4*pi) * int_0^oo I_{1/(b+2+p)}(1/2, m) * (b/(b+1+p))^m
-             * dp / (sqrt(p) * (1+p))
-
-    is integrated in phi with p = tan^2(phi), where
-    dp/(sqrt(p)*(1+p)) = 2*dphi.  With c = cos^2(phi) = 1/(1+p):
-
-        R2 = 1/(2*pi) * int_0^{pi/2} I_{c/(1+(1+b)*c)}(1/2, m)
-             * (b*c/(1 + b*c))^m dphi.
-
-    That removes the 1/sqrt(p) endpoint singularity and the slow tail
-    at once, so one finite quadrature takes the place of a rational
-    fold of the half line.  The ratio (b*c/(1+b*c))^m stays in log
-    space, exp(-m*log1p(1/(b*c))), so tiny and large mean SNR stay in
-    double range.  Where b*c is subnormal, 1/(b*c) would overflow or
-    carry few bits; there log1p(1/(b*c)) is -log(b) - log(c) to
-    rounding.
+    integrated in phi with p = tan^2(phi): dp/(sqrt(p)*(1+p)) = 2*dphi
+    and, with c = cos^2(phi), the integrand becomes
+    2 * I_{c/(1+(1+b)*c)}(1/2, m) * (b*c/(1+b*c))^m.  That removes the
+    1/sqrt(p) endpoint singularity and the algebraic tail at once.  The
+    ratio stays in log space, exp(-m*log1p(1/(b*c))), so tiny and large
+    mean SNR stay in double range; where b*c is subnormal, 1/(b*c)
+    overflows or keeps few bits, and log1p(1/(b*c)) is -log(b) - log(c)
+    to rounding.
     """
     cos, exp, log, log1p = math.cos, math.exp, math.log, math.log1p
 

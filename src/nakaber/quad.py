@@ -3,16 +3,12 @@
 Finite intervals go through a 15-point Kronrod rule with the embedded
 7-point Gauss rule for error estimation; the interval with the worst
 error estimate is bisected until the global estimate meets the
-relative tolerance or _MAX_SUBDIVISIONS bisections are spent.  The
-tolerance is the one setting.
-
-Every integrand in the library runs on a finite interval.  A half-line
-integrand with the weight dx/(sqrt(x)*(1+x)) becomes 2*dphi on
-[0, pi/2) under x = tan^2(phi), which is how the correction-term
-reference and the selftest tail identity are written.
-integrate_semi_infinite, which folds [lo, oo) onto [0, 1) by
-x = lo + t/(1-t), has no caller in the library; it stays public
-because the benchmark tracer wraps it by name.
+relative tolerance, the one setting, or _MAX_SUBDIVISIONS bisections
+are spent.  Every integral in the library is finite: a half-line one
+with the weight dx/(sqrt(x)*(1+x)) becomes 2*dphi on [0, pi/2) under
+x = tan^2(phi).  integrate_semi_infinite, the rational fold
+x = lo + t/(1-t), has no library caller; the benchmark tracer wraps it
+by name, so it stays public.
 
 Everything here is pure: no caches, no global state, identical inputs
 give bit-identical outputs.  That makes results reproducible across
