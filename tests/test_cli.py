@@ -83,6 +83,20 @@ def test_aber_closed_matches_oracle_to_example_tolerance(capsys):
     assert closed == pytest.approx(oracle, rel=1e-6)
 
 
+def test_aber_closed_at_very_low_snr_matches_oracle(capsys):
+    # at -130 dB E[Q] sits 1.8e-7 under 1/2; the closed form must not
+    # lose those digits to the rounding of 1 - x (it printed
+    # 0.43749986791382867, 1.4e-10 off, with exit 0)
+    code, out_c, _ = run_cli(capsys, "aber", "--m", "10", "--snr-db", "-130",
+                             "--mod", "4", "--method", "closed", "--terms", "5")
+    assert code == 0
+    closed = float(parse_kv_line(out_c)["aber"])
+    _, out_o, _ = run_cli(capsys, "aber", "--m", "10", "--snr-db", "-130",
+                          "--mod", "4", "--method", "oracle")
+    oracle = float(parse_kv_line(out_o)["aber"])
+    assert closed == pytest.approx(oracle, rel=1e-13, abs=0.0)
+
+
 def test_aber_adaptive_tolerance_flag(capsys):
     code, out, _ = run_cli(capsys, "aber", "--m", "2.5", "--mod", "16",
                            "--snr-db", "5", "--method", "closed",
