@@ -1,9 +1,9 @@
 """The numeric kernels every layer calls.
 
-aber, channel and specfun look kernels up as ``_backend.kernels.<name>``
-at call time, so a caller can swap or wrap one kernel without touching
-the modules that use it.  The kernels are pure Python
-(``_purekernels``).
+aber, channel, harness and specfun look kernels up as
+``_backend.kernels.<name>`` at call time, so a caller can swap or wrap
+one kernel without touching the modules that use it.  The kernels are
+pure Python (``_purekernels``).
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ _HALF_PI = math.pi / 2.0
 _QUARTER_PI = math.pi / 4.0
 _INV_FOUR_PI = 1.0 / (4.0 * math.pi)
 _EPS = 2.220446049250313e-16
+_DBL_MAX = 1.7976931348623157e308
 # binary point of the fixed-point correction polynomial, and the bits
 # its value at r_max must keep there
 _FIXED_BITS = 110
@@ -124,13 +125,6 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
                         error_estimate=res.error_estimate * scale)
 
 
-def _horner(coefs, r: float) -> float:
-    p = 0.0
-    for c in reversed(coefs):
-        p = p * r + c
-    return p
-
-
 def _fixed_coefs(n_terms: int, m: float) -> list[int]:
     """The exact coefficients c_n = 2 * prod_{k<=n} (k-m)(2k-1)/(k(2k+1)),
     n < n_terms, scaled by 2^_FIXED_BITS and floored.  m = p/q exactly,
@@ -199,9 +193,13 @@ def r2_term_scaled(coefs, m: float, b: float,
     """
     one_plus_b = 1.0 + b
     r_max = 1.0 / (2.0 + b)
-    magnitude = _horner([abs(c) for c in coefs], r_max)
+    # P_N(r_max) and sum |c_n| r_max^n, by Horner's scheme
+    p_max = magnitude = 0.0
+    for c in reversed(coefs):
+        p_max = p_max * r_max + c
+        magnitude = magnitude * r_max + abs(c)
     fixed = None
-    if 4 * len(coefs) * _EPS * magnitude > 0.1 * spec.rel_tol * abs(_horner(coefs, r_max)):
+    if 4 * len(coefs) * _EPS * magnitude > 0.1 * spec.rel_tol * abs(p_max):
         fixed = _fixed_coefs(len(coefs), m)
         exact = [math.ldexp(c, -_FIXED_BITS) for c in fixed]
         largest = max(abs(c) for c in exact)
@@ -214,7 +212,8 @@ def r2_term_scaled(coefs, m: float, b: float,
             raise quad.ConvergenceError(
                 f"correction polynomial keeps fewer than {_FIXED_KEEP} bits "
                 f"at r_max in 2^{_FIXED_BITS} fixed point (m={m:g})")
-    rev = coefs[::-1]
+    # Horner's scheme from the top coefficient, which 0.0 * r + c_N equals
+    top, rest = coefs[-1], coefs[-2::-1]
     k = max(1.0, 2.0 / (1.0 + m))
     # phi = w when k = 1, since w ** 1.0 == w and 2*phi/w == 2 exactly
     power = k != 1.0
@@ -237,8 +236,8 @@ def r2_term_scaled(coefs, m: float, b: float,
         u = one_plus_b * t
         r = t / (1.0 + u)
         if fixed is None:
-            p = 0.0
-            for c in rev:
+            p = top
+            for c in rest:
                 p = p * r + c
         else:
             p = ldexp(_horner_fixed(fixed, r), -_FIXED_BITS)
@@ -246,12 +245,17 @@ def r2_term_scaled(coefs, m: float, b: float,
         return jac * ct * p * exp(neg_m * log1p(st * st / u) - 0.5 * log1p(u))
 
     res = quad.integrate_finite(h, 0.0, _HALF_PI ** (1.0 / k), spec)
-    log_scale = -m * math.log1p(1.0 / b) - log_beta(0.5, m)
-    return res._replace(value=_scaled(res.value, log_scale),
-                        error_estimate=_scaled(res.error_estimate, log_scale))
+    return _scaled(res, -m * math.log1p(1.0 / b) - log_beta(0.5, m))
 
 
-def _scaled(x: float, log_scale: float) -> float:
+def _scaled(res: quad.QuadratureResult, log_scale: float) -> quad.QuadratureResult:
+    """res with its value and error estimate times exp(log_scale)/(4*pi)."""
+    return quad.QuadratureResult(_scale(res.value, log_scale),
+                                 _scale(res.error_estimate, log_scale),
+                                 res.evaluations, res.converged)
+
+
+def _scale(x: float, log_scale: float) -> float:
     """x * exp(log_scale) / (4*pi), without under- or overflowing early."""
     if x == 0.0:
         return 0.0
@@ -282,21 +286,37 @@ def r2_integral(b: float, m: float,
 
     Near theta = 0 the integrand is 1 - C*theta^(2m), a fractional power
     for non-integer 2m that an adaptive Gauss-Kronrod rule resolves only
-    by bisecting towards that endpoint many times.  The quadrature runs
-    in w with theta = w^k, dtheta = k*(theta/w)*dw: k = 1 for m >= 1,
-    and for m < 1 the integer k = ceil(1.2/m) kept within [3, 7], which
-    makes the power 2*m*k at least 2.4 down to m = 0.17.
+    by bisecting towards that endpoint many times.  At low mean SNR it
+    also has a knee: it falls from its value at 0 where b*sin^2(theta)
+    passes 1, at theta of about (1+b)^(-1/2), which for b = 1e300 sits
+    150 decades inside the range.  The quadrature runs in w on [0, 1]
+    with theta = A*sinh(lam*w^k), A = 2/sqrt(1+b) and
+    lam = asinh((pi/4)/A), so that theta(1) = pi/4:
+      - the sinh grades the nodes geometrically from theta = A up to
+        pi/4 and keeps them linear below A, near the knee; where A
+        exceeds pi/4 (b below about 5.5) it is almost linear;
+      - theta = A*lam*w^k near 0, so the endpoint power is that of
+        theta = w^k: k = 1 for m >= 1, and for m < 1 the integer
+        k = ceil(1.2/m) kept within [3, 7], which makes the power
+        2*m*k at least 2.4 down to m = 0.17.
+    1 + b is taken at most at the largest double, so A stays positive
+    where b overflows.
     """
     k = 1 if m >= 1.0 else max(3, math.ceil(min(7.0, 1.2 / m)))
-    # 1/(2 pi) = 2/(4 pi); for k = 1, theta = w and jac = 2.0 exactly
-    two_k = 2.0 * k
     one_plus_b = 1.0 + b
+    knee = 2.0 / math.sqrt(min(one_plus_b, _DBL_MAX))
+    lam = math.asinh(_QUARTER_PI / knee)
+    # dtheta/dw = knee*lam*k*w^(k-1)*cosh(lam*w^k), times 1/(2 pi) = 2/(4 pi)
+    jac_scale = 2.0 * k * knee * lam
     neg_m = -m
     sin, cos, exp, expm1, log1p = math.sin, math.cos, math.exp, math.expm1, math.log1p
+    sinh, cosh = math.sinh, math.cosh
 
     def f(w: float) -> float:
-        theta = w ** k
-        jac = two_k * theta / w
+        wk = w ** k
+        t = lam * wk
+        theta = knee * sinh(t)
+        jac = jac_scale * (wk / w) * cosh(t)
         s = sin(theta)
         c = cos(theta)
         s2 = s * s
@@ -306,11 +326,10 @@ def r2_integral(b: float, m: float,
         x = (c - s) * (c + s) / ((1.0 + b * c2) * s2)
         return jac * exp(neg_m * log1p(s2 / (one_plus_b * c2))) * -expm1(neg_m * log1p(x))
 
-    res = quad.integrate_finite(f, 0.0, _QUARTER_PI ** (1.0 / k), spec)
+    res = quad.integrate_finite(f, 0.0, 1.0, spec)
     inv_b = 1.0 / b
     if inv_b == math.inf:
         log_peak = m * (math.log(b) - math.log1p(b))
     else:
         log_peak = neg_m * log1p(inv_b)
-    return res._replace(value=_scaled(res.value, log_peak),
-                        error_estimate=_scaled(res.error_estimate, log_peak))
+    return _scaled(res, log_peak)

@@ -38,8 +38,10 @@ __all__ = [
 ]
 
 _SERIES_CAP = 200
+# r2_series' default; one shared value, since a spec is immutable
+_SERIES_SPEC = QuadratureSpec(rel_tol=1e-11)
 # largest m the closed-form E[Q] takes (see lemma2_avg_q)
-_AVG_Q_M_MAX = 3000.0
+_AVG_Q_M_MAX = 1e4
 
 
 class TruncationPolicy(_Value):
@@ -103,11 +105,12 @@ def lemma2_avg_q(ch: ChannelParams, alpha: float) -> float:
     1 - x, which would keep only the rounding of x at low mean SNR.
     What error is left grows with m, from the continued fraction, whose
     leading terms cancel to O(1/m) near x = m/(m + c): against 40-digit
-    references over -30 to 80 dB (2 dB steps) and all six orders it is
-    at most 2.3e-12 at m = 3000 and 3.1e-11 at m = 1e4, both at 10 dB.
-    For m above _AVG_Q_M_MAX = 3000 it raises ConvergenceError; that
-    bound was set where the rounding of 1 - x passed 1e-10, and moving
-    it is left to a change that also covers huge m.
+    references over all six orders it is at most 2.5e-12 at m = 3000
+    and 1.4e-11 at m = 5000 (-30 to 80 dB, 0.5 dB steps), and 3.3e-11
+    at m = 1e4 (-30 to 40 dB in 0.02 dB steps, at 5.44 dB; 2 dB steps
+    to 80 dB).  For m above _AVG_Q_M_MAX = 1e4 it raises
+    ConvergenceError: the error keeps growing with m, and huge m needs
+    a route of its own.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
@@ -169,7 +172,7 @@ def r2_series(ch: ChannelParams, alpha: float,
     m = ch.m
     b = m / (alpha * ch.mean_snr)
     if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-11)
+        spec = _SERIES_SPEC
 
     # adaptive mode bounds term n by |c_n| * r_max^n, since r <= 1/(2+b)
     r_max = 1.0 / (2.0 + b)
@@ -243,19 +246,13 @@ def _ber_kernel(mod: Modulation, ber_kind: str, variant: QApproxVariant | None
                 ) -> tuple[Callable[[float], float], float]:
     """(BER kernel, its slowest exponential decay rate in the SNR)."""
     if ber_kind == "exact":
-        return (lambda g: channel.ber_exact(mod, g)), mod.c1
+        return channel._ber_exact_kernel(mod), mod.c1
     if ber_kind == "lu":
-        return (lambda g: channel.ber_lu_approx(mod, g)), mod.c1
+        return channel._ber_lu_kernel(mod), mod.c1
     if ber_kind == "expq":
         v = QApproxVariant.chiani_two_term() if variant is None else variant
-        c0 = mod.c0
-        two_c1 = 2.0 * mod.c1
-
-        def kernel(g: float) -> float:
-            q = channel.q_exp_approx(v, math.sqrt(two_c1 * g))
-            return 4.0 * c0 * q - 4.0 * c0 * c0 * q * q
-
-        return kernel, two_c1 * min(r for _, r in v.coefficients)
+        return (channel._ber_expq_kernel(mod, v),
+                2.0 * mod.c1 * min(r for _, r in v.coefficients))
     raise ValueError("ber_kind must be 'exact', 'lu', or 'expq'")
 
 

@@ -216,6 +216,7 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     log_k_head = log_k - math.log(m)
     head_power = 1.0 / m
     width = 1.0 / m if power_head else 1.0 / math.sqrt(m)
+    exp, log, log1p, log1p_minus = math.exp, math.log, math.log1p, _log1p_minus_small
 
     def f(x: float) -> float:
         if x < 1.0:
@@ -229,9 +230,9 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
                 if y >= 1.0:
                     return 0.0  # z = 0, where z^(m-1) vanishes
                 z = x / d
-                lz = math.log(z)
+                lz = log(z)
                 # (m-1)*log(z) - m*(z-1) = m*(log1p(-y) + y) - log(z)
-                peak = lz + y if y >= 0.1 else _log1p_minus_small(-y)
+                peak = lz + y if y >= 0.1 else log1p_minus(-y)
                 log_w = log_k + m * peak - lz
                 jac = width / (d * d)
         else:
@@ -243,11 +244,11 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
                 return 0.0
             s = width * t / u
             z = 1.0 + s
-            lz = math.log1p(s)
-            peak = lz - s if s >= 0.1 else _log1p_minus_small(s)
+            lz = log1p(s)
+            peak = lz - s if s >= 0.1 else log1p_minus(s)
             log_w = log_k + m * peak - lz
             jac = width / (u * u)
-        w = math.exp(log_w + rate_per_z * z)
+        w = exp(log_w + rate_per_z * z)
         if w == 0.0:
             return 0.0
         return h(snr_per_z * z) * (w * jac)
@@ -258,13 +259,63 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     return res
 
 
+def _ber_exact_kernel(mod: Modulation) -> Callable[[float], float]:
+    """snr -> ber_exact(mod, snr), with mod's constants taken once."""
+    four_c0 = 4.0 * mod.c0
+    four_c0_sq = four_c0 * mod.c0
+    two_c1 = 2.0 * mod.c1
+    kernels = _backend.kernels
+    sqrt = math.sqrt
+
+    def ber(snr: float) -> float:
+        if not snr >= 0.0:
+            raise ValueError("ber_exact requires snr >= 0")
+        q = kernels.gauss_q(sqrt(two_c1 * snr))
+        return four_c0 * q - four_c0_sq * q * q
+
+    return ber
+
+
+def _ber_lu_kernel(mod: Modulation) -> Callable[[float], float]:
+    """snr -> ber_lu_approx(mod, snr), with mod's constants taken once."""
+    four_c0 = 4.0 * mod.c0
+    two_c1 = 2.0 * mod.c1
+    odd = tuple(2.0 * j - 1.0
+                for j in range(1, int(round(math.sqrt(mod.order))) // 2 + 1))
+    kernels = _backend.kernels
+    sqrt = math.sqrt
+
+    def ber(snr: float) -> float:
+        if not snr >= 0.0:
+            raise ValueError("ber_lu_approx requires snr >= 0")
+        base = sqrt(two_c1 * snr)
+        total = 0.0
+        for k in odd:
+            total += kernels.gauss_q(k * base)
+        return four_c0 * total
+
+    return ber
+
+
+def _ber_expq_kernel(mod: Modulation, v: QApproxVariant) -> Callable[[float], float]:
+    """snr -> the exact BER's two-term form with Q replaced by the
+    exponential sum v, q_exp_approx(v, .), and mod's constants taken once."""
+    four_c0 = 4.0 * mod.c0
+    four_c0_sq = four_c0 * mod.c0
+    two_c1 = 2.0 * mod.c1
+    sqrt = math.sqrt
+
+    def ber(snr: float) -> float:
+        q = q_exp_approx(v, sqrt(two_c1 * snr))
+        return four_c0 * q - four_c0_sq * q * q
+
+    return ber
+
+
 def ber_exact(mod: Modulation, snr: float) -> float:
-    """Instantaneous BER of square M-QAM with Gray mapping."""
-    if not snr >= 0.0:
-        raise ValueError("ber_exact requires snr >= 0")
-    c0 = mod.c0
-    q = _backend.kernels.gauss_q(math.sqrt(2.0 * mod.c1 * snr))
-    return 4.0 * c0 * q - 4.0 * c0 * c0 * q * q
+    """Instantaneous BER of square M-QAM with Gray mapping,
+    4*c0*Q - 4*c0^2*Q^2 at Q = Q(sqrt(2*c1*snr))."""
+    return _ber_exact_kernel(mod)(snr)
 
 
 def ber_lu_approx(mod: Modulation, snr: float) -> float:
@@ -273,13 +324,7 @@ def ber_lu_approx(mod: Modulation, snr: float) -> float:
     4*c0 * sum_{j=1}^{sqrt(M)/2} Q((2j-1) * sqrt(2*c1*snr)); the odd
     multipliers scale the Q argument, not its square.
     """
-    if not snr >= 0.0:
-        raise ValueError("ber_lu_approx requires snr >= 0")
-    base = math.sqrt(2.0 * mod.c1 * snr)
-    total = 0.0
-    for j in range(1, int(round(math.sqrt(mod.order))) // 2 + 1):
-        total += _backend.kernels.gauss_q((2.0 * j - 1.0) * base)
-    return 4.0 * mod.c0 * total
+    return _ber_lu_kernel(mod)(snr)
 
 
 def q_exp_approx(v: QApproxVariant, x: float) -> float:

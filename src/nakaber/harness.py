@@ -12,8 +12,8 @@ import math
 import time
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from . import _backend, quad, specfun
 from . import aber as aber_mod
-from . import quad, specfun
 from .aber import AberMethod, TruncationPolicy
 from .channel import ChannelParams, Modulation, db_to_linear, fading_average
 from .quad import QuadratureSpec
@@ -274,15 +274,25 @@ def _identity_grid():
                 yield ChannelParams(m, db_to_linear(snr_db)), Modulation(order), snr_db
 
 
+def _avg_q_kernel(alpha: float, power: int) -> Callable[[float], float]:
+    """snr -> Q(sqrt(2*alpha*snr))**power, the integrand of lemma2
+    (power 1) and lemma3 (power 2), with alpha taken once."""
+    two_alpha = 2.0 * alpha
+    kernels = _backend.kernels
+    sqrt = math.sqrt
+    if power == 1:
+        return lambda g: kernels.gauss_q(sqrt(two_alpha * g))
+    return lambda g: kernels.gauss_q(sqrt(two_alpha * g)) ** power
+
+
 def _check_lemma2() -> list[CheckResult]:
     out = []
     worst = 0.0
     worst_at = ""
     for ch, mod, snr_db in _identity_grid():
         closed = aber_mod.lemma2_avg_q(ch, mod.c1)
-        oracle = fading_average(
-            ch, lambda g: specfun.gauss_q(math.sqrt(2.0 * mod.c1 * g)),
-            _IDENTITY_SPEC, rate=mod.c1).value
+        oracle = fading_average(ch, _avg_q_kernel(mod.c1, 1), _IDENTITY_SPEC,
+                                rate=mod.c1).value
         rd = _rel_diff(closed, oracle)
         if rd > worst:
             worst, worst_at = rd, f"m={ch.m:g} snr={snr_db:g}dB M={mod.order}"
@@ -299,9 +309,8 @@ def _check_lemma3() -> list[CheckResult]:
         quarter_i = 0.5 * aber_mod.lemma2_avg_q(ch, mod.c1)
         closed = quarter_i - aber_mod.r2_quadrature(ch, mod.c1,
                                                     spec=_IDENTITY_SPEC)
-        oracle = fading_average(
-            ch, lambda g: specfun.gauss_q(math.sqrt(2.0 * mod.c1 * g)) ** 2,
-            _IDENTITY_SPEC, rate=2.0 * mod.c1).value
+        oracle = fading_average(ch, _avg_q_kernel(mod.c1, 2), _IDENTITY_SPEC,
+                                rate=2.0 * mod.c1).value
         rd = _rel_diff(closed, oracle)
         if rd > worst:
             worst, worst_at = rd, f"m={ch.m:g} snr={snr_db:g}dB M={mod.order}"

@@ -79,20 +79,21 @@ def test_avg_q_frozen_value():
 
 
 @pytest.mark.parametrize("snr_db, order, expected", [
-    (10.0, 4, 3.9434784111023362333e-6),
-    (-30.0, 4096, 0.49881718824732926026),
-    (-29.34, 4096, 0.49872380944338715139),
-    (0.0, 4096, 0.46265089443339102756),
+    (10.0, 4, 3.8934150237704864483e-6),
+    (5.44, 64, 0.15868025838332024458),
+    (-30.0, 4096, 0.49881715374794805699),
+    (0.0, 4096, 0.46264979870824552541),
 ])
 def test_avg_q_holds_to_1e_10_at_the_largest_m_it_takes(snr_db, order, expected):
-    # 50-digit quadrature of Craig's form; m = 3000 is the largest m the
-    # closed form takes, and 4096-QAM at -29.34 dB is its worst point
-    # there on a 0.02 dB grid (8.9e-11 off)
-    ch = ChannelParams(3000.0, 10.0 ** (snr_db / 10.0))
+    # 50-digit quadrature of Craig's form, equal to 50-digit
+    # (1/2)*I_x(m, 1/2); m = 1e4 is the largest m the closed form takes,
+    # and 64-QAM at 5.44 dB is its worst point there on a 0.02 dB grid
+    # over -30 to 40 dB and all six orders (3.3e-11 off)
+    ch = ChannelParams(1e4, 10.0 ** (snr_db / 10.0))
     got = lemma2_avg_q(ch, Modulation(order).c1)
     assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
     with pytest.raises(ConvergenceError, match="not accurate to 1e-10"):
-        lemma2_avg_q(ChannelParams(math.nextafter(3000.0, math.inf), ch.mean_snr),
+        lemma2_avg_q(ChannelParams(math.nextafter(1e4, math.inf), ch.mean_snr),
                      Modulation(order).c1)
 
 
@@ -152,11 +153,27 @@ def test_r2_quadrature_frozen_value(ch, spec, expected, rel):
 
 def test_r2_quadrature_takes_subnormal_m():
     # 1.2/m overflows below m = 6.7e-309, and the kernel's endpoint map
-    # must still pick its power.  R2 <= m*G/pi (G = 0.916 Catalan's
-    # constant, the limit as b -> 0); with m subnormal the integrand is
-    # subnormal too and keeps few digits, so only the bound is asserted
+    # must still pick its power.  As m -> 0, with b = m/(alpha*gbar)
+    # going with it, R2 = m*G/pi + O(m^2), G Catalan's constant; at
+    # m = 1e-309 the remainder is far below one subnormal ulp, so the
+    # kernel must land within two ulps of m*G/pi (40-digit value)
+    ref = 2.91560904030817e-310
     got = r2_quadrature(ChannelParams(1e-309, 1.0), 1.0)
-    assert 0.0 < got <= 1e-309 / math.pi
+    assert abs(got - ref) <= 2.0 * math.ulp(ref)
+
+
+def test_r2_integral_resolves_the_low_snr_knee():
+    # at b = 1e300 (m = 50, about -2,980 dB) the integrand falls from
+    # its value at 0 where theta passes 1e-150; as b -> oo,
+    # R2 -> m*C(2m, m)/(2*4^m*sqrt(b)) to relative O(1/b), here
+    # 1.989730934679469e-150 (40 digits).  Nodes spread as theta = w^k
+    # found the knee only after 14,955 evaluations
+    from nakaber import _backend
+
+    res = _backend.kernels.r2_integral(1e300, 50.0, None)
+    assert res.converged
+    assert res.evaluations <= 500
+    assert res.value == pytest.approx(1.989730934679469e-150, rel=1e-13, abs=0.0)
 
 
 def test_r2_integral_evaluation_budget(monkeypatch):
@@ -614,6 +631,54 @@ def test_oracle_evaluation_budget():
     assert total <= 100_000
     assert oracle_result(ChannelParams(0.05, 10.0),
                          Modulation(256)).evaluations <= 500
+
+
+def test_oracle_calls_gauss_q_once_per_node(monkeypatch):
+    # the exact kernel looks gauss_q up on the kernel module at call
+    # time, once per node, so a wrapped kernel sees every evaluation;
+    # at these points every node carries mass
+    from nakaber import _backend
+
+    gauss_q = _backend.kernels.gauss_q
+    calls = []
+
+    def counting(z):
+        calls.append(z)
+        return gauss_q(z)
+
+    monkeypatch.setattr(_backend.kernels, "gauss_q", counting)
+    for m, gbar, order in ((2.5, 100.0, 16), (50.0, 1e4, 4), (0.05, 1e8, 4096)):
+        calls.clear()
+        res = oracle_result(ChannelParams(m, gbar), Modulation(order))
+        assert len(calls) == res.evaluations, (m, gbar, order)
+
+
+# repr of oracle_result, bits and all, as the oracle gave them when each
+# node still called ber_exact (or the lu or expq kernel) afresh
+ORACLE_BITS = [
+    (0.6, 10.0, 256, "exact", None,
+     "QuadratureResult(value=0.10988539743730234, error_estimate=6.866394103573964e-12, "
+     "evaluations=525, converged=True)"),
+    (50.0, 1e4, 4, "exact", None,
+     "QuadratureResult(value=2.7611068993735096e-117, error_estimate=2.3700100138846446e-127, "
+     "evaluations=315, converged=True)"),
+    (0.05, 1e8, 4096, "exact", None,
+     "QuadratureResult(value=0.0664079595629639, error_estimate=5.249281879356739e-12, "
+     "evaluations=255, converged=True)"),
+    (4.1, 0.1, 64, "lu", None,
+     "QuadratureResult(value=0.6379332524338382, error_estimate=6.353096043906814e-11, "
+     "evaluations=285, converged=True)"),
+    (0.6, 1e6, 16, "expq", QApproxVariant.from_pairs([(0.3, 0.6), (0.1, 0.4)]),
+     "QuadratureResult(value=8.756328253387011e-05, error_estimate=2.234089099327563e-15, "
+     "evaluations=375, converged=True)"),
+]
+
+
+@pytest.mark.parametrize("m,gbar,order,kind,variant,expected", ORACLE_BITS,
+                         ids=["exact-m0.6", "exact-m50", "exact-m0.05", "lu", "expq"])
+def test_oracle_keeps_its_bits(m, gbar, order, kind, variant, expected):
+    res = oracle_result(ChannelParams(m, gbar), Modulation(order), kind, variant=variant)
+    assert repr(res) == expected
 
 
 @pytest.mark.parametrize("kind,variant", [

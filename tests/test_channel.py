@@ -10,6 +10,9 @@ from nakaber.channel import (
     ChannelParams,
     Modulation,
     QApproxVariant,
+    _ber_exact_kernel,
+    _ber_expq_kernel,
+    _ber_lu_kernel,
     ber_exact,
     ber_lu_approx,
     fading_average,
@@ -211,6 +214,71 @@ def test_ber_negative_snr_rejected():
         ber_exact(Modulation(4), -1.0)
     with pytest.raises(ValueError):
         ber_lu_approx(Modulation(4), -1.0)
+
+
+# --- BER kernels, built once per average --------------------------------------
+
+# zero, two subnormals and every decade from 1e-3 to 1e300
+KERNEL_SNRS = [0.0, 5e-324, 1e-310] + [10.0 ** e for e in range(-3, 301)]
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_built_ber_kernels_equal_the_scalar_functions(order):
+    # bit for bit, against the scalar functions and against the two
+    # expressions written out per call, as the oracle's nodes had them
+    # before each kernel was built once per average
+    mod = Modulation(order)
+    exact = _ber_exact_kernel(mod)
+    lu = _ber_lu_kernel(mod)
+    for snr in KERNEL_SNRS:
+        q = gauss_q(math.sqrt(2.0 * mod.c1 * snr))
+        written = 4.0 * mod.c0 * q - 4.0 * mod.c0 * mod.c0 * q * q
+        assert exact(snr) == ber_exact(mod, snr) == written, snr
+        base = math.sqrt(2.0 * mod.c1 * snr)
+        total = 0.0
+        for j in range(1, int(round(math.sqrt(order))) // 2 + 1):
+            total += gauss_q((2.0 * j - 1.0) * base)
+        assert lu(snr) == ber_lu_approx(mod, snr) == 4.0 * mod.c0 * total, snr
+
+
+@pytest.mark.parametrize("variant", [
+    QApproxVariant.chiani_two_term(),
+    QApproxVariant.from_pairs([(0.3, 0.6), (0.1, 0.4)]),
+], ids=["chiani", "custom"])
+def test_built_expq_kernel_equals_the_per_call_form(variant):
+    for order in SUPPORTED_ORDERS:
+        mod = Modulation(order)
+        kernel = _ber_expq_kernel(mod, variant)
+        for snr in KERNEL_SNRS:
+            q = q_exp_approx(variant, math.sqrt(2.0 * mod.c1 * snr))
+            written = 4.0 * mod.c0 * q - 4.0 * mod.c0 * mod.c0 * q * q
+            assert kernel(snr) == written, (order, snr)
+
+
+def test_built_kernels_look_gauss_q_up_at_call_time(monkeypatch):
+    # a kernel swapped or wrapped on the kernel module after a BER
+    # kernel is built still serves that kernel's nodes: one call per
+    # node for the exact BER, sqrt(M)/2 for the sum of Q
+    from nakaber import _backend
+
+    mod = Modulation(16)
+    exact = _ber_exact_kernel(mod)
+    lu = _ber_lu_kernel(mod)
+    calls = []
+    monkeypatch.setattr(_backend.kernels, "gauss_q", lambda z: calls.append(z) or 0.25)
+    assert exact(1.0) == 4.0 * mod.c0 * 0.25 - 4.0 * mod.c0 * mod.c0 * 0.25 * 0.25
+    assert len(calls) == 1
+    assert lu(1.0) == 4.0 * mod.c0 * 0.5
+    assert len(calls) == 3
+
+
+def test_built_kernels_reject_negative_snr_at_the_node():
+    mod = Modulation(16)
+    for snr in (-1.0, -5e-324, math.nan):
+        with pytest.raises(ValueError, match=r"ber_exact requires snr >= 0"):
+            _ber_exact_kernel(mod)(snr)
+        with pytest.raises(ValueError, match=r"ber_lu_approx requires snr >= 0"):
+            _ber_lu_kernel(mod)(snr)
 
 
 # --- exponential Q approximation ----------------------------------------------
