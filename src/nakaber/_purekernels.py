@@ -308,15 +308,21 @@ def r2_integral(b: float, m: float,
     lam = math.asinh(_QUARTER_PI / knee)
     # dtheta/dw = knee*lam*k*w^(k-1)*cosh(lam*w^k), times 1/(2 pi) = 2/(4 pi)
     jac_scale = 2.0 * k * knee * lam
+    # w^k = w when k = 1, since w ** 1 == w and w / w == 1.0 exactly
+    power = k != 1
     neg_m = -m
     sin, cos, exp, expm1, log1p = math.sin, math.cos, math.exp, math.expm1, math.log1p
     sinh, cosh = math.sinh, math.cosh
 
     def f(w: float) -> float:
-        wk = w ** k
-        t = lam * wk
+        if power:
+            wk = w ** k
+            t = lam * wk
+            jac = jac_scale * (wk / w) * cosh(t)
+        else:
+            t = lam * w
+            jac = jac_scale * cosh(t)
         theta = knee * sinh(t)
-        jac = jac_scale * (wk / w) * cosh(t)
         s = sin(theta)
         c = cos(theta)
         s2 = s * s

@@ -1,8 +1,9 @@
 """Average bit error rate of square M-QAM over Nakagami-m fading.
 
-Three independent routes to the same quantity live here: a
-truncated-series closed form built from an incomplete beta and a series
-of Appell-F1 terms summed in one integral, an exact closed form for the
+Three independent routes to the same quantity live here: a closed form
+built from an incomplete beta and a correction term, either the paper's
+series of Appell-F1 terms truncated and summed in one integral or its
+untruncated limit in Craig's form, an exact closed form for the
 sum-of-Q BER approximation, and direct adaptive quadrature of the
 defining average, which acts as the reference the closed forms are
 judged against.  The discrepancy metric and the series/quadrature
@@ -17,8 +18,8 @@ from typing import Callable, NamedTuple
 
 from . import _backend, channel
 from .channel import ChannelParams, Modulation, QApproxVariant
-from .quad import (_EPS, ConvergenceError, QuadratureResult, QuadratureSpec,
-                   _Value, require_converged)
+from .quad import (ConvergenceError, QuadratureResult, QuadratureSpec, _Value,
+                   require_converged)
 
 __all__ = [
     "AberMethod",
@@ -37,6 +38,7 @@ __all__ = [
     "r2_series",
 ]
 
+# largest n_max a fixed truncation takes
 _SERIES_CAP = 200
 # r2_series' default; one shared value, since a spec is immutable
 _SERIES_SPEC = QuadratureSpec(rel_tol=1e-11)
@@ -45,14 +47,15 @@ _AVG_Q_M_MAX = 1e4
 
 
 class TruncationPolicy(_Value):
-    """How many correction-series terms the closed form keeps.
+    """How the closed form gets its correction term R2.
 
-    fixed_terms sums indices n = 0..n_max inclusive, so n_max = 0 is the
-    one-term evaluation.  adaptive picks the first n >= 1 whose term
-    bound |c_n| * r_max^n falls below term_tol relative to the bounds
-    summed so far (r_max = 1/(2+b) bounds the integrand's r); a series
-    that needs more than 200 terms raises ConvergenceError.  Either way
-    an integer m stops the series at its exact zero.
+    fixed_terms sums the paper's series for indices n = 0..n_max
+    inclusive, so n_max = 0 is the one-term evaluation; an integer m
+    stops the series at its exact zero.  adaptive takes the series'
+    N -> oo limit instead, R2 by quadrature of Craig's form
+    (r2_quadrature) to relative tolerance term_tol, and keeps no terms.
+    term_tol stops at 1e-13: below it the quadrature sits at its 50*eps
+    roundoff floor and cannot converge.
     """
 
     __slots__ = ("mode", "n_max", "term_tol")
@@ -64,8 +67,8 @@ class TruncationPolicy(_Value):
             raise ValueError("mode must be 'fixed_terms' or 'adaptive'")
         if not (0 <= self.n_max <= _SERIES_CAP):
             raise ValueError(f"n_max must lie in [0, {_SERIES_CAP}]")
-        if not (1e-16 <= self.term_tol <= 1e-4):
-            raise ValueError("term_tol must lie in [1e-16, 1e-4]")
+        if not (1e-13 <= self.term_tol <= 1e-4):
+            raise ValueError("term_tol must lie in [1e-13, 1e-4]")
 
     @classmethod
     def fixed(cls, n_max: int) -> "TruncationPolicy":
@@ -134,7 +137,8 @@ def r2_quadrature(ch: ChannelParams, alpha: float,
     r2_integral kernel writes it with Craig's form of Q and Q^2 as
     E[Q]/2 - E[Q^2], one positive integral of elementary functions over
     Craig's angle on [0, pi/4]; it needs no incomplete beta per node and
-    a few hundred evaluations at most.
+    a few hundred evaluations at most.  It is the correction term of
+    the closed form under TruncationPolicy.adaptive.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
@@ -147,26 +151,27 @@ def r2_quadrature(ch: ChannelParams, alpha: float,
 def r2_series(ch: ChannelParams, alpha: float,
               trunc: TruncationPolicy | None = None,
               spec: QuadratureSpec | None = None) -> SeriesResult:
-    """Squared-Q correction term as a truncated hypergeometric series.
+    """Squared-Q correction term as the paper's truncated series.
 
     Term n is B(n+m+1, 1/2)/(4*pi*B(1/2, m)) * c_n * b^m
     * F1(n+m+1; m, n+1/2; n+m+3/2; -b, -(1+b)), with
     c_n = (1-m)_n / (n! (n+1/2)) and b = m/(alpha*mean_snr).  Every F1
-    shares one theta-integrand times r(theta)^n, so the terms kept are
-    summed as a polynomial inside a single quadrature (see the
-    r2_term_scaled kernel).  For integer m (1-m)_n hits an exact zero and
-    the series terminates at n = m-1 with the closed form exact.
-    spec=None means QuadratureSpec(rel_tol=1e-11).  Where the
-    coefficients cancel (m > 1, high mean SNR) the kernel sums them in
-    fixed point at 2^110.  Raises ConvergenceError if the quadrature
-    cannot meet spec, if adaptive truncation needs more than 200 terms,
-    if the adaptive stop rule would rest on a bound sum that cancels past
-    double precision (eps * sum |c_n| r_max^n above 1% of
-    |sum c_n r_max^n|), or if P_N(r_max) keeps fewer than 64 bits at the
-    kernel's fixed-point scale.
+    shares one theta-integrand times r(theta)^n, so the terms kept,
+    n = 0..trunc.n_max, are summed as a polynomial inside a single
+    quadrature (see the r2_term_scaled kernel).  For integer m (1-m)_n
+    hits an exact zero and the series terminates at n = m-1 with the
+    closed form exact.  spec=None means QuadratureSpec(rel_tol=1e-11).
+    Where the coefficients cancel (m > 1, high mean SNR) the kernel sums
+    them in fixed point at 2^110.  Raises ValueError for an adaptive
+    policy, whose untruncated limit is r2_quadrature, and
+    ConvergenceError if the quadrature cannot meet spec or if P_N(r_max)
+    keeps fewer than 64 bits at the kernel's fixed-point scale.
     """
     if trunc is None:
         trunc = TruncationPolicy()
+    if trunc.mode == "adaptive":
+        raise ValueError("r2_series sums a fixed number of terms; the "
+                         "adaptive policy's R2 is r2_quadrature")
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
     m = ch.m
@@ -174,35 +179,12 @@ def r2_series(ch: ChannelParams, alpha: float,
     if spec is None:
         spec = _SERIES_SPEC
 
-    # adaptive mode bounds term n by |c_n| * r_max^n, since r <= 1/(2+b)
-    r_max = 1.0 / (2.0 + b)
-    r_pow = 1.0
     coefs = [2.0]  # c_0 = 1/(1/2)
-    bound_sum = abs_sum = 2.0
-    adaptive = trunc.mode == "adaptive"
-    for n in range(1, _SERIES_CAP if adaptive else trunc.n_max + 1):
+    for n in range(1, trunc.n_max + 1):
         factor = (1.0 - m) + (n - 1.0)
         if factor == 0.0:
             break  # integer m: every later coefficient carries this zero
         coefs.append(coefs[-1] * factor / n * (n - 0.5) / (n + 0.5))
-        if adaptive:
-            r_pow *= r_max
-            term = abs(coefs[-1]) * r_pow
-            bound_sum += coefs[-1] * r_pow
-            abs_sum += term
-            if term <= trunc.term_tol * abs(bound_sum):
-                # bound_sum is a sum in doubles: its rounding, about
-                # eps * abs_sum, must not decide where the series stops
-                if _EPS * abs_sum > 0.01 * abs(bound_sum):
-                    raise ConvergenceError(
-                        "correction series cancels past double precision at "
-                        f"r_max: its stop rule cannot be trusted (m={m:g})")
-                break
-    else:
-        if adaptive:
-            raise ConvergenceError(
-                f"correction series needs more than {_SERIES_CAP} terms "
-                f"for term_tol={trunc.term_tol:g}")
     res = require_converged(
         _backend.kernels.r2_term_scaled(tuple(coefs), m, b, spec),
         "correction series quadrature did not converge")
@@ -215,9 +197,16 @@ def aber_closed_with_terms(ch: ChannelParams, mod: Modulation,
 
     Combines the averaged Q and Q^2 pieces into
     (4*c0 - 2*c0^2) * E[Q] + 4*c0^2 * R2, E[Q] = (1/2) * I_x(m, 1/2).
+    A fixed policy takes R2 from r2_series.  The adaptive policy takes
+    the series' untruncated limit, r2_quadrature at
+    rel_tol = trunc.term_tol, and reports 0 terms.
     """
     c0 = mod.c0
-    r2, terms = r2_series(ch, mod.c1, trunc)
+    if trunc is not None and trunc.mode == "adaptive":
+        r2 = r2_quadrature(ch, mod.c1, QuadratureSpec(rel_tol=trunc.term_tol))
+        terms = 0
+    else:
+        r2, terms = r2_series(ch, mod.c1, trunc)
     avg_q = lemma2_avg_q(ch, mod.c1)
     return (4.0 * c0 - 2.0 * c0 * c0) * avg_q + 4.0 * c0 * c0 * r2, terms
 

@@ -355,8 +355,9 @@ def _add_common(sub: argparse.ArgumentParser, *, snr_point: bool,
                          help="dB grid as start:stop:step")
     if methods:
         sub.add_argument("--adaptive-tol", type=float, default=None,
-                         help="adaptive series stop (relative term size); "
-                              "overrides --terms")
+                         help="untruncated series: correction term by "
+                              "quadrature of Craig's form to this relative "
+                              "tolerance, in [1e-13, 1e-4]; overrides --terms")
         sub.add_argument("--rel-tol", type=float, default=1e-10,
                          help="relative tolerance for oracle quadrature")
         sub.add_argument("--expq", type=str, default=None,

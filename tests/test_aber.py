@@ -44,15 +44,17 @@ def test_truncation_policy_validation():
     TruncationPolicy.fixed(0)
     TruncationPolicy.fixed(200)
     TruncationPolicy.adaptive(1e-10)
+    TruncationPolicy.adaptive(1e-13)
     with pytest.raises(ValueError, match="mode must be 'fixed_terms' or 'adaptive'"):
         TruncationPolicy("bogus")
     with pytest.raises(ValueError, match=r"n_max must lie in \[0, 200\]"):
         TruncationPolicy.fixed(-1)
     with pytest.raises(ValueError, match=r"n_max must lie in \[0, 200\]"):
         TruncationPolicy.fixed(201)
-    with pytest.raises(ValueError, match=r"term_tol must lie in \[1e-16, 1e-4\]"):
-        TruncationPolicy.adaptive(1e-17)
-    with pytest.raises(ValueError, match=r"term_tol must lie in \[1e-16, 1e-4\]"):
+    # below 1e-13 Craig's quadrature sits at its 50*eps roundoff floor
+    with pytest.raises(ValueError, match=r"term_tol must lie in \[1e-13, 1e-4\]"):
+        TruncationPolicy.adaptive(1e-14)
+    with pytest.raises(ValueError, match=r"term_tol must lie in \[1e-13, 1e-4\]"):
         TruncationPolicy.adaptive(1e-3)
     with pytest.raises(ValueError, match=r"n_max must lie in \[0, 200\]"):
         TruncationPolicy(n_max=-1)
@@ -269,7 +271,8 @@ def test_no_library_path_uses_the_half_line_fold(monkeypatch):
 def test_r2_term_scaled_evaluation_budget(monkeypatch):
     # for m < 1 the theta-integrand has a fractional-power endpoint at
     # theta = pi/2; the kernel's variable makes it smooth, so no call on
-    # the small-m panel needs deep bisection there
+    # the small-m panel needs deep bisection there.  Its evaluation
+    # counts are the same for every N on this panel
     from nakaber import _backend
 
     kernel = _backend.kernels.r2_term_scaled
@@ -287,7 +290,7 @@ def test_r2_term_scaled_evaluation_budget(monkeypatch):
         for snr_db in (-30, -10, 0, 10, 30, 60, 80):
             ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
             for order in (4, 256):
-                for trunc in (TruncationPolicy.fixed(5), TruncationPolicy.adaptive()):
+                for trunc in (TruncationPolicy.fixed(5), TruncationPolicy.fixed(30)):
                     r2_series(ch, Modulation(order).c1, trunc)
     assert len(counts) == 112
     assert max(counts) <= 300
@@ -364,19 +367,21 @@ def test_r2_series_error_decreases_with_terms():
 
 
 def test_r2_series_adaptive_stops_early():
+    # the 17 terms (n = 0..16) that a term-size stop at 1e-12 kept
     ch = ChannelParams(4.1, 10.0)
     alpha = 1.0
-    res = r2_series(ch, alpha, TruncationPolicy.adaptive(1e-12))
+    res = r2_series(ch, alpha, TruncationPolicy.fixed(16))
     assert res.terms_used < 60
     ref = r2_quadrature(ch, alpha, spec=TIGHT)
     assert res.value == pytest.approx(ref, rel=1e-9)
 
 
 def test_r2_series_fractional_m_stress():
-    # small b (high mean SNR) is the slowest-converging corner
+    # small b (high mean SNR) is the slowest-converging corner; 34 terms
+    # (n = 0..33) are where a term-size stop at 1e-13 ended
     ch = ChannelParams(0.6, 1000.0)
     alpha = Modulation(256).c1
-    res = r2_series(ch, alpha, TruncationPolicy.adaptive(1e-13))
+    res = r2_series(ch, alpha, TruncationPolicy.fixed(33))
     ref = r2_quadrature(ch, alpha, spec=QuadratureSpec(rel_tol=1e-13))
     assert res.value == pytest.approx(ref, rel=1e-7)
 
@@ -443,7 +448,8 @@ def test_aber_closed_diagnostic_weight_differs():
 def test_aber_closed_adaptive_large_m():
     # 30-digit value of the Craig-form average at m=45.5, 20 dB, QPSK;
     # the alternating correction series loses ~7 digits to cancellation
-    # here, which a per-term sum in doubles could not recover
+    # here; the adaptive route takes R2 from Craig's form, which does not
+    # cancel
     ch = ChannelParams(45.5, 100.0)
     got = aber_closed(ch, QPSK, TruncationPolicy.adaptive())
     assert got == pytest.approx(5.3552545392030535e-25, rel=1e-10)
@@ -466,22 +472,19 @@ def test_aber_closed_adaptive_small_m(m, snr_db, order, expected):
 def test_r2_series_cancelling_coefficients_stay_accurate():
     # for m = 80.5 the alternating coefficients cancel by ~1e13 at r_max;
     # a sum with coefficients rounded to doubles is off by ~3e-6 here.
+    # 72 terms (n = 0..71) reach the N -> oo limit to 1e-12.
     # Reference: 50-digit quadrature of the N -> oo series weight
     ch = ChannelParams(80.5, 1000.0)
-    res = r2_series(ch, QPSK.c1, TruncationPolicy.adaptive())
+    res = r2_series(ch, QPSK.c1, TruncationPolicy.fixed(71))
     assert res.value == pytest.approx(2.643414182312956982841031e-93, rel=1e-10)
 
 
-def test_r2_series_cancellation_beyond_double_double_raises():
-    # at m = 190.5 the adaptive bound sum cancels by ~1e33, so its
-    # rounding in doubles would decide where the series stops: the stop
-    # rule refuses; trusting it gives 4.8e-155 where R2 is 2.75e-154.
-    # Five terms cancel far less, and the fixed-point polynomial keeps
-    # its 64 bits there.  Reference: quadrature of the N = 5
-    # theta-integral in 50-digit arithmetic, good to ~1e-13
+def test_r2_series_five_terms_keep_their_bits_at_m_190_5():
+    # at m = 190.5 five terms cancel far less than the whole series, and
+    # the fixed-point polynomial keeps its 64 bits there.  Reference:
+    # quadrature of the N = 5 theta-integral in 50-digit arithmetic,
+    # good to ~1e-13
     ch = ChannelParams(190.5, 1000.0)
-    with pytest.raises(ConvergenceError, match="cancels past double precision"):
-        r2_series(ch, QPSK.c1, TruncationPolicy.adaptive())
     res = r2_series(ch, QPSK.c1, TruncationPolicy.fixed(5))
     assert res.value == pytest.approx(-9.3285654361203e-147, rel=1e-10, abs=0.0)
 
@@ -490,13 +493,14 @@ def test_r2_series_cancellation_beyond_double_double_raises():
 def test_fixed_point_correction_polynomial_is_correctly_rounded(m):
     # the series kernel's P_N(r) where its coefficients cancel, against
     # an exact rational evaluation at 101 r in [0, r_max]; with the
-    # coefficients scaled by 2^53 instead, most of these points are off
+    # coefficients scaled by 2^53 instead, most of these points are off.
+    # The term counts are where a term-size stop at 1e-12 ended
     from fractions import Fraction
 
     from nakaber import _purekernels
 
     ch = ChannelParams(m, 1000.0)
-    n_terms = r2_series(ch, QPSK.c1, TruncationPolicy.adaptive()).terms_used
+    n_terms = {13.35: 19, 30.5: 32, 45.2: 44, 80.5: 72}[m]
     fixed = _purekernels._fixed_coefs(n_terms, m)[::-1]
     exact = [Fraction(2)]
     for k in range(1, n_terms):
@@ -526,10 +530,35 @@ def test_fixed_point_path_refuses_foreign_coefficients():
                                     QuadratureSpec(rel_tol=1e-13))
 
 
-def test_adaptive_series_past_the_term_cap_raises():
-    ch = ChannelParams(500.5, 1000.0)
-    with pytest.raises(ConvergenceError):
-        r2_series(ch, QPSK.c1, TruncationPolicy.adaptive())
+@pytest.mark.parametrize("m", [80.5, 190.5, 500.5])
+def test_aber_closed_adaptive_matches_the_oracle_at_large_m(m):
+    # where the paper's series cancels past double precision or needs
+    # hundreds of terms, its untruncated limit still holds
+    ch = ChannelParams(m, 1000.0)
+    tight = QuadratureSpec(rel_tol=1e-13)
+    got = aber_closed(ch, QPSK, TruncationPolicy.adaptive(1e-13))
+    assert got == pytest.approx(aber_oracle(ch, QPSK, spec=tight), rel=1e-12, abs=0.0)
+
+
+def test_aber_closed_adaptive_takes_r2_from_craigs_form(monkeypatch):
+    from nakaber import _backend
+
+    def refuse(*args):
+        raise AssertionError("closed(adaptive) summed the truncated series")
+
+    monkeypatch.setattr(_backend.kernels, "r2_term_scaled", refuse)
+    ch = ChannelParams(2.5, 10.0)
+    value, terms = aber_closed_with_terms(ch, QPSK, TruncationPolicy.adaptive(1e-13))
+    assert terms == 0
+    assert AberMethod.closed_form(TruncationPolicy.adaptive()).evaluate(ch, QPSK).terms == 0
+    c0 = QPSK.c0
+    r2 = r2_quadrature(ch, QPSK.c1, QuadratureSpec(rel_tol=1e-13))
+    assert value == (4.0 * c0 - 2.0 * c0 * c0) * lemma2_avg_q(ch, QPSK.c1) + 4.0 * c0 * c0 * r2
+
+
+def test_r2_series_refuses_the_adaptive_policy():
+    with pytest.raises(ValueError, match="r2_quadrature"):
+        r2_series(RAYLEIGH_UNIT, 1.0, TruncationPolicy.adaptive())
 
 
 def test_aber_lu_closed_frozen_value():
@@ -697,7 +726,8 @@ def test_oracle_kernels_at_high_snr_match_their_closed_forms(kind, variant):
 
 
 # 1e-14 lies below the 50*eps roundoff floor of every Kronrod panel, so
-# these integrals spend the engine's whole budget of 2000 bisections
+# these integrals spend the engine's whole budget of bisections, which
+# the tests cut from 2000 to 20
 STARVED = QuadratureSpec(rel_tol=1e-14)
 
 
@@ -709,7 +739,10 @@ STARVED = QuadratureSpec(rel_tol=1e-14)
     (lambda ch: r2_series(ch, QPSK.c1, spec=STARVED),
      "correction series quadrature did not converge"),
 ], ids=["oracle", "r2_quadrature", "r2_series"])
-def test_starved_budget_raises_with_payload(route, message):
+def test_starved_budget_raises_with_payload(monkeypatch, route, message):
+    from nakaber import quad
+
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 20)
     with pytest.raises(ConvergenceError, match=message) as exc_info:
         route(ChannelParams(0.6, 10.0))
     err = exc_info.value

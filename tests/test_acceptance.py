@@ -8,7 +8,7 @@ Checks 3 and 5 hold the five-term series to the truncation bound B_5 it
 provably obeys (see truncation_bound): check 3 asserts the squared-Q
 correction error e_5 <= B_5 on its 14 points, check 5 asserts the
 five-term average BER within 4*c0^2*B_5 of the oracle on all 80 grid
-points and the adaptive series within 1e-6 of it.  The 1e-6 target for
+points and closed(adaptive) within 1e-6 of it.  The 1e-6 target for
 five terms is not met where the series converges slowly (m < 1, and
 m = 2.5 at 20-30 dB for QPSK), so both lines report it as a
 measurement: the worst ratio to the target and the points over it.
@@ -220,7 +220,7 @@ def test_05_series_closed_form_end_to_end():
     ok = main_ok and diag_ok
     detail = (f"five-term form vs quadrature within 4c0^2*B5 worst_ratio={worst_bound_ratio:.2f} "
               f"failures={len(bound_failures)}/80; "
-              f"adaptive worst rel={worst_adaptive:.2e} failures={len(adaptive_failures)}/80 (tol 1e-6)"
+              f"closed(adaptive) worst rel={worst_adaptive:.2e} failures={len(adaptive_failures)}/80 (tol 1e-6)"
               + ("; single-weight diagnostic correctly fails at vanishing SNR"
                  if diag_ok else "; single-weight diagnostic DID NOT fail")
               + (" [" + "; ".join(bound_failures + adaptive_failures) + "]"

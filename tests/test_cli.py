@@ -129,12 +129,19 @@ def test_aber_expq_different_pairs_get_custom_label(capsys):
     assert 0.0 < float(kv["aber"]) < 1.0
 
 
-def test_aber_adaptive_past_the_term_cap_is_numerical_failure(capsys):
-    code, _, err = run_cli(capsys, "aber", "--m", "500.5", "--snr-db", "30",
+def test_aber_adaptive_past_the_old_term_cap_matches_the_oracle(capsys):
+    # the paper's series needs more than 200 terms here; the adaptive
+    # route takes its untruncated limit
+    code, out, _ = run_cli(capsys, "aber", "--m", "500.5", "--snr-db", "30",
                            "--mod", "4", "--method", "closed",
                            "--adaptive-tol", "1e-12")
-    assert code == 3
-    assert "200 terms" in err
+    assert code == 0
+    kv = parse_kv_line(out)
+    assert kv["method"] == "closed(adaptive)"
+    _, out_o, _ = run_cli(capsys, "aber", "--m", "500.5", "--snr-db", "30",
+                          "--mod", "4", "--method", "oracle", "--rel-tol", "1e-13")
+    oracle = float(parse_kv_line(out_o)["aber"])
+    assert float(kv["aber"]) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("argv", [
