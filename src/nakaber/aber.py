@@ -44,6 +44,8 @@ _SERIES_CAP = 200
 _SERIES_SPEC = QuadratureSpec(rel_tol=1e-11)
 # largest m the closed-form E[Q] takes (see lemma2_avg_q)
 _AVG_Q_M_MAX = 1e4
+# the ConvergenceError message of an oracle that misses its tolerance
+_ORACLE_UNCONVERGED = "average-BER quadrature did not reach its tolerance"
 
 
 class TruncationPolicy(_Value):
@@ -256,13 +258,6 @@ def oracle_result(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
     return channel.fading_average(ch, kernel, spec, rate=rate)
 
 
-def _converged_oracle(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
-                      spec: QuadratureSpec | None = None,
-                      variant: QApproxVariant | None = None) -> QuadratureResult:
-    return require_converged(oracle_result(ch, mod, ber_kind, spec, variant),
-                             "average-BER quadrature did not reach its tolerance")
-
-
 def aber_oracle(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
                 spec: QuadratureSpec | None = None,
                 variant: QApproxVariant | None = None) -> float:
@@ -271,7 +266,8 @@ def aber_oracle(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
     The ConvergenceError carries the best value and error estimate, so
     callers that want the unconverged number can still read it.
     """
-    return _converged_oracle(ch, mod, ber_kind, spec, variant).value
+    return require_converged(oracle_result(ch, mod, ber_kind, spec, variant),
+                             _ORACLE_UNCONVERGED).value
 
 
 def aber_expq_closed(ch: ChannelParams, mod: Modulation,
@@ -370,6 +366,7 @@ class AberMethod(_Value):
         if self.tag == "lu_closed":
             return MethodValue(aber_lu_closed(ch, mod), 0, None)
         if self.tag == "oracle":
-            res = _converged_oracle(ch, mod, spec=self.spec)
+            res = require_converged(oracle_result(ch, mod, spec=self.spec),
+                                    _ORACLE_UNCONVERGED)
             return MethodValue(res.value, 0, res.error_estimate)
         return MethodValue(aber_expq_closed(ch, mod, self.variant), 0, None)

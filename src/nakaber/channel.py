@@ -38,8 +38,16 @@ _CHIANI_PAIRS = ((1.0 / 12.0, 0.5), (0.25, 2.0 / 3.0))
 
 
 def db_to_linear(snr_db: float) -> float:
-    """dB to linear power ratio; the only dB conversion in the package."""
-    return 10.0 ** (snr_db / 10.0)
+    """dB to linear power ratio; the only dB conversion in the package.
+
+    Raises ValueError above about 3,083 dB, where the ratio overflows a
+    float.
+    """
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{snr_db:g} dB overflows a float as a linear "
+                         "ratio (the limit is about 3083 dB)") from None
 
 
 class ChannelParams(_Value):

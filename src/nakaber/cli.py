@@ -76,6 +76,13 @@ def _parse_terms_list(text: str) -> list[int]:
         raise ValueError(f"--terms wants integers, got {text!r}") from None
 
 
+def _check_jobs(jobs: int) -> None:
+    # grids run in one thread; --jobs stays accepted (and range-checked)
+    # while the perfbench cli workload still passes it
+    if not 1 <= jobs <= 64:
+        raise ValueError(f"jobs must lie in [1, 64], got {jobs}")
+
+
 def _oracle_spec(args) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=args.rel_tol)
 
@@ -273,8 +280,9 @@ def _cmd_aber(args) -> int:
 def _cmd_sweep(args) -> int:
     from .harness import run_sweep
 
+    _check_jobs(args.jobs)
     rows = run_sweep(args.m, args.mod, _parse_range(args.snr_db_range),
-                     _parse_methods(args.method, args), jobs=args.jobs)
+                     _parse_methods(args.method, args))
     if args.emit_plot:
         _emit_plot(args.emit_plot, "sweep", rows)
     header = ["snr_db", "method", "value", "terms", "wall_time_ns"]
@@ -288,9 +296,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_discrepancy(args) -> int:
     from .harness import run_discrepancy
 
+    _check_jobs(args.jobs)
     rows = run_discrepancy(args.m, args.mod, _parse_range(args.snr_db_range),
                            _parse_methods(args.method, args),
-                           _oracle_spec(args), jobs=args.jobs)
+                           _oracle_spec(args))
     if args.emit_plot:
         _emit_plot(args.emit_plot, "discrepancy", rows)
     _write_csv(args.out, ["snr_db", "candidate_method", "epsilon_db"], rows)
@@ -392,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", type=str, default=None,
                          help="CSV path (default: stdout)")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="concurrent grid evaluations (1 to 64)")
+                         help="accepted and checked to lie in [1, 64], then "
+                              "ignored: grids run in one thread")
     p_sweep.add_argument("--no-timing", action="store_true",
                          help="drop the wall-time column (byte-stable CSV)")
     p_sweep.add_argument("--emit-plot", type=str, default=None,
@@ -410,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--out", type=str, default=None,
                         help="CSV path (default: stdout)")
     p_disc.add_argument("--jobs", type=int, default=1,
-                        help="concurrent grid evaluations (1 to 64)")
+                        help="accepted and checked to lie in [1, 64], then "
+                             "ignored: grids run in one thread")
     p_disc.add_argument("--emit-plot", type=str, default=None,
                         help="write a self-contained plot script here")
     p_disc.set_defaults(func=_cmd_discrepancy)

@@ -1,9 +1,9 @@
 """Sweep, discrepancy, timing, and self-check engines behind the CLI.
 
-Grid sweeps may fan out over a thread pool; result rows are assembled
-in sorted order regardless of completion order, so CSV output is
-deterministic.  Timing runs stay single-threaded to keep the measured
-ratios meaningful.
+Every runner evaluates its grid in one thread, point by point, and
+builds each point's ChannelParams once.  Sweep and discrepancy rows
+come back sorted by (snr_db, method label), so CSV output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -87,25 +87,6 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-# the pool's ceiling, so that outside input cannot decide how many OS
-# threads start (a grid may hold 100,000 points x 4 methods)
-_MAX_JOBS = 64
-
-
-def _map_tasks(fn: Callable, tasks: Sequence, jobs: int) -> list:
-    if not 1 <= jobs <= _MAX_JOBS:
-        raise ValueError(f"jobs must lie in [1, {_MAX_JOBS}], got {jobs}")
-    if jobs > 1:
-        # imported here, like statistics and random below: each of
-        # sweep, discrepancy, bench and selftest imports this module and
-        # needs at most one of them
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
 def _require_methods(methods: Sequence[AberMethod]) -> None:
     if not methods:
         raise ValueError("a grid run needs at least one method")
@@ -117,7 +98,7 @@ _RANGE_CHECKED = ("closed_form", "oracle")
 
 
 def run_sweep(m: float, order: int, snr_dbs: Sequence[float],
-              methods: Sequence[AberMethod], jobs: int = 1) -> list[SweepRow]:
+              methods: Sequence[AberMethod]) -> list[SweepRow]:
     """Evaluate every method at every grid point.
 
     Rows come back sorted by (snr_db, method label); wall times are
@@ -127,28 +108,26 @@ def run_sweep(m: float, order: int, snr_dbs: Sequence[float],
     """
     _require_methods(methods)
     mod = Modulation(order)
-
-    def run_one(task: tuple[float, AberMethod]) -> SweepRow:
-        snr_db, method = task
+    rows = []
+    for snr_db in snr_dbs:
         ch = ChannelParams(m, db_to_linear(snr_db))
-        t0 = time.perf_counter_ns()
-        mv = method.evaluate(ch, mod)
-        elapsed = time.perf_counter_ns() - t0
-        if method.tag in _RANGE_CHECKED and not 0.0 <= mv.value <= 1.0:
-            raise ValueError(f"method {method.label()} produced a value "
-                             f"outside [0, 1] at {snr_db} dB: {mv.value}")
-        return SweepRow(snr_db, method.label(), mv.value, mv.terms, elapsed)
-
-    tasks = [(snr_db, meth) for snr_db in snr_dbs for meth in methods]
-    rows = _map_tasks(run_one, tasks, jobs)
+        for method in methods:
+            t0 = time.perf_counter_ns()
+            mv = method.evaluate(ch, mod)
+            elapsed = time.perf_counter_ns() - t0
+            if method.tag in _RANGE_CHECKED and not 0.0 <= mv.value <= 1.0:
+                raise ValueError(f"method {method.label()} produced a value "
+                                 f"outside [0, 1] at {snr_db} dB: {mv.value}")
+            rows.append(SweepRow(snr_db, method.label(), mv.value, mv.terms,
+                                 elapsed))
     rows.sort(key=lambda r: (r.snr_db, r.method))
     return rows
 
 
 def run_discrepancy(m: float, order: int, snr_dbs: Sequence[float],
                     methods: Sequence[AberMethod],
-                    oracle_spec: QuadratureSpec | None = None,
-                    jobs: int = 1) -> list[DiscrepancyRow]:
+                    oracle_spec: QuadratureSpec | None = None
+                    ) -> list[DiscrepancyRow]:
     """Per grid point: reference oracle (exact kernel) vs each method.
 
     The reference is always the exact-kernel quadrature; the methods
@@ -156,18 +135,14 @@ def run_discrepancy(m: float, order: int, snr_dbs: Sequence[float],
     """
     _require_methods(methods)
     mod = Modulation(order)
-
-    def run_point(snr_db: float) -> list[DiscrepancyRow]:
+    rows = []
+    for snr_db in snr_dbs:
         ch = ChannelParams(m, db_to_linear(snr_db))
         reference = aber_mod.aber_oracle(ch, mod, "exact", oracle_spec)
-        out = []
         for method in methods:
             value = method.evaluate(ch, mod).value
-            out.append(DiscrepancyRow(snr_db, method.label(),
-                                      aber_mod.discrepancy(reference, value)))
-        return out
-
-    rows = [row for chunk in _map_tasks(run_point, snr_dbs, jobs) for row in chunk]
+            rows.append(DiscrepancyRow(snr_db, method.label(),
+                                       aber_mod.discrepancy(reference, value)))
     rows.sort(key=lambda r: (r.snr_db, r.candidate_method))
     return rows
 
@@ -211,7 +186,7 @@ def run_bench(m: float, order: int, snr_dbs: Sequence[float],
     """Median wall times of closed form vs matched-precision oracle.
 
     epsilon_t is the oracle-to-closed time ratio, so values >= 1 mean
-    the closed form is the faster route.  Runs strictly single-threaded.
+    the closed form is the faster route.
     """
     if reps < 10:
         raise ValueError("timing needs at least 10 repetitions")

@@ -228,6 +228,18 @@ def test_nonfinite_range_is_usage_error(capsys, sub):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("aber", "--snr-db", "4000", "--mod", "4"),
+    ("sweep", "--snr-db-range=3000:3100:50", "--mod", "4", "--method", "lu"),
+], ids=["aber", "sweep"])
+def test_mean_snr_past_float_range_is_usage_error(capsys, argv):
+    # 10^(dB/10) overflows a float from about 3,083 dB
+    code, out, err = run_cli(capsys, *argv, "--m", "1")
+    assert code == 2
+    assert out == ""
+    assert "dB overflows a float" in err
+
+
 def test_missing_snr_flags_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "aber", "--m", "1", "--mod", "4",
                          "--method", "lu")
@@ -474,6 +486,20 @@ def test_cli_import_leaves_unused_stdlib_modules_out():
     out = subprocess.run([sys.executable, "-c", probe],
                          capture_output=True, text=True, check=True, env=_child_env())
     assert out.stdout.strip() == ""
+
+
+def test_sweep_jobs_starts_no_pool():
+    # --jobs is range-checked and ignored: the grid runs in one thread
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "from nakaber.cli import main\n"
+             "code = main(['sweep', '--m', '1', '--mod', '4', '--snr-db-range', '0:2:1',\n"
+             "             '--method', 'lu', '--no-timing', '--jobs', '2'])\n"
+             "assert code == 0, code\n"
+             "print('concurrent.futures' in set(sys.modules) - before)\n")
+    out = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True, check=True, env=_child_env())
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 # --- README examples ---------------------------------------------------------

@@ -30,6 +30,8 @@ def test_db_to_linear():
     assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-14)
     assert db_to_linear(-10.0) == pytest.approx(0.1, rel=1e-14)
     assert db_to_linear(3.0) == pytest.approx(10.0 ** 0.3, rel=1e-14)
+    with pytest.raises(ValueError, match="4000 dB overflows a float"):
+        db_to_linear(4000.0)
 
 
 def test_db_grid_names_broken_condition():
@@ -84,14 +86,6 @@ def test_sweep_values_decrease_with_snr():
     for method, pts in by_method.items():
         values = [v for _, v in sorted(pts)]
         assert all(b < a for a, b in zip(values, values[1:])), method
-
-
-def test_sweep_jobs_do_not_change_values():
-    args = (1.0, 16, db_grid(0.0, 6.0, 2.0),
-            (AberMethod.closed_form(), AberMethod.lu_closed()))
-    solo = run_sweep(*args, jobs=1)
-    multi = run_sweep(*args, jobs=4)
-    assert [r[:-1] for r in solo] == [r[:-1] for r in multi]
 
 
 def test_sweep_rejects_out_of_range_values():
