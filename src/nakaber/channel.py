@@ -203,8 +203,16 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     falls on z = 1:
       head, m <= 1  z = x^(1/m), so z^(m-1) dz = dx/m and the density's
                     endpoint power leaves the integrand;
-      head, m > 1   z = x/(x + w*(1-x)), which spreads the mode's left
-                    flank, of width w = 1/sqrt(m), over the whole panel;
+      head, m > 1   z = v/(v + w*(1-v)), v = x^p, p = max(1, ceil(4/m)):
+                    the rational map spreads the mode's left flank, of
+                    width w = 1/sqrt(m), over the whole panel, and the
+                    integer power p grades it towards x = 0, where
+                    h * pdf goes like z^(m-1) times powers of sqrt(z)
+                    (the BER's sqrt(snr) term): in x these become
+                    x^(p*m-1), x^(p*m-1+p/2), ..., and p*m >= 4 leaves
+                    no endpoint power below 3, which would otherwise
+                    force the rule to bisect towards x = 0 again and
+                    again (p = 1 and v = x for m >= 4);
       tail          z = 1 + w*t/(1-t), t = x-1, with w = 1/m for m <= 1
                     (the tail's decay length) and 1/sqrt(m) above.
     Full diagnostic record; converged=False is reported, never hidden.
@@ -223,6 +231,10 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     power_head = m <= 1.0
     log_k_head = log_k - math.log(m)
     head_power = 1.0 / m
+    # v = x^grade = x when grade = 1, and the factor grade*v/x is left
+    # out, so m >= 4 keeps the bits of the ungraded map
+    grade = math.ceil(4.0 / m) if 1.0 < m < 4.0 else 1
+    graded = grade != 1
     width = 1.0 / m if power_head else 1.0 / math.sqrt(m)
     exp, log, log1p, log1p_minus = math.exp, math.log, math.log1p, _log1p_minus_small
 
@@ -233,16 +245,19 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
                 log_w = log_k_head + m * (1.0 - z)
                 jac = 1.0
             else:
-                d = x + width * (1.0 - x)
-                y = width * (1.0 - x) / d  # 1 - z, kept exact near the mode
+                v = x ** grade if graded else x
+                d = v + width * (1.0 - v)
+                y = width * (1.0 - v) / d  # 1 - z, not cancelled against z
                 if y >= 1.0:
                     return 0.0  # z = 0, where z^(m-1) vanishes
-                z = x / d
+                z = v / d
                 lz = log(z)
                 # (m-1)*log(z) - m*(z-1) = m*(log1p(-y) + y) - log(z)
                 peak = lz + y if y >= 0.1 else log1p_minus(-y)
                 log_w = log_k + m * peak - lz
                 jac = width / (d * d)
+                if graded:
+                    jac *= grade * v / x  # dv/dx = grade*x^(grade-1)
         else:
             t = x - 1.0
             u = 1.0 - t

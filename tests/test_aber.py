@@ -622,6 +622,9 @@ ORACLE_WHOLE_DOMAIN = [
     (20.5, 40.0, 4096, 1.5398785954880265e-12),
     (0.05, 80.0, 4096, 0.06640795956296394),
     (2.5, -20.0, 4, 0.3966085050292539),
+    (1.01, 80.0, 4096, 1.624656457241043e-07),
+    (2.0, 0.0, 4096, 0.1467245763473677),
+    (3.9, -30.0, 4, 0.42446538944929746),
 ]
 
 
@@ -662,6 +665,23 @@ def test_oracle_evaluation_budget():
                          Modulation(256)).evaluations <= 500
 
 
+def test_oracle_evaluation_budget_between_m_1_and_4():
+    # for 1 < m < 4 the head's endpoint powers z^(m-1) and z^(m-1/2) are
+    # fractional; graded by x^p, p*m >= 4, they cost no deep bisection
+    # (116,985 evaluations and 1,035 at worst with the ungraded head)
+    total = worst = 0
+    for m in (1.05, 1.2, 1.5, 2.0, 2.5, 3.3, 3.9):
+        for snr_db in (-30.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0, 60.0, 80.0):
+            for order in (4, 256, 4096):
+                res = oracle_result(ChannelParams(m, 10.0 ** (snr_db / 10.0)),
+                                    Modulation(order))
+                assert res.converged, (m, snr_db, order)
+                total += res.evaluations
+                worst = max(worst, res.evaluations)
+    assert total <= 43_005
+    assert worst <= 255
+
+
 def test_oracle_calls_gauss_q_once_per_node(monkeypatch):
     # the exact kernel looks gauss_q up on the kernel module at call
     # time, once per node, so a wrapped kernel sees every evaluation;
@@ -700,11 +720,20 @@ ORACLE_BITS = [
     (0.6, 1e6, 16, "expq", QApproxVariant.from_pairs([(0.3, 0.6), (0.1, 0.4)]),
      "QuadratureResult(value=8.756328253387011e-05, error_estimate=2.234089099327563e-15, "
      "evaluations=375, converged=True)"),
+    # either side of the graded m > 1 head, which leaves m <= 1 and
+    # m >= 4 as they were
+    (1.0, 10.0, 16, "exact", None,
+     "QuadratureResult(value=0.03810711953357704, error_estimate=1.7733259988058838e-12, "
+     "evaluations=765, converged=True)"),
+    (4.0, 100.0, 64, "exact", None,
+     "QuadratureResult(value=0.00020049720635270763, error_estimate=1.6304222524271035e-15, "
+     "evaluations=315, converged=True)"),
 ]
 
 
 @pytest.mark.parametrize("m,gbar,order,kind,variant,expected", ORACLE_BITS,
-                         ids=["exact-m0.6", "exact-m50", "exact-m0.05", "lu", "expq"])
+                         ids=["exact-m0.6", "exact-m50", "exact-m0.05", "lu", "expq",
+                              "exact-m1", "exact-m4"])
 def test_oracle_keeps_its_bits(m, gbar, order, kind, variant, expected):
     res = oracle_result(ChannelParams(m, gbar), Modulation(order), kind, variant=variant)
     assert repr(res) == expected
