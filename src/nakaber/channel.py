@@ -118,8 +118,12 @@ class QApproxVariant(_Value):
 def pdf(ch: ChannelParams, snr: float) -> float:
     """Density of the instantaneous SNR at a linear value snr >= 0.
 
-    Computed in log space so large m and extreme mean SNR cannot
-    overflow the gamma-function prefactor.
+    Computed in log space, in z = snr/mean_snr, so large m and extreme
+    mean SNR cannot overflow the gamma-function prefactor: the density
+    is exp(log_k + (m-1)*log(z) - m*(z-1)) / mean_snr, with log_k the
+    constant fading_average takes, which m*log(m) and lgamma(m) would
+    cancel to at large m.  Near z = 1, where (m-1)*log(z) and m*(z-1)
+    cancel, the exponent is m*(log1p(s) - s) - log1p(s), s = z - 1.
     """
     if not snr >= 0.0:
         raise ValueError("pdf requires snr >= 0")
@@ -132,13 +136,24 @@ def pdf(ch: ChannelParams, snr: float) -> float:
         if m == 1.0:
             return 1.0 / gbar
         return math.inf
-    log_f = (m * math.log(m / gbar) + (m - 1.0) * math.log(snr)
-             - m * snr / gbar - _backend.kernels.log_gamma(m))
-    # m < 1 densities are unbounded at the origin; saturate like the
-    # snr == 0 branch instead of raising once exp leaves double range
-    if log_f > 709.0:
-        return math.inf
-    return math.exp(log_f)
+    z = snr / gbar
+    s = z - 1.0
+    if abs(s) < 0.1:
+        lz = math.log1p(s)
+        log_f = m * _log1p_minus_small(s) - lz
+    else:
+        # log(z) itself, since log1p(z - 1) is -inf for a subnormal z;
+        # a z that leaves double range keeps its log as a difference
+        lz = math.log(z) if 1e-300 < z < 1e300 else math.log(snr) - math.log(gbar)
+        log_f = (m - 1.0) * lz - m * s
+    log_f += _log_peak_density(m)
+    if abs(log_f) < 700.0:
+        return math.exp(log_f) / gbar
+    # past double range before the 1/mean_snr factor: m < 1 densities
+    # are unbounded at the origin, so saturate like the snr == 0 branch
+    # instead of raising once exp leaves double range
+    log_f -= math.log(gbar)
+    return math.inf if log_f > 709.0 else math.exp(log_f)
 
 
 def mgf(ch: ChannelParams, p: float) -> float:

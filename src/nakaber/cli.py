@@ -28,8 +28,6 @@ EXIT_IO = 4
 
 def _fmt(x) -> str:
     """CSV cell formatting: floats at 17 significant digits."""
-    if isinstance(x, bool):
-        return str(x)
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
@@ -88,7 +86,7 @@ def _oracle_spec(args) -> QuadratureSpec:
 
 
 def _truncation(args) -> TruncationPolicy:
-    if getattr(args, "adaptive_tol", None) is not None:
+    if args.adaptive_tol is not None:
         return TruncationPolicy.adaptive(args.adaptive_tol)
     return TruncationPolicy.fixed(args.terms)
 
@@ -162,23 +160,7 @@ def _merge_config(argv: list[str]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
-
-
-def _write_csv(path: str | None, header: list[str], rows) -> None:
-    import csv
-
-    def emit(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
-
-    if path is None or path == "-":
-        emit(sys.stdout)
-    else:
-        with open(path, "w", newline="") as fh:
-            emit(fh)
+# output: a plot script and CSV, both from a harness row type
 
 
 _PLOT_TEMPLATE = '''"""Self-contained result plot; data inlined below.
@@ -186,6 +168,7 @@ _PLOT_TEMPLATE = '''"""Self-contained result plot; data inlined below.
 Usage: python {script_name} [--save out.png]
 """
 import argparse
+from math import inf
 
 import matplotlib.pyplot as plt
 
@@ -196,7 +179,19 @@ def main():
     ap.add_argument("--save", default=None, help="write the figure instead of showing it")
     opts = ap.parse_args()
     fig, ax = plt.subplots(figsize=(7.2, 4.8))
-{body}
+    series = {{}}
+    for row in ROWS:
+        if row[{y}] == -inf:
+            continue  # an exact match has no place on a dB axis
+        xs, ys = series.setdefault(row[{key}], ([], []))
+        xs.append(row[{x}])
+        ys.append(row[{y}])
+    for key in sorted(series):
+        ax.{draw}(*series[key], marker={marker!r}, markersize={size}, label={legend!r}.format(key))
+    for level in {lines!r}:
+        ax.axhline(level, color="k", linewidth=0.8, linestyle="--")
+    ax.set_xlabel({xlabel!r})
+    ax.set_ylabel({ylabel!r})
     ax.grid(True, which="both", alpha=0.3)
     ax.legend()
     fig.tight_layout()
@@ -209,49 +204,57 @@ if __name__ == "__main__":
     main()
 '''
 
-_PLOT_BODIES = {
-    "sweep": '''    series = {}
-    for snr_db, method, value, *_ in ROWS:
-        series.setdefault(method, ([], []))
-        series[method][0].append(snr_db)
-        series[method][1].append(value)
-    for method in sorted(series):
-        xs, ys = series[method]
-        ax.semilogy(xs, ys, marker="o", markersize=3, label=method)
-    ax.set_xlabel("mean SNR (dB)")
-    ax.set_ylabel("average BER")''',
-    "discrepancy": '''    series = {}
-    for snr_db, method, eps in ROWS:
-        if eps == float("-inf"):
-            continue  # candidate coincides with the reference
-        series.setdefault(method, ([], []))
-        series[method][0].append(snr_db)
-        series[method][1].append(eps)
-    for method in sorted(series):
-        xs, ys = series[method]
-        ax.plot(xs, ys, marker="o", markersize=3, label=method)
-    ax.set_xlabel("mean SNR (dB)")
-    ax.set_ylabel("discrepancy vs reference (dB)")''',
-    "bench": '''    series = {}
-    for snr_db, n_terms, t_closed, t_oracle, eps_t in ROWS:
-        series.setdefault(snr_db, ([], []))
-        series[snr_db][0].append(n_terms)
-        series[snr_db][1].append(eps_t)
-    for snr_db in sorted(series):
-        xs, ys = series[snr_db]
-        ax.plot(xs, ys, marker="s", markersize=4, label=f"{snr_db:g} dB")
-    ax.axhline(1.0, color="k", linewidth=0.8, linestyle="--")
-    ax.set_xlabel("series terms kept (N)")
-    ax.set_ylabel("oracle/closed time ratio")''',
+# per command: one series per value of the key column, y against x
+# drawn by an Axes method (which sets the y scale), the legend's format
+# for a key, and dashed horizontal lines (bench's break-even ratio)
+_PLOTS = {
+    "sweep": dict(key="method", x="snr_db", y="value", draw="semilogy",
+                  marker="o", size=3, legend="{}", lines=(),
+                  xlabel="mean SNR (dB)", ylabel="average BER"),
+    "discrepancy": dict(key="candidate_method", x="snr_db", y="epsilon_db",
+                        draw="plot", marker="o", size=3, legend="{}", lines=(),
+                        xlabel="mean SNR (dB)",
+                        ylabel="discrepancy vs reference (dB)"),
+    "bench": dict(key="snr_db", x="n_terms", y="epsilon_t", draw="plot",
+                  marker="s", size=4, legend="{:g} dB", lines=(1.0,),
+                  xlabel="series terms kept (N)",
+                  ylabel="oracle/closed time ratio"),
 }
 
 
-def _emit_plot(path: str, kind: str, rows) -> None:
-    rows = [tuple(r) for r in rows]
+def _emit_plot(path: str, kind: str, fields: tuple[str, ...], rows) -> None:
+    plot = dict(_PLOTS[kind])
+    for column in ("key", "x", "y"):
+        plot[column] = fields.index(plot[column])
     src = _PLOT_TEMPLATE.format(script_name=path.rsplit("/", 1)[-1],
-                                rows=rows, body=_PLOT_BODIES[kind])
+                                rows=[tuple(r) for r in rows], **plot)
     with open(path, "w") as fh:
         fh.write(src)
+
+
+def _write_outputs(args, row_type, rows, *, no_timing: bool = False) -> int:
+    """End a grid command: the plot script from the full rows, if one
+    was asked for, then the CSV, headed by the row type's fields.
+    no_timing drops the last column, the wall time."""
+    import csv
+
+    fields = row_type._fields
+    if args.emit_plot:
+        _emit_plot(args.emit_plot, args.command, fields, rows)
+    width = len(fields) - no_timing
+
+    def emit(fh) -> None:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields[:width])
+        for row in rows:
+            writer.writerow([_fmt(cell) for cell in row[:width]])
+
+    if args.out is None or args.out == "-":
+        emit(sys.stdout)
+    else:
+        with open(args.out, "w", newline="") as fh:
+            emit(fh)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -278,36 +281,26 @@ def _cmd_aber(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .harness import run_sweep
+    from .harness import SweepRow, run_sweep
 
     _check_jobs(args.jobs)
     rows = run_sweep(args.m, args.mod, _parse_range(args.snr_db_range),
                      _parse_methods(args.method, args))
-    if args.emit_plot:
-        _emit_plot(args.emit_plot, "sweep", rows)
-    header = ["snr_db", "method", "value", "terms", "wall_time_ns"]
-    if args.no_timing:
-        header = header[:-1]
-        rows = [r[:-1] for r in rows]
-    _write_csv(args.out, header, rows)
-    return EXIT_OK
+    return _write_outputs(args, SweepRow, rows, no_timing=args.no_timing)
 
 
 def _cmd_discrepancy(args) -> int:
-    from .harness import run_discrepancy
+    from .harness import DiscrepancyRow, run_discrepancy
 
     _check_jobs(args.jobs)
     rows = run_discrepancy(args.m, args.mod, _parse_range(args.snr_db_range),
                            _parse_methods(args.method, args),
                            _oracle_spec(args))
-    if args.emit_plot:
-        _emit_plot(args.emit_plot, "discrepancy", rows)
-    _write_csv(args.out, ["snr_db", "candidate_method", "epsilon_db"], rows)
-    return EXIT_OK
+    return _write_outputs(args, DiscrepancyRow, rows)
 
 
 def _cmd_bench(args) -> int:
-    from .harness import run_bench
+    from .harness import BenchRow, run_bench
 
     if args.snr_db_range:
         snr_dbs = _parse_range(args.snr_db_range)
@@ -317,11 +310,7 @@ def _cmd_bench(args) -> int:
         raise ValueError("bench needs --snr-db or --snr-db-range")
     rows = run_bench(args.m, args.mod, snr_dbs,
                      _parse_terms_list(args.terms), args.reps)
-    if args.emit_plot:
-        _emit_plot(args.emit_plot, "bench", rows)
-    _write_csv(args.out, ["snr_db", "n_terms", "t_closed_ns", "t_oracle_ns",
-                          "epsilon_t"], rows)
-    return EXIT_OK
+    return _write_outputs(args, BenchRow, rows)
 
 
 def _cmd_selftest(args) -> int:
@@ -348,107 +337,91 @@ def _cmd_selftest(args) -> int:
 # parser assembly
 
 
-def _add_common(sub: argparse.ArgumentParser, *, snr_point: bool,
-                snr_range: bool, methods: bool) -> None:
-    sub.add_argument("--m", type=float, required=True,
-                     help="Nakagami fading figure m > 0")
-    sub.add_argument("--mod", type=int, required=True,
-                     help="QAM order (4, 16, 64, 256, 1024, 4096)")
-    if snr_point:
-        sub.add_argument("--snr-db", type=float,
-                         required=not snr_range,
-                         help="mean SNR in dB")
-    if snr_range:
-        sub.add_argument("--snr-db-range", type=str,
-                         required=not snr_point,
-                         help="dB grid as start:stop:step")
-    if methods:
-        sub.add_argument("--adaptive-tol", type=float, default=None,
-                         help="untruncated series: correction term by "
-                              "quadrature of Craig's form to this relative "
-                              "tolerance, in [1e-13, 1e-4]; overrides --terms")
-        sub.add_argument("--rel-tol", type=float, default=1e-10,
-                         help="relative tolerance for oracle quadrature")
-        sub.add_argument("--expq", type=str, default=None,
-                         help="exponential Q-approx pairs w1:r1,w2:r2,... "
-                              "(default: the two-term set)")
-    sub.add_argument("--config", type=str, default=None,
-                     help="key=value file mirroring these flags; "
-                          "explicit flags win")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nakaber",
         description="Average BER of square M-QAM over Nakagami-m fading: "
                     "series closed forms vs quadrature reference.")
     subs = parser.add_subparsers(dest="command", required=True)
-
     p_aber = subs.add_parser("aber", help="evaluate one ABER value")
-    _add_common(p_aber, snr_point=True, snr_range=False, methods=True)
-    p_aber.add_argument("--method", type=str, default="closed",
-                        help="closed | lu | oracle | expq")
-    p_aber.add_argument("--terms", type=int, default=5,
-                        help="series terms kept: n = 0..N")
     p_aber.set_defaults(func=_cmd_aber)
-
     p_sweep = subs.add_parser("sweep", help="ABER over a dB grid, CSV out")
-    _add_common(p_sweep, snr_point=False, snr_range=True, methods=True)
-    p_sweep.add_argument("--method", type=str, default="closed,lu,oracle",
-                         help="comma list of closed | lu | oracle | expq")
-    p_sweep.add_argument("--terms", type=int, default=5,
-                         help="series terms kept: n = 0..N")
-    p_sweep.add_argument("--out", type=str, default=None,
-                         help="CSV path (default: stdout)")
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="accepted and checked to lie in [1, 64], then "
-                              "ignored: grids run in one thread")
-    p_sweep.add_argument("--no-timing", action="store_true",
-                         help="drop the wall-time column (byte-stable CSV)")
-    p_sweep.add_argument("--emit-plot", type=str, default=None,
-                         help="write a self-contained plot script here")
     p_sweep.set_defaults(func=_cmd_sweep)
-
     p_disc = subs.add_parser("discrepancy",
                              help="per-method deviation from the quadrature "
                                   "reference, CSV out")
-    _add_common(p_disc, snr_point=False, snr_range=True, methods=True)
-    p_disc.add_argument("--method", type=str, default="closed,lu",
-                        help="comma list of candidate methods")
-    p_disc.add_argument("--terms", type=int, default=5,
-                        help="series terms kept: n = 0..N")
-    p_disc.add_argument("--out", type=str, default=None,
-                        help="CSV path (default: stdout)")
-    p_disc.add_argument("--jobs", type=int, default=1,
-                        help="accepted and checked to lie in [1, 64], then "
-                             "ignored: grids run in one thread")
-    p_disc.add_argument("--emit-plot", type=str, default=None,
-                        help="write a self-contained plot script here")
     p_disc.set_defaults(func=_cmd_discrepancy)
-
     p_bench = subs.add_parser("bench",
                               help="closed-form vs oracle timing at matched "
                                    "5-digit precision, CSV out")
-    _add_common(p_bench, snr_point=True, snr_range=True, methods=False)
-    p_bench.add_argument("--terms", type=str, default="0,1,2,3,5",
-                         help="comma list of series term counts to time")
-    p_bench.add_argument("--reps", type=int, default=30,
-                         help="timing repetitions per point (>= 10)")
-    p_bench.add_argument("--out", type=str, default=None,
-                         help="CSV path (default: stdout)")
-    p_bench.add_argument("--emit-plot", type=str, default=None,
-                         help="write a self-contained plot script here")
     p_bench.set_defaults(func=_cmd_bench)
-
     p_self = subs.add_parser("selftest", help="run the invariant suite")
+    p_self.set_defaults(func=_cmd_selftest)
+
+    # --method's default and help, per command that evaluates methods
+    evaluating = {p_aber: ("closed", "closed | lu | oracle | expq"),
+                  p_sweep: ("closed,lu,oracle",
+                            "comma list of closed | lu | oracle | expq"),
+                  p_disc: ("closed,lu", "comma list of candidate methods")}
+    grids = (p_sweep, p_disc, p_bench)
+
+    # each flag is declared once for the commands it serves, in the
+    # order --help lists them
+    for sub, snr_point, snr_range in ((p_aber, True, False),
+                                      (p_sweep, False, True),
+                                      (p_disc, False, True),
+                                      (p_bench, True, True)):
+        sub.add_argument("--m", type=float, required=True,
+                         help="Nakagami fading figure m > 0")
+        sub.add_argument("--mod", type=int, required=True,
+                         help="QAM order (4, 16, 64, 256, 1024, 4096)")
+        if snr_point:
+            sub.add_argument("--snr-db", type=float, required=not snr_range,
+                             help="mean SNR in dB")
+        if snr_range:
+            sub.add_argument("--snr-db-range", type=str,
+                             required=not snr_point,
+                             help="dB grid as start:stop:step")
+    for sub in evaluating:
+        sub.add_argument("--adaptive-tol", type=float, default=None,
+                         help="untruncated series: correction term by "
+                              "quadrature of Craig's form to this relative "
+                              "tolerance, in [1e-13, 1e-4]; overrides --terms")
+        sub.add_argument("--rel-tol", type=float,
+                         default=QuadratureSpec().rel_tol,
+                         help="relative tolerance for oracle quadrature")
+        sub.add_argument("--expq", type=str, default=None,
+                         help="exponential Q-approx pairs w1:r1,w2:r2,... "
+                              "(default: the two-term set)")
     p_self.add_argument("--group", action="append", default=None,
                         help="run only these groups (repeatable or comma list)")
     p_self.add_argument("--list", action="store_true",
                         help="list group names without running")
-    p_self.add_argument("--config", type=str, default=None,
-                        help="key=value file mirroring these flags")
-    p_self.set_defaults(func=_cmd_selftest)
-
+    for sub in subs.choices.values():
+        sub.add_argument("--config", type=str, default=None,
+                         help="key=value file mirroring these flags; "
+                              "explicit flags win")
+    for sub, (methods, methods_help) in evaluating.items():
+        sub.add_argument("--method", type=str, default=methods,
+                         help=methods_help)
+        sub.add_argument("--terms", type=int, default=5,
+                         help="series terms kept: n = 0..N")
+    p_bench.add_argument("--terms", type=str, default="0,1,2,3,5",
+                         help="comma list of series term counts to time")
+    p_bench.add_argument("--reps", type=int, default=30,
+                         help="timing repetitions per point (>= 10)")
+    for sub in grids:
+        sub.add_argument("--out", type=str, default=None,
+                         help="CSV path (default: stdout)")
+    for sub in (p_sweep, p_disc):
+        sub.add_argument("--jobs", type=int, default=1,
+                         help="accepted and checked to lie in [1, 64], then "
+                              "ignored: grids run in one thread")
+    p_sweep.add_argument("--no-timing", action="store_true",
+                         help="drop the wall-time column (byte-stable CSV)")
+    for sub in grids:
+        sub.add_argument("--emit-plot", type=str, default=None,
+                         help="write a self-contained plot script here")
     return parser
 
 

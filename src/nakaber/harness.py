@@ -58,6 +58,7 @@ def db_grid(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(int(math.floor(steps)) + 1)]
 
 
+# the CLI writes each row type's fields, in order, as its CSV header
 class SweepRow(NamedTuple):
     snr_db: float
     method: str
@@ -260,38 +261,37 @@ def _avg_q_kernel(alpha: float, power: int) -> Callable[[float], float]:
     return lambda g: kernels.gauss_q(sqrt(two_alpha * g)) ** power
 
 
-def _check_lemma2() -> list[CheckResult]:
-    out = []
-    worst = 0.0
-    worst_at = ""
+def _worst_against_quadrature(group: str, name: str, power: int,
+                              closed: Callable[[ChannelParams, float], float],
+                              tol: str) -> list[CheckResult]:
+    """The worst relative difference on the identity grid between a
+    closed form of E[Q(sqrt(2*alpha*snr))**power] and its quadrature,
+    alpha = c1 of each order; tol is the bound as printed."""
+    worst, worst_at = 0.0, ""
     for ch, mod, snr_db in _identity_grid():
-        closed = aber_mod.lemma2_avg_q(ch, mod.c1)
-        oracle = fading_average(ch, _avg_q_kernel(mod.c1, 1), _IDENTITY_SPEC,
-                                rate=mod.c1).value
-        rd = _rel_diff(closed, oracle)
+        alpha = mod.c1
+        oracle = fading_average(ch, _avg_q_kernel(alpha, power), _IDENTITY_SPEC,
+                                rate=power * alpha).value
+        rd = _rel_diff(closed(ch, alpha), oracle)
         if rd > worst:
             worst, worst_at = rd, f"m={ch.m:g} snr={snr_db:g}dB M={mod.order}"
-    out.append(CheckResult("lemma2", "avg-Q closed form vs quadrature (80-point grid)",
-                           worst <= 1e-8, f"worst rel_diff={worst:.3e} at {worst_at} tol=1e-8"))
-    return out
+    return [CheckResult(group, name, worst <= float(tol),
+                        f"worst rel_diff={worst:.3e} at {worst_at} tol={tol}")]
+
+
+def _check_lemma2() -> list[CheckResult]:
+    return _worst_against_quadrature(
+        "lemma2", "avg-Q closed form vs quadrature (80-point grid)", 1,
+        aber_mod.lemma2_avg_q, "1e-8")
 
 
 def _check_lemma3() -> list[CheckResult]:
-    out = []
-    worst = 0.0
-    worst_at = ""
-    for ch, mod, snr_db in _identity_grid():
-        quarter_i = 0.5 * aber_mod.lemma2_avg_q(ch, mod.c1)
-        closed = quarter_i - aber_mod.r2_quadrature(ch, mod.c1,
-                                                    spec=_IDENTITY_SPEC)
-        oracle = fading_average(ch, _avg_q_kernel(mod.c1, 2), _IDENTITY_SPEC,
-                                rate=2.0 * mod.c1).value
-        rd = _rel_diff(closed, oracle)
-        if rd > worst:
-            worst, worst_at = rd, f"m={ch.m:g} snr={snr_db:g}dB M={mod.order}"
-    out.append(CheckResult("lemma3", "avg-Q^2 split vs quadrature (80-point grid)",
-                           worst <= 1e-7, f"worst rel_diff={worst:.3e} at {worst_at} tol=1e-7"))
-    return out
+    # E[Q^2] = I/4 - R2, with I/4 half of lemma 2's E[Q]
+    return _worst_against_quadrature(
+        "lemma3", "avg-Q^2 split vs quadrature (80-point grid)", 2,
+        lambda ch, alpha: (0.5 * aber_mod.lemma2_avg_q(ch, alpha)
+                           - aber_mod.r2_quadrature(ch, alpha, spec=_IDENTITY_SPEC)),
+        "1e-7")
 
 
 def _check_reflection() -> list[CheckResult]:

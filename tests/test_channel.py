@@ -141,6 +141,34 @@ def test_pdf_survives_extreme_prefactors():
     assert math.isinf(pdf(ChannelParams(0.02, 1.0), 1e-320))
 
 
+@pytest.mark.parametrize("m", [5000.0, 1e4])
+def test_pdf_large_m_matches_high_precision(m):
+    # m*log(m/gbar) and lgamma(m) cancel at large m; the density's
+    # constant has to come from Stirling's series instead
+    import mpmath
+
+    with mpmath.workdps(40):
+        for gbar in (1e-3, 1.0, 1e3, 1e8):
+            for z in (0.9, 0.99, 1.0, 1.01, 1.1):
+                snr = z * gbar
+                mm, g, x = mpmath.mpf(m), mpmath.mpf(gbar), mpmath.mpf(snr)
+                ref = mpmath.exp(mm * mpmath.log(mm / g) + (mm - 1) * mpmath.log(x)
+                                 - mm * x / g - mpmath.loggamma(mm))
+                got = pdf(ChannelParams(m, gbar), snr)
+                assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0), (gbar, z)
+
+
+def test_pdf_where_snr_over_mean_leaves_double_range():
+    # snr/mean_snr underflows to 0 or overflows to inf; the density's
+    # logarithm still holds it, 1/mean_snr included
+    assert pdf(ChannelParams(0.3, 1e300), 1e-300) == pytest.approx(
+        2.329363971895541e+119, rel=1e-12, abs=0.0)
+    assert pdf(ChannelParams(2.5, 1e300), 1e-300) == 0.0
+    assert pdf(ChannelParams(2.5, 1e-10), 1e300) == 0.0
+    assert pdf(ChannelParams(0.5, 1e-300), 1e-310) == pytest.approx(
+        3.989422803814856e+304, rel=1e-12, abs=0.0)
+
+
 # --- mgf ---------------------------------------------------------------------
 
 def test_mgf_at_zero_is_one():

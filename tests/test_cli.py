@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from nakaber.cli import main
+from nakaber.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,6 +29,14 @@ def run_cli(capsys, *argv):
 
 def parse_kv_line(line):
     return dict(part.split("=", 1) for part in line.strip().split(" "))
+
+
+def _child_env():
+    # a child interpreter imports nakaber from this checkout, installed or not
+    src = str(ROOT / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 # --- aber --------------------------------------------------------------------
@@ -435,12 +443,82 @@ def test_unwritable_out_is_io_error(capsys):
     assert code == 4
 
 
+# --- flag surface ------------------------------------------------------------
+
+_COMMON = {"m": 1.0, "mod": 4, "config": None}
+_EVALUATING = {**_COMMON, "adaptive_tol": None, "rel_tol": 1e-10, "expq": None,
+               "terms": 5}
+_GRID = {**_EVALUATING, "snr_db_range": "0:2:1", "out": None, "jobs": 1,
+         "emit_plot": None}
+
+
+@pytest.mark.parametrize("argv,parsed", [
+    ("aber --m 1 --mod 4 --snr-db 0",
+     {**_EVALUATING, "command": "aber", "snr_db": 0.0, "method": "closed"}),
+    ("sweep --m 1 --mod 4 --snr-db-range 0:2:1",
+     {**_GRID, "command": "sweep", "method": "closed,lu,oracle", "no_timing": False}),
+    ("discrepancy --m 1 --mod 4 --snr-db-range 0:2:1",
+     {**_GRID, "command": "discrepancy", "method": "closed,lu"}),
+    ("bench --m 1 --mod 4 --snr-db 0",
+     {**_COMMON, "command": "bench", "snr_db": 0.0, "snr_db_range": None,
+      "terms": "0,1,2,3,5", "reps": 30, "out": None, "emit_plot": None}),
+    ("selftest", {"command": "selftest", "group": None, "list": False, "config": None}),
+], ids=["aber", "sweep", "discrepancy", "bench", "selftest"])
+def test_parsed_flags_and_defaults_are_frozen(argv, parsed):
+    # every flag's destination and default, per subcommand
+    args = vars(build_parser().parse_args(argv.split()))
+    del args["func"]
+    assert args == parsed
+
+
 # --- plot emission -----------------------------------------------------------
 
+# a stand-in for matplotlib: every call is accepted, and savefig writes
+# the axes' calls (method and keyword arguments) to the file it is given
+_STUB_PYPLOT = """\
+class _Recorder:
+    def __init__(self, calls):
+        self._calls = calls
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self._calls.append((name, sorted(kwargs.items())))
+        return call
+
+
+_CALLS = []
+
+
+class _Figure:
+    def tight_layout(self):
+        pass
+
+    def savefig(self, path, **kwargs):
+        with open(path, "w") as fh:
+            fh.write(repr(_CALLS))
+
+
+def subplots(**kwargs):
+    return _Figure(), _Recorder(_CALLS)
+
+
+def show():
+    pass
+"""
+
+
 def test_emit_plot_scripts_compile(tmp_path, capsys):
-    for sub, extra in (("sweep", ["--method", "closed,lu"]),
-                       ("discrepancy", ["--method", "closed,lu"]),
-                       ("bench", ["--terms", "0,2", "--reps", "10"])):
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("")
+    (stub / "pyplot.py").write_text(_STUB_PYPLOT)
+    env = _child_env()
+    env["PYTHONPATH"] = os.pathsep.join((str(tmp_path / "stub"), env["PYTHONPATH"]))
+    for sub, extra, drawn in (
+            ("sweep", ["--method", "closed,lu"], ("semilogy",)),
+            # oracle against the reference is an exact match, epsilon_db -inf
+            ("discrepancy", ["--method", "closed,lu,oracle"], ("plot",)),
+            ("bench", ["--terms", "0,2", "--reps", "10"], ("plot", "axhline"))):
         plot = tmp_path / f"{sub}_plot.py"
         argv = [sub, "--m", "0.6", "--mod", "256", "--emit-plot", str(plot)]
         if sub == "bench":
@@ -453,17 +531,15 @@ def test_emit_plot_scripts_compile(tmp_path, capsys):
         source = plot.read_text()
         compile(source, str(plot), "exec")
         assert "matplotlib" in source
+        saved = tmp_path / f"{sub}.png"
+        ran = subprocess.run([sys.executable, str(plot), "--save", str(saved)],
+                             capture_output=True, text=True, env=env)
+        assert ran.returncode == 0, ran.stderr
+        calls = saved.read_text()
+        assert all(f"('{name}'," in calls for name in drawn), sub
 
 
 # --- module entry point ------------------------------------------------------
-
-def _child_env():
-    # a child interpreter imports nakaber from this checkout, installed or not
-    src = str(ROOT / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return env
-
 
 def test_module_execution_smoke():
     out = subprocess.run(
