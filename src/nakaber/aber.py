@@ -102,7 +102,12 @@ def lemma2_avg_q(ch: ChannelParams, alpha: float) -> float:
 
     Equals (1/2) * I_x(m, 1/2) with x = m/(m + alpha*mean_snr); checked
     against direct quadrature of the defining average by the self tests.
-    Every route that averages Q in closed form (closed, lu) calls this.
+    Every route that averages Q in closed form (closed, lu) goes through
+    this rule: closed calls it, and lu sums its terms through it in one
+    pass (_avg_q_sum, of which this is the one-term case).  Each term is
+    one call of the reg_inc_beta kernel, which keeps a few (a, b)
+    states, so lu's terms share the fraction's factors and a repeat of
+    the last x costs no step; every value keeps its bits.
 
     Where x > m/(m + 1/2), the side on which the incomplete beta takes
     its complement, it is (1/2)*(1 - I_y(1/2, m)) with
@@ -117,17 +122,30 @@ def lemma2_avg_q(ch: ChannelParams, alpha: float) -> float:
     ConvergenceError: the error keeps growing with m, and huge m needs
     a route of its own.
     """
+    return _avg_q_sum(ch, alpha, (1,))
+
+
+def _avg_q_sum(ch: ChannelParams, alpha: float, ks) -> float:
+    """Sum over k in ks of the fading average of
+    Q(sqrt(2*alpha*k^2*snr)), each term by lemma2_avg_q's rule."""
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
-    if ch.m > _AVG_Q_M_MAX:
+    m, snr = ch.m, ch.mean_snr
+    if m > _AVG_Q_M_MAX:
         raise ConvergenceError(
             f"closed-form E[Q] is not accurate to 1e-10 for m above "
-            f"{_AVG_Q_M_MAX:g} (m={ch.m:g})")
-    c = alpha * ch.mean_snr
-    x = ch.m / (ch.m + c)
-    if x > ch.m / (ch.m + 0.5):
-        return 0.5 * (1.0 - _backend.kernels.reg_inc_beta(c / (ch.m + c), 0.5, ch.m))
-    return 0.5 * _backend.kernels.reg_inc_beta(x, ch.m, 0.5)
+            f"{_AVG_Q_M_MAX:g} (m={m:g})")
+    reg_inc_beta = _backend.kernels.reg_inc_beta
+    switch = m / (m + 0.5)
+    total = 0.0
+    for k in ks:
+        c = alpha * k * k * snr
+        x = m / (m + c)
+        if x > switch:
+            total += 0.5 * (1.0 - reg_inc_beta(c / (m + c), 0.5, m))
+        else:
+            total += 0.5 * reg_inc_beta(x, m, 0.5)
+    return total
 
 
 def r2_quadrature(ch: ChannelParams, alpha: float,
@@ -222,15 +240,12 @@ def aber_closed(ch: ChannelParams, mod: Modulation,
 def aber_lu_closed(ch: ChannelParams, mod: Modulation) -> float:
     """Exact closed form of the averaged sum-of-Q BER approximation.
 
-    4*c0 * sum_j E[Q(sqrt(2*c1*(2j-1)^2*snr))]; no truncation is
-    involved, so it matches the quadrature of its own kernel to oracle
-    accuracy.
+    4*c0 * sum_j E[Q(sqrt(2*c1*(2j-1)^2*snr))], j = 1..sqrt(M)/2, summed
+    in one pass through Lemma 2's rule; no truncation is involved, so it
+    matches the quadrature of its own kernel to oracle accuracy.
     """
-    total = 0.0
-    for j in range(1, int(round(math.sqrt(mod.order))) // 2 + 1):
-        k = 2.0 * j - 1.0
-        total += lemma2_avg_q(ch, mod.c1 * k * k)
-    return 4.0 * mod.c0 * total
+    odd = range(1, int(round(math.sqrt(mod.order))), 2)
+    return 4.0 * mod.c0 * _avg_q_sum(ch, mod.c1, odd)
 
 
 def _ber_kernel(mod: Modulation, ber_kind: str, variant: QApproxVariant | None

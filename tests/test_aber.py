@@ -25,7 +25,7 @@ from nakaber.aber import (
     r2_quadrature,
     r2_series,
 )
-from nakaber.channel import ChannelParams, Modulation, QApproxVariant
+from nakaber.channel import SUPPORTED_ORDERS, ChannelParams, Modulation, QApproxVariant
 from nakaber.quad import ConvergenceError, QuadratureSpec
 from nakaber.specfun import reg_inc_beta
 
@@ -68,9 +68,33 @@ def test_truncation_policy_defaults():
 
 # --- averaged Q --------------------------------------------------------------
 
-def test_avg_q_rayleigh_closed_form():
-    assert lemma2_avg_q(RAYLEIGH_UNIT, 1.0) == pytest.approx(
-        AVG_Q_RAYLEIGH, rel=1e-14)
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+@pytest.mark.parametrize("snr_db", range(-30, 81, 10), ids=lambda db: f"{db}dB")
+def test_avg_q_rayleigh_closed_form(snr_db, order):
+    # under Rayleigh fading E[Q] = (1 - mu)/2, mu = sqrt(c/(1+c)),
+    # c = alpha*gbar; written as 1/(2(1+c)(1+mu)) it does not cancel
+    # where mu nears 1.  QPSK's alpha is 1, so 0 dB there is
+    # AVG_Q_RAYLEIGH
+    ch = ChannelParams(1.0, 10.0 ** (snr_db / 10.0))
+    c = Modulation(order).c1 * ch.mean_snr
+    mu = math.sqrt(c / (1.0 + c))
+    expected = 1.0 / (2.0 * (1.0 + c) * (1.0 + mu))
+    assert lemma2_avg_q(ch, Modulation(order).c1) == pytest.approx(
+        expected, rel=1e-14, abs=0.0)
+    if (snr_db, order) == (0, 4):
+        assert expected == pytest.approx(AVG_Q_RAYLEIGH, rel=1e-15)
+
+
+@given(st.floats(min_value=0.05, max_value=1e4),
+       st.floats(min_value=-30.0, max_value=80.0),
+       st.floats(min_value=0.5, max_value=5.0),
+       st.sampled_from(SUPPORTED_ORDERS))
+@settings(max_examples=300)
+def test_avg_q_does_not_rise_with_mean_snr(m, snr_db, step_db, order):
+    alpha = Modulation(order).c1
+    lo = lemma2_avg_q(ChannelParams(m, 10.0 ** (snr_db / 10.0)), alpha)
+    hi = lemma2_avg_q(ChannelParams(m, 10.0 ** ((snr_db + step_db) / 10.0)), alpha)
+    assert hi <= lo
 
 
 def test_avg_q_frozen_value():
@@ -569,6 +593,21 @@ def test_aber_lu_closed_frozen_value():
 def test_aber_lu_closed_low_snr_limit():
     ch = ChannelParams(4.1, 1e-10)
     assert aber_lu_closed(ch, QPSK) == pytest.approx(0.5, abs=1e-4)
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_aber_lu_closed_is_the_per_term_lemma2_sum(order):
+    # lu sums its terms in one pass; each keeps the bits of its own
+    # lemma2_avg_q call, added in the same order
+    mod = Modulation(order)
+    for m in (0.05, 0.6, 2.5, 20.5, 1e4):
+        for snr_db in (-30.0, 0.0, 17.3, 80.0):
+            ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
+            total = 0.0
+            for j in range(1, int(round(math.sqrt(order))) // 2 + 1):
+                k = 2.0 * j - 1.0
+                total += lemma2_avg_q(ch, mod.c1 * k * k)
+            assert aber_lu_closed(ch, mod) == 4.0 * mod.c0 * total
 
 
 def test_aber_lu_closed_matches_its_own_average():

@@ -5,10 +5,14 @@ the checks do not depend on the code under test.
 """
 
 import math
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nakaber import _purekernels
 from nakaber.quad import ConvergenceError, QuadratureSpec
 from nakaber.specfun import (
     appell_f1,
@@ -197,6 +201,143 @@ def test_reg_inc_beta_domain():
         reg_inc_beta(0.5, 0.0, 1.0)
     with pytest.raises(ValueError):
         reg_inc_beta(0.5, 1.0, -1.0)
+
+
+# --- reg_inc_beta's cached states -------------------------------------------
+
+# the kernel's continued fraction as a plain modified Lentz loop, which
+# rebuilds every factor on every call: the reference for the bits of the
+# kernel, which keeps log B(a, b), the factors and the last (x, value)
+# per (a, b) pair
+_CF_MAX_ITER = 400
+_CF_EPS = 1e-16
+_CF_TINY = 1e-300
+
+
+def _beta_cf_plain(x, a, b):
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _CF_TINY:
+        d = _CF_TINY
+    d = 1.0 / d
+    h = d
+    for it in range(1, _CF_MAX_ITER + 1):
+        m2 = 2 * it
+        aa = it * (b - it) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _CF_TINY:
+            d = _CF_TINY
+        c = 1.0 + aa / c
+        if abs(c) < _CF_TINY:
+            c = _CF_TINY
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + it) * (qab + it) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _CF_TINY:
+            d = _CF_TINY
+        c = 1.0 + aa / c
+        if abs(c) < _CF_TINY:
+            c = _CF_TINY
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < _CF_EPS:
+            return h
+    # unreachable for in-domain arguments; keep the best value anyway
+    return h
+
+
+def _reg_inc_beta_plain(x, a, b):
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    log_b = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_b)
+    if x <= a / (a + b):
+        return front * _beta_cf_plain(x, a, b) / a
+    return 1.0 - front * _beta_cf_plain(1.0 - x, b, a) / b
+
+
+def _lemma2_panel(seed, pairs):
+    """(x, a, b) calls over Lemma 2's pairs (m, 1/2) and (1/2, m), m
+    log-uniform on [0.05, 1e4], x log-uniform from 1e-12 up to the
+    switch a/(a+b), the switch itself and one x past it; shuffled, so
+    the pairs interleave.  Every x is asked twice in a row, then its
+    neighbour one ulp down, which the last-(x, value) memo must not
+    answer."""
+    rng = random.Random(seed)
+    calls = []
+    for _ in range(pairs):
+        m = math.exp(rng.uniform(math.log(0.05), math.log(1e4)))
+        for a, b in ((m, 0.5), (0.5, m)):
+            switch = a / (a + b)
+            xs = [math.exp(rng.uniform(math.log(1e-12), math.log(switch)))
+                  for _ in range(6)]
+            xs += [switch, switch + (1.0 - switch) * rng.random()]
+            calls += [(x, a, b) for x in xs]
+    rng.shuffle(calls)
+    return [c for x, a, b in calls
+            for c in ((x, a, b), (x, a, b), (math.nextafter(x, 0.0), a, b))]
+
+
+def test_reg_inc_beta_keeps_the_plain_loops_bits():
+    _purekernels._cf_state.cache_clear()
+    deepest = 0
+    for x, a, b in _lemma2_panel(20, 60):
+        assert reg_inc_beta(x, a, b) == _reg_inc_beta_plain(x, a, b), (x, a, b)
+        if x <= a / (a + b):
+            deepest = max(deepest, len(_purekernels._cf_state(a, b).steps))
+    # some fraction walked past 128 steps (at most 135 for m <= 1e4)
+    assert deepest > 128
+    assert _purekernels._cf_state.cache_info().misses > 8 * _purekernels._CF_STATES
+
+
+def test_reg_inc_beta_threads_share_states_bit_for_bit():
+    calls = _lemma2_panel(21, 12)
+    expected = [_reg_inc_beta_plain(*call) for call in calls]
+    got = [None] * 4
+
+    def run(i):
+        # each thread walks the panel from its own offset, so the four
+        # interleave on the same states
+        k = i * len(calls) // 4
+        order = list(range(k, len(calls))) + list(range(k))
+        got[i] = {j: reg_inc_beta(*calls[j]) for j in order}
+
+    _purekernels._cf_state.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for values in got:
+        assert [values[j] for j in range(len(calls))] == expected
+
+
+def test_reg_inc_beta_cache_stays_bounded():
+    for i in range(1000):
+        reg_inc_beta(0.3, 1.0 + i / 7.0, 0.5)
+    info = _purekernels._cf_state.cache_info()
+    assert info.currsize <= info.maxsize == _purekernels._CF_STATES
+
+
+@pytest.mark.parametrize("x, n", [(0.5, 1e6), (0.49995, 1e7)])
+def test_reg_inc_beta_refuses_an_unconverged_fraction(x, n):
+    # 400 steps leave I_0.5(1e6, 1e6) at 0.4999999996611189, where it is
+    # 0.5, and I_0.49995(1e7, 1e7) 1.5e-8 off
+    with pytest.raises(ConvergenceError, match="did not converge in 400 steps"):
+        reg_inc_beta(x, n, n)
 
 
 # --- appell_f1 -------------------------------------------------------------
