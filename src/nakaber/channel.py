@@ -216,8 +216,12 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     1/sqrt(m).  One finite quadrature over x in [0, 2] covers the head
     z <= 1 (x < 1) and the tail z >= 1 (x >= 1), so its first bisection
     falls on z = 1:
-      head, m <= 1  z = x^(1/m), so z^(m-1) dz = dx/m and the density's
-                    endpoint power leaves the integrand;
+      head, m <= 1  z = x^(2/m), so z^(m-1) dz = (2/m)*x dx and the
+                    density's endpoint power leaves the integrand; the
+                    BER's sqrt(snr) term, powers of sqrt(z), becomes
+                    x^(1+1/m), x^(1+2/m), ..., with no exponent below 2
+                    (z = x^(1/m) left x^(1/(2m)), a power below 1 for
+                    m > 1/2, where the rule under-stated its error);
       head, m > 1   z = v/(v + w*(1-v)), v = x^p, p = max(1, ceil(4/m)):
                     the rational map spreads the mode's left flank, of
                     width w = 1/sqrt(m), over the whole panel, and the
@@ -244,8 +248,8 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     log_k = _log_peak_density(m) - m * math.log1p(tilt)
     rate_per_z = rate * snr_per_z
     power_head = m <= 1.0
-    log_k_head = log_k - math.log(m)
-    head_power = 1.0 / m
+    log_k_head = log_k + math.log(2.0 / m)
+    head_power = 2.0 / m
     # v = x^grade = x when grade = 1, and the factor grade*v/x is left
     # out, so m >= 4 keeps the bits of the ungraded map
     grade = math.ceil(4.0 / m) if 1.0 < m < 4.0 else 1
@@ -258,7 +262,7 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
             if power_head:
                 z = x ** head_power
                 log_w = log_k_head + m * (1.0 - z)
-                jac = 1.0
+                jac = x
             else:
                 v = x ** grade if graded else x
                 d = v + width * (1.0 - v)
