@@ -1,9 +1,10 @@
-"""The numeric kernels every layer calls.
+"""The benchmark's handle on the kernel module, and its backend name.
 
-aber, channel, harness and specfun look kernels up as
-``_backend.kernels.<name>`` at call time, so a caller can swap or wrap
-one kernel without touching the modules that use it.  The kernels are
-pure Python (``_purekernels``).
+``kernels`` is ``_purekernels`` itself.  aber, channel, harness and
+specfun import that module and look each kernel up in it at call time,
+so patching an attribute of ``kernels`` patches it for them too.  Only
+perfbench reaches the kernels and ``backend_name`` through here; this
+module goes with the next change to the benchmark.
 """
 
 from __future__ import annotations

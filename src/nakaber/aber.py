@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from . import _backend, channel
+from . import _purekernels as kernels
+from . import channel
 from .channel import ChannelParams, Modulation, QApproxVariant
 from .quad import (ConvergenceError, QuadratureResult, QuadratureSpec, _Value,
                    require_converged)
@@ -135,7 +136,7 @@ def _avg_q_sum(ch: ChannelParams, alpha: float, ks) -> float:
         raise ConvergenceError(
             f"closed-form E[Q] is not accurate to 1e-10 for m above "
             f"{_AVG_Q_M_MAX:g} (m={m:g})")
-    reg_inc_beta = _backend.kernels.reg_inc_beta
+    reg_inc_beta = kernels.reg_inc_beta
     switch = m / (m + 0.5)
     total = 0.0
     for k in ks:
@@ -164,7 +165,7 @@ def r2_quadrature(ch: ChannelParams, alpha: float,
         raise ValueError("alpha must be positive and finite")
     b = ch.m / (alpha * ch.mean_snr)
     return require_converged(
-        _backend.kernels.r2_integral(b, ch.m, spec),
+        kernels.r2_integral(b, ch.m, spec),
         "squared-Q correction quadrature did not converge").value
 
 
@@ -206,7 +207,7 @@ def r2_series(ch: ChannelParams, alpha: float,
             break  # integer m: every later coefficient carries this zero
         coefs.append(coefs[-1] * factor / n * (n - 0.5) / (n + 0.5))
     res = require_converged(
-        _backend.kernels.r2_term_scaled(tuple(coefs), m, b, spec),
+        kernels.r2_term_scaled(tuple(coefs), m, b, spec),
         "correction series quadrature did not converge")
     return SeriesResult(res.value, len(coefs))
 

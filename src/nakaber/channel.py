@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from . import _backend, quad
+from . import _purekernels as kernels
+from . import quad
 from .quad import _Value
 
 __all__ = [
@@ -173,7 +174,7 @@ def _log_peak_density(m: float) -> float:
     Past m = 100 it comes from Stirling's series, because m*log(m) - m
     and lgamma(m) cancel to a residue of about log(m)/2 there."""
     if m < 100.0:
-        return m * math.log(m) - m - _backend.kernels.log_gamma(m)
+        return m * math.log(m) - m - kernels.log_gamma(m)
     inv2 = 1.0 / (m * m)
     return (0.5 * math.log(m / (2.0 * math.pi))
             - (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) / m)
@@ -306,7 +307,6 @@ def _ber_exact_kernel(mod: Modulation) -> Callable[[float], float]:
     four_c0 = 4.0 * mod.c0
     four_c0_sq = four_c0 * mod.c0
     two_c1 = 2.0 * mod.c1
-    kernels = _backend.kernels
     sqrt = math.sqrt
 
     def ber(snr: float) -> float:
@@ -324,7 +324,6 @@ def _ber_lu_kernel(mod: Modulation) -> Callable[[float], float]:
     two_c1 = 2.0 * mod.c1
     odd = tuple(2.0 * j - 1.0
                 for j in range(1, int(round(math.sqrt(mod.order))) // 2 + 1))
-    kernels = _backend.kernels
     sqrt = math.sqrt
 
     def ber(snr: float) -> float:

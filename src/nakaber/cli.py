@@ -142,7 +142,8 @@ def _config_tokens(path: str) -> list[str]:
             elif value.lower() in ("false", "no", "off") and key in ("no-timing", "list"):
                 continue
             else:
-                tokens.extend([f"--{key}", value])
+                # one token, so a value such as -12:-8:2 is not read as a flag
+                tokens.append(f"--{key}={value}")
     return tokens
 
 

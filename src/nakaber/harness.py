@@ -12,7 +12,8 @@ import math
 import time
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from . import _backend, quad, specfun
+from . import _purekernels as kernels
+from . import quad, specfun
 from . import aber as aber_mod
 from .aber import AberMethod, TruncationPolicy
 from .channel import ChannelParams, Modulation, db_to_linear, fading_average
@@ -24,7 +25,6 @@ __all__ = [
     "DiscrepancyRow",
     "SweepRow",
     "db_grid",
-    "db_to_linear",
     "run_bench",
     "run_discrepancy",
     "run_selftest",
@@ -254,7 +254,6 @@ def _avg_q_kernel(alpha: float, power: int) -> Callable[[float], float]:
     """snr -> Q(sqrt(2*alpha*snr))**power, the integrand of lemma2
     (power 1) and lemma3 (power 2), with alpha taken once."""
     two_alpha = 2.0 * alpha
-    kernels = _backend.kernels
     sqrt = math.sqrt
     if power == 1:
         return lambda g: kernels.gauss_q(sqrt(two_alpha * g))

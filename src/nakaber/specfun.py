@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from . import _backend
+from . import _purekernels as kernels
 from .quad import QuadratureSpec, require_converged
 
 __all__ = [
@@ -27,21 +27,21 @@ def log_gamma(x: float) -> float:
     """Natural log of the gamma function, for finite x > 0."""
     if not (x > 0.0 and math.isfinite(x)):
         raise ValueError("log_gamma requires finite x > 0")
-    return _backend.kernels.log_gamma(x)
+    return kernels.log_gamma(x)
 
 
 def gauss_q(z: float) -> float:
     """Standard normal tail probability Q(z) = P(Z > z)."""
     if not math.isfinite(z):
         raise ValueError("gauss_q requires finite z")
-    return _backend.kernels.gauss_q(z)
+    return kernels.gauss_q(z)
 
 
 def log_beta(a: float, b: float) -> float:
     """Natural log of the beta function B(a, b), for a, b > 0."""
     if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
         raise ValueError("log_beta requires finite a > 0 and b > 0")
-    return _backend.kernels.log_beta(a, b)
+    return kernels.log_beta(a, b)
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
@@ -60,7 +60,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         raise ValueError("reg_inc_beta requires finite a > 0 and b > 0")
     if not 0.0 <= x <= 1.0:
         raise ValueError("reg_inc_beta requires 0 <= x <= 1")
-    return _backend.kernels.reg_inc_beta(x, a, b)
+    return kernels.reg_inc_beta(x, a, b)
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
@@ -85,5 +85,5 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
     if spec is None:
         spec = QuadratureSpec(rel_tol=1e-11)
     return require_converged(
-        _backend.kernels.appell_f1(a, b1, b2, c, x, y, spec),
+        kernels.appell_f1(a, b1, b2, c, x, y, spec),
         "appell_f1 quadrature did not reach the requested accuracy").value

@@ -29,10 +29,9 @@ from nakaber.aber import (
     r2_quadrature,
     r2_series,
 )
-from nakaber.channel import ChannelParams, Modulation
+from nakaber.channel import ChannelParams, Modulation, db_to_linear
 from nakaber.harness import (
     db_grid,
-    db_to_linear,
     run_bench,
     run_discrepancy,
     run_selftest,

@@ -254,6 +254,52 @@ def test_missing_snr_flags_is_usage_error(capsys):
     assert code == 2
 
 
+# (argv, config file text or None, exit code, stderr after "error: ");
+# {cfg} stands for the config path and {est} for an error estimate
+_REFUSALS = [
+    (("sweep", "--snr-db-range", "1:2"), None, 2,
+     "--snr-db-range wants a:b:step, got '1:2'"),
+    (("sweep", "--snr-db-range", "a:b:c"), None, 2,
+     "--snr-db-range wants numeric a:b:step, got 'a:b:c'"),
+    (("aber", "--snr-db", "0", "--method", "expq", "--expq", "0.1"), None, 2,
+     "--expq wants w1:r1,w2:r2,..., got '0.1'"),
+    (("aber", "--snr-db", "0", "--method", "expq", "--expq", "x:y"), None, 2,
+     "--expq pair 'x:y' is not numeric"),
+    (("aber", "--snr-db", "0", "--method", "expq", "--expq=0:0.5"), None, 2,
+     "--expq: weights and rates must be positive and finite"),
+    (("bench", "--snr-db", "0", "--terms", "1,x"), None, 2,
+     "--terms wants integers, got '1,x'"),
+    (("bench", "--terms", "0"), None, 2,
+     "bench needs --snr-db or --snr-db-range"),
+    (("aber", "--snr-db", "0"), "m 1\n", 2,
+     "{cfg}:1: expected key=value, got 'm 1'"),
+    (("aber", "--snr-db", "0"), "=1\n", 2, "{cfg}:1: empty key"),
+    (("aber", "--snr-db", "0", "--method", "oracle", "--rel-tol", "1e-14"), None, 3,
+     "did not converge: average-BER quadrature did not reach its tolerance "
+     "(best value 0.137702055556, error estimate {est})"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, message", _REFUSALS,
+    ids=["range-parts", "range-numeric", "expq-pair", "expq-numeric",
+         "expq-positive", "bench-terms", "bench-no-snr", "config-no-equals",
+         "config-empty-key", "oracle-unconverged"])
+def test_refusal_prints_only_its_message(tmp_path, capsys, argv, config, code,
+                                         message):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = (*argv, "--config", str(cfg))
+        message = message.replace("{cfg}", str(cfg))
+    got, out, err = run_cli(capsys, *argv, "--m", "1", "--mod", "4")
+    assert got == code
+    assert out == ""
+    pattern = re.escape(f"error: {message}\n").replace(
+        re.escape("{est}"), r"\d\.\d{3}e[-+]\d+")
+    assert re.fullmatch(pattern, err), err
+
+
 # --- sweep -------------------------------------------------------------------
 
 def test_sweep_csv_schema_and_row_count(capsys):
@@ -418,6 +464,22 @@ def test_config_supplies_flags(tmp_path, capsys):
     assert len(rows) == 1 + 4 * 2
 
 
+def test_config_negative_range_matches_the_flags(tmp_path, capsys):
+    # a config value is passed as --key=value, so -12:-8:2 is not read
+    # as a flag
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m=1\nmod=4\nsnr-db-range=-12:-8:2\nmethod=lu\n"
+                   "no-timing=true\n")
+    code, from_config, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 0
+    code, from_flags, _ = run_cli(capsys, "sweep", "--m", "1", "--mod", "4",
+                                  "--snr-db-range=-12:-8:2", "--method", "lu",
+                                  "--no-timing")
+    assert code == 0
+    assert len(from_flags.splitlines()) == 1 + 3
+    assert from_config == from_flags
+
+
 def test_explicit_flag_beats_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("m = 1\nmod = 16\nsnr-db = 0\nmethod = lu\n")
@@ -562,6 +624,25 @@ def test_cli_import_leaves_unused_stdlib_modules_out():
     out = subprocess.run([sys.executable, "-c", probe],
                          capture_output=True, text=True, check=True, env=_child_env())
     assert out.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("nakaber", {"nakaber", "nakaber._backend", "nakaber._purekernels",
+                 "nakaber.quad"}),
+    ("nakaber.cli", {"nakaber", "nakaber._backend", "nakaber._purekernels",
+                     "nakaber.quad", "nakaber.channel", "nakaber.aber",
+                     "nakaber.cli"}),
+])
+def test_import_loads_only_the_modules_it_serves(module, loaded):
+    # the package exports backend_name alone; cli loads harness and
+    # specfun only when a command needs them
+    probe = ("import sys\n"
+             f"import {module}\n"
+             "print(' '.join(sorted(n for n in sys.modules\n"
+             "                      if n.split('.')[0] == 'nakaber')))\n")
+    out = subprocess.run([sys.executable, "-c", probe],
+                         capture_output=True, text=True, check=True, env=_child_env())
+    assert set(out.stdout.split()) == loaded
 
 
 def test_sweep_jobs_starts_no_pool():

@@ -5,10 +5,9 @@ import math
 import pytest
 
 from nakaber.aber import AberMethod, TruncationPolicy, aber_oracle
-from nakaber.channel import ChannelParams, Modulation
+from nakaber.channel import ChannelParams, Modulation, db_to_linear
 from nakaber.harness import (
     db_grid,
-    db_to_linear,
     run_bench,
     run_discrepancy,
     run_selftest,
@@ -121,6 +120,30 @@ def test_stabilized_oracle_spec_is_reasonable():
     ch = ChannelParams(0.6, 10.0)
     spec = stabilized_oracle_spec(ch, Modulation(256))
     assert 1e-14 <= spec.rel_tol <= 1e-4
+
+
+@pytest.mark.parametrize("stable_from, kept, calls", [
+    (1e-7, pytest.approx(1e-7, rel=1e-12), 5),
+    (0.0, 1.0000000000000002e-14, 11),
+], ids=["agrees-from-1e-7", "never-agrees"])
+def test_stabilized_oracle_spec_tightens_until_two_values_agree(
+        monkeypatch, stable_from, kept, calls):
+    # a stand-in oracle whose value moves with rel_tol above stable_from
+    # and holds still below it: the earlier spec of the first agreeing
+    # pair is kept, and with no agreeing pair the tightest one tried
+    from nakaber import aber
+
+    tried = []
+
+    def fake_oracle(ch, mod, kernel, spec):
+        tried.append(spec.rel_tol)
+        return 1.0 + 1e3 * max(spec.rel_tol, stable_from) ** 0.5
+
+    monkeypatch.setattr(aber, "aber_oracle", fake_oracle)
+    spec = stabilized_oracle_spec(ChannelParams(0.6, 10.0), Modulation(256))
+    assert spec.rel_tol == kept
+    # one oracle call per decade, from 1e-4 down
+    assert len(tried) == calls
 
 
 def test_stabilized_spec_value_matches_tight_oracle():

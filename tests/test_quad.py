@@ -211,6 +211,17 @@ def test_starved_budget_reports_nonconvergence(monkeypatch):
     assert res.error_estimate > 0.0
 
 
+def test_panel_at_float_resolution_is_kept_unsplit():
+    # [1, 1 + 2^-52] is one float wide: its midpoint rounds onto an end,
+    # so the panel cannot be bisected and the loop ends with it in the sum
+    hi = math.nextafter(1.0, 2.0)
+    res = integrate_finite(lambda t: t, 1.0, hi, QuadratureSpec(rel_tol=1e-14))
+    assert not res.converged
+    assert res.evaluations == 15
+    # the exact value, 2^-52 * (1 + 2^-53), lies 2^-105 from 2^-52
+    assert abs(res.value - 2.0 ** -52) + 2.0 ** -105 <= res.error_estimate
+
+
 def test_convergence_error_carries_payload():
     err = ConvergenceError("no luck", value=0.25, error_estimate=1e-3)
     assert err.value == 0.25
