@@ -223,18 +223,17 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
                     x^(1+1/m), x^(1+2/m), ..., with no exponent below 2
                     (z = x^(1/m) left x^(1/(2m)), a power below 1 for
                     m > 1/2, where the rule under-stated its error);
-      head, m > 1   z = v/(v + w*(1-v)), v = x^p, p = max(1, ceil(4/m)):
-                    the rational map spreads the mode's left flank, of
-                    width w = 1/sqrt(m), over the whole panel, and the
-                    integer power p grades it towards x = 0, where
-                    h * pdf goes like z^(m-1) times powers of sqrt(z)
-                    (the BER's sqrt(snr) term): in x these become
-                    x^(p*m-1), x^(p*m-1+p/2), ..., and p*m >= 4 leaves
-                    no endpoint power below 3, which would otherwise
-                    force the rule to bisect towards x = 0 again and
-                    again (p = 1 and v = x for m >= 4);
-      tail          z = 1 + w*t/(1-t), t = x-1, with w = 1/m for m <= 1
-                    (the tail's decay length) and 1/sqrt(m) above.
+      head, m > 1   z = x^p, p = 4/sqrt(m), taken in logs: the
+                    density's z^(m-1) and the jacobian p*z/x leave
+                    x^(4*sqrt(m)-1), no endpoint power below 3, and the
+                    BER's sqrt(z) terms add powers p/2; the power spreads
+                    the mode's left flank, of width about 1/sqrt(m),
+                    over the panel without squeezing it towards x = 0;
+      tail, m <= 1  z = 1 + t/(m*(1-t)), t = x-1, a rational fold at the
+                    tail's decay length 1/m;
+      tail, m > 1   z = 1 - p*log(2-x), so e^(-m*z) becomes
+                    e^(-m)*(2-x)^(4*sqrt(m)), with no decay squeezed
+                    towards x = 2.
     Full diagnostic record; converged=False is reported, never hidden.
     """
     if not (rate >= 0.0 and math.isfinite(rate)):
@@ -248,49 +247,50 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     # the shape's e^(-m*z) back into e^(-m*lam*z)
     log_k = _log_peak_density(m) - m * math.log1p(tilt)
     rate_per_z = rate * snr_per_z
-    power_head = m <= 1.0
-    log_k_head = log_k + math.log(2.0 / m)
-    head_power = 2.0 / m
-    # v = x^grade = x when grade = 1, and the factor grade*v/x is left
-    # out, so m >= 4 keeps the bits of the ungraded map
-    grade = math.ceil(4.0 / m) if 1.0 < m < 4.0 else 1
-    graded = grade != 1
-    width = 1.0 / m if power_head else 1.0 / math.sqrt(m)
-    exp, log, log1p, log1p_minus = math.exp, math.log, math.log1p, _log1p_minus_small
+    exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
+    log1p_minus = _log1p_minus_small
+    if m <= 1.0:
+        log_k_head = log_k + math.log(2.0 / m)
+        head_power = 2.0 / m
+        width = 1.0 / m
+    else:
+        power = 4.0 / math.sqrt(m)
+        log_k_head = log_k + math.log(power)
 
     def f(x: float) -> float:
         if x < 1.0:
-            if power_head:
+            if m <= 1.0:
                 z = x ** head_power
                 log_w = log_k_head + m * (1.0 - z)
                 jac = x
             else:
-                v = x ** grade if graded else x
-                d = v + width * (1.0 - v)
-                y = width * (1.0 - v) / d  # 1 - z, not cancelled against z
-                if y >= 1.0:
+                if x == 0.0:
                     return 0.0  # z = 0, where z^(m-1) vanishes
-                z = v / d
-                lz = log(z)
-                # (m-1)*log(z) - m*(z-1) = m*(log1p(-y) + y) - log(z)
+                lz = power * log(x)
+                # z itself, not 1 - y, which rounds a z below 1e-16 to 0
+                z = exp(lz)
+                y = -expm1(lz)  # 1 - z, not cancelled against z
+                # (m-1)*log(z) - m*(z-1) + log(dz/dx), dz/dx = p*z/x
                 peak = lz + y if y >= 0.1 else log1p_minus(-y)
-                log_w = log_k + m * peak - lz
-                jac = width / (d * d)
-                if graded:
-                    jac *= grade * v / x  # dv/dx = grade*x^(grade-1)
+                log_w = log_k_head + m * peak - lz / power
+                jac = 1.0
         else:
-            t = x - 1.0
-            u = 1.0 - t
+            u = 2.0 - x
             if u <= 0.0:
-                # a panel edge can round onto t = 1, where the folded
+                # a panel edge can round onto x = 2, where the folded
                 # integrand of any integrable average vanishes
                 return 0.0
-            s = width * t / u
+            if m <= 1.0:
+                t = x - 1.0
+                s = width * t / u
+                jac = width / (u * u)
+            else:
+                s = -power * log(u)
+                jac = power / u
             z = 1.0 + s
             lz = log1p(s)
             peak = lz - s if s >= 0.1 else log1p_minus(s)
             log_w = log_k + m * peak - lz
-            jac = width / (u * u)
         w = exp(log_w + rate_per_z * z)
         if w == 0.0:
             return 0.0

@@ -721,11 +721,21 @@ def _head_evaluations(ms):
 
 def test_oracle_evaluation_budget_between_m_1_and_4():
     # for 1 < m < 4 the head's endpoint powers z^(m-1) and z^(m-1/2) are
-    # fractional; graded by x^p, p*m >= 4, they cost no deep bisection
-    # (116,985 evaluations and 1,035 at worst with the ungraded head)
+    # fractional; in z = x^p, p = 4/sqrt(m), they become x^(4*sqrt(m)-1)
+    # and up and cost no deep bisection (116,985 evaluations and 1,035 at
+    # worst with the ungraded rational head, 43,005 and 255 graded)
     total, worst = _head_evaluations((1.05, 1.2, 1.5, 2.0, 2.5, 3.3, 3.9))
     assert total <= 43_005
     assert worst <= 255
+
+
+def test_oracle_evaluation_budget_from_m_4():
+    # for m > 1 the head is z = x^p, p = 4/sqrt(m), and the tail
+    # z = 1 - p*log(2-x): neither squeezes the mass towards an end of
+    # [0, 2] (54,075 evaluations and 315 at worst with the rational maps)
+    total, worst = _head_evaluations((4.1, 6.0, 8.3, 12.0, 20.5, 30.0, 50.0))
+    assert total <= 27_735
+    assert worst <= 195
 
 
 def test_oracle_evaluation_budget_up_to_m_1():
@@ -757,33 +767,33 @@ def test_oracle_calls_gauss_q_once_per_node(monkeypatch):
 
 
 # repr of oracle_result, bits and all.  The m > 1 entries are as the
-# oracle gave them when each node still called ber_exact (or the lu
-# kernel) afresh; the m <= 1 entries are as the z = x^(2/m) head gives
-# them, each within its own estimate of its 30-digit value
+# z = x^(4/sqrt(m)) head and logarithmic tail give them, the m <= 1
+# entries as the z = x^(2/m) head gives them, each within its own
+# estimate of its 30-digit value
 ORACLE_BITS = [
     (0.6, 10.0, 256, "exact", None,
      "QuadratureResult(value=0.10988539743730956, error_estimate=4.307228595545806e-12, "
      "evaluations=225, converged=True)"),
     (50.0, 1e4, 4, "exact", None,
-     "QuadratureResult(value=2.7611068993735096e-117, error_estimate=2.3700100138846446e-127, "
-     "evaluations=315, converged=True)"),
+     "QuadratureResult(value=2.7611068993735222e-117, error_estimate=1.0986198430343997e-127, "
+     "evaluations=195, converged=True)"),
     (0.05, 1e8, 4096, "exact", None,
      "QuadratureResult(value=0.0664079595629639, error_estimate=5.117855129288143e-12, "
      "evaluations=315, converged=True)"),
     (4.1, 0.1, 64, "lu", None,
-     "QuadratureResult(value=0.6379332524338382, error_estimate=6.353096043906814e-11, "
-     "evaluations=285, converged=True)"),
+     "QuadratureResult(value=0.6379332524337756, error_estimate=3.7556616931813753e-11, "
+     "evaluations=105, converged=True)"),
     (0.6, 1e6, 16, "expq", QApproxVariant.from_pairs([(0.3, 0.6), (0.1, 0.4)]),
      "QuadratureResult(value=8.756328253391676e-05, error_estimate=3.1657821353416947e-15, "
      "evaluations=165, converged=True)"),
-    # either side of the graded m > 1 head: m = 1 takes the x^(2/m)
-    # head, and m >= 4 the ungraded rational map
+    # either side of m = 1: m = 1 takes the x^(2/m) head and the
+    # rational tail, m = 4 the x^(4/sqrt(m)) head and the logarithmic tail
     (1.0, 10.0, 16, "exact", None,
      "QuadratureResult(value=0.038107119533577816, error_estimate=4.804859119302028e-13, "
      "evaluations=165, converged=True)"),
     (4.0, 100.0, 64, "exact", None,
-     "QuadratureResult(value=0.00020049720635270763, error_estimate=1.6304222524271035e-15, "
-     "evaluations=315, converged=True)"),
+     "QuadratureResult(value=0.00020049720635270858, error_estimate=8.00858379073541e-15, "
+     "evaluations=105, converged=True)"),
 ]
 
 
@@ -846,10 +856,20 @@ def _whole_domain_draw(rng):
     (0.6481914536847687, -4.135852760905536, 4096, "exact"),
     (0.8342990934973071, -27.130522354992497, 64, "exact"),
     (0.5213935090552916, -13.172083522541698, 1024, "exact"),
-    pytest.param(2.4617385553519413, 46.49856406358616, 1024, "lu", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1's lu case: 2.64e-9 off on the graded "
-                            "m > 1 head, 250x its estimate")),
-], ids=["exact-m0.648", "exact-m0.834", "exact-m0.521", "lu-m2.46"])
+    # m > 1: off by 2.64e-9, 250x its estimate, while the head was the
+    # rational map graded by x^ceil(4/m)
+    (2.4617385553519413, 46.49856406358616, 1024, "lu"),
+    # a value near 2e-314, where doubles are subnormal: the exact and lu
+    # kernels were 4.9e-10 off with an estimate of 0.0 under the
+    # rational maps; expq now misses by one subnormal ulp, with the
+    # estimate and the relative floor both rounded to 0.0
+    (49.89788989093037, 79.5677376387825, 4, "exact"),
+    (49.89788989093037, 79.5677376387825, 4, "lu"),
+    pytest.param(49.89788989093037, 79.5677376387825, 4, "expq", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 1's subnormal edge: 1.2e-10 (one "
+                            "subnormal ulp) off, with an estimate of 0.0")),
+], ids=["exact-m0.648", "exact-m0.834", "exact-m0.521", "lu-m2.46",
+        "exact-m49.9", "lu-m49.9", "expq-m49.9"])
 def test_oracle_error_estimate_holds_at_found_points(m, snr_db, order, kind):
     ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
     assert _misstated_error(ch, Modulation(order), kind) is None

@@ -110,21 +110,23 @@ def test_fading_average_default_spec_is_relative():
 
 
 def test_fading_average_reports_a_zero_as_unconverged():
-    # with rate=0 no node sees the QPSK BER's mass at m=2.5, 80 dB, so
+    # with rate=0 no node sees the QPSK BER's mass at m=2.5, 100 dB, so
     # the quadrature sums to exactly 0.0
     qpsk = Modulation(4)
-    missed = fading_average(ChannelParams(2.5, 1e8), lambda g: ber_exact(qpsk, g))
+    missed = fading_average(ChannelParams(2.5, 1e10), lambda g: ber_exact(qpsk, g))
     assert missed.value == 0.0
     assert not missed.converged
-    # at 60 dB the right rate finds the value, and the graded head's
-    # first panels reach the mass near z = 0 even with rate=0
-    ch = ChannelParams(2.5, 1e6)
-    found = fading_average(ch, lambda g: ber_exact(qpsk, g), rate=qpsk.c1)
-    assert found.converged
-    assert found.value == pytest.approx(1.6567342475583142e-15, rel=1e-9, abs=0.0)
-    unrated = fading_average(ch, lambda g: ber_exact(qpsk, g))
-    assert unrated.converged
-    assert unrated.value == pytest.approx(found.value, rel=1e-9, abs=0.0)
+    # at 60 and 80 dB the right rate finds the value (80 dB: the 30-digit
+    # Craig value), and the x^p head's first panels reach the mass near
+    # z = 0 even with rate=0
+    for gbar, expected in ((1e6, 1.6567342475583142e-15), (1e8, 1.6567430956194855e-20)):
+        ch = ChannelParams(2.5, gbar)
+        found = fading_average(ch, lambda g: ber_exact(qpsk, g), rate=qpsk.c1)
+        assert found.converged
+        assert found.value == pytest.approx(expected, rel=1e-9, abs=0.0)
+        unrated = fading_average(ch, lambda g: ber_exact(qpsk, g))
+        assert unrated.converged
+        assert unrated.value == pytest.approx(found.value, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])
