@@ -24,8 +24,7 @@ from .quad import (ConvergenceError, QuadratureResult, QuadratureSpec, _Value,
 
 __all__ = [
     "AberMethod",
-    "MethodValue",
-    "SeriesResult",
+    "RouteValue",
     "TruncationPolicy",
     "aber_closed",
     "aber_closed_with_terms",
@@ -82,19 +81,20 @@ class TruncationPolicy(_Value):
         return cls("adaptive", term_tol=term_tol)
 
 
-class SeriesResult(NamedTuple):
-    value: float
-    terms_used: int
+class RouteValue(NamedTuple):
+    """One value from a route, with what kind of number it is.
 
-
-class MethodValue(NamedTuple):
-    """One evaluated ABER with whatever diagnostics the method carries.
-
-    Only converged values are returned: an oracle that misses its
+    kind is "exact" (the oracle), "truncated" (the paper's series cut
+    at N: closed(N) and r2_series), "untruncated" (closed(adaptive)) or
+    "approximation" (lu and expq average an approximate BER).
+    terms_used counts the series terms summed, 0 where none are.
+    error_estimate is the oracle's quadrature estimate, None elsewhere.
+    Only converged values are returned: a quadrature that misses its
     tolerance raises ConvergenceError instead.
     """
     value: float
-    terms: int
+    kind: str
+    terms_used: int
     error_estimate: float | None
 
 
@@ -171,7 +171,7 @@ def r2_quadrature(ch: ChannelParams, alpha: float,
 
 def r2_series(ch: ChannelParams, alpha: float,
               trunc: TruncationPolicy | None = None,
-              spec: QuadratureSpec | None = None) -> SeriesResult:
+              spec: QuadratureSpec | None = None) -> RouteValue:
     """Squared-Q correction term as the paper's truncated series.
 
     Term n is B(n+m+1, 1/2)/(4*pi*B(1/2, m)) * c_n * b^m
@@ -209,33 +209,34 @@ def r2_series(ch: ChannelParams, alpha: float,
     res = require_converged(
         kernels.r2_term_scaled(tuple(coefs), m, b, spec),
         "correction series quadrature did not converge")
-    return SeriesResult(res.value, len(coefs))
+    return RouteValue(res.value, "truncated", len(coefs), None)
 
 
 def aber_closed_with_terms(ch: ChannelParams, mod: Modulation,
-                           trunc: TruncationPolicy | None = None) -> tuple[float, int]:
-    """Series closed form of the average BER; returns (value, terms used).
+                           trunc: TruncationPolicy | None = None) -> RouteValue:
+    """Series closed form of the average BER, with the terms it used.
 
     Combines the averaged Q and Q^2 pieces into
     (4*c0 - 2*c0^2) * E[Q] + 4*c0^2 * R2, E[Q] = (1/2) * I_x(m, 1/2).
-    A fixed policy takes R2 from r2_series.  The adaptive policy takes
-    the series' untruncated limit, r2_quadrature at
-    rel_tol = trunc.term_tol, and reports 0 terms.
+    A fixed policy takes R2 from r2_series, a "truncated" value.  The
+    adaptive policy takes the series' untruncated limit, r2_quadrature
+    at rel_tol = trunc.term_tol, an "untruncated" value of 0 terms.
     """
     c0 = mod.c0
     if trunc is not None and trunc.mode == "adaptive":
         r2 = r2_quadrature(ch, mod.c1, QuadratureSpec(rel_tol=trunc.term_tol))
-        terms = 0
+        kind, terms = "untruncated", 0
     else:
-        r2, terms = r2_series(ch, mod.c1, trunc)
+        r2, kind, terms, _ = r2_series(ch, mod.c1, trunc)
     avg_q = lemma2_avg_q(ch, mod.c1)
-    return (4.0 * c0 - 2.0 * c0 * c0) * avg_q + 4.0 * c0 * c0 * r2, terms
+    return RouteValue((4.0 * c0 - 2.0 * c0 * c0) * avg_q + 4.0 * c0 * c0 * r2,
+                      kind, terms, None)
 
 
 def aber_closed(ch: ChannelParams, mod: Modulation,
                 trunc: TruncationPolicy | None = None) -> float:
     """Series closed form of the average BER (value only)."""
-    return aber_closed_with_terms(ch, mod, trunc)[0]
+    return aber_closed_with_terms(ch, mod, trunc).value
 
 
 def aber_lu_closed(ch: ChannelParams, mod: Modulation) -> float:
@@ -375,14 +376,14 @@ class AberMethod(_Value):
         v = QApproxVariant.chiani_two_term() if self.variant is None else self.variant
         return "expq(chiani)" if v.is_chiani else "expq(custom)"
 
-    def evaluate(self, ch: ChannelParams, mod: Modulation) -> MethodValue:
+    def evaluate(self, ch: ChannelParams, mod: Modulation) -> RouteValue:
         if self.tag == "closed_form":
-            value, terms = aber_closed_with_terms(ch, mod, self.trunc)
-            return MethodValue(value, terms, None)
-        if self.tag == "lu_closed":
-            return MethodValue(aber_lu_closed(ch, mod), 0, None)
+            return aber_closed_with_terms(ch, mod, self.trunc)
         if self.tag == "oracle":
             res = require_converged(oracle_result(ch, mod, spec=self.spec),
                                     _ORACLE_UNCONVERGED)
-            return MethodValue(res.value, 0, res.error_estimate)
-        return MethodValue(aber_expq_closed(ch, mod, self.variant), 0, None)
+            return RouteValue(res.value, "exact", 0, res.error_estimate)
+        if self.tag == "lu_closed":
+            return RouteValue(aber_lu_closed(ch, mod), "approximation", 0, None)
+        return RouteValue(aber_expq_closed(ch, mod, self.variant),
+                          "approximation", 0, None)

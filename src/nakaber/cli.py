@@ -269,14 +269,14 @@ def _cmd_aber(args) -> int:
     method = methods[0]
     ch = ChannelParams(args.m, db_to_linear(args.snr_db))
     mod = Modulation(args.mod)
-    mv = method.evaluate(ch, mod)
+    rv = method.evaluate(ch, mod)
     extra = ""
-    if method.tag == "closed_form":
-        extra = f" terms={mv.terms}"
-    elif method.tag == "oracle":
+    if rv.kind in ("truncated", "untruncated"):
+        extra = f" terms={rv.terms_used}"
+    elif rv.kind == "exact":
         # evaluate raises rather than return an unconverged oracle value
-        extra = f" error_estimate={mv.error_estimate:.3e} converged=True"
-    print(f"aber={_fmt(mv.value)} method={method.label()} m={args.m:g} "
+        extra = f" error_estimate={rv.error_estimate:.3e} converged=True"
+    print(f"aber={_fmt(rv.value)} method={method.label()} m={args.m:g} "
           f"mod={args.mod} snr_db={args.snr_db:g}{extra}")
     return EXIT_OK
 

@@ -93,19 +93,15 @@ def _require_methods(methods: Sequence[AberMethod]) -> None:
         raise ValueError("a grid run needs at least one method")
 
 
-# the routes whose values must be probabilities; lu and expq average an
-# approximate BER, which exceeds 1 at low mean SNR for wide constellations
-_RANGE_CHECKED = ("closed_form", "oracle")
-
-
 def run_sweep(m: float, order: int, snr_dbs: Sequence[float],
               methods: Sequence[AberMethod]) -> list[SweepRow]:
     """Evaluate every method at every grid point.
 
     Rows come back sorted by (snr_db, method label); wall times are
     per-evaluation and vary run to run, everything else is
-    deterministic.  A closed-form or oracle value outside [0, 1] raises
-    ValueError; lu and expq values are kept as they are.
+    deterministic.  A value outside [0, 1] raises ValueError unless its
+    kind is "approximation": lu and expq average an approximate BER,
+    which exceeds 1 at low mean SNR for wide constellations.
     """
     _require_methods(methods)
     mod = Modulation(order)
@@ -114,13 +110,13 @@ def run_sweep(m: float, order: int, snr_dbs: Sequence[float],
         ch = ChannelParams(m, db_to_linear(snr_db))
         for method in methods:
             t0 = time.perf_counter_ns()
-            mv = method.evaluate(ch, mod)
+            rv = method.evaluate(ch, mod)
             elapsed = time.perf_counter_ns() - t0
-            if method.tag in _RANGE_CHECKED and not 0.0 <= mv.value <= 1.0:
+            if rv.kind != "approximation" and not 0.0 <= rv.value <= 1.0:
                 raise ValueError(f"method {method.label()} produced a value "
-                                 f"outside [0, 1] at {snr_db} dB: {mv.value}")
-            rows.append(SweepRow(snr_db, method.label(), mv.value, mv.terms,
-                                 elapsed))
+                                 f"outside [0, 1] at {snr_db} dB: {rv.value}")
+            rows.append(SweepRow(snr_db, method.label(), rv.value,
+                                 rv.terms_used, elapsed))
     rows.sort(key=lambda r: (r.snr_db, r.method))
     return rows
 
@@ -315,13 +311,13 @@ def _check_termination() -> list[CheckResult]:
     for m in (1, 2, 3):
         for gbar in (1.0, 10.0):
             ch = ChannelParams(float(m), gbar)
-            value, used = aber_mod.r2_series(ch, alpha, TruncationPolicy.fixed(10))
-            ref = aber_mod.r2_quadrature(ch, alpha)
-            rd = _rel_diff(value, ref)
-            ok = used == m and rd <= 1e-8
+            res = aber_mod.r2_series(ch, alpha, TruncationPolicy.fixed(10))
+            rd = _rel_diff(res.value, aber_mod.r2_quadrature(ch, alpha))
+            ok = res.terms_used == m and rd <= 1e-8
             out.append(CheckResult(
                 "termination", f"m={m} gbar={gbar:g}", ok,
-                f"terms_used={used} (expect {m}) rel_diff={rd:.3e} tol=1e-8"))
+                f"terms_used={res.terms_used} (expect {m}) rel_diff={rd:.3e} "
+                "tol=1e-8"))
     return out
 
 

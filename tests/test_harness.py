@@ -93,6 +93,10 @@ def test_sweep_rejects_out_of_range_values():
     with pytest.raises(ValueError, match=r"closed\(N=5\) produced a value outside \[0, 1\]"):
         run_sweep(50.0, 4, db_grid(8.0, 12.0, 2.0),
                   (AberMethod.closed_form(TruncationPolicy.fixed(5)),))
+    # lu is an approximation, so its 3.18 at m = 0.6, -12 dB, 4096-QAM is kept
+    rows = run_sweep(0.6, 4096, db_grid(-12.0, -8.0, 2.0), (AberMethod.lu_closed(),))
+    assert [r.method for r in rows] == ["lu"] * 3
+    assert all(r.value > 1.0 for r in rows)
 
 
 def test_discrepancy_rows():
