@@ -18,7 +18,6 @@ BACKEND_NAME = "python"
 
 _SQRT1_2 = math.sqrt(0.5)
 _HALF_PI = math.pi / 2.0
-_QUARTER_PI = math.pi / 4.0
 _INV_FOUR_PI = 1.0 / (4.0 * math.pi)
 _EPS = 2.220446049250313e-16
 _DBL_MAX = 1.7976931348623157e308
@@ -245,15 +244,19 @@ def r2_term_scaled(coefs, m: float, b: float,
         R2_N = 1/(4*pi*B(1/2, m)) * int_0^{pi/2} 2*cos(theta)
                * (b*t/(1 + b*t))^m * (1 + (1+b)*t)^(-1/2) * P_N(r) dtheta
 
-    The quadrature runs in w with phi = pi/2 - theta = w^k on
-    [0, (pi/2)^(1/k)], k = max(1, 2/(1+m)): cos(theta) = sin(phi),
-    sin(theta) = cos(phi) and dtheta becomes k*(phi/w)*dw.  Near
-    theta = pi/2 the theta-integrand behaves like a constant times
-    phi^(1+2m), a fractional power for non-integer m, which an adaptive
-    Gauss-Kronrod rule resolves only by bisecting towards that endpoint
-    many times.  In w it behaves like w^(k*(2+2m)-1), which is w^3 for
-    every m < 1; for m >= 1, k = 1 and the integrand is the
-    theta-integrand reflected.
+    The quadrature runs in phi = pi/2 - theta, where cos(theta) = sin(phi)
+    and sin(theta) = cos(phi), and in w on [0, 1] with
+    phi = A*sinh(lam*w^k), A = 2/sqrt(1+b) and lam = asinh((pi/2)/A), so
+    that phi(1) = pi/2; k = max(1, 2/(1+m)):
+      - near theta = pi/2 the theta-integrand behaves like a constant
+        times phi^(1+2m), a fractional power for non-integer m, which an
+        adaptive Gauss-Kronrod rule resolves only by bisecting towards
+        that endpoint many times; phi = A*lam*w^k near 0, so in w it
+        behaves like w^(k*(2+2m)-1), which is w^3 for every m < 1;
+      - the integrand has the knee that r2_integral's has, where
+        (1+b)*sin^2(phi) passes 1, at phi of about (1+b)^(-1/2); the
+        sinh grades the nodes geometrically from phi = A up to pi/2 and
+        keeps them linear below A, as there.
 
     (b*t/(1 + b*t))^m peaks at theta = 0, where it is (b/(1+b))^m.  The
     integrand divides that peak out and the result multiplies it back in
@@ -295,19 +298,25 @@ def r2_term_scaled(coefs, m: float, b: float,
     # Horner's scheme from the top coefficient, which 0.0 * r + c_N equals
     top, rest = coefs[-1], coefs[-2::-1]
     k = max(1.0, 2.0 / (1.0 + m))
-    # phi = w when k = 1, since w ** 1.0 == w and 2*phi/w == 2 exactly
+    knee = 2.0 / math.sqrt(min(one_plus_b, _DBL_MAX))
+    lam = math.asinh(_HALF_PI / knee)
+    # dphi/dw = knee*lam*k*w^(k-1)*cosh(lam*w^k), times the integrand's 2
+    jac_scale = 2.0 * k * knee * lam
+    # w^k = w when k = 1, since w ** 1.0 == w and w / w == 1.0 exactly
     power = k != 1.0
-    two_k = 2.0 * k
     neg_m = -m
     sin, cos, exp, log1p, ldexp = math.sin, math.cos, math.exp, math.log1p, math.ldexp
+    sinh, cosh = math.sinh, math.cosh
 
     def h(w: float) -> float:
         if power:
-            phi = w ** k
-            jac = two_k * phi / w
+            wk = w ** k
+            s = lam * wk
+            jac = jac_scale * (wk / w) * cosh(s)
         else:
-            phi = w
-            jac = 2.0
+            s = lam * w
+            jac = jac_scale * cosh(s)
+        phi = knee * sinh(s)
         ct = sin(phi)
         t = ct * ct
         if t == 0.0:
@@ -324,7 +333,7 @@ def r2_term_scaled(coefs, m: float, b: float,
         # (b*t/(1+b*t))^m / (b/(1+b))^m = (1 + sin^2/((1+b)*t))^-m
         return jac * ct * p * exp(neg_m * log1p(st * st / u) - 0.5 * log1p(u))
 
-    res = quad.integrate_finite(h, 0.0, _HALF_PI ** (1.0 / k), spec)
+    res = quad.integrate_finite(h, 0.0, 1.0, spec)
     return _scaled(res, -m * math.log1p(1.0 / b) - log_beta(0.5, m))
 
 
@@ -364,19 +373,24 @@ def r2_integral(b: float, m: float,
     form m*(log(b) - log1p(b)) cancels for b near 1, so it serves only
     where 1/b overflows.
 
-    Near theta = 0 the integrand is 1 - C*theta^(2m), a fractional power
+    In v = tan(theta) on [0, 1] the integrand is rational in v, with no
+    trig call per node: s^2/c^2 = v^2,
+    x = (1 - v^2)*(1 + v^2)/((1 + v^2 + b)*v^2) and
+    dtheta = dv/(1 + v^2).
+
+    Near theta = 0 the integrand is 1 - C*v^(2m), a fractional power
     for non-integer 2m that an adaptive Gauss-Kronrod rule resolves only
     by bisecting towards that endpoint many times.  At low mean SNR it
-    also has a knee: it falls from its value at 0 where b*sin^2(theta)
-    passes 1, at theta of about (1+b)^(-1/2), which for b = 1e300 sits
-    150 decades inside the range.  The quadrature runs in w on [0, 1]
-    with theta = A*sinh(lam*w^k), A = 2/sqrt(1+b) and
-    lam = asinh((pi/4)/A), so that theta(1) = pi/4:
-      - the sinh grades the nodes geometrically from theta = A up to
-        pi/4 and keeps them linear below A, near the knee; where A
-        exceeds pi/4 (b below about 5.5) it is almost linear;
-      - theta = A*lam*w^k near 0, so the endpoint power is that of
-        theta = w^k: k = 1 for m >= 1, and for m < 1 the integer
+    also has a knee: it falls from its value at 0 where b*v^2 passes 1,
+    at v of about (1+b)^(-1/2), which for b = 1e300 sits 150 decades
+    inside the range.  The quadrature runs in w on [0, 1] with
+    v = A*sinh(lam*w^k), A = 2/sqrt(1+b) and lam = asinh(1/A), so that
+    v(1) = 1:
+      - the sinh grades the nodes geometrically from v = A up to 1 and
+        keeps them linear below A, near the knee; where A exceeds 1
+        (b below 3) it is almost linear;
+      - v = A*lam*w^k near 0, so the endpoint power is that of
+        v = w^k: k = 1 for m >= 1, and for m < 1 the integer
         k = ceil(1.2/m) kept within [3, 7], which makes the power
         2*m*k at least 2.4 down to m = 0.17.
     1 + b is taken at most at the largest double, so A stays positive
@@ -385,13 +399,13 @@ def r2_integral(b: float, m: float,
     k = 1 if m >= 1.0 else max(3, math.ceil(min(7.0, 1.2 / m)))
     one_plus_b = 1.0 + b
     knee = 2.0 / math.sqrt(min(one_plus_b, _DBL_MAX))
-    lam = math.asinh(_QUARTER_PI / knee)
-    # dtheta/dw = knee*lam*k*w^(k-1)*cosh(lam*w^k), times 1/(2 pi) = 2/(4 pi)
+    lam = math.asinh(1.0 / knee)
+    # dv/dw = knee*lam*k*w^(k-1)*cosh(lam*w^k), times 1/(2 pi) = 2/(4 pi)
     jac_scale = 2.0 * k * knee * lam
     # w^k = w when k = 1, since w ** 1 == w and w / w == 1.0 exactly
     power = k != 1
     neg_m = -m
-    sin, cos, exp, expm1, log1p = math.sin, math.cos, math.exp, math.expm1, math.log1p
+    exp, expm1, log1p = math.exp, math.expm1, math.log1p
     sinh, cosh = math.sinh, math.cosh
 
     def f(w: float) -> float:
@@ -402,15 +416,14 @@ def r2_integral(b: float, m: float,
         else:
             t = lam * w
             jac = jac_scale * cosh(t)
-        theta = knee * sinh(t)
-        s = sin(theta)
-        c = cos(theta)
-        s2 = s * s
-        c2 = c * c
-        if s2 == 0.0:
+        v = knee * sinh(t)
+        v2 = v * v
+        if v2 == 0.0:
             return jac
-        x = (c - s) * (c + s) / ((1.0 + b * c2) * s2)
-        return jac * exp(neg_m * log1p(s2 / (one_plus_b * c2))) * -expm1(neg_m * log1p(x))
+        # dtheta = dv/(1 + v^2)
+        jac /= 1.0 + v2
+        x = (1.0 - v) * (1.0 + v) * (1.0 + v2) / ((one_plus_b + v2) * v2)
+        return jac * exp(neg_m * log1p(v2 / one_plus_b)) * -expm1(neg_m * log1p(x))
 
     res = quad.integrate_finite(f, 0.0, 1.0, spec)
     inv_b = 1.0 / b

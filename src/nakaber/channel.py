@@ -215,8 +215,8 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     taken once, in log space, with its shape scaled to 1 at z = 1, near
     the mode, where large m concentrates the mass in a width of about
     1/sqrt(m).  One finite quadrature over x in [0, 2] covers the head
-    z <= 1 (x < 1) and the tail z >= 1 (x >= 1), so its first bisection
-    falls on z = 1:
+    z <= 1 (x < 1) and the tail z >= 1 (x >= 1), so its two opening
+    panels meet at z = 1:
       head, m <= 1  z = x^(2/m), so z^(m-1) dz = (2/m)*x dx and the
                     density's endpoint power leaves the integrand; the
                     BER's sqrt(snr) term, powers of sqrt(z), becomes

@@ -26,6 +26,7 @@ from nakaber.aber import (
     aber_closed,
     aber_lu_closed,
     aber_oracle,
+    oracle_result,
     r2_quadrature,
     r2_series,
 )
@@ -35,6 +36,7 @@ from nakaber.harness import (
     run_bench,
     run_discrepancy,
     run_selftest,
+    stabilized_oracle_spec,
 )
 from nakaber.aber import AberMethod
 from nakaber.quad import QuadratureSpec, integrate_finite
@@ -269,6 +271,30 @@ def test_08_closed_form_is_faster():
               f"min={min(ratios):.1f} max={max(ratios):.1f} (must be >= 1)")
     record_acceptance(8, ok, detail)
     assert ok, detail
+
+
+def test_08_closed_form_takes_fewer_evaluations(monkeypatch):
+    # check 8's claim in deterministic counts, free of timing noise: at
+    # its point, R2 for N = 0..5 takes fewer integrand evaluations than
+    # the oracle at the tolerance check 8 times it at (30 against 90)
+    from nakaber import _backend
+
+    kernel = _backend.kernels.r2_term_scaled
+    counts = []
+
+    def counted(*args):
+        res = kernel(*args)
+        counts.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(_backend.kernels, "r2_term_scaled", counted)
+    ch = ChannelParams(0.6, db_to_linear(10.0))
+    mod = Modulation(256)
+    for n in range(6):
+        aber_closed(ch, mod, TruncationPolicy.fixed(n))
+    oracle = oracle_result(ch, mod, "exact", stabilized_oracle_spec(ch, mod))
+    assert len(counts) == 6
+    assert max(counts) < oracle.evaluations, (counts, oracle.evaluations)
 
 
 def test_09_special_function_floor():

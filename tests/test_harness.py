@@ -194,7 +194,8 @@ def test_selftest_all_groups_pass():
 
 def test_selftest_lemma1_is_a_short_finite_quadrature(monkeypatch):
     # the tail identity in phi with x = tan^2(phi) is smooth on
-    # [0, pi/2): 765 evaluations over the five z, errors at most 1.3e-15
+    # [0, pi/2): 690 evaluations over the five z (765 on one opening
+    # panel), errors at most 1.3e-15
     from nakaber import quad
 
     counts = []

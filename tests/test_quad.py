@@ -123,8 +123,8 @@ def test_kronrod_panel_bits_are_pinned(monkeypatch):
         coefs.append(coefs[-1] * ((1.0 - m) + (n - 1.0)) / n * (n - 0.5) / (n + 0.5))
     _purekernels.r2_term_scaled(tuple(coefs), m, 0.3, QuadratureSpec(rel_tol=1e-11))
     f, lo, hi = integrands[0]
-    assert (lo, hi) == (0.0, 1.4351453944188655)
-    assert quad._kronrod15(f, lo, hi) == (2.387349130402547, 5.4487363243601e-07)
+    assert (lo, hi) == (0.0, 1.0)
+    assert quad._kronrod15(f, lo, hi) == (2.387349130402698, 8.648716824109859e-09)
 
 
 # integrals with known closed forms; the estimate must not understate
@@ -185,17 +185,23 @@ def test_default_spec_resolves_tiny_integrals(integrate, truth):
 def test_interior_cusp_value():
     # a cusp strictly inside a panel defeats nested-rule error
     # estimation (callers should split at known singular points), but
-    # the refined value itself still lands close
+    # the refined value itself still lands close.  A node lands on
+    # t = 0.3, where the integrand is 1e154: splitting that panel leaves
+    # its rounding residue in running totals, which must be summed
+    # afresh, or the loop spends its whole budget (60,000 evaluations)
     truth = 2.0 * (math.sqrt(0.3) + math.sqrt(0.7))
     res = integrate_finite(lambda t: 1.0 / math.sqrt(abs(t - 0.3) + 1e-308),
                            0.0, 1.0)
     assert res.value == pytest.approx(truth, rel=1e-7)
+    assert res.converged
+    assert res.evaluations <= 6000
 
 
 def test_starved_budget_reports_nonconvergence(monkeypatch):
     # rel_tol 1e-14 lies below the panels' 50*eps roundoff floor, so only
     # the fixed budget of bisections ends the loop; it is read at call
-    # time, so a budget of 20 shows the same as the shipped 2000
+    # time, so a budget of 20 shows the same as the shipped 2000.  The
+    # opening split into two panels is the first of the budget's bisections
     from nakaber import quad
 
     assert quad._MAX_SUBDIVISIONS == 2000
@@ -205,7 +211,7 @@ def test_starved_budget_reports_nonconvergence(monkeypatch):
     res = integrate_finite(lambda t: t ** (-0.9) if t > 0.0 else 0.0,
                            1e-300, 1.0, spec=spec)
     assert not res.converged
-    assert res.evaluations == 15 + 30 * budget
+    assert res.evaluations == 30 * budget
     # the value is still the best available estimate, not garbage
     assert 0.0 < res.value < 20.0
     assert res.error_estimate > 0.0
@@ -213,7 +219,8 @@ def test_starved_budget_reports_nonconvergence(monkeypatch):
 
 def test_panel_at_float_resolution_is_kept_unsplit():
     # [1, 1 + 2^-52] is one float wide: its midpoint rounds onto an end,
-    # so the panel cannot be bisected and the loop ends with it in the sum
+    # so the engine opens on the whole interval as one panel, which
+    # cannot be bisected, and the loop ends with it in the sum
     hi = math.nextafter(1.0, 2.0)
     res = integrate_finite(lambda t: t, 1.0, hi, QuadratureSpec(rel_tol=1e-14))
     assert not res.converged
@@ -298,6 +305,8 @@ def test_nonfinite_integrand_rejected():
 
 
 def test_result_records_evaluations():
+    # the engine opens on the two halves of the interval, 15 nodes each,
+    # and a smooth integrand converges there without a further bisection
     res = integrate_finite(lambda t: math.exp(t), 0.0, 1.0)
-    assert res.evaluations >= 15
-    assert res.evaluations % 15 == 0
+    assert res.converged
+    assert res.evaluations == 30
