@@ -2,14 +2,12 @@
 
 Plain functions of floats; the quadrature-backed ones take a
 ``quad.QuadratureSpec`` and return a ``quad.QuadratureResult``.  The
-validated public front end is ``specfun`` and ``aber``.  The only state
-is reg_inc_beta's: a least-recently-used cache of _CF_STATES per-(a, b)
-continued-fraction states, which changes no output bit.
+validated public front end is ``specfun`` and ``aber``.  No caches, no
+global state.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 from . import quad
@@ -34,11 +32,6 @@ _COEF_TOL = 1e-12
 _CF_MAX_ITER = 400
 _CF_EPS = 1e-16
 _CF_TINY = 1e-300
-# steps whose factors a state forms per growth, and states kept; an
-# E[Q] call needs one or two states, and at most 135 steps for m <= 1e4
-# (a series pass averages 4)
-_CF_BLOCK = 4
-_CF_STATES = 8
 
 
 def log_gamma(x: float) -> float:
@@ -53,129 +46,66 @@ def log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-class _CFState:
-    """What reg_inc_beta keeps for one (a, b).
-
-    log_beta is log B(a, b) and split the switch a/(a + b); qab = a + b
-    and qap = a + 1 are the x-free parts of the fraction's first
-    denominator 1 - qab*x/qap.  steps holds the x-free factors of the
-    Lentz steps reached so far, one tuple per step it:
-    (it*(b - it), (a - 1 + 2it)*(a + 2it), -(a + it)*(a + b + it),
-    (a + 2it)*(a + 1 + 2it)), each formed in the order of operations of
-    the plain loop that rebuilt them per call, so that x*factor/factor
-    rounds as it did there.  last is the last (x, I_x(a, b)) that
-    reg_inc_beta returned.  steps and last are only ever replaced by a
-    new tuple, never changed in place, so threads that share a state
-    never see a half-built one.
-    """
-
-    __slots__ = ("a", "b", "log_beta", "split", "qab", "qap", "steps", "last")
-
-    def __init__(self, a: float, b: float):
-        self.a = a
-        self.b = b
-        self.log_beta = log_beta(a, b)
-        self.qab = a + b
-        self.qap = a + 1.0
-        self.split = a / self.qab
-        self.steps = ()
-        self.last = (None, None)
-
-
-_cf_state = functools.lru_cache(maxsize=_CF_STATES)(_CFState)
-
-
-def _more_steps(st: _CFState, steps: tuple) -> tuple:
-    """steps, which st's fraction has walked to its end, and the factors
-    of the next _CF_BLOCK steps; st keeps the longer tuple.  Threads
-    that grow one state at once may each store theirs; every one is a
-    prefix of the same factors, so a lost update costs only work."""
-    a, b, qab, qap = st.a, st.b, st.qab, st.qap
-    qam = a - 1.0
-    more = []
-    # it and 2*it as floats, exact, so each product rounds as with ints
-    for it in map(float, range(len(steps) + 1,
-                               min(len(steps) + _CF_BLOCK, _CF_MAX_ITER) + 1)):
-        m2 = 2.0 * it
-        more.append((it * (b - it), (qam + m2) * (a + m2),
-                     -(a + it) * (qab + it), (a + m2) * (qap + m2)))
-    steps += tuple(more)
-    if len(steps) > len(st.steps):
-        st.steps = steps
-    return steps
-
-
-def _beta_cf(x: float, st: _CFState) -> float:
+def _beta_cf(x: float, a: float, b: float) -> float:
     """Continued fraction for the regularized incomplete beta.
 
-    Modified Lentz iteration on st's factors; caller guarantees the
-    convergent regime x <= (a+1)/(a+b+2) via the symmetry switch in
-    reg_inc_beta.  Raises ConvergenceError if the fraction has not
-    converged after _CF_MAX_ITER steps.
+    Modified Lentz iteration; caller guarantees the convergent regime
+    x <= (a+1)/(a+b+2) via the symmetry switch in reg_inc_beta.  Raises
+    ConvergenceError if the fraction has not converged after
+    _CF_MAX_ITER steps.
     """
     tiny, eps = _CF_TINY, _CF_EPS
     # v < t and -t < v is abs(v) < t, NaN included, without the call;
     # d and c are mostly positive, so the first test settles it
     neg_tiny, neg_eps = -tiny, -eps
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
     c = 1.0
-    d = 1.0 - st.qab * x / st.qap
+    d = 1.0 - qab * x / qap
     if d < tiny and neg_tiny < d:
         d = tiny
     d = 1.0 / d
     h = d
-    steps = st.steps
-    done = 0
-    while True:
-        if done == len(steps):
-            if done == _CF_MAX_ITER:
-                raise quad.ConvergenceError(
-                    f"incomplete-beta continued fraction did not converge in "
-                    f"{_CF_MAX_ITER} steps (x={x!r}, a={st.a!r}, b={st.b!r})")
-            steps = _more_steps(st, steps)
-        for n1, d1, n2, d2 in steps[done:]:
-            aa = n1 * x / d1
-            d = 1.0 + aa * d
-            if d < tiny and neg_tiny < d:
-                d = tiny
-            c = 1.0 + aa / c
-            if c < tiny and neg_tiny < c:
-                c = tiny
-            d = 1.0 / d
-            h *= d * c
-            aa = n2 * x / d2
-            d = 1.0 + aa * d
-            if d < tiny and neg_tiny < d:
-                d = tiny
-            c = 1.0 + aa / c
-            if c < tiny and neg_tiny < c:
-                c = tiny
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-            if neg_eps < delta - 1.0 < eps:
-                return h
-        done = len(steps)
+    # it and 2*it as floats, exact, so each product rounds as with ints
+    for it in map(float, range(1, _CF_MAX_ITER + 1)):
+        m2 = 2.0 * it
+        aa = it * (b - it) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if d < tiny and neg_tiny < d:
+            d = tiny
+        c = 1.0 + aa / c
+        if c < tiny and neg_tiny < c:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + it) * (qab + it) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if d < tiny and neg_tiny < d:
+            d = tiny
+        c = 1.0 + aa / c
+        if c < tiny and neg_tiny < c:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if neg_eps < delta - 1.0 < eps:
+            return h
+    raise quad.ConvergenceError(
+        f"incomplete-beta continued fraction did not converge in "
+        f"{_CF_MAX_ITER} steps (x={x!r}, a={a!r}, b={b!r})")
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """I_x(a, b) by the continued fraction, on the (a, b) states of a
-    small least-recently-used cache; a repeat of a state's last x
-    returns its value without a step."""
+    """I_x(a, b) by the continued fraction."""
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    st = _cf_state(a, b)
-    last_x, value = st.last
-    if x == last_x:
-        return value
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - st.log_beta)
-    if x <= st.split:
-        value = front * _beta_cf(x, st) / a
-    else:
-        value = 1.0 - front * _beta_cf(1.0 - x, _cf_state(b, a)) / b
-    st.last = (x, value)
-    return value
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
+    if x <= a / (a + b):
+        return front * _beta_cf(x, a, b) / a
+    return 1.0 - front * _beta_cf(1.0 - x, b, a) / b
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,

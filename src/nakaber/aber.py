@@ -106,9 +106,7 @@ def lemma2_avg_q(ch: ChannelParams, alpha: float) -> float:
     Every route that averages Q in closed form (closed, lu) goes through
     this rule: closed calls it, and lu sums its terms through it in one
     pass (_avg_q_sum, of which this is the one-term case).  Each term is
-    one call of the reg_inc_beta kernel, which keeps a few (a, b)
-    states, so lu's terms share the fraction's factors and a repeat of
-    the last x costs no step; every value keeps its bits.
+    one call of the reg_inc_beta kernel.
 
     Where x > m/(m + 1/2), the side on which the incomplete beta takes
     its complement, it is (1/2)*(1 - I_y(1/2, m)) with

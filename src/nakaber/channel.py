@@ -42,13 +42,17 @@ def db_to_linear(snr_db: float) -> float:
     """dB to linear power ratio; the only dB conversion in the package.
 
     Raises ValueError above about 3,083 dB, where the ratio overflows a
-    float.
+    float, and below about -3,236 dB, where it underflows to 0.0.
     """
     try:
-        return 10.0 ** (snr_db / 10.0)
+        ratio = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         raise ValueError(f"{snr_db:g} dB overflows a float as a linear "
                          "ratio (the limit is about 3083 dB)") from None
+    if ratio == 0.0:
+        raise ValueError(f"{snr_db:g} dB underflows a float to 0 as a "
+                         "linear ratio (the limit is about -3236 dB)")
+    return ratio
 
 
 class ChannelParams(_Value):

@@ -242,7 +242,8 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     keeps running totals of the panels' values and errors; where a split
     panel outweighs the totals left after its split by a factor _RESUM,
     subtracting it has left its rounding residue in them, and they are
-    summed afresh from the live panels.
+    summed afresh from the live panels.  It stops only where the sums it
+    reports, taken left to right, meet the tolerance as well.
 
     Never raises on slow convergence; the result records converged=False
     instead, with the error estimate still honest.  Raises ValueError on
@@ -276,8 +277,15 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     evaluations = 15 * counter
     frozen: list[tuple[float, float, float]] = []  # (lo, value, err) of unsplittable panels
 
-    while total_e > spec.rel_tol * abs(total_v):
+    while True:
+        if not total_e > spec.rel_tol * abs(total_v):
+            # the running totals' rounding residue can cross the tolerance
+            value, error = _left_to_right(heap, frozen)
+            if not error > spec.rel_tol * abs(value):
+                break
+            total_v, total_e = value, error
         if splits >= _MAX_SUBDIVISIONS or not heap:
+            value, error = _left_to_right(heap, frozen)
             break
         _, _, a, b, va, ea = heapq.heappop(heap)
         mid = 0.5 * (a + b)
@@ -299,8 +307,13 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
             total_v = math.fsum([entry[4] for entry in heap] + [p[1] for p in frozen])
             total_e = math.fsum([entry[5] for entry in heap] + [p[2] for p in frozen])
 
-    # final sums walk panels left to right so the result does not depend
-    # on heap layout
+    converged = error <= spec.rel_tol * abs(value)
+    return QuadratureResult(value, error, evaluations, converged)
+
+
+def _left_to_right(heap, frozen) -> tuple[float, float]:
+    """The value and error sums of integrate_finite's live and frozen
+    panels, walked left to right so they do not depend on heap layout."""
     panels = [(entry[2], entry[4], entry[5]) for entry in heap]
     panels.extend(frozen)
     panels.sort(key=lambda p: p[0])
@@ -309,8 +322,7 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     for _, pv, pe in panels:
         value += pv
         error += pe
-    converged = error <= spec.rel_tol * abs(value)
-    return QuadratureResult(value, error, evaluations, converged)
+    return value, error
 
 
 def integrate_semi_infinite(f: Callable[[float], float], lo: float,

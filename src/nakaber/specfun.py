@@ -2,9 +2,7 @@
 
 Validated front end over the numeric kernels: log-gamma, the Gaussian
 tail function, log-beta and the regularized incomplete beta, and the
-two-variable hypergeometric F1.  All operations are pure and reentrant:
-the incomplete beta's kernel keeps a few (a, b) states in a bounded
-cache, which changes no value and is safe to share between threads.
+two-variable hypergeometric F1.  All operations are pure and reentrant.
 """
 
 from __future__ import annotations
@@ -48,13 +46,10 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta I_x(a, b) on x in [0, 1].
 
     Continued-fraction evaluation with the symmetry switch at
-    x > a/(a+b); endpoints return exactly 0 and 1.  The kernel keeps
-    log B(a, b), the fraction's x-free factors and the last (x, value)
-    for the few (a, b) pairs used last, so repeated pairs skip that work
-    with every output bit unchanged.  Raises ConvergenceError where the
-    fraction has not converged in 400 steps (a and b near 1e6 and
-    above, x near the switch); Lemma 2's pairs (m, 1/2) and (1/2, m)
-    with m <= 1e4 need at most 135.
+    x > a/(a+b); endpoints return exactly 0 and 1.  Raises
+    ConvergenceError where the fraction has not converged in 400 steps
+    (a and b near 1e6 and above, x near the switch); Lemma 2's pairs
+    (m, 1/2) and (1/2, m) with m <= 1e4 need at most 135.
     """
     if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
         raise ValueError("reg_inc_beta requires finite a > 0 and b > 0")

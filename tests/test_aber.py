@@ -99,6 +99,22 @@ def test_avg_q_does_not_rise_with_mean_snr(m, snr_db, step_db, order):
     assert hi <= lo
 
 
+@given(st.floats(min_value=0.05, max_value=1e4),
+       st.floats(min_value=-30.0, max_value=80.0),
+       st.floats(min_value=0.5, max_value=5.0),
+       st.sampled_from(SUPPORTED_ORDERS))
+@settings(max_examples=100, deadline=None)
+def test_closed_routes_do_not_rise_with_mean_snr(m, snr_db, step_db, order):
+    # closed(adaptive) and lu each take their E[Q] terms from the
+    # incomplete-beta kernel
+    mod = Modulation(order)
+    lo_ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
+    hi_ch = ChannelParams(m, 10.0 ** ((snr_db + step_db) / 10.0))
+    adaptive = TruncationPolicy.adaptive()
+    assert aber_closed(hi_ch, mod, adaptive) <= aber_closed(lo_ch, mod, adaptive)
+    assert aber_lu_closed(hi_ch, mod) <= aber_lu_closed(lo_ch, mod)
+
+
 def test_avg_q_frozen_value():
     ch = ChannelParams(0.6, 10.0)
     c1_256 = Modulation(256).c1

@@ -248,6 +248,21 @@ def test_mean_snr_past_float_range_is_usage_error(capsys, argv):
     assert "dB overflows a float" in err
 
 
+def test_mean_snr_below_float_range_is_usage_error(capsys):
+    # 10^(dB/10) underflows to 0.0 from about -3,236 dB; the refusal
+    # names the dB value typed, not a linear one
+    code, out, err = run_cli(capsys, "aber", "--m", "1", "--snr-db", "-4000",
+                             "--mod", "4")
+    assert code == 2
+    assert out == ""
+    assert "-4000 dB underflows a float to 0" in err
+    # a subnormal ratio is still a mean SNR
+    code, out, _ = run_cli(capsys, "aber", "--m", "1", "--snr-db", "-3200",
+                           "--mod", "4")
+    assert code == 0
+    assert out.startswith("aber=0.4375 ")
+
+
 def test_missing_snr_flags_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "aber", "--m", "1", "--mod", "4",
                          "--method", "lu")

@@ -31,6 +31,9 @@ def test_db_to_linear():
     assert db_to_linear(3.0) == pytest.approx(10.0 ** 0.3, rel=1e-14)
     with pytest.raises(ValueError, match="4000 dB overflows a float"):
         db_to_linear(4000.0)
+    with pytest.raises(ValueError, match="-4000 dB underflows a float to 0"):
+        db_to_linear(-4000.0)
+    assert 0.0 < db_to_linear(-3236.0) < 1e-323
 
 
 def test_db_grid_names_broken_condition():

@@ -217,6 +217,33 @@ def test_starved_budget_reports_nonconvergence(monkeypatch):
     assert res.error_estimate > 0.0
 
 
+@pytest.mark.parametrize("m, snr_db, order, evaluations", [
+    (3897.092694642958, -27.40565330779026, 1024, 210),
+    (6916.419545404253, 81.63657514173961, 4, 270),
+])
+def test_stops_only_where_the_reported_sums_converge(monkeypatch, m, snr_db,
+                                                     order, evaluations):
+    # closed(adaptive)'s R2 integrands at these points once stopped where
+    # the running totals met rel_tol 1e-12 while the left-to-right sums
+    # the result reports missed it by 1e-5 of itself (180 and 240
+    # evaluations, converged=False); the loop now bisects on
+    from nakaber import _purekernels, quad
+
+    raw = []
+
+    def spy(*args):
+        raw.append(integrate_finite(*args))
+        return raw[-1]
+
+    monkeypatch.setattr(quad, "integrate_finite", spy)
+    b = m / (Modulation(order).c1 * 10.0 ** (snr_db / 10.0))
+    _purekernels.r2_integral(b, m, QuadratureSpec(rel_tol=1e-12))
+    (res,) = raw
+    assert res.converged
+    assert res.error_estimate <= 1e-12 * res.value
+    assert res.evaluations == evaluations
+
+
 def test_panel_at_float_resolution_is_kept_unsplit():
     # [1, 1 + 2^-52] is one float wide: its midpoint rounds onto an end,
     # so the engine opens on the whole interval as one panel, which

@@ -6,13 +6,10 @@ the checks do not depend on the code under test.
 
 import math
 import random
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nakaber import _purekernels
 from nakaber.quad import ConvergenceError, QuadratureSpec
 from nakaber.specfun import (
     appell_f1,
@@ -203,12 +200,11 @@ def test_reg_inc_beta_domain():
         reg_inc_beta(0.5, 1.0, -1.0)
 
 
-# --- reg_inc_beta's cached states -------------------------------------------
+# --- reg_inc_beta's bits ----------------------------------------------------
 
-# the kernel's continued fraction as a plain modified Lentz loop, which
-# rebuilds every factor on every call: the reference for the bits of the
-# kernel, which keeps log B(a, b), the factors and the last (x, value)
-# per (a, b) pair
+# the kernel's continued fraction as the textbook modified Lentz loop,
+# with abs() and int counters: the reference for the bits of the kernel,
+# which compares without abs() and counts in floats
 _CF_MAX_ITER = 400
 _CF_EPS = 1e-16
 _CF_TINY = 1e-300
@@ -268,7 +264,7 @@ def _lemma2_panel(seed, pairs):
     log-uniform on [0.05, 1e4], x log-uniform from 1e-12 up to the
     switch a/(a+b), the switch itself and one x past it; shuffled, so
     the pairs interleave.  Every x is asked twice in a row, then its
-    neighbour one ulp down, which the last-(x, value) memo must not
+    neighbour one ulp down, which a memo of the last call must not
     answer."""
     rng = random.Random(seed)
     calls = []
@@ -286,50 +282,8 @@ def _lemma2_panel(seed, pairs):
 
 
 def test_reg_inc_beta_keeps_the_plain_loops_bits():
-    _purekernels._cf_state.cache_clear()
-    deepest = 0
     for x, a, b in _lemma2_panel(20, 60):
         assert reg_inc_beta(x, a, b) == _reg_inc_beta_plain(x, a, b), (x, a, b)
-        if x <= a / (a + b):
-            deepest = max(deepest, len(_purekernels._cf_state(a, b).steps))
-    # some fraction walked past 128 steps (at most 135 for m <= 1e4)
-    assert deepest > 128
-    assert _purekernels._cf_state.cache_info().misses > 8 * _purekernels._CF_STATES
-
-
-def test_reg_inc_beta_threads_share_states_bit_for_bit():
-    calls = _lemma2_panel(21, 12)
-    expected = [_reg_inc_beta_plain(*call) for call in calls]
-    got = [None] * 4
-
-    def run(i):
-        # each thread walks the panel from its own offset, so the four
-        # interleave on the same states
-        k = i * len(calls) // 4
-        order = list(range(k, len(calls))) + list(range(k))
-        got[i] = {j: reg_inc_beta(*calls[j]) for j in order}
-
-    _purekernels._cf_state.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for values in got:
-        assert [values[j] for j in range(len(calls))] == expected
-
-
-def test_reg_inc_beta_cache_stays_bounded():
-    for i in range(1000):
-        reg_inc_beta(0.3, 1.0 + i / 7.0, 0.5)
-    info = _purekernels._cf_state.cache_info()
-    assert info.currsize <= info.maxsize == _purekernels._CF_STATES
 
 
 @pytest.mark.parametrize("x, n", [(0.5, 1e6), (0.49995, 1e7)])
