@@ -162,6 +162,37 @@ def _horner_fixed(rev, r: float) -> int:
     return p
 
 
+def log_mgf_peak(m: float, b: float) -> float:
+    """log((b/(1+b))^m), the Nakagami MGF (1 + alpha*mean_snr/m)^(-m) at
+    -alpha with b = m/(alpha*mean_snr): the peak that both correction-term
+    kernels divide out of their integrands and _scaled multiplies back in,
+    so b^m neither overflows at tiny mean SNR nor drags an integrand into
+    subnormals at high mean SNR and large m.  m*(log(b) - log1p(b))
+    cancels for b near 1, so it serves only where 1/b overflows."""
+    inv_b = 1.0 / b
+    if inv_b == math.inf:
+        return m * (math.log(b) - math.log1p(b))
+    return -m * math.log1p(inv_b)
+
+
+def _sinh_grading(b: float, top: float, k: float) -> tuple[float, float, float]:
+    """(A, lam, 2*k*A*lam) for the nodes x = A*sinh(lam*w^k), w in [0, 1],
+    A = 2/sqrt(1+b) and lam = asinh(top/A), so that x(1) = top.
+
+    Each correction-term integrand falls from its value at x = 0 where
+    (1+b)*x^2 passes 1, a knee 150 decades inside the range at b = 1e300.
+    The sinh grades the nodes geometrically from x = A up to top and keeps
+    them linear below A, near the knee.  Near w = 0, x = A*lam*w^k, so k
+    raises the integrand's endpoint power, which an adaptive Gauss-Kronrod
+    rule resolves only by bisecting towards it many times.  The last value
+    is dx/dw = A*lam*k*w^(k-1)*cosh(lam*w^k) over its w-factors, times the
+    2 both integrands carry.  1 + b is capped at the largest double, so A
+    stays positive where b overflows."""
+    knee = 2.0 / math.sqrt(min(1.0 + b, _DBL_MAX))
+    lam = math.asinh(top / knee)
+    return knee, lam, 2.0 * k * knee * lam
+
+
 def r2_term_scaled(coefs, m: float, b: float,
                    spec: quad.QuadratureSpec) -> quad.QuadratureResult:
     """Truncated squared-Q correction series R2_N as one integral.
@@ -175,23 +206,11 @@ def r2_term_scaled(coefs, m: float, b: float,
                * (b*t/(1 + b*t))^m * (1 + (1+b)*t)^(-1/2) * P_N(r) dtheta
 
     The quadrature runs in phi = pi/2 - theta, where cos(theta) = sin(phi)
-    and sin(theta) = cos(phi), and in w on [0, 1] with
-    phi = A*sinh(lam*w^k), A = 2/sqrt(1+b) and lam = asinh((pi/2)/A), so
-    that phi(1) = pi/2; k = max(1, 2/(1+m)):
-      - near theta = pi/2 the theta-integrand behaves like a constant
-        times phi^(1+2m), a fractional power for non-integer m, which an
-        adaptive Gauss-Kronrod rule resolves only by bisecting towards
-        that endpoint many times; phi = A*lam*w^k near 0, so in w it
-        behaves like w^(k*(2+2m)-1), which is w^3 for every m < 1;
-      - the integrand has the knee that r2_integral's has, where
-        (1+b)*sin^2(phi) passes 1, at phi of about (1+b)^(-1/2); the
-        sinh grades the nodes geometrically from phi = A up to pi/2 and
-        keeps them linear below A, as there.
-
-    (b*t/(1 + b*t))^m peaks at theta = 0, where it is (b/(1+b))^m.  The
-    integrand divides that peak out and the result multiplies it back in
-    log space, so b^m neither overflows at tiny mean SNR nor drags the
-    integrand into subnormals at high mean SNR and large m.
+    and sin(theta) = cos(phi), on _sinh_grading's nodes up to phi = pi/2
+    with k = max(1, 2/(1+m)): near phi = 0 the integrand behaves like a
+    constant times phi^(1+2m), and in w like w^(k*(2+2m)-1), which is w^3
+    for every m < 1.  It carries (b*t/(1 + b*t))^m over its peak,
+    log_mgf_peak.
 
     For m > 1 the coefficients alternate in sign, and P_N(r) can be far
     smaller than its terms (by about 1.5^m at high mean SNR).  Where that
@@ -228,10 +247,7 @@ def r2_term_scaled(coefs, m: float, b: float,
     # Horner's scheme from the top coefficient, which 0.0 * r + c_N equals
     top, rest = coefs[-1], coefs[-2::-1]
     k = max(1.0, 2.0 / (1.0 + m))
-    knee = 2.0 / math.sqrt(min(one_plus_b, _DBL_MAX))
-    lam = math.asinh(_HALF_PI / knee)
-    # dphi/dw = knee*lam*k*w^(k-1)*cosh(lam*w^k), times the integrand's 2
-    jac_scale = 2.0 * k * knee * lam
+    knee, lam, jac_scale = _sinh_grading(b, _HALF_PI, k)
     # w^k = w when k = 1, since w ** 1.0 == w and w / w == 1.0 exactly
     power = k != 1.0
     neg_m = -m
@@ -264,11 +280,14 @@ def r2_term_scaled(coefs, m: float, b: float,
         return jac * ct * p * exp(neg_m * log1p(st * st / u) - 0.5 * log1p(u))
 
     res = quad.integrate_finite(h, 0.0, 1.0, spec)
-    return _scaled(res, -m * math.log1p(1.0 / b) - log_beta(0.5, m))
+    return _scaled(res, m, b, -log_beta(0.5, m))
 
 
-def _scaled(res: quad.QuadratureResult, log_scale: float) -> quad.QuadratureResult:
-    """res with its value and error estimate times exp(log_scale)/(4*pi)."""
+def _scaled(res: quad.QuadratureResult, m: float, b: float,
+            log_scale: float = 0.0) -> quad.QuadratureResult:
+    """res with its value and error estimate times
+    (b/(1+b))^m * exp(log_scale)/(4*pi)."""
+    log_scale = log_mgf_peak(m, b) + log_scale
     return quad.QuadratureResult(_scale(res.value, log_scale),
                                  _scale(res.error_estimate, log_scale),
                                  res.evaluations, res.converged)
@@ -295,43 +314,18 @@ def r2_integral(b: float, m: float,
            = 1/(2*pi) * int_0^{pi/4} M(pi/2 - theta) * (-expm1(-m*log1p(x))),
         x = (c^2 - s^2)/((1 + b*c^2)*s^2),  c = cos(theta), s = sin(theta).
 
-    M(pi/2 - theta) peaks at theta = 0 at (b/(1+b))^m.  The integrand
-    carries M(pi/2 - theta)/peak = exp(-m*log1p(s^2/((1+b)*c^2))), and
-    the result multiplies the peak back in log space, so b^m neither
-    overflows at tiny mean SNR nor drags the integrand into subnormals
-    at high mean SNR and large m.  The log peak is -m*log1p(1/b); the
-    form m*(log(b) - log1p(b)) cancels for b near 1, so it serves only
-    where 1/b overflows.
-
-    In v = tan(theta) on [0, 1] the integrand is rational in v, with no
-    trig call per node: s^2/c^2 = v^2,
+    The integrand carries M(pi/2 - theta) over its peak, log_mgf_peak:
+    exp(-m*log1p(s^2/((1+b)*c^2))).  In v = tan(theta) on [0, 1] it is
+    rational in v, with no trig call per node: s^2/c^2 = v^2,
     x = (1 - v^2)*(1 + v^2)/((1 + v^2 + b)*v^2) and
-    dtheta = dv/(1 + v^2).
-
-    Near theta = 0 the integrand is 1 - C*v^(2m), a fractional power
-    for non-integer 2m that an adaptive Gauss-Kronrod rule resolves only
-    by bisecting towards that endpoint many times.  At low mean SNR it
-    also has a knee: it falls from its value at 0 where b*v^2 passes 1,
-    at v of about (1+b)^(-1/2), which for b = 1e300 sits 150 decades
-    inside the range.  The quadrature runs in w on [0, 1] with
-    v = A*sinh(lam*w^k), A = 2/sqrt(1+b) and lam = asinh(1/A), so that
-    v(1) = 1:
-      - the sinh grades the nodes geometrically from v = A up to 1 and
-        keeps them linear below A, near the knee; where A exceeds 1
-        (b below 3) it is almost linear;
-      - v = A*lam*w^k near 0, so the endpoint power is that of
-        v = w^k: k = 1 for m >= 1, and for m < 1 the integer
-        k = ceil(1.2/m) kept within [3, 7], which makes the power
-        2*m*k at least 2.4 down to m = 0.17.
-    1 + b is taken at most at the largest double, so A stays positive
-    where b overflows.
+    dtheta = dv/(1 + v^2).  The quadrature runs on _sinh_grading's nodes
+    up to v = 1.  Near theta = 0 the integrand is 1 - C*v^(2m), so k = 1
+    for m >= 1, and for m < 1 the integer k = ceil(1.2/m) kept within
+    [3, 7], which makes the power 2*m*k at least 2.4 down to m = 0.17.
     """
     k = 1 if m >= 1.0 else max(3, math.ceil(min(7.0, 1.2 / m)))
     one_plus_b = 1.0 + b
-    knee = 2.0 / math.sqrt(min(one_plus_b, _DBL_MAX))
-    lam = math.asinh(1.0 / knee)
-    # dv/dw = knee*lam*k*w^(k-1)*cosh(lam*w^k), times 1/(2 pi) = 2/(4 pi)
-    jac_scale = 2.0 * k * knee * lam
+    knee, lam, jac_scale = _sinh_grading(b, 1.0, k)
     # w^k = w when k = 1, since w ** 1 == w and w / w == 1.0 exactly
     power = k != 1
     neg_m = -m
@@ -356,9 +350,4 @@ def r2_integral(b: float, m: float,
         return jac * exp(neg_m * log1p(v2 / one_plus_b)) * -expm1(neg_m * log1p(x))
 
     res = quad.integrate_finite(f, 0.0, 1.0, spec)
-    inv_b = 1.0 / b
-    if inv_b == math.inf:
-        log_peak = m * (math.log(b) - math.log1p(b))
-    else:
-        log_peak = neg_m * log1p(inv_b)
-    return _scaled(res, log_peak)
+    return _scaled(res, m, b)

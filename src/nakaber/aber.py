@@ -136,10 +136,11 @@ def _avg_q_sum(ch: ChannelParams, alpha: float, ks) -> float:
             f"{_AVG_Q_M_MAX:g} (m={m:g})")
     reg_inc_beta = kernels.reg_inc_beta
     switch = m / (m + 0.5)
+    b = m / snr / alpha  # m/(alpha*snr), for the x of a c past DBL_MAX
     total = 0.0
     for k in ks:
         c = alpha * k * k * snr
-        x = m / (m + c)
+        x = m / (m + c) if c < math.inf else b / (b + k * k)
         if x > switch:
             total += 0.5 * (1.0 - reg_inc_beta(c / (m + c), 0.5, m))
         else:

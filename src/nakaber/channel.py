@@ -41,9 +41,12 @@ _CHIANI_PAIRS = ((1.0 / 12.0, 0.5), (0.25, 2.0 / 3.0))
 def db_to_linear(snr_db: float) -> float:
     """dB to linear power ratio; the only dB conversion in the package.
 
-    Raises ValueError above about 3,083 dB, where the ratio overflows a
-    float, and below about -3,236 dB, where it underflows to 0.0.
+    Raises ValueError, naming the dB value, for NaN and +inf, above about
+    3,083 dB, where the ratio overflows a float, and below about
+    -3,236 dB, where it underflows to 0.0.
     """
+    if not snr_db < math.inf:
+        raise ValueError(f"{snr_db:g} dB is not a finite number")
     try:
         ratio = 10.0 ** (snr_db / 10.0)
     except OverflowError:
@@ -162,12 +165,17 @@ def pdf(ch: ChannelParams, snr: float) -> float:
 
 
 def mgf(ch: ChannelParams, p: float) -> float:
-    """E[exp(p*snr)] = (1 - p*mean_snr/m)^(-m), left of the pole."""
+    """E[exp(p*snr)] = (1 - p*mean_snr/m)^(-m), left of the pole.
+
+    Where u = p*mean_snr/m overflows to -inf, it is the same value as
+    (b/(1+b))^m, b = (m/mean_snr)/(-p), from kernels.log_mgf_peak."""
     if not math.isfinite(p):
         raise ValueError("mgf requires finite p")
     u = p * ch.mean_snr / ch.m
     if not u < 1.0:
         raise ValueError("mgf is undefined at or beyond the pole p = m/mean_snr")
+    if u == -math.inf:
+        return math.exp(kernels.log_mgf_peak(ch.m, ch.m / ch.mean_snr / -p))
     return math.exp(-ch.m * math.log1p(-u))
 
 

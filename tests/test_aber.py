@@ -27,7 +27,8 @@ from nakaber.aber import (
     r2_quadrature,
     r2_series,
 )
-from nakaber.channel import SUPPORTED_ORDERS, ChannelParams, Modulation, QApproxVariant
+from nakaber.channel import (SUPPORTED_ORDERS, ChannelParams, Modulation, QApproxVariant,
+                             db_to_linear)
 from nakaber.quad import ConvergenceError, QuadratureSpec
 from nakaber.specfun import reg_inc_beta
 
@@ -442,6 +443,26 @@ def test_r2_series_tiny_mean_snr_uses_log_fold():
     assert res.value <= quarter_i
 
 
+@pytest.mark.parametrize("snr_db", [3070.0, 3082.0])
+def test_r2_series_huge_mean_snr_keeps_its_peak(snr_db):
+    # b is so small here that 1/b overflows; the series must still
+    # multiply its MGF peak (b/(1+b))^m back in, not drop R2 to 0.0.
+    # For m < 1 every c_n is positive and P_N >= c_0 = 2, so
+    # R2_N <= R2 <= R2_N*(1 + T_N/2) with T_N = sum_{n>N} c_n*r_max^n
+    ch = ChannelParams(0.05, db_to_linear(snr_db))
+    got = r2_series(ch, QPSK.c1, TruncationPolicy.fixed(5)).value
+    ref = r2_quadrature(ch, QPSK.c1, TIGHT)
+    m = ch.m
+    r_max = 1.0 / (2.0 + m / ch.mean_snr / QPSK.c1)
+    c, tail = 2.0, 0.0
+    for n in range(1, 200):
+        c *= (n - m) / n * (n - 0.5) / (n + 0.5)
+        if n > 5:
+            tail += c * r_max ** n
+    assert 0.0 < got <= ref * (1.0 + 1e-10)
+    assert ref <= got * (1.0 + 0.5 * tail + 1e-10)
+
+
 def test_r2_series_large_b_terms_stay_accurate():
     # b = 932.75: each term multiplies a ~1e-13 F1 value by b^m ~ 1.5e12,
     # so the term evaluation must not let an absolute floor stand in for
@@ -635,6 +656,23 @@ def test_aber_lu_closed_matches_its_own_average():
     mod = Modulation(16)
     ref = aber_oracle(ch, mod, ber_kind="lu", spec=TIGHT)
     assert aber_lu_closed(ch, mod) == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("m, snr_db", [(0.05, 3075.0), (0.05, 3082.0), (0.5, 3082.0)])
+def test_aber_lu_closed_at_the_top_of_the_float_range(m, snr_db):
+    # alpha*k^2*mean_snr overflows for the larger k of 4096-QAM; those
+    # terms take x = b/(b + k^2), b = m/(alpha*mean_snr), and do not drop
+    # out.  The reference is the same sum of (1/2)*I_x(m, 1/2) in 40 digits
+    import mpmath
+
+    mod = Modulation(4096)
+    ch = ChannelParams(m, db_to_linear(snr_db))
+    with mpmath.workdps(40):
+        mm, c = mpmath.mpf(m), mpmath.mpf(mod.c1) * mpmath.mpf(ch.mean_snr)
+        ref = 2 * mpmath.mpf(mod.c0) * sum(
+            mpmath.betainc(mm, 0.5, 0, mm / (mm + c * k * k), regularized=True)
+            for k in range(1, 64, 2))
+    assert aber_lu_closed(ch, mod) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
 # --- oracle ------------------------------------------------------------------
@@ -967,6 +1005,28 @@ def test_expq_closed_custom_pairs():
     v = QApproxVariant.from_pairs([(1.0 / 12.0, 0.5), (0.25, 2.0 / 3.0)])
     assert aber_expq_closed(RAYLEIGH_UNIT, QPSK, v) == pytest.approx(
         aber_expq_closed(RAYLEIGH_UNIT, QPSK), rel=1e-15)
+
+
+@pytest.mark.parametrize("m, snr_db", [(0.05, 3075.0), (0.5, 3082.0)])
+def test_expq_closed_at_the_top_of_the_float_range(m, snr_db):
+    # p*mean_snr/m overflows in every MGF term; the MGF is then its peak
+    # form (b/(1+b))^m, not 0.0.  The reference is the same sum in 40 digits
+    import mpmath
+
+    ch = ChannelParams(m, db_to_linear(snr_db))
+    pairs = QApproxVariant.chiani_two_term().coefficients
+    with mpmath.workdps(40):
+        mm, g = mpmath.mpf(m), mpmath.mpf(ch.mean_snr)
+        two_c1, c0 = 2 * mpmath.mpf(QPSK.c1), mpmath.mpf(QPSK.c0)
+
+        def mgf(rate):
+            return (1 + two_c1 * rate * g / mm) ** -mm
+
+        linear = sum(w * mgf(mpmath.mpf(r)) for w, r in pairs)
+        square = sum(wi * wj * mgf(mpmath.mpf(ri) + rj)
+                     for wi, ri in pairs for wj, rj in pairs)
+        ref = 4 * c0 * linear - 4 * c0 * c0 * square
+    assert aber_expq_closed(ch, QPSK) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
 
 
 # --- discrepancy -------------------------------------------------------------

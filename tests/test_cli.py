@@ -292,6 +292,7 @@ _REFUSALS = [
     (("aber", "--snr-db", "0", "--method", "oracle", "--rel-tol", "1e-14"), None, 3,
      "did not converge: average-BER quadrature did not reach its tolerance "
      "(best value 0.137702055556, error estimate {est})"),
+    (("aber", "--snr-db", "nan"), None, 2, "nan dB is not a finite number"),
 ]
 
 
@@ -299,7 +300,7 @@ _REFUSALS = [
     "argv, config, code, message", _REFUSALS,
     ids=["range-parts", "range-numeric", "expq-pair", "expq-numeric",
          "expq-positive", "bench-terms", "bench-no-snr", "config-no-equals",
-         "config-empty-key", "oracle-unconverged"])
+         "config-empty-key", "oracle-unconverged", "snr-db-nan"])
 def test_refusal_prints_only_its_message(tmp_path, capsys, argv, config, code,
                                          message):
     if config is not None:

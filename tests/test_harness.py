@@ -34,6 +34,9 @@ def test_db_to_linear():
     with pytest.raises(ValueError, match="-4000 dB underflows a float to 0"):
         db_to_linear(-4000.0)
     assert 0.0 < db_to_linear(-3236.0) < 1e-323
+    for bad in ("nan", "inf"):
+        with pytest.raises(ValueError, match=f"^{bad} dB is not a finite number$"):
+            db_to_linear(float(bad))
 
 
 def test_db_grid_names_broken_condition():
