@@ -96,13 +96,14 @@ def _beta_cf(x: float, a: float, b: float) -> float:
         f"{_CF_MAX_ITER} steps (x={x!r}, a={a!r}, b={b!r})")
 
 
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """I_x(a, b) by the continued fraction."""
+def reg_inc_beta(x: float, a: float, b: float, log_b_ab: float) -> float:
+    """I_x(a, b) by the continued fraction, given log_b_ab = log B(a, b),
+    which a caller summing many terms of one (a, b) pair takes once."""
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_b_ab)
     if x <= a / (a + b):
         return front * _beta_cf(x, a, b) / a
     return 1.0 - front * _beta_cf(1.0 - x, b, a) / b
@@ -175,20 +176,23 @@ def log_mgf_peak(m: float, b: float) -> float:
     return -m * math.log1p(inv_b)
 
 
-def _sinh_grading(b: float, top: float, k: float) -> tuple[float, float, float]:
+def _sinh_grading(bend: float, top: float, k: float) -> tuple[float, float, float]:
     """(A, lam, 2*k*A*lam) for the nodes x = A*sinh(lam*w^k), w in [0, 1],
-    A = 2/sqrt(1+b) and lam = asinh(top/A), so that x(1) = top.
+    A = 1/sqrt(bend) and lam = asinh(top/A), so that x(1) = top.
 
     Each correction-term integrand falls from its value at x = 0 where
-    (1+b)*x^2 passes 1, a knee 150 decades inside the range at b = 1e300.
-    The sinh grades the nodes geometrically from x = A up to top and keeps
-    them linear below A, near the knee.  Near w = 0, x = A*lam*w^k, so k
-    raises the integrand's endpoint power, which an adaptive Gauss-Kronrod
-    rule resolves only by bisecting towards it many times.  The last value
-    is dx/dw = A*lam*k*w^(k-1)*cosh(lam*w^k) over its w-factors, times the
-    2 both integrands carry.  1 + b is capped at the largest double, so A
-    stays positive where b overflows."""
-    knee = 2.0 / math.sqrt(min(1.0 + b, _DBL_MAX))
+    (1+b)*x^2 passes 1, a knee 150 decades inside the range at b = 1e300;
+    a kernel puts A there with bend = 1 + b.  The sinh grades the nodes
+    geometrically from x = A up to top and keeps them linear below A,
+    near the knee.  Near w = 0, x = A*lam*w^k, so k raises the
+    integrand's endpoint power, which an adaptive Gauss-Kronrod rule
+    resolves only by bisecting towards it many times; k < 1 moves the
+    nodes towards top instead.  The last value is
+    dx/dw = A*lam*k*w^(k-1)*cosh(lam*w^k) over its w-factors, times the
+    2 both integrands carry.  bend is capped at a quarter of the largest
+    double, so A stays positive where 1 + b overflows and A^2 stays a
+    normal double."""
+    knee = 1.0 / math.sqrt(min(bend, _DBL_MAX / 4.0))
     lam = math.asinh(top / knee)
     return knee, lam, 2.0 * k * knee * lam
 
@@ -206,10 +210,14 @@ def r2_term_scaled(coefs, m: float, b: float,
                * (b*t/(1 + b*t))^m * (1 + (1+b)*t)^(-1/2) * P_N(r) dtheta
 
     The quadrature runs in phi = pi/2 - theta, where cos(theta) = sin(phi)
-    and sin(theta) = cos(phi), on _sinh_grading's nodes up to phi = pi/2
-    with k = max(1, 2/(1+m)): near phi = 0 the integrand behaves like a
-    constant times phi^(1+2m), and in w like w^(k*(2+2m)-1), which is w^3
-    for every m < 1.  It carries (b*t/(1 + b*t))^m over its peak,
+    and sin(theta) = cos(phi), on _sinh_grading's nodes up to phi = pi/2.
+    Near phi = 0 the integrand behaves like a constant times phi^(1+2m),
+    and in w like w^(k*(2+2m)-1).  For m >= 1 the knee A sits where the
+    integrand bends, at (1+b)*phi^2 = 1, and k = m^(-1/4) <= 1 moves the
+    nodes towards phi = pi/2, where the mass sits at large m; the power
+    stays at least 3.  For m < 1, k = 2/(1+m) makes the power w^3 and A
+    stays at (1+b)*phi^2 = 4, which its first panel and small-m budget
+    are pinned on.  It carries (b*t/(1 + b*t))^m over its peak,
     log_mgf_peak.
 
     For m > 1 the coefficients alternate in sign, and P_N(r) can be far
@@ -246,8 +254,12 @@ def r2_term_scaled(coefs, m: float, b: float,
                 f"at r_max in 2^{_FIXED_BITS} fixed point (m={m:g})")
     # Horner's scheme from the top coefficient, which 0.0 * r + c_N equals
     top, rest = coefs[-1], coefs[-2::-1]
-    k = max(1.0, 2.0 / (1.0 + m))
-    knee, lam, jac_scale = _sinh_grading(b, _HALF_PI, k)
+    if m < 1.0:
+        # A = 2/sqrt(1+b) to the bit, since (1+b)/4 is exact
+        k, bend = 2.0 / (1.0 + m), 0.25 * one_plus_b
+    else:
+        k, bend = m ** -0.25, one_plus_b
+    knee, lam, jac_scale = _sinh_grading(bend, _HALF_PI, k)
     # w^k = w when k = 1, since w ** 1.0 == w and w / w == 1.0 exactly
     power = k != 1.0
     neg_m = -m
@@ -319,13 +331,15 @@ def r2_integral(b: float, m: float,
     rational in v, with no trig call per node: s^2/c^2 = v^2,
     x = (1 - v^2)*(1 + v^2)/((1 + v^2 + b)*v^2) and
     dtheta = dv/(1 + v^2).  The quadrature runs on _sinh_grading's nodes
-    up to v = 1.  Near theta = 0 the integrand is 1 - C*v^(2m), so k = 1
-    for m >= 1, and for m < 1 the integer k = ceil(1.2/m) kept within
-    [3, 7], which makes the power 2*m*k at least 2.4 down to m = 0.17.
+    up to v = 1, with the knee A where the integrand bends, at
+    (1+b)*v^2 = 1.  Near theta = 0 the integrand is 1 - C*v^(2m), so
+    k = 1 for m >= 1, and for m < 1 the integer k = ceil(1.2/m) kept
+    within [3, 7], which makes the power 2*m*k at least 2.4 down to
+    m = 0.17.
     """
     k = 1 if m >= 1.0 else max(3, math.ceil(min(7.0, 1.2 / m)))
     one_plus_b = 1.0 + b
-    knee, lam, jac_scale = _sinh_grading(b, 1.0, k)
+    knee, lam, jac_scale = _sinh_grading(one_plus_b, 1.0, k)
     # w^k = w when k = 1, since w ** 1 == w and w / w == 1.0 exactly
     power = k != 1
     neg_m = -m
@@ -342,11 +356,15 @@ def r2_integral(b: float, m: float,
             jac = jac_scale * cosh(t)
         v = knee * sinh(t)
         v2 = v * v
-        if v2 == 0.0:
+        # (1+b+v^2)*v^2 as ((1+b+v^2)*v)*v, since v^2 is subnormal below
+        # the knee where b nears the largest double; where it underflows
+        # x is past any double and the integrand is jac
+        u = (one_plus_b + v2) * v * v
+        if u == 0.0:
             return jac
         # dtheta = dv/(1 + v^2)
         jac /= 1.0 + v2
-        x = (1.0 - v) * (1.0 + v) * (1.0 + v2) / ((one_plus_b + v2) * v2)
+        x = (1.0 - v) * (1.0 + v) * (1.0 + v2) / u
         return jac * exp(neg_m * log1p(v2 / one_plus_b)) * -expm1(neg_m * log1p(x))
 
     res = quad.integrate_finite(f, 0.0, 1.0, spec)

@@ -46,6 +46,8 @@ _SERIES_SPEC = QuadratureSpec(rel_tol=1e-11)
 _AVG_Q_M_MAX = 1e4
 # the ConvergenceError message of an oracle that misses its tolerance
 _ORACLE_UNCONVERGED = "average-BER quadrature did not reach its tolerance"
+# the exponential sum expq takes when given no variant
+_CHIANI = QApproxVariant.chiani_two_term()
 
 
 class TruncationPolicy(_Value):
@@ -119,7 +121,8 @@ def lemma2_avg_q(ch: ChannelParams, alpha: float) -> float:
     at m = 1e4 (-30 to 40 dB in 0.02 dB steps, at 5.44 dB; 2 dB steps
     to 80 dB).  For m above _AVG_Q_M_MAX = 1e4 it raises
     ConvergenceError: the error keeps growing with m, and huge m needs
-    a route of its own.
+    a route of its own.  Where x underflows to 0 it raises ValueError:
+    I_x(m, 1/2) is then about x^m, which is near 1 at tiny m.
     """
     return _avg_q_sum(ch, alpha, (1,))
 
@@ -136,16 +139,32 @@ def _avg_q_sum(ch: ChannelParams, alpha: float, ks) -> float:
             f"{_AVG_Q_M_MAX:g} (m={m:g})")
     reg_inc_beta = kernels.reg_inc_beta
     switch = m / (m + 0.5)
+    # B(m, 1/2) and B(1/2, m) agree to the bit
+    log_b = kernels.log_beta(m, 0.5)
     b = m / snr / alpha  # m/(alpha*snr), for the x of a c past DBL_MAX
     total = 0.0
     for k in ks:
         c = alpha * k * k * snr
         x = m / (m + c) if c < math.inf else b / (b + k * k)
         if x > switch:
-            total += 0.5 * (1.0 - reg_inc_beta(c / (m + c), 0.5, m))
+            total += 0.5 * (1.0 - reg_inc_beta(c / (m + c), 0.5, m, log_b))
+        elif x > 0.0:
+            total += 0.5 * reg_inc_beta(x, m, 0.5, log_b)
         else:
-            total += 0.5 * reg_inc_beta(x, m, 0.5)
+            raise channel._ratio_underflow(ch)
     return total
+
+
+def _ratio(ch: ChannelParams, alpha: float) -> float:
+    """b = m/(alpha*mean_snr), which both correction-term kernels take.
+    Raises ValueError where it underflows to 0, as lemma2_avg_q and
+    the MGF do."""
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError("alpha must be positive and finite")
+    b = ch.m / (alpha * ch.mean_snr)
+    if b == 0.0:
+        raise channel._ratio_underflow(ch)
+    return b
 
 
 def r2_quadrature(ch: ChannelParams, alpha: float,
@@ -160,11 +179,8 @@ def r2_quadrature(ch: ChannelParams, alpha: float,
     a few hundred evaluations at most.  It is the correction term of
     the closed form under TruncationPolicy.adaptive.
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be positive and finite")
-    b = ch.m / (alpha * ch.mean_snr)
     return require_converged(
-        kernels.r2_integral(b, ch.m, spec),
+        kernels.r2_integral(_ratio(ch, alpha), ch.m, spec),
         "squared-Q correction quadrature did not converge").value
 
 
@@ -192,10 +208,8 @@ def r2_series(ch: ChannelParams, alpha: float,
     if trunc.mode == "adaptive":
         raise ValueError("r2_series sums a fixed number of terms; the "
                          "adaptive policy's R2 is r2_quadrature")
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be positive and finite")
     m = ch.m
-    b = m / (alpha * ch.mean_snr)
+    b = _ratio(ch, alpha)
     if spec is None:
         spec = _SERIES_SPEC
 
@@ -257,7 +271,7 @@ def _ber_kernel(mod: Modulation, ber_kind: str, variant: QApproxVariant | None
     if ber_kind == "lu":
         return channel._ber_lu_kernel(mod), mod.c1
     if ber_kind == "expq":
-        v = QApproxVariant.chiani_two_term() if variant is None else variant
+        v = _CHIANI if variant is None else variant
         return (channel._ber_expq_kernel(mod, v),
                 2.0 * mod.c1 * min(r for _, r in v.coefficients))
     raise ValueError("ber_kind must be 'exact', 'lu', or 'expq'")
@@ -294,7 +308,7 @@ def aber_expq_closed(ch: ChannelParams, mod: Modulation,
     average into MGF evaluations at negative arguments, so no quadrature
     is needed.
     """
-    v = QApproxVariant.chiani_two_term() if variant is None else variant
+    v = _CHIANI if variant is None else variant
     c0 = mod.c0
     two_c1 = 2.0 * mod.c1
     linear = 0.0
@@ -372,7 +386,7 @@ class AberMethod(_Value):
             return "lu"
         if self.tag == "oracle":
             return "oracle"
-        v = QApproxVariant.chiani_two_term() if self.variant is None else self.variant
+        v = _CHIANI if self.variant is None else self.variant
         return "expq(chiani)" if v.is_chiani else "expq(custom)"
 
     def evaluate(self, ch: ChannelParams, mod: Modulation) -> RouteValue:

@@ -168,15 +168,28 @@ def mgf(ch: ChannelParams, p: float) -> float:
     """E[exp(p*snr)] = (1 - p*mean_snr/m)^(-m), left of the pole.
 
     Where u = p*mean_snr/m overflows to -inf, it is the same value as
-    (b/(1+b))^m, b = (m/mean_snr)/(-p), from kernels.log_mgf_peak."""
+    (b/(1+b))^m, b = (m/mean_snr)/(-p), from kernels.log_mgf_peak; where
+    b underflows to 0 as well, it raises ValueError."""
     if not math.isfinite(p):
         raise ValueError("mgf requires finite p")
     u = p * ch.mean_snr / ch.m
     if not u < 1.0:
         raise ValueError("mgf is undefined at or beyond the pole p = m/mean_snr")
     if u == -math.inf:
-        return math.exp(kernels.log_mgf_peak(ch.m, ch.m / ch.mean_snr / -p))
+        b = ch.m / ch.mean_snr / -p
+        if b == 0.0:
+            raise _ratio_underflow(ch)
+        return math.exp(kernels.log_mgf_peak(ch.m, b))
     return math.exp(-ch.m * math.log1p(-u))
+
+
+def _ratio_underflow(ch: ChannelParams) -> ValueError:
+    """The refusal of a closed form whose m/(alpha*mean_snr) underflows
+    to 0, where neither its MGF peak nor its incomplete beta keeps a
+    value (at m = 1e-20 and 3080 dB both are about 1, not 0)."""
+    snr_db = 10.0 * math.log10(ch.mean_snr)
+    return ValueError(f"m={ch.m:g} at {snr_db:g} dB: m/(alpha*mean SNR) "
+                      "underflows a float to 0")
 
 
 def _log_peak_density(m: float) -> float:

@@ -35,6 +35,9 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
+# a panel's roundoff floor, 50*eps, with room for the rounding of the
+# sums that bound its resabs
+_FLOOR_BOUND = 50.0 * _EPS * (1.0 + 1e-12)
 # bisections one adaptive integral may spend before it reports
 # converged=False
 _MAX_SUBDIVISIONS = 2000
@@ -207,10 +210,6 @@ def _kronrod15(f: Callable[[float], float], lo: float, hi: float):
     resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
     resk = (k7 * fc + k0 * (a0 + b0) + k1 * s1 + k2 * (a2 + b2) + k3 * s3
             + k4 * (a4 + b4) + k5 * s5 + k6 * (a6 + b6))
-    resabs = (abs(k7 * fc) + k0 * (abs(a0) + abs(b0)) + k1 * (abs(a1) + abs(b1))
-              + k2 * (abs(a2) + abs(b2)) + k3 * (abs(a3) + abs(b3))
-              + k4 * (abs(a4) + abs(b4)) + k5 * (abs(a5) + abs(b5))
-              + k6 * (abs(a6) + abs(b6)))
     reskh = 0.5 * resk
     resasc = (k7 * abs(fc - reskh)
               + k0 * (abs(a0 - reskh) + abs(b0 - reskh))
@@ -221,13 +220,21 @@ def _kronrod15(f: Callable[[float], float], lo: float, hi: float):
               + k5 * (abs(a5 - reskh) + abs(b5 - reskh))
               + k6 * (abs(a6 - reskh) + abs(b6 - reskh)))
     value = resk * h
-    resabs *= abs(h)
     resasc *= abs(h)
     err = abs((resk - resg) * h)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > _UFLOW / (50.0 * _EPS):
-        err = max(err, 50.0 * _EPS * resabs)
+    # the Kronrod weights sum to 2, so resabs <= resasc + |value|, and
+    # the roundoff floor can raise only an err below _FLOOR_BOUND times
+    # that; elsewhere resabs is not needed
+    if not err >= _FLOOR_BOUND * (resasc + abs(value)):
+        resabs = (abs(k7 * fc) + k0 * (abs(a0) + abs(b0)) + k1 * (abs(a1) + abs(b1))
+                  + k2 * (abs(a2) + abs(b2)) + k3 * (abs(a3) + abs(b3))
+                  + k4 * (abs(a4) + abs(b4)) + k5 * (abs(a5) + abs(b5))
+                  + k6 * (abs(a6) + abs(b6)))
+        resabs *= abs(h)
+        if resabs > _UFLOW / (50.0 * _EPS):
+            err = max(err, 50.0 * _EPS * resabs)
     if not (math.isfinite(value) and math.isfinite(err)):
         raise ConvergenceError("integrand produced a non-finite value")
     return value, err
@@ -257,6 +264,9 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     if not lo < hi:
         raise ValueError("integration requires lo < hi")
 
+    rel_tol, max_splits = spec.rel_tol, _MAX_SUBDIVISIONS
+    heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
+    panel = _kronrod15
     mid = 0.5 * (lo + hi)
     if lo < mid < hi:
         opening = [(lo, mid), (mid, hi)]
@@ -265,58 +275,63 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
         opening = [(lo, hi)]
         splits = 0
     # heap entries: (-err, insertion counter, lo, hi, value, err); the
-    # counter breaks ties deterministically
+    # counter breaks ties deterministically, so the worst panel, and
+    # with it every split, does not depend on the heap's layout
     heap = []
     total_v = total_e = 0.0
     for counter, (a, b) in enumerate(opening):
-        v, e = _kronrod15(f, a, b)
+        v, e = panel(f, a, b)
         total_v += v
         total_e += e
-        heapq.heappush(heap, (-e, counter, a, b, v, e))
+        heappush(heap, (-e, counter, a, b, v, e))
     counter = len(heap)
     evaluations = 15 * counter
     frozen: list[tuple[float, float, float]] = []  # (lo, value, err) of unsplittable panels
 
     while True:
-        if not total_e > spec.rel_tol * abs(total_v):
+        if not total_e > rel_tol * abs(total_v):
             # the running totals' rounding residue can cross the tolerance
             value, error = _left_to_right(heap, frozen)
-            if not error > spec.rel_tol * abs(value):
+            if not error > rel_tol * abs(value):
                 break
             total_v, total_e = value, error
-        if splits >= _MAX_SUBDIVISIONS or not heap:
+        if splits >= max_splits or not heap:
             value, error = _left_to_right(heap, frozen)
             break
-        _, _, a, b, va, ea = heapq.heappop(heap)
+        _, _, a, b, va, ea = heap[0]
         mid = 0.5 * (a + b)
         if not (a < mid < b):
             # panel already at floating-point resolution
+            heappop(heap)
             frozen.append((a, va, ea))
             continue
-        v1, e1 = _kronrod15(f, a, mid)
-        v2, e2 = _kronrod15(f, mid, b)
+        v1, e1 = panel(f, a, mid)
+        v2, e2 = panel(f, mid, b)
         evaluations += 30
         splits += 1
         total_v += v1 + v2 - va
         total_e += e1 + e2 - ea
-        heapq.heappush(heap, (-e1, counter, a, mid, v1, e1))
-        counter += 1
-        heapq.heappush(heap, (-e2, counter, mid, b, v2, e2))
-        counter += 1
+        # the left half takes the worst panel's place: one sift, not a
+        # pop and a push
+        heapreplace(heap, (-e1, counter, a, mid, v1, e1))
+        heappush(heap, (-e2, counter + 1, mid, b, v2, e2))
+        counter += 2
         if abs(va) > _RESUM * abs(total_v) or ea > _RESUM * total_e:
             total_v = math.fsum([entry[4] for entry in heap] + [p[1] for p in frozen])
             total_e = math.fsum([entry[5] for entry in heap] + [p[2] for p in frozen])
 
-    converged = error <= spec.rel_tol * abs(value)
+    converged = error <= rel_tol * abs(value)
     return QuadratureResult(value, error, evaluations, converged)
 
 
 def _left_to_right(heap, frozen) -> tuple[float, float]:
     """The value and error sums of integrate_finite's live and frozen
-    panels, walked left to right so they do not depend on heap layout."""
+    panels, walked left to right so they do not depend on heap layout.
+    The panels tile the interval, so no two share a left end and the
+    (lo, value, err) tuples sort by lo alone."""
     panels = [(entry[2], entry[4], entry[5]) for entry in heap]
     panels.extend(frozen)
-    panels.sort(key=lambda p: p[0])
+    panels.sort()
     value = 0.0
     error = 0.0
     for _, pv, pe in panels:

@@ -55,7 +55,7 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         raise ValueError("reg_inc_beta requires finite a > 0 and b > 0")
     if not 0.0 <= x <= 1.0:
         raise ValueError("reg_inc_beta requires 0 <= x <= 1")
-    return kernels.reg_inc_beta(x, a, b)
+    return kernels.reg_inc_beta(x, a, b, kernels.log_beta(a, b))
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,

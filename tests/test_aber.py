@@ -343,6 +343,85 @@ def test_r2_term_scaled_evaluation_budget(monkeypatch):
     assert sum(counts) <= 6450
 
 
+def test_r2_kernels_evaluation_budget_from_m_1(monkeypatch):
+    # both correction-term kernels at m >= 1, each at its route's spec:
+    # closed(N=5) sums the series at 1e-11, closed(adaptive) takes Craig's
+    # form at 1e-12.  With the sinh knee at (1+b)*x^2 = 1 and the series
+    # kernel's endpoint power m^(-1/4) the panel takes 11,730 and 9,990
+    # evaluations (11,970 and 10,590 with the knee at (1+b)*x^2 = 4 and
+    # power 1)
+    from nakaber import _backend
+
+    counts = {"r2_term_scaled": [], "r2_integral": []}
+
+    def counter(name):
+        kernel = getattr(_backend.kernels, name)
+
+        def counted(*args):
+            res = kernel(*args)
+            assert res.converged
+            counts[name].append(res.evaluations)
+            return res
+
+        return counted
+
+    for name in counts:
+        monkeypatch.setattr(_backend.kernels, name, counter(name))
+    for m in (1.5, 4.1, 8.3, 20.5, 50.0):
+        for snr_db in (-30, -10, 0, 10, 30, 60, 80):
+            ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
+            for order in (4, 256, 4096):
+                mod = Modulation(order)
+                aber_closed(ch, mod, TruncationPolicy.fixed(5))
+                aber_closed(ch, mod, TruncationPolicy.adaptive(1e-12))
+    assert [len(c) for c in counts.values()] == [105, 105]
+    assert sum(counts["r2_term_scaled"]) <= 11730
+    assert sum(counts["r2_integral"]) <= 9990
+
+
+def _r2_far_below_the_knee(m, b):
+    # as b -> oo, R2 -> m*C(2m, m)/(2*4^m*sqrt(b)) to relative O(1/b)
+    return math.exp(math.log(m) + math.lgamma(2.0 * m + 1.0)
+                    - 2.0 * math.lgamma(m + 1.0) - m * math.log(4.0)
+                    - math.log(2.0) - 0.5 * math.log(b))
+
+
+def _five_term_coefs(m):
+    coefs = [2.0]
+    for n in range(1, 6):
+        factor = (1.0 - m) + (n - 1.0)
+        if factor == 0.0:
+            break
+        coefs.append(coefs[-1] * factor / n * (n - 0.5) / (n + 0.5))
+    return tuple(coefs)
+
+
+_TOP_B = (1e300, 1e306, 1e307, 4e307, 1e308, sys.float_info.max)
+
+
+@pytest.mark.parametrize("m", [0.05, 1.0, 50.0])
+def test_r2_kernels_converge_at_the_top_of_the_float_range(m):
+    # b = m/(alpha*mean_snr) up to the largest double, where 1 + b
+    # overflows: each kernel caps its knee's 1 + b, so the knee stays
+    # positive and its square a normal double, and r2_integral forms
+    # (1+b)*v^2 as ((1+b)*v)*v, since v^2 is subnormal below the knee.
+    # From v^2, r2_integral at m = 0.05 missed rel_tol 1e-12 from
+    # b = 1e306 on, and at 1e-10 reported values 1e-9 to 2e-8 off,
+    # converged
+    from nakaber import _backend
+
+    kernels = _backend.kernels
+    for b in _TOP_B:
+        limit = _r2_far_below_the_knee(m, b)
+        integral = kernels.r2_integral(b, m, TIGHT)
+        series = kernels.r2_term_scaled(_five_term_coefs(m), m, b,
+                                        QuadratureSpec(rel_tol=1e-11))
+        assert integral.converged and series.converged, b
+        assert integral.value == pytest.approx(limit, rel=1e-12, abs=0.0), b
+        assert series.value == pytest.approx(limit, rel=1e-12, abs=0.0), b
+        assert integral.evaluations <= 450 and series.evaluations <= 300, b
+
+
 @pytest.mark.parametrize("m", [0.6, 2.5, 4.1])
 @pytest.mark.parametrize("b", [0.3, 0.05, 1.7])
 def test_r2_term_is_the_papers_appell_f1_term(m, b):
@@ -1027,6 +1106,22 @@ def test_expq_closed_at_the_top_of_the_float_range(m, snr_db):
                      for wi, ri in pairs for wj, rj in pairs)
         ref = 4 * c0 * linear - 4 * c0 * c0 * square
     assert aber_expq_closed(ch, QPSK) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("route", [
+    lambda ch: lemma2_avg_q(ch, QPSK.c1),
+    lambda ch: r2_quadrature(ch, QPSK.c1),
+    lambda ch: r2_series(ch, QPSK.c1),
+    lambda ch: aber_lu_closed(ch, Modulation(4096)),
+    lambda ch: aber_expq_closed(ch, QPSK),
+], ids=["avg-q", "r2-quadrature", "r2-series", "lu", "expq"])
+def test_closed_forms_refuse_where_the_mgf_ratio_underflows(route):
+    # b = m/(alpha*mean_snr) = 1e-20/1e308 is 0.0, where the MGF peak
+    # b^m and I_b(m, 1/2) are about 1; no closed form reads them from 0
+    ch = ChannelParams(1e-20, db_to_linear(3080.0))
+    with pytest.raises(ValueError, match=r"^m=1e-20 at 3080 dB: m/\(alpha\*mean "
+                                         r"SNR\) underflows a float to 0$"):
+        route(ch)
 
 
 # --- discrepancy -------------------------------------------------------------

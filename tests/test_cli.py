@@ -316,6 +316,20 @@ def test_refusal_prints_only_its_message(tmp_path, capsys, argv, config, code,
     assert re.fullmatch(pattern, err), err
 
 
+@pytest.mark.parametrize("method", ["closed", "lu", "expq"])
+def test_closed_forms_refuse_where_the_mgf_ratio_underflows(capsys, method):
+    # m/(alpha*mean_snr) = 1e-20/1e308 underflows to 0: the MGF peak and
+    # the incomplete beta are both about 1 there (40-digit mpmath gives
+    # 0.49999999999999999622), and reading them from a 0 once crashed
+    # closed and expq and printed aber=0 for lu
+    got, out, err = run_cli(capsys, "aber", "--m", "1e-20", "--snr-db", "3080",
+                            "--mod", "4", "--method", method)
+    assert got == 2
+    assert out == ""
+    assert err == ("error: m=1e-20 at 3080 dB: m/(alpha*mean SNR) underflows "
+                   "a float to 0\n")
+
+
 # --- sweep -------------------------------------------------------------------
 
 def test_sweep_csv_schema_and_row_count(capsys):

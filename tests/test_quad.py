@@ -197,6 +197,22 @@ def test_interior_cusp_value():
     assert res.evaluations <= 6000
 
 
+@pytest.mark.parametrize("f, lo, hi, spec, shown", [
+    (lambda t: 1.0 / math.sqrt(abs(t - 0.3) + 1e-308), 0.0, 1.0, None,
+     "QuadratureResult(value=2.768765155288553, "
+     "error_estimate=2.7424203463729784e-10, evaluations=5640, converged=True)"),
+    (lambda t: t ** (-0.9) if t > 0.0 else 0.0, 1e-300, 1.0,
+     QuadratureSpec(rel_tol=1e-14),
+     "QuadratureResult(value=9.999999999999998, "
+     "error_estimate=1.1262757322868518e-13, evaluations=60000, converged=False)"),
+], ids=["interior-cusp", "whole-budget"])
+def test_bisection_order_is_pinned(f, lo, hi, spec, shown):
+    # two deep trees, the cusp's and one that spends all 2000 bisections:
+    # the worst panel is bisected first, ties going to the older panel,
+    # so how the heap stores its panels changes no split and no bit
+    assert repr(integrate_finite(f, lo, hi, spec)) == shown
+
+
 def test_starved_budget_reports_nonconvergence(monkeypatch):
     # rel_tol 1e-14 lies below the panels' 50*eps roundoff floor, so only
     # the fixed budget of bisections ends the loop; it is read at call
