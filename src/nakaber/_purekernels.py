@@ -216,8 +216,10 @@ def r2_term_scaled(coefs, m: float, b: float,
     integrand bends, at (1+b)*phi^2 = 1, and k = m^(-1/4) <= 1 moves the
     nodes towards phi = pi/2, where the mass sits at large m; the power
     stays at least 3.  For m < 1, k = 2/(1+m) makes the power w^3 and A
-    stays at (1+b)*phi^2 = 4, which its first panel and small-m budget
-    are pinned on.  It carries (b*t/(1 + b*t))^m over its peak,
+    stays at (1+b)*phi^2 = 4: a seed-601 perfbench series pass takes
+    275,970 evaluations here, 415,590 (+50.6%, failing acceptance check
+    8) with the m >= 1 rule at every m, and 283,680 (+2.8%) with only
+    the knee moved.  It carries (b*t/(1 + b*t))^m over its peak,
     log_mgf_peak.
 
     For m > 1 the coefficients alternate in sign, and P_N(r) can be far
@@ -260,20 +262,14 @@ def r2_term_scaled(coefs, m: float, b: float,
     else:
         k, bend = m ** -0.25, one_plus_b
     knee, lam, jac_scale = _sinh_grading(bend, _HALF_PI, k)
-    # w^k = w when k = 1, since w ** 1.0 == w and w / w == 1.0 exactly
-    power = k != 1.0
     neg_m = -m
     sin, cos, exp, log1p, ldexp = math.sin, math.cos, math.exp, math.log1p, math.ldexp
     sinh, cosh = math.sinh, math.cosh
 
     def h(w: float) -> float:
-        if power:
-            wk = w ** k
-            s = lam * wk
-            jac = jac_scale * (wk / w) * cosh(s)
-        else:
-            s = lam * w
-            jac = jac_scale * cosh(s)
+        wk = w ** k
+        s = lam * wk
+        jac = jac_scale * (wk / w) * cosh(s)
         phi = knee * sinh(s)
         ct = sin(phi)
         t = ct * ct

@@ -46,7 +46,8 @@ _SERIES_SPEC = QuadratureSpec(rel_tol=1e-11)
 _AVG_Q_M_MAX = 1e4
 # the ConvergenceError message of an oracle that misses its tolerance
 _ORACLE_UNCONVERGED = "average-BER quadrature did not reach its tolerance"
-# the exponential sum expq takes when given no variant
+# the oracle's and expq's defaults
+_ORACLE_SPEC = QuadratureSpec()
 _CHIANI = QApproxVariant.chiani_two_term()
 
 
@@ -81,6 +82,10 @@ class TruncationPolicy(_Value):
     @classmethod
     def adaptive(cls, term_tol: float = 1e-12) -> "TruncationPolicy":
         return cls("adaptive", term_tol=term_tol)
+
+
+# the closed form's default, the paper's five-term evaluation
+_FIVE_TERMS = TruncationPolicy()
 
 
 class RouteValue(NamedTuple):
@@ -130,8 +135,7 @@ def lemma2_avg_q(ch: ChannelParams, alpha: float) -> float:
 def _avg_q_sum(ch: ChannelParams, alpha: float, ks) -> float:
     """Sum over k in ks of the fading average of
     Q(sqrt(2*alpha*k^2*snr)), each term by lemma2_avg_q's rule."""
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError("alpha must be positive and finite")
+    b = _ratio(ch, alpha)  # for the x of a c past DBL_MAX
     m, snr = ch.m, ch.mean_snr
     if m > _AVG_Q_M_MAX:
         raise ConvergenceError(
@@ -141,7 +145,6 @@ def _avg_q_sum(ch: ChannelParams, alpha: float, ks) -> float:
     switch = m / (m + 0.5)
     # B(m, 1/2) and B(1/2, m) agree to the bit
     log_b = kernels.log_beta(m, 0.5)
-    b = m / snr / alpha  # m/(alpha*snr), for the x of a c past DBL_MAX
     total = 0.0
     for k in ks:
         c = alpha * k * k * snr
@@ -151,14 +154,15 @@ def _avg_q_sum(ch: ChannelParams, alpha: float, ks) -> float:
         elif x > 0.0:
             total += 0.5 * reg_inc_beta(x, m, 0.5, log_b)
         else:
+            # x ~ b/k^2 can underflow where b does not (1e-20, 3055 dB)
             raise channel._ratio_underflow(ch)
     return total
 
 
 def _ratio(ch: ChannelParams, alpha: float) -> float:
-    """b = m/(alpha*mean_snr), which both correction-term kernels take.
-    Raises ValueError where it underflows to 0, as lemma2_avg_q and
-    the MGF do."""
+    """b = m/(alpha*mean_snr), which both correction-term kernels and
+    lemma2_avg_q's rule take.  Raises ValueError for a bad alpha and
+    where b underflows to 0, as the MGF does."""
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
     b = ch.m / (alpha * ch.mean_snr)
@@ -185,8 +189,8 @@ def r2_quadrature(ch: ChannelParams, alpha: float,
 
 
 def r2_series(ch: ChannelParams, alpha: float,
-              trunc: TruncationPolicy | None = None,
-              spec: QuadratureSpec | None = None) -> RouteValue:
+              trunc: TruncationPolicy = _FIVE_TERMS,
+              spec: QuadratureSpec = _SERIES_SPEC) -> RouteValue:
     """Squared-Q correction term as the paper's truncated series.
 
     Term n is B(n+m+1, 1/2)/(4*pi*B(1/2, m)) * c_n * b^m
@@ -196,22 +200,18 @@ def r2_series(ch: ChannelParams, alpha: float,
     n = 0..trunc.n_max, are summed as a polynomial inside a single
     quadrature (see the r2_term_scaled kernel).  For integer m (1-m)_n
     hits an exact zero and the series terminates at n = m-1 with the
-    closed form exact.  spec=None means QuadratureSpec(rel_tol=1e-11).
-    Where the coefficients cancel (m > 1, high mean SNR) the kernel sums
-    them in fixed point at 2^110.  Raises ValueError for an adaptive
+    closed form exact.  Where the coefficients cancel (m > 1, high mean
+    SNR) the kernel sums them in fixed point at 2^110.  Raises
+    ValueError for an adaptive
     policy, whose untruncated limit is r2_quadrature, and
     ConvergenceError if the quadrature cannot meet spec or if P_N(r_max)
     keeps fewer than 64 bits at the kernel's fixed-point scale.
     """
-    if trunc is None:
-        trunc = TruncationPolicy()
     if trunc.mode == "adaptive":
         raise ValueError("r2_series sums a fixed number of terms; the "
                          "adaptive policy's R2 is r2_quadrature")
     m = ch.m
     b = _ratio(ch, alpha)
-    if spec is None:
-        spec = _SERIES_SPEC
 
     coefs = [2.0]  # c_0 = 1/(1/2)
     for n in range(1, trunc.n_max + 1):
@@ -226,7 +226,7 @@ def r2_series(ch: ChannelParams, alpha: float,
 
 
 def aber_closed_with_terms(ch: ChannelParams, mod: Modulation,
-                           trunc: TruncationPolicy | None = None) -> RouteValue:
+                           trunc: TruncationPolicy = _FIVE_TERMS) -> RouteValue:
     """Series closed form of the average BER, with the terms it used.
 
     Combines the averaged Q and Q^2 pieces into
@@ -236,7 +236,7 @@ def aber_closed_with_terms(ch: ChannelParams, mod: Modulation,
     at rel_tol = trunc.term_tol, an "untruncated" value of 0 terms.
     """
     c0 = mod.c0
-    if trunc is not None and trunc.mode == "adaptive":
+    if trunc.mode == "adaptive":
         r2 = r2_quadrature(ch, mod.c1, QuadratureSpec(rel_tol=trunc.term_tol))
         kind, terms = "untruncated", 0
     else:
@@ -247,7 +247,7 @@ def aber_closed_with_terms(ch: ChannelParams, mod: Modulation,
 
 
 def aber_closed(ch: ChannelParams, mod: Modulation,
-                trunc: TruncationPolicy | None = None) -> float:
+                trunc: TruncationPolicy = _FIVE_TERMS) -> float:
     """Series closed form of the average BER (value only)."""
     return aber_closed_with_terms(ch, mod, trunc).value
 
@@ -259,11 +259,10 @@ def aber_lu_closed(ch: ChannelParams, mod: Modulation) -> float:
     in one pass through Lemma 2's rule; no truncation is involved, so it
     matches the quadrature of its own kernel to oracle accuracy.
     """
-    odd = range(1, int(round(math.sqrt(mod.order))), 2)
-    return 4.0 * mod.c0 * _avg_q_sum(ch, mod.c1, odd)
+    return 4.0 * mod.c0 * _avg_q_sum(ch, mod.c1, mod.odd_multipliers)
 
 
-def _ber_kernel(mod: Modulation, ber_kind: str, variant: QApproxVariant | None
+def _ber_kernel(mod: Modulation, ber_kind: str, variant: QApproxVariant
                 ) -> tuple[Callable[[float], float], float]:
     """(BER kernel, its slowest exponential decay rate in the SNR)."""
     if ber_kind == "exact":
@@ -271,15 +270,14 @@ def _ber_kernel(mod: Modulation, ber_kind: str, variant: QApproxVariant | None
     if ber_kind == "lu":
         return channel._ber_lu_kernel(mod), mod.c1
     if ber_kind == "expq":
-        v = _CHIANI if variant is None else variant
-        return (channel._ber_expq_kernel(mod, v),
-                2.0 * mod.c1 * min(r for _, r in v.coefficients))
+        return (channel._ber_expq_kernel(mod, variant),
+                2.0 * mod.c1 * min(r for _, r in variant.coefficients))
     raise ValueError("ber_kind must be 'exact', 'lu', or 'expq'")
 
 
 def oracle_result(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
-                  spec: QuadratureSpec | None = None,
-                  variant: QApproxVariant | None = None) -> QuadratureResult:
+                  spec: QuadratureSpec = _ORACLE_SPEC,
+                  variant: QApproxVariant = _CHIANI) -> QuadratureResult:
     """Average BER by direct quadrature of BER(snr)*pdf(snr) over [0, oo).
 
     Full diagnostic record; converged=False is reported, never hidden.
@@ -289,8 +287,8 @@ def oracle_result(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
 
 
 def aber_oracle(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
-                spec: QuadratureSpec | None = None,
-                variant: QApproxVariant | None = None) -> float:
+                spec: QuadratureSpec = _ORACLE_SPEC,
+                variant: QApproxVariant = _CHIANI) -> float:
     """Average BER by direct quadrature; raises on non-convergence.
 
     The ConvergenceError carries the best value and error estimate, so
@@ -301,22 +299,21 @@ def aber_oracle(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
 
 
 def aber_expq_closed(ch: ChannelParams, mod: Modulation,
-                     variant: QApproxVariant | None = None) -> float:
+                     variant: QApproxVariant = _CHIANI) -> float:
     """Closed-form average BER under an exponential-sum Q approximation.
 
     Substituting Q(x) ~ sum w_i exp(-r_i x^2) into the BER turns the
     average into MGF evaluations at negative arguments, so no quadrature
     is needed.
     """
-    v = _CHIANI if variant is None else variant
     c0 = mod.c0
     two_c1 = 2.0 * mod.c1
     linear = 0.0
-    for w, r in v.coefficients:
+    for w, r in variant.coefficients:
         linear += w * channel.mgf(ch, -two_c1 * r)
     square = 0.0
-    for wi, ri in v.coefficients:
-        for wj, rj in v.coefficients:
+    for wi, ri in variant.coefficients:
+        for wj, rj in variant.coefficients:
             square += wi * wj * channel.mgf(ch, -two_c1 * (ri + rj))
     return 4.0 * c0 * linear - 4.0 * c0 * c0 * square
 
@@ -337,31 +334,38 @@ def discrepancy(reference: float, candidate: float) -> float:
     return 10.0 * math.log10(d)
 
 
+# each AberMethod tag's payload type and the default that fills a
+# missing payload: the one its route function takes
+_PAYLOADS = {"closed_form": (TruncationPolicy, _FIVE_TERMS),
+             "lu_closed": (type(None), None),
+             "oracle": (QuadratureSpec, _ORACLE_SPEC),
+             "expq_closed": (QApproxVariant, _CHIANI)}
+
+
 class AberMethod(_Value):
     """Tagged selector for one way of producing an average BER value.
 
-    Exactly one payload may accompany its tag: closed_form carries a
-    TruncationPolicy, oracle carries a QuadratureSpec, expq_closed
-    carries a QApproxVariant, lu_closed carries nothing.
+    payload is what its route runs with: closed_form takes a
+    TruncationPolicy, oracle a QuadratureSpec, expq_closed a
+    QApproxVariant, and lu_closed nothing (None).  A payload left out is
+    the route's default.
     """
 
-    __slots__ = ("tag", "trunc", "spec", "variant")
+    __slots__ = ("tag", "payload")
 
-    def __init__(self, tag: str, trunc: TruncationPolicy | None = None,
-                 spec: QuadratureSpec | None = None,
-                 variant: QApproxVariant | None = None):
-        self._init(tag, trunc, spec, variant)
-        if self.tag not in ("closed_form", "lu_closed", "oracle", "expq_closed"):
+    def __init__(self, tag: str, payload=None):
+        if tag not in _PAYLOADS:
             raise ValueError("tag must be closed_form, lu_closed, oracle, or expq_closed")
-        allowed = {"closed_form": "trunc", "oracle": "spec",
-                   "expq_closed": "variant", "lu_closed": None}[self.tag]
-        for name in ("trunc", "spec", "variant"):
-            if name != allowed and getattr(self, name) is not None:
-                raise ValueError(f"{self.tag} does not take {name}")
+        kind, default = _PAYLOADS[tag]
+        if payload is None:
+            payload = default
+        elif not isinstance(payload, kind):
+            raise ValueError(f"{tag} does not take a {type(payload).__name__}")
+        self._init(tag, payload)
 
     @classmethod
     def closed_form(cls, trunc: TruncationPolicy | None = None) -> "AberMethod":
-        return cls("closed_form", trunc=trunc)
+        return cls("closed_form", trunc)
 
     @classmethod
     def lu_closed(cls) -> "AberMethod":
@@ -369,34 +373,31 @@ class AberMethod(_Value):
 
     @classmethod
     def oracle(cls, spec: QuadratureSpec | None = None) -> "AberMethod":
-        return cls("oracle", spec=spec)
+        return cls("oracle", spec)
 
     @classmethod
     def expq_closed(cls, variant: QApproxVariant | None = None) -> "AberMethod":
-        return cls("expq_closed", variant=variant)
+        return cls("expq_closed", variant)
 
     def label(self) -> str:
         """Stable CSV label; doubles as the sort key within a grid point."""
-        if self.tag == "closed_form":
-            t = TruncationPolicy() if self.trunc is None else self.trunc
-            if t.mode == "fixed_terms":
-                return f"closed(N={t.n_max})"
+        tag, payload = self.tag, self.payload
+        if tag == "closed_form":
+            if payload.mode == "fixed_terms":
+                return f"closed(N={payload.n_max})"
             return "closed(adaptive)"
-        if self.tag == "lu_closed":
-            return "lu"
-        if self.tag == "oracle":
-            return "oracle"
-        v = _CHIANI if self.variant is None else self.variant
-        return "expq(chiani)" if v.is_chiani else "expq(custom)"
+        if tag == "expq_closed":
+            return "expq(chiani)" if payload.is_chiani else "expq(custom)"
+        return "lu" if tag == "lu_closed" else "oracle"
 
     def evaluate(self, ch: ChannelParams, mod: Modulation) -> RouteValue:
         if self.tag == "closed_form":
-            return aber_closed_with_terms(ch, mod, self.trunc)
+            return aber_closed_with_terms(ch, mod, self.payload)
         if self.tag == "oracle":
-            res = require_converged(oracle_result(ch, mod, spec=self.spec),
+            res = require_converged(oracle_result(ch, mod, spec=self.payload),
                                     _ORACLE_UNCONVERGED)
             return RouteValue(res.value, "exact", 0, res.error_estimate)
         if self.tag == "lu_closed":
             return RouteValue(aber_lu_closed(ch, mod), "approximation", 0, None)
-        return RouteValue(aber_expq_closed(ch, mod, self.variant),
+        return RouteValue(aber_expq_closed(ch, mod, self.payload),
                           "approximation", 0, None)

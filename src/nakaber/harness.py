@@ -246,16 +246,6 @@ def _identity_grid():
                 yield ChannelParams(m, db_to_linear(snr_db)), Modulation(order), snr_db
 
 
-def _avg_q_kernel(alpha: float, power: int) -> Callable[[float], float]:
-    """snr -> Q(sqrt(2*alpha*snr))**power, the integrand of lemma2
-    (power 1) and lemma3 (power 2), with alpha taken once."""
-    two_alpha = 2.0 * alpha
-    sqrt = math.sqrt
-    if power == 1:
-        return lambda g: kernels.gauss_q(sqrt(two_alpha * g))
-    return lambda g: kernels.gauss_q(sqrt(two_alpha * g)) ** power
-
-
 def _worst_against_quadrature(group: str, name: str, power: int,
                               closed: Callable[[ChannelParams, float], float],
                               tol: str) -> list[CheckResult]:
@@ -265,8 +255,10 @@ def _worst_against_quadrature(group: str, name: str, power: int,
     worst, worst_at = 0.0, ""
     for ch, mod, snr_db in _identity_grid():
         alpha = mod.c1
-        oracle = fading_average(ch, _avg_q_kernel(alpha, power), _IDENTITY_SPEC,
-                                rate=power * alpha).value
+        two_alpha = 2.0 * alpha
+        oracle = fading_average(
+            ch, lambda g: kernels.gauss_q(math.sqrt(two_alpha * g)) ** power,
+            _IDENTITY_SPEC, rate=power * alpha).value
         rd = _rel_diff(closed(ch, alpha), oracle)
         if rd > worst:
             worst, worst_at = rd, f"m={ch.m:g} snr={snr_db:g}dB M={mod.order}"

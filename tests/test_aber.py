@@ -572,12 +572,12 @@ def test_aber_closed_low_snr_limit():
     assert aber_closed(ch, QPSK) == pytest.approx(0.4375, abs=1e-4)
 
 
-def single_c0_weight_form(ch, mod, trunc=None):
+def single_c0_weight_form(ch, mod):
     """c0 * I_x(m, 1/2) + 4*c0^2 * R2: the closed form with the
     incomplete-beta weight (2*c0 - c0^2) replaced by a bare c0, a
     deliberately wrong diagnostic form for any constellation with c0 != 1."""
     x = ch.m / (ch.m + mod.c1 * ch.mean_snr)
-    r2 = r2_series(ch, mod.c1, trunc).value
+    r2 = r2_series(ch, mod.c1).value
     return mod.c0 * reg_inc_beta(x, ch.m, 0.5) + 4.0 * mod.c0 ** 2 * r2
 
 
@@ -1124,6 +1124,18 @@ def test_closed_forms_refuse_where_the_mgf_ratio_underflows(route):
         route(ch)
 
 
+def test_lu_refuses_where_a_term_underflows_before_the_ratio():
+    # at 3055 dB b = m/(alpha*mean_snr) is the least subnormal, not 0,
+    # but the k = 63 term's x, about b/k^2, underflows to 0, where
+    # I_x(m, 1/2) is about x^m, near 1 at m = 1e-20: that term refuses
+    ch = ChannelParams(1e-20, db_to_linear(3055.0))
+    mod = Modulation(4096)
+    assert ch.m / (mod.c1 * ch.mean_snr) > 0.0
+    with pytest.raises(ValueError, match=r"^m=1e-20 at 3055 dB: m/\(alpha\*mean "
+                                         r"SNR\) underflows a float to 0$"):
+        aber_lu_closed(ch, mod)
+
+
 # --- discrepancy -------------------------------------------------------------
 
 def test_discrepancy_decades():
@@ -1204,11 +1216,19 @@ def test_method_payload_validation():
     with pytest.raises(ValueError, match="tag must be closed_form, lu_closed, "
                                          "oracle, or expq_closed"):
         AberMethod("bogus")
-    with pytest.raises(ValueError, match="lu_closed does not take trunc"):
-        AberMethod("lu_closed", trunc=TruncationPolicy())
-    with pytest.raises(ValueError, match="closed_form does not take spec"):
-        AberMethod("closed_form", spec=QuadratureSpec())
-    with pytest.raises(ValueError, match="oracle does not take variant"):
-        AberMethod("oracle", variant=QApproxVariant.chiani_two_term())
-    with pytest.raises(ValueError, match="expq_closed does not take spec"):
-        AberMethod(tag="expq_closed", spec=QuadratureSpec())
+    with pytest.raises(ValueError, match="lu_closed does not take a TruncationPolicy"):
+        AberMethod("lu_closed", TruncationPolicy())
+    with pytest.raises(ValueError, match="closed_form does not take a QuadratureSpec"):
+        AberMethod("closed_form", QuadratureSpec())
+    with pytest.raises(ValueError, match="oracle does not take a QApproxVariant"):
+        AberMethod("oracle", QApproxVariant.chiani_two_term())
+    with pytest.raises(ValueError, match="expq_closed does not take a QuadratureSpec"):
+        AberMethod(tag="expq_closed", payload=QuadratureSpec())
+    # the payload is one field; the old per-route keywords are gone
+    with pytest.raises(TypeError):
+        AberMethod("oracle", spec=QuadratureSpec())
+    # a payload left out is the default its route function takes
+    assert AberMethod("closed_form").payload == TruncationPolicy.fixed(5)
+    assert AberMethod.oracle().payload == QuadratureSpec()
+    assert AberMethod.expq_closed().payload == QApproxVariant.chiani_two_term()
+    assert AberMethod.lu_closed().payload is None

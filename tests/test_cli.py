@@ -521,6 +521,32 @@ def test_explicit_flag_beats_config(tmp_path, capsys):
     assert float(kv["aber"]) == pytest.approx(0.14644660940672624, rel=1e-12)
 
 
+def test_config_equals_form_matches_the_spaced_form(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 1\nmod = 4\nsnr-db = 0\nmethod = lu\n")
+    spaced = run_cli(capsys, "aber", "--config", str(cfg))
+    assert spaced[0] == 0
+    assert run_cli(capsys, "aber", f"--config={cfg}") == spaced
+
+
+def test_config_false_switch_leaves_it_off(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m=1\nmod=4\nsnr-db-range=0:2:2\nmethod=lu\nno-timing = false\n")
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 0
+    assert out.splitlines()[0] == "snr_db,method,value,terms,wall_time_ns"
+
+
+def test_config_without_a_subcommand_is_a_usage_error(tmp_path, capsys):
+    # no argument outside the flags names a subcommand, so the config's
+    # tokens go at the end, and the parser finds no subcommand
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 1\nmod = 4\n")
+    code, out, _ = run_cli(capsys, f"--config={cfg}")
+    assert code == 2
+    assert out == ""
+
+
 def test_missing_config_is_io_error(capsys):
     code, _, err = run_cli(capsys, "aber", "--config", "/no/such/file.cfg",
                            "--m", "1", "--mod", "4", "--snr-db", "0",

@@ -242,7 +242,9 @@ def test_stops_only_where_the_reported_sums_converge(monkeypatch, m, snr_db,
     # closed(adaptive)'s R2 integrands at these points once stopped where
     # the running totals met rel_tol 1e-12 while the left-to-right sums
     # the result reports missed it by 1e-5 of itself (180 and 240
-    # evaluations, converged=False); the loop now bisects on
+    # evaluations, converged=False).  With the knee at (1+b)*v^2 = 1 they
+    # converge without that branch, which the stub panel test below
+    # reaches; they stay as pins of value and count
     from nakaber import _purekernels, quad
 
     raw = []
@@ -258,6 +260,26 @@ def test_stops_only_where_the_reported_sums_converge(monkeypatch, m, snr_db,
     assert res.converged
     assert res.error_estimate <= 1e-12 * res.value
     assert res.evaluations == evaluations
+
+
+def test_bisects_on_where_only_the_running_totals_converge(monkeypatch):
+    # a stub panel rule, looked up at call time: each panel's value is
+    # its width, [0, 1/2] has error 2^-14, [1/2, 1] error e_b just above
+    # the tolerance 1e-10, and every other panel none.  Once [0, 1/2]
+    # splits, the running error total keeps e_b only on the 2^-66 grid
+    # of 2^-14 + e_b, which rounds it to just below the tolerance, while the
+    # left-to-right sum the result reports is e_b.  The loop takes those
+    # sums as its totals and splits [1/2, 1]; a plain stop would report
+    # converged=False after 60 evaluations
+    from nakaber import quad
+
+    e_b = 1e-10 * (1.0 + 1e-12)
+    assert (2.0 ** -14 + e_b) - 2.0 ** -14 <= 1e-10 < e_b
+    errors = {(0.0, 0.5): 2.0 ** -14, (0.5, 1.0): e_b}
+    monkeypatch.setattr(quad, "_kronrod15",
+                        lambda f, lo, hi: (hi - lo, errors.get((lo, hi), 0.0)))
+    res = integrate_finite(lambda t: 1.0, 0.0, 1.0, QuadratureSpec(rel_tol=1e-10))
+    assert res == (1.0, 0.0, 90, True)
 
 
 def test_panel_at_float_resolution_is_kept_unsplit():
@@ -304,9 +326,8 @@ _VALUE_OBJECTS = [
      "QApproxVariant(coefficients=((0.1, 0.5),))"),
     (TruncationPolicy, ("adaptive", 5, 1e-10), {"mode": "adaptive", "term_tol": 1e-10},
      "TruncationPolicy(mode='adaptive', n_max=5, term_tol=1e-10)"),
-    (AberMethod, ("oracle", None, QuadratureSpec()), {"tag": "oracle", "spec": QuadratureSpec()},
-     "AberMethod(tag='oracle', trunc=None, spec=QuadratureSpec(rel_tol=1e-10), "
-     "variant=None)"),
+    (AberMethod, ("oracle", QuadratureSpec()), {"tag": "oracle", "payload": QuadratureSpec()},
+     "AberMethod(tag='oracle', payload=QuadratureSpec(rel_tol=1e-10))"),
 ]
 
 
