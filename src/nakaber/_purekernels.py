@@ -17,16 +17,9 @@ BACKEND_NAME = "python"
 _SQRT1_2 = math.sqrt(0.5)
 _HALF_PI = math.pi / 2.0
 _INV_FOUR_PI = 1.0 / (4.0 * math.pi)
-_EPS = 2.220446049250313e-16
 _DBL_MAX = 1.7976931348623157e308
-# binary point of the fixed-point correction polynomial, and the bits
-# its value at r_max must keep there
+# binary point of the fixed-point correction polynomial
 _FIXED_BITS = 110
-_FIXED_KEEP = 64
-# how far, relative to the largest, coefs may sit from the exact series
-# coefficients that the fixed-point path sums in their place; the
-# coefficients r2_series builds in doubles sit within 3.1e-15
-_COEF_TOL = 1e-12
 
 # continued-fraction controls
 _CF_MAX_ITER = 400
@@ -222,40 +215,15 @@ def r2_term_scaled(coefs, m: float, b: float,
     the knee moved.  It carries (b*t/(1 + b*t))^m over its peak,
     log_mgf_peak.
 
-    For m > 1 the coefficients alternate in sign, and P_N(r) can be far
-    smaller than its terms (by about 1.5^m at high mean SNR).  Where that
-    cancellation at r_max = 1/(2+b) lets rounding of the coefficients or
-    of Horner's scheme reach a tenth of spec.rel_tol, P_N is evaluated in
-    fixed point: Horner's scheme in integers on the exact coefficients of
-    m (coefs then only gives their count) scaled by 2^110, which rounds
-    each node's P_N(r) to about 2^-110 absolute.  Raises ValueError if
-    coefs there is not that series (to 1e-12 of its largest
-    coefficient), and ConvergenceError if P_N(r_max) keeps fewer than
-    64 significant bits at that scale.
+    coefs are doubles, summed by Horner's scheme, or _fixed_coefs'
+    integers at 2^_FIXED_BITS, summed by _horner_fixed to about 2^-110
+    absolute at each node; r2_series picks which.
     """
     one_plus_b = 1.0 + b
-    r_max = 1.0 / (2.0 + b)
-    # P_N(r_max) and sum |c_n| r_max^n, by Horner's scheme
-    p_max = magnitude = 0.0
-    for c in reversed(coefs):
-        p_max = p_max * r_max + c
-        magnitude = magnitude * r_max + abs(c)
-    fixed = None
-    if 4 * len(coefs) * _EPS * magnitude > 0.1 * spec.rel_tol * abs(p_max):
-        fixed = _fixed_coefs(len(coefs), m)
-        exact = [math.ldexp(c, -_FIXED_BITS) for c in fixed]
-        largest = max(abs(c) for c in exact)
-        if max(abs(c - e) for c, e in zip(coefs, exact)) > _COEF_TOL * largest:
-            raise ValueError(
-                f"coefs are not the correction-series coefficients of m={m:g}, "
-                "which the fixed-point polynomial sums in their place")
-        fixed.reverse()
-        if abs(_horner_fixed(fixed, r_max)).bit_length() < _FIXED_KEEP:
-            raise quad.ConvergenceError(
-                f"correction polynomial keeps fewer than {_FIXED_KEEP} bits "
-                f"at r_max in 2^{_FIXED_BITS} fixed point (m={m:g})")
     # Horner's scheme from the top coefficient, which 0.0 * r + c_N equals
-    top, rest = coefs[-1], coefs[-2::-1]
+    rev = coefs[::-1]
+    top, rest = rev[0], rev[1:]
+    fixed = isinstance(top, int)
     if m < 1.0:
         # A = 2/sqrt(1+b) to the bit, since (1+b)/4 is exact
         k, bend = 2.0 / (1.0 + m), 0.25 * one_plus_b
@@ -278,12 +246,12 @@ def r2_term_scaled(coefs, m: float, b: float,
         st = cos(phi)
         u = one_plus_b * t
         r = t / (1.0 + u)
-        if fixed is None:
+        if fixed:
+            p = ldexp(_horner_fixed(rev, r), -_FIXED_BITS)
+        else:
             p = top
             for c in rest:
                 p = p * r + c
-        else:
-            p = ldexp(_horner_fixed(fixed, r), -_FIXED_BITS)
         # (b*t/(1+b*t))^m / (b/(1+b))^m = (1 + sin^2/((1+b)*t))^-m
         return jac * ct * p * exp(neg_m * log1p(st * st / u) - 0.5 * log1p(u))
 
@@ -309,7 +277,7 @@ def _scale(x: float, log_scale: float) -> float:
 
 
 def r2_integral(b: float, m: float,
-                spec: quad.QuadratureSpec | None) -> quad.QuadratureResult:
+                spec: quad.QuadratureSpec) -> quad.QuadratureResult:
     """Squared-Q correction term by quadrature of Craig's form.
 
     With M(theta) = (1 + 1/(b*sin^2(theta)))^(-m), the fading average of

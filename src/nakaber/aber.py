@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple
 from . import _purekernels as kernels
 from . import channel
 from .channel import ChannelParams, Modulation, QApproxVariant
-from .quad import (ConvergenceError, QuadratureResult, QuadratureSpec, _Value,
-                   require_converged)
+from .quad import (DEFAULT_SPEC, ConvergenceError, QuadratureResult,
+                   QuadratureSpec, _Value, require_converged)
 
 __all__ = [
     "AberMethod",
@@ -42,12 +42,14 @@ __all__ = [
 _SERIES_CAP = 200
 # r2_series' default; one shared value, since a spec is immutable
 _SERIES_SPEC = QuadratureSpec(rel_tol=1e-11)
+_EPS = 2.220446049250313e-16
+# the bits the fixed-point correction polynomial must keep at r_max
+_FIXED_KEEP = 64
 # largest m the closed-form E[Q] takes (see lemma2_avg_q)
 _AVG_Q_M_MAX = 1e4
 # the ConvergenceError message of an oracle that misses its tolerance
 _ORACLE_UNCONVERGED = "average-BER quadrature did not reach its tolerance"
-# the oracle's and expq's defaults
-_ORACLE_SPEC = QuadratureSpec()
+# the oracle's and expq's default variant
 _CHIANI = QApproxVariant.chiani_two_term()
 
 
@@ -172,7 +174,7 @@ def _ratio(ch: ChannelParams, alpha: float) -> float:
 
 
 def r2_quadrature(ch: ChannelParams, alpha: float,
-                  spec: QuadratureSpec | None = None) -> float:
+                  spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Squared-Q correction term by adaptive quadrature.
 
     This is the series-free reference for the correction: the fading
@@ -188,8 +190,7 @@ def r2_quadrature(ch: ChannelParams, alpha: float,
         "squared-Q correction quadrature did not converge").value
 
 
-def r2_series(ch: ChannelParams, alpha: float,
-              trunc: TruncationPolicy = _FIVE_TERMS,
+def r2_series(ch: ChannelParams, alpha: float, n_max: int = 5,
               spec: QuadratureSpec = _SERIES_SPEC) -> RouteValue:
     """Squared-Q correction term as the paper's truncated series.
 
@@ -197,28 +198,41 @@ def r2_series(ch: ChannelParams, alpha: float,
     * F1(n+m+1; m, n+1/2; n+m+3/2; -b, -(1+b)), with
     c_n = (1-m)_n / (n! (n+1/2)) and b = m/(alpha*mean_snr).  Every F1
     shares one theta-integrand times r(theta)^n, so the terms kept,
-    n = 0..trunc.n_max, are summed as a polynomial inside a single
+    n = 0..n_max, are summed as a polynomial P_N(r) inside a single
     quadrature (see the r2_term_scaled kernel).  For integer m (1-m)_n
     hits an exact zero and the series terminates at n = m-1 with the
-    closed form exact.  Where the coefficients cancel (m > 1, high mean
-    SNR) the kernel sums them in fixed point at 2^110.  Raises
-    ValueError for an adaptive
-    policy, whose untruncated limit is r2_quadrature, and
-    ConvergenceError if the quadrature cannot meet spec or if P_N(r_max)
-    keeps fewer than 64 bits at the kernel's fixed-point scale.
+    closed form exact.  For m > 1 the coefficients alternate in sign,
+    and P_N(r) can be far smaller than its terms (by about 1.5^m at high
+    mean SNR).  Where that cancellation at r_max = 1/(2+b), the largest
+    r, lets rounding of the coefficients or of Horner's scheme reach a
+    tenth of spec.rel_tol, the kernel sums the exact coefficients of m
+    in fixed point at 2^110.  Raises ValueError for n_max outside
+    [0, 200], and ConvergenceError if the quadrature cannot meet spec or
+    if P_N(r_max) keeps fewer than 64 bits there.
     """
-    if trunc.mode == "adaptive":
-        raise ValueError("r2_series sums a fixed number of terms; the "
-                         "adaptive policy's R2 is r2_quadrature")
+    if not 0 <= n_max <= _SERIES_CAP:
+        raise ValueError(f"n_max must lie in [0, {_SERIES_CAP}]")
     m = ch.m
     b = _ratio(ch, alpha)
 
     coefs = [2.0]  # c_0 = 1/(1/2)
-    for n in range(1, trunc.n_max + 1):
+    for n in range(1, n_max + 1):
         factor = (1.0 - m) + (n - 1.0)
         if factor == 0.0:
             break  # integer m: every later coefficient carries this zero
         coefs.append(coefs[-1] * factor / n * (n - 0.5) / (n + 0.5))
+    r_max = 1.0 / (2.0 + b)
+    # P_N(r_max) and sum |c_n| r_max^n, by Horner's scheme
+    p_max = magnitude = 0.0
+    for c in reversed(coefs):
+        p_max = p_max * r_max + c
+        magnitude = magnitude * r_max + abs(c)
+    if 4 * len(coefs) * _EPS * magnitude > 0.1 * spec.rel_tol * abs(p_max):
+        coefs = kernels._fixed_coefs(len(coefs), m)
+        if abs(kernels._horner_fixed(coefs[::-1], r_max)).bit_length() < _FIXED_KEEP:
+            raise ConvergenceError(
+                f"correction polynomial keeps fewer than {_FIXED_KEEP} bits "
+                f"at r_max in 2^{kernels._FIXED_BITS} fixed point (m={m:g})")
     res = require_converged(
         kernels.r2_term_scaled(tuple(coefs), m, b, spec),
         "correction series quadrature did not converge")
@@ -231,16 +245,17 @@ def aber_closed_with_terms(ch: ChannelParams, mod: Modulation,
 
     Combines the averaged Q and Q^2 pieces into
     (4*c0 - 2*c0^2) * E[Q] + 4*c0^2 * R2, E[Q] = (1/2) * I_x(m, 1/2).
-    A fixed policy takes R2 from r2_series, a "truncated" value.  The
-    adaptive policy takes the series' untruncated limit, r2_quadrature
-    at rel_tol = trunc.term_tol, an "untruncated" value of 0 terms.
+    A fixed policy takes R2 from r2_series at N = trunc.n_max, a
+    "truncated" value.  The adaptive policy takes the series'
+    untruncated limit, r2_quadrature at rel_tol = trunc.term_tol, an
+    "untruncated" value of 0 terms.
     """
     c0 = mod.c0
     if trunc.mode == "adaptive":
         r2 = r2_quadrature(ch, mod.c1, QuadratureSpec(rel_tol=trunc.term_tol))
         kind, terms = "untruncated", 0
     else:
-        r2, kind, terms, _ = r2_series(ch, mod.c1, trunc)
+        r2, kind, terms, _ = r2_series(ch, mod.c1, trunc.n_max)
     avg_q = lemma2_avg_q(ch, mod.c1)
     return RouteValue((4.0 * c0 - 2.0 * c0 * c0) * avg_q + 4.0 * c0 * c0 * r2,
                       kind, terms, None)
@@ -276,7 +291,7 @@ def _ber_kernel(mod: Modulation, ber_kind: str, variant: QApproxVariant
 
 
 def oracle_result(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
-                  spec: QuadratureSpec = _ORACLE_SPEC,
+                  spec: QuadratureSpec = DEFAULT_SPEC,
                   variant: QApproxVariant = _CHIANI) -> QuadratureResult:
     """Average BER by direct quadrature of BER(snr)*pdf(snr) over [0, oo).
 
@@ -287,7 +302,7 @@ def oracle_result(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
 
 
 def aber_oracle(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
-                spec: QuadratureSpec = _ORACLE_SPEC,
+                spec: QuadratureSpec = DEFAULT_SPEC,
                 variant: QApproxVariant = _CHIANI) -> float:
     """Average BER by direct quadrature; raises on non-convergence.
 
@@ -338,7 +353,7 @@ def discrepancy(reference: float, candidate: float) -> float:
 # missing payload: the one its route function takes
 _PAYLOADS = {"closed_form": (TruncationPolicy, _FIVE_TERMS),
              "lu_closed": (type(None), None),
-             "oracle": (QuadratureSpec, _ORACLE_SPEC),
+             "oracle": (QuadratureSpec, DEFAULT_SPEC),
              "expq_closed": (QApproxVariant, _CHIANI)}
 
 

@@ -225,7 +225,7 @@ def _log1p_minus_small(s: float) -> float:
 
 
 def fading_average(ch: ChannelParams, h: Callable[[float], float],
-                   spec: quad.QuadratureSpec | None = None,
+                   spec: quad.QuadratureSpec = quad.DEFAULT_SPEC,
                    rate: float = 0.0) -> quad.QuadratureResult:
     """E[h(snr)] = integral of h(snr) * pdf(snr) over [0, oo), by quadrature.
 

@@ -17,7 +17,7 @@ import sys
 
 from .aber import AberMethod, TruncationPolicy
 from .channel import ChannelParams, Modulation, QApproxVariant, db_to_linear
-from .quad import ConvergenceError, QuadratureSpec
+from .quad import DEFAULT_SPEC, ConvergenceError, QuadratureSpec
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "quadrature of Craig's form to this relative "
                               "tolerance, in [1e-13, 1e-4]; overrides --terms")
         sub.add_argument("--rel-tol", type=float,
-                         default=QuadratureSpec().rel_tol,
+                         default=DEFAULT_SPEC.rel_tol,
                          help="relative tolerance for oracle quadrature")
         sub.add_argument("--expq", type=str, default=None,
                          help="exponential Q-approx pairs w1:r1,w2:r2,... "

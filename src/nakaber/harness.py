@@ -123,7 +123,7 @@ def run_sweep(m: float, order: int, snr_dbs: Sequence[float],
 
 def run_discrepancy(m: float, order: int, snr_dbs: Sequence[float],
                     methods: Sequence[AberMethod],
-                    oracle_spec: QuadratureSpec | None = None
+                    oracle_spec: QuadratureSpec = quad.DEFAULT_SPEC
                     ) -> list[DiscrepancyRow]:
     """Per grid point: reference oracle (exact kernel) vs each method.
 
@@ -303,7 +303,7 @@ def _check_termination() -> list[CheckResult]:
     for m in (1, 2, 3):
         for gbar in (1.0, 10.0):
             ch = ChannelParams(float(m), gbar)
-            res = aber_mod.r2_series(ch, alpha, TruncationPolicy.fixed(10))
+            res = aber_mod.r2_series(ch, alpha, 10)
             rd = _rel_diff(res.value, aber_mod.r2_quadrature(ch, alpha))
             ok = res.terms_used == m and rd <= 1e-8
             out.append(CheckResult(

@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 
 __all__ = [
     "ConvergenceError",
+    "DEFAULT_SPEC",
     "QuadratureResult",
     "QuadratureSpec",
     "integrate_finite",
@@ -151,6 +152,10 @@ class QuadratureSpec(_Value):
             raise ValueError("rel_tol must lie in [1e-14, 1e-3]")
 
 
+# the engine's default setting, shared since a spec is immutable
+DEFAULT_SPEC = QuadratureSpec()
+
+
 class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
@@ -241,7 +246,7 @@ def _kronrod15(f: Callable[[float], float], lo: float, hi: float):
 
 
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
-                     spec: QuadratureSpec | None = None) -> QuadratureResult:
+                     spec: QuadratureSpec = DEFAULT_SPEC) -> QuadratureResult:
     """Adaptive integral of f over the finite interval [lo, hi].
 
     Opens on [lo, mid] and [mid, hi], 30 evaluations, or on one panel
@@ -257,8 +262,6 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     a malformed interval and ConvergenceError on a non-finite integrand
     value, which is a numerical failure, not a usage error.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
     if not lo < hi:
@@ -341,7 +344,7 @@ def _left_to_right(heap, frozen) -> tuple[float, float]:
 
 
 def integrate_semi_infinite(f: Callable[[float], float], lo: float,
-                            spec: QuadratureSpec | None = None) -> QuadratureResult:
+                            spec: QuadratureSpec = DEFAULT_SPEC) -> QuadratureResult:
     """Adaptive integral of f over [lo, oo).
 
     Substitutes x = lo + t/(1-t), which tolerates algebraic tails as

@@ -12,6 +12,8 @@ import math
 from . import _purekernels as kernels
 from .quad import QuadratureSpec, require_converged
 
+_F1_SPEC = QuadratureSpec(rel_tol=1e-11)
+
 __all__ = [
     "appell_f1",
     "gauss_q",
@@ -59,13 +61,12 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
-              spec: QuadratureSpec | None = None) -> float:
+              spec: QuadratureSpec = _F1_SPEC) -> float:
     """Appell hypergeometric F1(a; b1, b2; c; x, y) for x, y <= 0.
 
     Evaluated through its single-integral representation, which stays
     valid where the defining double series diverges.  Requires c > a so
-    the representation applies.  spec=None means
-    QuadratureSpec(rel_tol=1e-11).  Raises ConvergenceError (carrying the
+    the representation applies.  Raises ConvergenceError (carrying the
     achieved value and estimate) if the quadrature does not meet spec.
     """
     for name, v in (("a", a), ("b1", b1), ("b2", b2), ("c", c), ("x", x), ("y", y)):
@@ -77,8 +78,6 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
         raise ValueError("appell_f1 requires c > a")
     if x > 0.0 or y > 0.0:
         raise ValueError("appell_f1 supports only x <= 0 and y <= 0")
-    if spec is None:
-        spec = QuadratureSpec(rel_tol=1e-11)
     return require_converged(
         kernels.appell_f1(a, b1, b2, c, x, y, spec),
         "appell_f1 quadrature did not reach the requested accuracy").value

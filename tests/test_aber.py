@@ -29,7 +29,7 @@ from nakaber.aber import (
 )
 from nakaber.channel import (SUPPORTED_ORDERS, ChannelParams, Modulation, QApproxVariant,
                              db_to_linear)
-from nakaber.quad import ConvergenceError, QuadratureSpec
+from nakaber.quad import DEFAULT_SPEC, ConvergenceError, QuadratureSpec
 from nakaber.specfun import reg_inc_beta
 
 RAYLEIGH_UNIT = ChannelParams(1.0, 1.0)
@@ -177,16 +177,16 @@ def test_avg_q_rejects_bad_alpha():
     (RAYLEIGH_UNIT, TIGHT, 0.038245089301743883995, 1e-11),
     # 50-digit Craig form I_x(m, 1/2)/4 - (1/pi) int_0^{pi/4}
     # (1 + gbar/(m sin^2))^-m dtheta at the double m = 4.1
-    (ChannelParams(4.1, 1000.0), None, 1.0551786267554558e-11, 1e-9),
+    (ChannelParams(4.1, 1000.0), DEFAULT_SPEC, 1.0551786267554558e-11, 1e-9),
     # the same 50-digit form where R2 is dozens of decades below 1: the
     # default spec converges on relative error alone
-    (ChannelParams(50.0, 1000.0), None, 1.5783802198025831671e-68, 1e-9),
-    (ChannelParams(20.5, 1000.0), None, 5.0737298221946191915e-37, 1e-9),
+    (ChannelParams(50.0, 1000.0), DEFAULT_SPEC, 1.5783802198025831671e-68, 1e-9),
+    (ChannelParams(20.5, 1000.0), DEFAULT_SPEC, 5.0737298221946191915e-37, 1e-9),
     # 40-digit quadrature of the phi-form at b = 1e-303, where b*cos^2
     # is subnormal over much of the range and 1/(b*cos^2) overflows;
     # (b*cos^2)^m is still about 0.5 there; reading it as 0 leaves the
     # value 3.0e-6 low
-    (ChannelParams(0.001, 1e300), None, 1.448026277000501682589876e-4, 1e-10),
+    (ChannelParams(0.001, 1e300), DEFAULT_SPEC, 1.448026277000501682589876e-4, 1e-10),
 ], ids=["rayleigh-tight", "m4.1-30dB-default", "m50-30dB-default",
         "m20.5-30dB-default", "m0.001-3000dB-default"])
 def test_r2_quadrature_frozen_value(ch, spec, expected, rel):
@@ -213,9 +213,9 @@ def test_r2_integral_resolves_the_low_snr_knee():
     # R2 -> m*C(2m, m)/(2*4^m*sqrt(b)) to relative O(1/b), here
     # 1.989730934679469e-150 (40 digits).  Nodes spread as theta = w^k
     # found the knee only after 14,955 evaluations
-    from nakaber import _backend
+    from nakaber import _purekernels
 
-    res = _backend.kernels.r2_integral(1e300, 50.0, None)
+    res = _purekernels.r2_integral(1e300, 50.0, DEFAULT_SPEC)
     assert res.converged
     assert res.evaluations <= 500
     assert res.value == pytest.approx(1.989730934679469e-150, rel=1e-13, abs=0.0)
@@ -227,18 +227,18 @@ def test_r2_integral_evaluation_budget(monkeypatch):
     # identity grid needs deep bisection towards either (5,550
     # evaluations in all, worst 225, in theta = w^k on one opening panel;
     # 4,620 and 120 now); no node pays an incomplete beta
-    from nakaber import _backend
+    from nakaber import _purekernels
     from nakaber.harness import _IDENTITY_SPEC, _identity_grid
 
     def refuse(*args):
         raise AssertionError("reg_inc_beta was called")
 
-    monkeypatch.setattr(_backend.kernels, "reg_inc_beta", refuse)
+    monkeypatch.setattr(_purekernels, "reg_inc_beta", refuse)
     spec = _IDENTITY_SPEC
     counts = []
     for ch, mod, _ in _identity_grid():
         b = ch.m / (mod.c1 * ch.mean_snr)
-        res = _backend.kernels.r2_integral(b, ch.m, spec)
+        res = _purekernels.r2_integral(b, ch.m, spec)
         assert res.converged
         counts.append(res.evaluations)
     assert max(counts) <= 120
@@ -272,11 +272,11 @@ def _r2_tan_form(b, m, spec):
 def test_r2_integral_meets_the_tan_form(m):
     # two formulas for R2, Craig's angle and the tan-mapped defining
     # integral, agree on m x {-30 .. 80} dB (measured gap 3.4e-14)
-    from nakaber import _backend
+    from nakaber import _purekernels
 
     for snr_db in (-30, -10, 0, 10, 30, 50, 80):
         b = m / 10.0 ** (snr_db / 10.0)
-        got = _backend.kernels.r2_integral(b, m, TIGHT)
+        got = _purekernels.r2_integral(b, m, TIGHT)
         assert got.converged
         assert got.value == pytest.approx(_r2_tan_form(b, m, TIGHT),
                                           rel=1e-12, abs=0.0), snr_db
@@ -319,9 +319,9 @@ def test_r2_term_scaled_evaluation_budget(monkeypatch):
     # all, worst 255, with phi = w^k; 6,450 and 150 with the sinh knee
     # grading on two opening panels).  Its evaluation counts are the
     # same for every N on this panel
-    from nakaber import _backend
+    from nakaber import _purekernels
 
-    kernel = _backend.kernels.r2_term_scaled
+    kernel = _purekernels.r2_term_scaled
     counts = []
 
     def counted(*args):
@@ -331,13 +331,13 @@ def test_r2_term_scaled_evaluation_budget(monkeypatch):
         counts.append(res.evaluations)
         return res
 
-    monkeypatch.setattr(_backend.kernels, "r2_term_scaled", counted)
+    monkeypatch.setattr(_purekernels, "r2_term_scaled", counted)
     for m in (0.05, 0.2, 0.6, 0.95):
         for snr_db in (-30, -10, 0, 10, 30, 60, 80):
             ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
             for order in (4, 256):
-                for trunc in (TruncationPolicy.fixed(5), TruncationPolicy.fixed(30)):
-                    r2_series(ch, Modulation(order).c1, trunc)
+                for n_max in (5, 30):
+                    r2_series(ch, Modulation(order).c1, n_max)
     assert len(counts) == 112
     assert max(counts) <= 150
     assert sum(counts) <= 6450
@@ -350,12 +350,12 @@ def test_r2_kernels_evaluation_budget_from_m_1(monkeypatch):
     # kernel's endpoint power m^(-1/4) the panel takes 11,730 and 9,990
     # evaluations (11,970 and 10,590 with the knee at (1+b)*x^2 = 4 and
     # power 1)
-    from nakaber import _backend
+    from nakaber import _purekernels
 
     counts = {"r2_term_scaled": [], "r2_integral": []}
 
     def counter(name):
-        kernel = getattr(_backend.kernels, name)
+        kernel = getattr(_purekernels, name)
 
         def counted(*args):
             res = kernel(*args)
@@ -366,7 +366,7 @@ def test_r2_kernels_evaluation_budget_from_m_1(monkeypatch):
         return counted
 
     for name in counts:
-        monkeypatch.setattr(_backend.kernels, name, counter(name))
+        monkeypatch.setattr(_purekernels, name, counter(name))
     for m in (1.5, 4.1, 8.3, 20.5, 50.0):
         for snr_db in (-30, -10, 0, 10, 30, 60, 80):
             ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
@@ -408,9 +408,8 @@ def test_r2_kernels_converge_at_the_top_of_the_float_range(m):
     # From v^2, r2_integral at m = 0.05 missed rel_tol 1e-12 from
     # b = 1e306 on, and at 1e-10 reported values 1e-9 to 2e-8 off,
     # converged
-    from nakaber import _backend
+    from nakaber import _purekernels as kernels
 
-    kernels = _backend.kernels
     for b in _TOP_B:
         limit = _r2_far_below_the_knee(m, b)
         integral = kernels.r2_integral(b, m, TIGHT)
@@ -447,7 +446,7 @@ def test_r2_term_is_the_papers_appell_f1_term(m, b):
 def test_r2_quadrature_closes_the_identity():
     # for m = 1 the series terminates at one term, so I/4 - R2 has an
     # independent closed form through the terminating series
-    one_term = r2_series(RAYLEIGH_UNIT, 1.0, TruncationPolicy.fixed(0)).value
+    one_term = r2_series(RAYLEIGH_UNIT, 1.0, 0).value
     got = r2_quadrature(RAYLEIGH_UNIT, 1.0, spec=TIGHT)
     assert got == pytest.approx(one_term, rel=1e-11)
 
@@ -474,7 +473,7 @@ def test_r2_sandwich():
 def test_r2_series_terminates_at_integer_m(m, gbar):
     ch = ChannelParams(m, gbar)
     alpha = Modulation(16).c1
-    res = r2_series(ch, alpha, TruncationPolicy.fixed(50))
+    res = r2_series(ch, alpha, 50)
     assert res.terms_used == int(m)
     ref = r2_quadrature(ch, alpha, spec=TIGHT)
     assert res.value == pytest.approx(ref, rel=1e-9)
@@ -485,7 +484,7 @@ def test_r2_series_error_decreases_with_terms():
     alpha = Modulation(256).c1
     ref = r2_quadrature(ch, alpha, spec=QuadratureSpec(rel_tol=1e-13))
     spec = QuadratureSpec(rel_tol=1e-13)
-    errs = [abs(r2_series(ch, alpha, TruncationPolicy.fixed(n), spec).value - ref)
+    errs = [abs(r2_series(ch, alpha, n, spec).value - ref)
             for n in (0, 1, 2, 3, 5)]
     assert all(e2 <= e1 for e1, e2 in zip(errs, errs[1:]))
     assert errs[-1] < 1e-10 * ref
@@ -495,7 +494,7 @@ def test_r2_series_adaptive_stops_early():
     # the 17 terms (n = 0..16) that a term-size stop at 1e-12 kept
     ch = ChannelParams(4.1, 10.0)
     alpha = 1.0
-    res = r2_series(ch, alpha, TruncationPolicy.fixed(16))
+    res = r2_series(ch, alpha, 16)
     assert res.terms_used < 60
     ref = r2_quadrature(ch, alpha, spec=TIGHT)
     assert res.value == pytest.approx(ref, rel=1e-9)
@@ -506,7 +505,7 @@ def test_r2_series_fractional_m_stress():
     # (n = 0..33) are where a term-size stop at 1e-13 ended
     ch = ChannelParams(0.6, 1000.0)
     alpha = Modulation(256).c1
-    res = r2_series(ch, alpha, TruncationPolicy.fixed(33))
+    res = r2_series(ch, alpha, 33)
     ref = r2_quadrature(ch, alpha, spec=QuadratureSpec(rel_tol=1e-13))
     assert res.value == pytest.approx(ref, rel=1e-7)
 
@@ -515,7 +514,7 @@ def test_r2_series_tiny_mean_snr_uses_log_fold():
     # b is astronomically large here; the direct b^m * F1 product would
     # underflow, the folded path must still deliver the value
     ch = ChannelParams(2.5, 1e-200)
-    res = r2_series(ch, 1.0, TruncationPolicy.fixed(3))
+    res = r2_series(ch, 1.0, 3)
     assert res.value > 0.0
     x = ch.m / (ch.m + ch.mean_snr)
     quarter_i = 0.25 * reg_inc_beta(x, ch.m, 0.5)
@@ -529,7 +528,7 @@ def test_r2_series_huge_mean_snr_keeps_its_peak(snr_db):
     # For m < 1 every c_n is positive and P_N >= c_0 = 2, so
     # R2_N <= R2 <= R2_N*(1 + T_N/2) with T_N = sum_{n>N} c_n*r_max^n
     ch = ChannelParams(0.05, db_to_linear(snr_db))
-    got = r2_series(ch, QPSK.c1, TruncationPolicy.fixed(5)).value
+    got = r2_series(ch, QPSK.c1, 5).value
     ref = r2_quadrature(ch, QPSK.c1, TIGHT)
     m = ch.m
     r_max = 1.0 / (2.0 + m / ch.mean_snr / QPSK.c1)
@@ -548,7 +547,7 @@ def test_r2_series_large_b_terms_stay_accurate():
     # relative convergence (that once froze the sum 6e-6 away from truth)
     ch = ChannelParams(4.1, 1.0)
     alpha = Modulation(4096).c1
-    res = r2_series(ch, alpha, TruncationPolicy.fixed(5))
+    res = r2_series(ch, alpha, 5)
     assert res.value == pytest.approx(0.01671860004636374901, rel=1e-11)
 
 
@@ -619,7 +618,7 @@ def test_r2_series_cancelling_coefficients_stay_accurate():
     # 72 terms (n = 0..71) reach the N -> oo limit to 1e-12.
     # Reference: 50-digit quadrature of the N -> oo series weight
     ch = ChannelParams(80.5, 1000.0)
-    res = r2_series(ch, QPSK.c1, TruncationPolicy.fixed(71))
+    res = r2_series(ch, QPSK.c1, 71)
     assert res.value == pytest.approx(2.643414182312956982841031e-93, rel=1e-10)
 
 
@@ -629,8 +628,27 @@ def test_r2_series_five_terms_keep_their_bits_at_m_190_5():
     # quadrature of the N = 5 theta-integral in 50-digit arithmetic,
     # good to ~1e-13
     ch = ChannelParams(190.5, 1000.0)
-    res = r2_series(ch, QPSK.c1, TruncationPolicy.fixed(5))
+    res = r2_series(ch, QPSK.c1, 5)
     assert res.value == pytest.approx(-9.3285654361203e-147, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("n_max", [-1, 201])
+def test_r2_series_refuses_n_max_outside_the_policy_range(n_max):
+    # the range a fixed TruncationPolicy takes
+    with pytest.raises(ValueError, match=r"n_max must lie in \[0, 200\]"):
+        r2_series(RAYLEIGH_UNIT, 1.0, n_max)
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
+    "the fixed-point path's 64-bit keep check refuses a polynomial that "
+    "vanishes only at r_max; ROADMAP item 1's certified bound replaces it"))
+def test_r2_series_where_the_polynomial_vanishes_at_r_max():
+    # at m = 80.5, P_1(r) = 2 - 53r reaches 0 only at r_max = 2/53
+    # (b = 24.5), so R2_1 is well defined; the double and fixed-point
+    # sums give 2.6502034519994883e-05 and 2.6502034519994835e-05
+    ch = ChannelParams(80.5, db_to_linear(5.1662979600333605))
+    res = r2_series(ch, QPSK.c1, 1)
+    assert res.value == pytest.approx(2.6502034519994883e-05, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("m", [13.35, 30.5, 45.2, 80.5])
@@ -659,21 +677,6 @@ def test_fixed_point_correction_polynomial_is_correctly_rounded(m):
         assert got == float(p), r
 
 
-def test_fixed_point_path_refuses_foreign_coefficients():
-    # one-hot term 12 at m = 2.5 cancels enough to take the fixed-point
-    # path, which sums the exact series of m; it must refuse rather than
-    # return the whole twelve-term series
-    from nakaber import _purekernels
-
-    m = 2.5
-    c_n = 2.0
-    for n in range(1, 13):
-        c_n *= (n - m) / n * (n - 0.5) / (n + 0.5)
-    with pytest.raises(ValueError, match="coefs"):
-        _purekernels.r2_term_scaled((0.0,) * 12 + (c_n,), m, 0.3,
-                                    QuadratureSpec(rel_tol=1e-13))
-
-
 @pytest.mark.parametrize("m", [80.5, 190.5, 500.5])
 def test_aber_closed_adaptive_matches_the_oracle_at_large_m(m):
     # where the paper's series cancels past double precision or needs
@@ -685,12 +688,12 @@ def test_aber_closed_adaptive_matches_the_oracle_at_large_m(m):
 
 
 def test_aber_closed_adaptive_takes_r2_from_craigs_form(monkeypatch):
-    from nakaber import _backend
+    from nakaber import _purekernels
 
     def refuse(*args):
         raise AssertionError("closed(adaptive) summed the truncated series")
 
-    monkeypatch.setattr(_backend.kernels, "r2_term_scaled", refuse)
+    monkeypatch.setattr(_purekernels, "r2_term_scaled", refuse)
     ch = ChannelParams(2.5, 10.0)
     res = aber_closed_with_terms(ch, QPSK, TruncationPolicy.adaptive(1e-13))
     assert (res.kind, res.terms_used) == ("untruncated", 0)
@@ -698,11 +701,6 @@ def test_aber_closed_adaptive_takes_r2_from_craigs_form(monkeypatch):
     c0 = QPSK.c0
     r2 = r2_quadrature(ch, QPSK.c1, QuadratureSpec(rel_tol=1e-13))
     assert res.value == (4.0 * c0 - 2.0 * c0 * c0) * lemma2_avg_q(ch, QPSK.c1) + 4.0 * c0 * c0 * r2
-
-
-def test_r2_series_refuses_the_adaptive_policy():
-    with pytest.raises(ValueError, match="r2_quadrature"):
-        r2_series(RAYLEIGH_UNIT, 1.0, TruncationPolicy.adaptive())
 
 
 def test_aber_lu_closed_frozen_value():
@@ -892,16 +890,16 @@ def test_oracle_calls_gauss_q_once_per_node(monkeypatch):
     # the exact kernel looks gauss_q up on the kernel module at call
     # time, once per node, so a wrapped kernel sees every evaluation;
     # at these points every node carries mass
-    from nakaber import _backend
+    from nakaber import _purekernels
 
-    gauss_q = _backend.kernels.gauss_q
+    gauss_q = _purekernels.gauss_q
     calls = []
 
     def counting(z):
         calls.append(z)
         return gauss_q(z)
 
-    monkeypatch.setattr(_backend.kernels, "gauss_q", counting)
+    monkeypatch.setattr(_purekernels, "gauss_q", counting)
     for m, gbar, order in ((2.5, 100.0, 16), (50.0, 1e4, 4), (0.05, 1e8, 4096)):
         calls.clear()
         res = oracle_result(ChannelParams(m, gbar), Modulation(order))

@@ -136,8 +136,7 @@ def test_03_series_truncation_error():
         for snr_db in (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
             ch = ChannelParams(m, db_to_linear(snr_db))
             ref = r2_quadrature(ch, mod.c1, spec=ref_spec)
-            errs = [abs(r2_series(ch, mod.c1, TruncationPolicy.fixed(n),
-                                  series_spec).value - ref)
+            errs = [abs(r2_series(ch, mod.c1, n, series_spec).value - ref)
                     for n in (0, 1, 2, 3, 5)]
             if not all(e2 <= e1 for e1, e2 in zip(errs, errs[1:])):
                 monotone_ok = False
@@ -215,7 +214,7 @@ def test_05_series_closed_form_end_to_end():
     diag_ref = aber_oracle(ch0, mod16, spec=REF_SPEC)
     x0 = ch0.m / (ch0.m + mod16.c1 * ch0.mean_snr)
     diag_bad = (mod16.c0 * reg_inc_beta(x0, ch0.m, 0.5)
-                + 4.0 * mod16.c0 ** 2 * r2_series(ch0, mod16.c1, trunc).value)
+                + 4.0 * mod16.c0 ** 2 * r2_series(ch0, mod16.c1, trunc.n_max).value)
     diag_ok = abs(diag_bad - diag_ref) / diag_ref > 1e-6
 
     ok = main_ok and diag_ok
@@ -277,9 +276,9 @@ def test_08_closed_form_takes_fewer_evaluations(monkeypatch):
     # check 8's claim in deterministic counts, free of timing noise: at
     # its point, R2 for N = 0..5 takes fewer integrand evaluations than
     # the oracle at the tolerance check 8 times it at (30 against 90)
-    from nakaber import _backend
+    from nakaber import _purekernels
 
-    kernel = _backend.kernels.r2_term_scaled
+    kernel = _purekernels.r2_term_scaled
     counts = []
 
     def counted(*args):
@@ -287,7 +286,7 @@ def test_08_closed_form_takes_fewer_evaluations(monkeypatch):
         counts.append(res.evaluations)
         return res
 
-    monkeypatch.setattr(_backend.kernels, "r2_term_scaled", counted)
+    monkeypatch.setattr(_purekernels, "r2_term_scaled", counted)
     ch = ChannelParams(0.6, db_to_linear(10.0))
     mod = Modulation(256)
     for n in range(6):

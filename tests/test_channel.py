@@ -295,13 +295,13 @@ def test_built_kernels_look_gauss_q_up_at_call_time(monkeypatch):
     # a kernel swapped or wrapped on the kernel module after a BER
     # kernel is built still serves that kernel's nodes: one call per
     # node for the exact BER, sqrt(M)/2 for the sum of Q
-    from nakaber import _backend
+    from nakaber import _purekernels
 
     mod = Modulation(16)
     exact = _ber_exact_kernel(mod)
     lu = _ber_lu_kernel(mod)
     calls = []
-    monkeypatch.setattr(_backend.kernels, "gauss_q", lambda z: calls.append(z) or 0.25)
+    monkeypatch.setattr(_purekernels, "gauss_q", lambda z: calls.append(z) or 0.25)
     assert exact(1.0) == 4.0 * mod.c0 * 0.25 - 4.0 * mod.c0 * mod.c0 * 0.25 * 0.25
     assert len(calls) == 1
     assert lu(1.0) == 4.0 * mod.c0 * 0.5

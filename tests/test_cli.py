@@ -472,6 +472,19 @@ def test_selftest_full_run_passes(capsys):
     assert "0 failures" in out
 
 
+def test_selftest_failure_exits_1(capsys, monkeypatch):
+    # a correction term below 0 breaks the sandwich bounds at the grid's
+    # first point, and a failed check is exit 1
+    import nakaber.aber
+
+    monkeypatch.setattr(nakaber.aber, "r2_quadrature", lambda ch, alpha: -1e-3)
+    code, out, _ = run_cli(capsys, "selftest", "--group", "sandwich")
+    assert code == 1
+    assert ("[FAIL] sandwich :: correction-term bounds | violated at "
+            "m=0.6 snr=-5dB M=4: r2=-1.000e-03 ") in out
+    assert "selftest: 1 checks, 1 failures" in out
+
+
 def test_selftest_unknown_group(capsys):
     code, _, err = run_cli(capsys, "selftest", "--group", "lemma9")
     assert code == 2

@@ -13,6 +13,7 @@ import pytest
 from nakaber.aber import AberMethod, TruncationPolicy
 from nakaber.channel import ChannelParams, Modulation, QApproxVariant
 from nakaber.quad import (
+    DEFAULT_SPEC,
     ConvergenceError,
     QuadratureSpec,
     integrate_finite,
@@ -198,7 +199,7 @@ def test_interior_cusp_value():
 
 
 @pytest.mark.parametrize("f, lo, hi, spec, shown", [
-    (lambda t: 1.0 / math.sqrt(abs(t - 0.3) + 1e-308), 0.0, 1.0, None,
+    (lambda t: 1.0 / math.sqrt(abs(t - 0.3) + 1e-308), 0.0, 1.0, DEFAULT_SPEC,
      "QuadratureResult(value=2.768765155288553, "
      "error_estimate=2.7424203463729784e-10, evaluations=5640, converged=True)"),
     (lambda t: t ** (-0.9) if t > 0.0 else 0.0, 1e-300, 1.0,
