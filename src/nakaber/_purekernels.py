@@ -209,11 +209,13 @@ def r2_term_scaled(coefs, m: float, b: float,
     integrand bends, at (1+b)*phi^2 = 1, and k = m^(-1/4) <= 1 moves the
     nodes towards phi = pi/2, where the mass sits at large m; the power
     stays at least 3.  For m < 1, k = 2/(1+m) makes the power w^3 and A
-    stays at (1+b)*phi^2 = 4: a seed-601 perfbench series pass takes
-    275,970 evaluations here, 415,590 (+50.6%, failing acceptance check
-    8) with the m >= 1 rule at every m, and 283,680 (+2.8%) with only
-    the knee moved.  It carries (b*t/(1 + b*t))^m over its peak,
-    log_mgf_peak.
+    stays at (1+b)*phi^2 = 4.  On the 21-point rule a seed-601 perfbench
+    series pass takes 216,384 evaluations here; the m >= 1 rule at every
+    m takes 323,904 (+49.7%, and 126 against the oracle's 90 at
+    acceptance check 8's point), and moving only the knee 213,192
+    (-1.5%).  On the 15-point rule, where the knee at 4 was chosen, these
+    read 275,970, 415,590 and 283,680 (+2.8%).  It carries
+    (b*t/(1 + b*t))^m over its peak, log_mgf_peak.
 
     coefs are doubles, summed by Horner's scheme, or _fixed_coefs'
     integers at 2^_FIXED_BITS, summed by _horner_fixed to about 2^-110
@@ -255,7 +257,7 @@ def r2_term_scaled(coefs, m: float, b: float,
         # (b*t/(1+b*t))^m / (b/(1+b))^m = (1 + sin^2/((1+b)*t))^-m
         return jac * ct * p * exp(neg_m * log1p(st * st / u) - 0.5 * log1p(u))
 
-    res = quad.integrate_finite(h, 0.0, 1.0, spec)
+    res = quad.integrate_finite(h, 0.0, 1.0, spec, rule=21)
     return _scaled(res, m, b, -log_beta(0.5, m))
 
 
@@ -331,5 +333,5 @@ def r2_integral(b: float, m: float,
         x = (1.0 - v) * (1.0 + v) * (1.0 + v2) / u
         return jac * exp(neg_m * log1p(v2 / one_plus_b)) * -expm1(neg_m * log1p(x))
 
-    res = quad.integrate_finite(f, 0.0, 1.0, spec)
+    res = quad.integrate_finite(f, 0.0, 1.0, spec, rule=21)
     return _scaled(res, m, b)

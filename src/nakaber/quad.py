@@ -1,12 +1,23 @@
 """Deterministic adaptive Gauss-Kronrod quadrature.
 
-Finite intervals go through a 15-point Kronrod rule with the embedded
-7-point Gauss rule for error estimation.  The engine opens on the two
-halves of the interval, not on one panel over all of it as QUADPACK's
-qag does: nearly every library integral splits that panel anyway.  The
-panel with the worst error estimate is then bisected until the global
-estimate meets the relative tolerance, the one setting, or
-_MAX_SUBDIVISIONS bisections, the opening split included, are spent.
+Finite intervals go through a Kronrod panel whose embedded Gauss rule
+gives the error estimate.  The 15-point rule, with 7 Gauss points, is
+the default: the oracle's fading average, the Appell F1 kernel, the
+selftest identities and integrate_semi_infinite run on it.  The two
+correction-term (R2) kernels, whose sinh-graded integrands are smooth,
+pass QUADPACK's 21-point rule, with 10 Gauss points, and take 23% fewer
+evaluations on it over a seed-601 benchmark series pass.  The oracle
+stays on 15 points because it is the arbiter: on the 21-point rule its
+evaluations fell by a fifth on a 2,160-point panel, but its estimate
+understated the true error at 2 of them, by up to 94 times, where the
+15-point estimate held.
+
+The engine opens on the two halves of the interval, not on one panel
+over all of it as QUADPACK's qag does: nearly every library integral
+splits that panel anyway.  The panel with the worst error estimate is
+then bisected until the global estimate meets the relative tolerance,
+the one setting, or _MAX_SUBDIVISIONS bisections, the opening split
+included, are spent.
 Every integral in the library is finite: a half-line one with the
 weight dx/(sqrt(x)*(1+x)) becomes 2*dphi on [0, pi/2) under
 x = tan^2(phi).  integrate_semi_infinite, the rational fold
@@ -73,6 +84,42 @@ _WG = (
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
+)
+
+# 21-point Kronrod abscissae and weights, the same layout: the embedded
+# 10-point Gauss rule has no centre node, and its nodes are those at
+# odd indices.  Classical QUADPACK constants (qk21).
+_XGK21 = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+)
+_WGK21 = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG21 = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
 )
 
 
@@ -245,31 +292,122 @@ def _kronrod15(f: Callable[[float], float], lo: float, hi: float):
     return value, err
 
 
+def _kronrod21(f: Callable[[float], float], lo: float, hi: float):
+    """One 21-point Kronrod panel, QUADPACK's qk21 in _kronrod15's layout
+    and with its error recipe; the embedded 10-point Gauss rule has no
+    centre node.  The recipe is written out in both panels: a shared
+    helper, handed the node values for resabs, made a panel 4-8%
+    slower."""
+    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9 = _XGK21
+    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10 = _WGK21
+    g0, g1, g2, g3, g4 = _WG21
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    # the centre's term first, then i = 0..9, as in _kronrod15
+    fc = f(c)
+    d = h * x0
+    a0 = f(c - d)
+    b0 = f(c + d)
+    d = h * x1
+    a1 = f(c - d)
+    b1 = f(c + d)
+    d = h * x2
+    a2 = f(c - d)
+    b2 = f(c + d)
+    d = h * x3
+    a3 = f(c - d)
+    b3 = f(c + d)
+    d = h * x4
+    a4 = f(c - d)
+    b4 = f(c + d)
+    d = h * x5
+    a5 = f(c - d)
+    b5 = f(c + d)
+    d = h * x6
+    a6 = f(c - d)
+    b6 = f(c + d)
+    d = h * x7
+    a7 = f(c - d)
+    b7 = f(c + d)
+    d = h * x8
+    a8 = f(c - d)
+    b8 = f(c + d)
+    d = h * x9
+    a9 = f(c - d)
+    b9 = f(c + d)
+    s1 = a1 + b1
+    s3 = a3 + b3
+    s5 = a5 + b5
+    s7 = a7 + b7
+    s9 = a9 + b9
+    resg = g0 * s1 + g1 * s3 + g2 * s5 + g3 * s7 + g4 * s9
+    resk = (k10 * fc + k0 * (a0 + b0) + k1 * s1 + k2 * (a2 + b2) + k3 * s3
+            + k4 * (a4 + b4) + k5 * s5 + k6 * (a6 + b6) + k7 * s7
+            + k8 * (a8 + b8) + k9 * s9)
+    reskh = 0.5 * resk
+    resasc = (k10 * abs(fc - reskh)
+              + k0 * (abs(a0 - reskh) + abs(b0 - reskh))
+              + k1 * (abs(a1 - reskh) + abs(b1 - reskh))
+              + k2 * (abs(a2 - reskh) + abs(b2 - reskh))
+              + k3 * (abs(a3 - reskh) + abs(b3 - reskh))
+              + k4 * (abs(a4 - reskh) + abs(b4 - reskh))
+              + k5 * (abs(a5 - reskh) + abs(b5 - reskh))
+              + k6 * (abs(a6 - reskh) + abs(b6 - reskh))
+              + k7 * (abs(a7 - reskh) + abs(b7 - reskh))
+              + k8 * (abs(a8 - reskh) + abs(b8 - reskh))
+              + k9 * (abs(a9 - reskh) + abs(b9 - reskh)))
+    value = resk * h
+    resasc *= abs(h)
+    err = abs((resk - resg) * h)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if not err >= _FLOOR_BOUND * (resasc + abs(value)):
+        resabs = (abs(k10 * fc) + k0 * (abs(a0) + abs(b0)) + k1 * (abs(a1) + abs(b1))
+                  + k2 * (abs(a2) + abs(b2)) + k3 * (abs(a3) + abs(b3))
+                  + k4 * (abs(a4) + abs(b4)) + k5 * (abs(a5) + abs(b5))
+                  + k6 * (abs(a6) + abs(b6)) + k7 * (abs(a7) + abs(b7))
+                  + k8 * (abs(a8) + abs(b8)) + k9 * (abs(a9) + abs(b9)))
+        resabs *= abs(h)
+        if resabs > _UFLOW / (50.0 * _EPS):
+            err = max(err, 50.0 * _EPS * resabs)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise ConvergenceError("integrand produced a non-finite value")
+    return value, err
+
+
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
-                     spec: QuadratureSpec = DEFAULT_SPEC) -> QuadratureResult:
+                     spec: QuadratureSpec = DEFAULT_SPEC,
+                     rule: int = 15) -> QuadratureResult:
     """Adaptive integral of f over the finite interval [lo, hi].
 
-    Opens on [lo, mid] and [mid, hi], 30 evaluations, or on one panel
-    where [lo, hi] is one float wide and cannot be split.  The loop
-    keeps running totals of the panels' values and errors; where a split
-    panel outweighs the totals left after its split by a factor _RESUM,
-    subtracting it has left its rounding residue in them, and they are
-    summed afresh from the live panels.  It stops only where the sums it
-    reports, taken left to right, meet the tolerance as well.
+    rule names the panel by its point count: 15, _kronrod15, or 21,
+    _kronrod21, looked up when the call starts.  Opens on [lo, mid] and
+    [mid, hi], 2*rule evaluations, or on one panel where [lo, hi] is one
+    float wide and cannot be split.  The loop keeps running totals of
+    the panels' values and errors; where a split panel outweighs the
+    totals left after its split by a factor _RESUM, subtracting it has
+    left its rounding residue in them, and they are summed afresh from
+    the live panels.  It stops only where the sums it reports, taken
+    left to right, meet the tolerance as well.
 
     Never raises on slow convergence; the result records converged=False
     instead, with the error estimate still honest.  Raises ValueError on
-    a malformed interval and ConvergenceError on a non-finite integrand
-    value, which is a numerical failure, not a usage error.
+    a malformed interval or rule, and ConvergenceError on a non-finite
+    integrand value, which is a numerical failure, not a usage error.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
     if not lo < hi:
         raise ValueError("integration requires lo < hi")
+    if rule == 15:
+        panel = _kronrod15
+    elif rule == 21:
+        panel = _kronrod21
+    else:
+        raise ValueError("rule must be 15 or 21")
 
     rel_tol, max_splits = spec.rel_tol, _MAX_SUBDIVISIONS
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    panel = _kronrod15
     mid = 0.5 * (lo + hi)
     if lo < mid < hi:
         opening = [(lo, mid), (mid, hi)]
@@ -288,7 +426,7 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
         total_e += e
         heappush(heap, (-e, counter, a, b, v, e))
     counter = len(heap)
-    evaluations = 15 * counter
+    evaluations = rule * counter
     frozen: list[tuple[float, float, float]] = []  # (lo, value, err) of unsplittable panels
 
     while True:
@@ -310,7 +448,7 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
             continue
         v1, e1 = panel(f, a, mid)
         v2, e2 = panel(f, mid, b)
-        evaluations += 30
+        evaluations += 2 * rule
         splits += 1
         total_v += v1 + v2 - va
         total_e += e1 + e2 - ea

@@ -212,12 +212,13 @@ def test_r2_integral_resolves_the_low_snr_knee():
     # its value at 0 where theta passes 1e-150; as b -> oo,
     # R2 -> m*C(2m, m)/(2*4^m*sqrt(b)) to relative O(1/b), here
     # 1.989730934679469e-150 (40 digits).  Nodes spread as theta = w^k
-    # found the knee only after 14,955 evaluations
+    # found the knee only after 14,955 evaluations; the sinh knee takes
+    # 390 on the 15-point panel and 336 on the 21-point one
     from nakaber import _purekernels
 
     res = _purekernels.r2_integral(1e300, 50.0, DEFAULT_SPEC)
     assert res.converged
-    assert res.evaluations <= 500
+    assert res.evaluations <= 336
     assert res.value == pytest.approx(1.989730934679469e-150, rel=1e-13, abs=0.0)
 
 
@@ -226,7 +227,8 @@ def test_r2_integral_evaluation_budget(monkeypatch):
     # smooth at both ends of its range, so no call on the selftest
     # identity grid needs deep bisection towards either (5,550
     # evaluations in all, worst 225, in theta = w^k on one opening panel;
-    # 4,620 and 120 now); no node pays an incomplete beta
+    # 3,900 and 120 on two 15-point panels, 3,570 and 84 on two 21-point
+    # ones); no node pays an incomplete beta
     from nakaber import _purekernels
     from nakaber.harness import _IDENTITY_SPEC, _identity_grid
 
@@ -241,8 +243,8 @@ def test_r2_integral_evaluation_budget(monkeypatch):
         res = _purekernels.r2_integral(b, ch.m, spec)
         assert res.converged
         counts.append(res.evaluations)
-    assert max(counts) <= 120
-    assert sum(counts) <= 4620
+    assert max(counts) <= 84
+    assert sum(counts) <= 3570
 
 
 def _r2_tan_form(b, m, spec):
@@ -317,8 +319,8 @@ def test_r2_term_scaled_evaluation_budget(monkeypatch):
     # theta = pi/2; the kernel's variable makes it smooth, so no call on
     # the small-m panel needs deep bisection there (8,280 evaluations in
     # all, worst 255, with phi = w^k; 6,450 and 150 with the sinh knee
-    # grading on two opening panels).  Its evaluation counts are the
-    # same for every N on this panel
+    # grading on two opening 15-point panels, 5,544 and 126 on 21-point
+    # ones).  Its evaluation counts are the same for every N on this panel
     from nakaber import _purekernels
 
     kernel = _purekernels.r2_term_scaled
@@ -339,16 +341,17 @@ def test_r2_term_scaled_evaluation_budget(monkeypatch):
                 for n_max in (5, 30):
                     r2_series(ch, Modulation(order).c1, n_max)
     assert len(counts) == 112
-    assert max(counts) <= 150
-    assert sum(counts) <= 6450
+    assert max(counts) <= 126
+    assert sum(counts) <= 5544
 
 
 def test_r2_kernels_evaluation_budget_from_m_1(monkeypatch):
     # both correction-term kernels at m >= 1, each at its route's spec:
     # closed(N=5) sums the series at 1e-11, closed(adaptive) takes Craig's
     # form at 1e-12.  With the sinh knee at (1+b)*x^2 = 1 and the series
-    # kernel's endpoint power m^(-1/4) the panel takes 11,730 and 9,990
-    # evaluations (11,970 and 10,590 with the knee at (1+b)*x^2 = 4 and
+    # kernel's endpoint power m^(-1/4) the panel takes 9,492 and 7,182
+    # evaluations on the 21-point rule (11,730 and 9,990 on the 15-point
+    # one, 11,970 and 10,590 there with the knee at (1+b)*x^2 = 4 and
     # power 1)
     from nakaber import _purekernels
 
@@ -375,8 +378,8 @@ def test_r2_kernels_evaluation_budget_from_m_1(monkeypatch):
                 aber_closed(ch, mod, TruncationPolicy.fixed(5))
                 aber_closed(ch, mod, TruncationPolicy.adaptive(1e-12))
     assert [len(c) for c in counts.values()] == [105, 105]
-    assert sum(counts["r2_term_scaled"]) <= 11730
-    assert sum(counts["r2_integral"]) <= 9990
+    assert sum(counts["r2_term_scaled"]) <= 9492
+    assert sum(counts["r2_integral"]) <= 7182
 
 
 def _r2_far_below_the_knee(m, b):
@@ -407,7 +410,8 @@ def test_r2_kernels_converge_at_the_top_of_the_float_range(m):
     # (1+b)*v^2 as ((1+b)*v)*v, since v^2 is subnormal below the knee.
     # From v^2, r2_integral at m = 0.05 missed rel_tol 1e-12 from
     # b = 1e306 on, and at 1e-10 reported values 1e-9 to 2e-8 off,
-    # converged
+    # converged.  The kernels take at most 378 and 252 evaluations here
+    # (450 and 300 on the 15-point rule)
     from nakaber import _purekernels as kernels
 
     for b in _TOP_B:
@@ -418,7 +422,126 @@ def test_r2_kernels_converge_at_the_top_of_the_float_range(m):
         assert integral.converged and series.converged, b
         assert integral.value == pytest.approx(limit, rel=1e-12, abs=0.0), b
         assert series.value == pytest.approx(limit, rel=1e-12, abs=0.0), b
-        assert integral.evaluations <= 450 and series.evaluations <= 300, b
+        assert integral.evaluations <= 378 and series.evaluations <= 252, b
+
+
+# (m, dB, order, R2, R2_5) at 24 whole-domain draws from random.Random(24):
+# m = exp(uniform(log 0.05, log 50)), then the mean SNR uniform on
+# -30..80 dB, then the order from all six.  R2 and the five-term series
+# R2_5 are exact to 40 digits at b = m/(alpha*mean_snr) in doubles; they
+# were computed once with mpmath at 100 digits, not at test time:
+# - R2 = E[Q]/2 - E[Q^2], with E[Q] = I_x(m, 1/2)/2 at x = b/(1+b) by
+#   betainc, and E[Q^2] = (1/pi) int_0^{pi/4} (1 + 1/(b*sin^2))^-m by
+#   tanh-sinh quadrature on about 48 pieces, 24 spaced geometrically up
+#   from 1e-8 of min(pi/4, b^-1/2) and 24 evenly;
+# - R2_5 = 1/(4*pi*B(1/2, m)) times the integral over phi in [0, pi/2]
+#   of r2_term_scaled's integrand with the exact c_n, on pieces laid out
+#   the same way about min(pi/2, (1+b)^-1/2).
+# Recomputed at 110 digits on about 80 pieces, each value agreed to
+# 1e-60 relative.
+_R2_PANEL = [
+    (6.854865972617843, 62.37797099430607, 16,
+     2.637492688403069590109036806654455687310e-36,
+     2.633754598694497599468003086196645835152e-36),
+    (0.22582632229288835, -11.593741168450546, 16,
+     2.191952501415115756916212798242615186803e-2,
+     2.191952445448404115217086957045404173465e-2),
+    (5.1479011042979606, -19.90347253048884, 16,
+     1.628457852530156644665319113481013125962e-2,
+     1.628457852530156644665489662554665897358e-2),
+    (13.125656310411129, 1.1708705849157681, 4,
+     2.528100196077733732170572107347390011448e-2,
+     2.528028102949779772141296298224432994240e-2),
+    (1.0546376452064068, 65.23496336723242, 4096,
+     3.419183769327128092604249458951835761241e-6,
+     3.419213905783985371556126355474619875224e-6),
+    (0.11110952439110239, 26.858392347035227, 256,
+     1.432477374012610870395598448206448035008e-2,
+     1.431662275400472766312550999301886111748e-2),
+    (8.249330667286891, 18.862803094117226, 64,
+     5.640830761383068010693206154172873198164e-5,
+     5.625218048563747573688329535440628890547e-5),
+    (1.5785076861487126, 79.46421510996686, 4096,
+     2.512815973132637451759320362017755983025e-10,
+     2.512871438119407275565750725239940975872e-10),
+    (9.563962091051794, 62.75802327134204, 16,
+     6.550277965840982558941702087700596806983e-49,
+     5.791288012209064802765532579089338358306e-49),
+    (5.5281656285435625, 75.6254953413412, 4,
+     1.154393753865125167366751613965757651354e-39,
+     1.154441836065241368557986495252028675872e-39),
+    (2.114601017314666, 10.36971109124471, 4,
+     1.744893389668864523581459994472872380457e-3,
+     1.744889049007295423962756090598769698843e-3),
+    (29.70753730393241, 4.778519103543992, 4096,
+     2.797468260941422225309823106127266408863e-2,
+     2.797468260941421496698041721873281349403e-2),
+    (0.08087257741005835, -19.340448103414637, 4096,
+     9.016233438923951485529866032302379154115e-4,
+     9.016233438923951485495668463467424568371e-4),
+    (3.0787196089544437, -13.177502750556574, 256,
+     1.216035023003331182629782162930228623698e-2,
+     1.216035023003331182629800112471522771363e-2),
+    (18.97362166240053, -0.6946634363491135, 4096,
+     1.594065401246726675551590279654756429185e-2,
+     1.594065401246726675419673168253452297119e-2),
+    (0.33157869276482066, -8.211620000783924, 1024,
+     8.954850135494499230546739389863500944445e-3,
+     8.954850135494479701738517533460720526104e-3),
+    (1.5214240279511368, -13.02946424625138, 16,
+     3.019367820479512632143642321596266523105e-2,
+     3.019367820479529672554711049428356067300e-2),
+    (0.4696174866440479, -8.228179635540204, 1024,
+     9.724693288913352855723006958298715260189e-3,
+     9.724693288913351160233382379462807937807e-3),
+    (41.71016327474525, -15.551614818411782, 1024,
+     5.552827665836001161567216842435797102722e-3,
+     5.552827665836001161567215228489324172688e-3),
+    (0.2999818797359921, 25.97241643183473, 16,
+     7.846267673616476384700127647530100332598e-3,
+     7.843366564988399790060890589870662473399e-3),
+    (1.9736085269319543, -3.313278561098535, 4096,
+     1.133388092245378500503744651609779605307e-2,
+     1.133388092245378500503837917427242288716e-2),
+    (0.12848193177637526, 4.473070359464359, 1024,
+     1.862377887084503754453234012969382941850e-2,
+     1.862374463414613082584686367407850061770e-2),
+    (4.416188345143157, 13.03934166372224, 64,
+     9.015163905050071285440004616349239541675e-3,
+     9.015161425895556149832776253121595164776e-3),
+    (0.8120285909777099, 21.577385216051688, 64,
+     5.380229076282203654595783243524086264464e-3,
+     5.380001656817273107915325834245065350569e-3),
+]
+
+
+def test_r2_kernels_meet_the_frozen_40_digit_panel(monkeypatch):
+    # each kernel at its route's tolerance: r2_integral at
+    # closed(adaptive)'s 1e-12, and the five-term series at closed(N)'s
+    # 1e-11, summed in doubles or in fixed point as r2_series picks.  Each
+    # value must meet that tolerance and lie within max(10x its own
+    # estimate, 1e-13 relative) of the reference
+    from nakaber import _purekernels
+
+    kernel = _purekernels.r2_term_scaled
+    series = []
+
+    def spy(*args):
+        series.append(kernel(*args))
+        return series[-1]
+
+    monkeypatch.setattr(_purekernels, "r2_term_scaled", spy)
+    for m, snr_db, order, r2, r2_5 in _R2_PANEL:
+        ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
+        alpha = Modulation(order).c1
+        r2_series(ch, alpha, 5)
+        integral = _purekernels.r2_integral(m / (alpha * ch.mean_snr), m, TIGHT)
+        for res, ref, tol in ((integral, r2, 1e-12), (series.pop(), r2_5, 1e-11)):
+            assert res.converged, (m, snr_db, order)
+            err = abs(res.value - ref)
+            assert err <= tol * ref, (m, snr_db, order, err / ref)
+            assert err <= max(10.0 * res.error_estimate, 1e-13 * ref), (
+                m, snr_db, order, err, res.error_estimate)
 
 
 @pytest.mark.parametrize("m", [0.6, 2.5, 4.1])
@@ -1006,7 +1129,7 @@ def _whole_domain_draw(rng):
     (49.89788989093037, 79.5677376387825, 4, "exact"),
     (49.89788989093037, 79.5677376387825, 4, "lu"),
     pytest.param(49.89788989093037, 79.5677376387825, 4, "expq", marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 1's subnormal edge: 1.2e-10 (one "
+        strict=True, reason="ROADMAP item 9's subnormal edge: 1.2e-10 (one "
                             "subnormal ulp) off, with an estimate of 0.0")),
 ], ids=["exact-m0.648", "exact-m0.834", "exact-m0.521", "lu-m2.46",
         "exact-m49.9", "lu-m49.9", "expq-m49.9"])

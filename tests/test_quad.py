@@ -83,10 +83,12 @@ def test_determinism_is_bitwise():
 
 # one Kronrod panel's (value, error) to the last bit, as the summation
 # order of the QUADPACK loop gives them.  exp and sqrt on [0, 1] and the
-# correction-series integrand are the named cases; with the six cosines
+# correction-series integrand are the named cases; with the cosines
 # cos(a*x + b) on [lo, hi] they catch every swap of two terms in any of
 # the panel's four sums (but the first two, which commute exactly) and
-# about 99% of the sums' random reorderings
+# about 99% of the sums' random reorderings: six cosines on the 15-point
+# panel, eight on the 21-point one, where each of 400 random reorderings
+# moved a bit
 _PANEL_BITS = [
     (math.exp, 0.0, 1.0, 1.718281828459045, 1.9076760487502454e-14),
     (math.sqrt, 0.0, 1.0, 0.6666801255484175, 0.022590647385225964),
@@ -99,23 +101,41 @@ _PANEL_COSINES = [
     (2.38, 0.26, -0.99, 0.92, 0.6315942388537708, 7.259607238055624e-12),
     (1.03, -1.74, 1.03, 1.33, 0.25862552535302935, 2.8713201300271035e-15),
 ]
+_PANEL21_BITS = [
+    (math.exp, 0.0, 1.0, 1.7182818284590453, 1.9076760487502457e-14),
+    (math.sqrt, 0.0, 1.0, 0.6666714560647555, 0.004949759040028709),
+]
+_PANEL21_COSINES = [
+    (9.62, 0.62, 0.87, 3.12, -0.11705997577361747, 0.0021523783941126),
+    (1.92, 1.88, -0.84, -0.26, 0.3739443191195467, 4.151615930142979e-15),
+    (-8.82, 1.31, -1.22, 0.93, 0.010941278740375378, 0.00011885340669998561),
+    (-0.69, -0.63, 1.49, 2.12, -0.18749217590961492, 2.081581306319246e-15),
+    (11.37, 0.11, -0.96, 0.9, -0.15624069634340862, 0.002240215813167614),
+    (2.27, -0.04, 1.09, 2.93, -0.14436506606402383, 1.4568997949179645e-14),
+    (-6.2, -0.36, -1.39, -0.1, 0.10684002977215297, 8.621910082509108e-15),
+    (-6.14, 1.37, -1.16, 1.76, 0.1288953617662822, 3.7869945291798315e-05),
+]
 
 
 def test_kronrod_panel_bits_are_pinned(monkeypatch):
     from nakaber import _purekernels, quad
 
-    for f, lo, hi, value, error in _PANEL_BITS:
-        assert quad._kronrod15(f, lo, hi) == (value, error), f
-    for a, b, lo, hi, value, error in _PANEL_COSINES:
-        panel = quad._kronrod15(lambda x: math.cos(a * x + b), lo, hi)
-        assert panel == (value, error), (a, b)
+    for panel, bits, cosines in (
+            (quad._kronrod15, _PANEL_BITS, _PANEL_COSINES),
+            (quad._kronrod21, _PANEL21_BITS, _PANEL21_COSINES)):
+        for f, lo, hi, value, error in bits:
+            assert panel(f, lo, hi) == (value, error), (panel, f)
+        for a, b, lo, hi, value, error in cosines:
+            got = panel(lambda x: math.cos(a * x + b), lo, hi)
+            assert got == (value, error), (panel, a, b)
 
-    # the correction-series integrand at m = 0.6, b = 0.3, five terms
+    # the correction-series integrand at m = 0.6, b = 0.3, five terms, on
+    # the panel it runs on
     integrands = []
 
-    def first_panel(f, lo, hi, spec=None):
-        integrands.append((f, lo, hi))
-        return quad.QuadratureResult(1.0, 0.0, 15, True)
+    def first_panel(f, lo, hi, spec=None, rule=15):
+        integrands.append((f, lo, hi, rule))
+        return quad.QuadratureResult(1.0, 0.0, 2 * rule, True)
 
     monkeypatch.setattr(quad, "integrate_finite", first_panel)
     m = 0.6
@@ -123,9 +143,56 @@ def test_kronrod_panel_bits_are_pinned(monkeypatch):
     for n in range(1, 6):
         coefs.append(coefs[-1] * ((1.0 - m) + (n - 1.0)) / n * (n - 0.5) / (n + 0.5))
     _purekernels.r2_term_scaled(tuple(coefs), m, 0.3, QuadratureSpec(rel_tol=1e-11))
-    f, lo, hi = integrands[0]
-    assert (lo, hi) == (0.0, 1.0)
-    assert quad._kronrod15(f, lo, hi) == (2.387349130402698, 8.648716824109859e-09)
+    f, lo, hi, rule = integrands[0]
+    assert (lo, hi, rule) == (0.0, 1.0, 21)
+    assert quad._kronrod21(f, lo, hi) == (2.3873491304031305, 9.670914369941409e-12)
+
+
+def _rule_sum(nodes, weights, centre_weight, k):
+    """The symmetric rule's sum of x^k over [-1, 1]: the centre's term,
+    then each node pair's."""
+    total = centre_weight if k == 0 else 0.0
+    for x, w in zip(nodes, weights):
+        total += w * (x ** k + (-x) ** k)
+    return total
+
+
+@pytest.mark.parametrize("suffix, kronrod_degree, gauss_degree", [
+    ("", 23, 13), ("21", 31, 19)], ids=["15", "21"])
+def test_kronrod_rules_integrate_polynomials_exactly(suffix, kronrod_degree,
+                                                     gauss_degree):
+    # an n-point Gauss rule integrates x^k on [-1, 1] exactly for
+    # k <= 2n-1, and its (2n+1)-point Kronrod extension for k <= 3n+1,
+    # or 3n+2 for odd n, by symmetry.  The Gauss nodes are the Kronrod
+    # nodes at odd indices, with the Gauss weights, and they are
+    # Gauss-Legendre's
+    from scipy.special import roots_legendre
+
+    from nakaber import quad
+
+    xgk = getattr(quad, "_XGK" + suffix)
+    wgk = getattr(quad, "_WGK" + suffix)
+    wg = getattr(quad, "_WG" + suffix)
+    assert len(wgk) == len(xgk) + 1
+    # the 7-point rule has a centre node, the last of its weights
+    gauss_centre = wg[-1] if len(wg) > len(xgk[1::2]) else 0.0
+    for k in range(kronrod_degree + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert _rule_sum(xgk, wgk, wgk[-1], k) == pytest.approx(
+            exact, rel=0.0, abs=4e-16), k
+        if k <= gauss_degree:
+            assert _rule_sum(xgk[1::2], wg, gauss_centre, k) == pytest.approx(
+                exact, rel=0.0, abs=4e-16), k
+    nodes, weights = roots_legendre((gauss_degree + 1) // 2)
+    pairs = sorted(((x, w) for x, w in zip(nodes, weights) if x > 1e-9),
+                   reverse=True)
+    assert [x for x, _ in pairs] == pytest.approx(xgk[1::2], rel=0.0, abs=1e-15)
+    assert [w for _, w in pairs] == pytest.approx(wg[:len(pairs)], rel=0.0, abs=1e-15)
+    # one degree past each, the rules are off
+    k = gauss_degree + 1
+    assert abs(_rule_sum(xgk[1::2], wg, gauss_centre, k) - 2.0 / (k + 1)) > 1e-6
+    k = kronrod_degree + 1
+    assert abs(_rule_sum(xgk, wgk, wgk[-1], k) - 2.0 / (k + 1)) > 1e-12
 
 
 # integrals with known closed forms; the estimate must not understate
@@ -235,8 +302,8 @@ def test_starved_budget_reports_nonconvergence(monkeypatch):
 
 
 @pytest.mark.parametrize("m, snr_db, order, evaluations", [
-    (3897.092694642958, -27.40565330779026, 1024, 210),
-    (6916.419545404253, 81.63657514173961, 4, 270),
+    (3897.092694642958, -27.40565330779026, 1024, 168),
+    (6916.419545404253, 81.63657514173961, 4, 210),
 ])
 def test_stops_only_where_the_reported_sums_converge(monkeypatch, m, snr_db,
                                                      order, evaluations):
@@ -245,13 +312,14 @@ def test_stops_only_where_the_reported_sums_converge(monkeypatch, m, snr_db,
     # the result reports missed it by 1e-5 of itself (180 and 240
     # evaluations, converged=False).  With the knee at (1+b)*v^2 = 1 they
     # converge without that branch, which the stub panel test below
-    # reaches; they stay as pins of value and count
+    # reaches; they stay as pins of value and count, the counts on the
+    # 21-point panel the kernel runs on (210 and 270 on the 15-point one)
     from nakaber import _purekernels, quad
 
     raw = []
 
-    def spy(*args):
-        raw.append(integrate_finite(*args))
+    def spy(*args, **kwargs):
+        raw.append(integrate_finite(*args, **kwargs))
         return raw[-1]
 
     monkeypatch.setattr(quad, "integrate_finite", spy)
@@ -375,3 +443,20 @@ def test_result_records_evaluations():
     res = integrate_finite(lambda t: math.exp(t), 0.0, 1.0)
     assert res.converged
     assert res.evaluations == 30
+
+
+def test_evaluations_count_at_the_rules_size():
+    # the same opening on the 21-point rule costs 42, and each bisection
+    # two panels of the rule's size
+    res = integrate_finite(lambda t: math.exp(t), 0.0, 1.0, rule=21)
+    assert res.converged
+    assert res.evaluations == 42
+    res = integrate_finite(lambda t: t ** (-0.9) if t > 0.0 else 0.0,
+                           1e-300, 1.0, rule=21)
+    assert res.evaluations % 42 == 0 and res.evaluations > 42
+
+
+@pytest.mark.parametrize("rule", [7, 41])
+def test_unknown_rule_rejected(rule):
+    with pytest.raises(ValueError):
+        integrate_finite(lambda t: 1.0, 0.0, 1.0, rule=rule)
