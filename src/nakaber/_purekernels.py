@@ -209,13 +209,11 @@ def r2_term_scaled(coefs, m: float, b: float,
     integrand bends, at (1+b)*phi^2 = 1, and k = m^(-1/4) <= 1 moves the
     nodes towards phi = pi/2, where the mass sits at large m; the power
     stays at least 3.  For m < 1, k = 2/(1+m) makes the power w^3 and A
-    stays at (1+b)*phi^2 = 4.  On the 21-point rule a seed-601 perfbench
-    series pass takes 216,384 evaluations here; the m >= 1 rule at every
-    m takes 323,904 (+49.7%, and 126 against the oracle's 90 at
-    acceptance check 8's point), and moving only the knee 213,192
-    (-1.5%).  On the 15-point rule, where the knee at 4 was chosen, these
-    read 275,970, 415,590 and 283,680 (+2.8%).  It carries
-    (b*t/(1 + b*t))^m over its peak, log_mgf_peak.
+    stays at (1+b)*phi^2 = 4: a seed-601 perfbench series pass takes
+    275,970 evaluations here, 415,590 (+50.6%, failing acceptance check
+    8) with the m >= 1 rule at every m, and 283,680 (+2.8%) with only
+    the knee moved.  It carries (b*t/(1 + b*t))^m over its peak,
+    log_mgf_peak.
 
     coefs are doubles, summed by Horner's scheme, or _fixed_coefs'
     integers at 2^_FIXED_BITS, summed by _horner_fixed to about 2^-110
@@ -257,7 +255,7 @@ def r2_term_scaled(coefs, m: float, b: float,
         # (b*t/(1+b*t))^m / (b/(1+b))^m = (1 + sin^2/((1+b)*t))^-m
         return jac * ct * p * exp(neg_m * log1p(st * st / u) - 0.5 * log1p(u))
 
-    res = quad.integrate_finite(h, 0.0, 1.0, spec, rule=21)
+    res = quad.integrate_finite(h, 0.0, 1.0, spec)
     return _scaled(res, m, b, -log_beta(0.5, m))
 
 
@@ -296,8 +294,10 @@ def r2_integral(b: float, m: float,
     exp(-m*log1p(s^2/((1+b)*c^2))).  In v = tan(theta) on [0, 1] it is
     rational in v, with no trig call per node: s^2/c^2 = v^2,
     x = (1 - v^2)*(1 + v^2)/((1 + v^2 + b)*v^2) and
-    dtheta = dv/(1 + v^2).  The quadrature runs on _sinh_grading's nodes
-    up to v = 1, with the knee A where the integrand bends, at
+    dtheta = dv/(1 + v^2).  The quadrature runs on the 21-point Kronrod
+    rule, which this smooth integrand settles in a quarter fewer
+    evaluations than the 15-point one, and on _sinh_grading's nodes up
+    to v = 1, with the knee A where the integrand bends, at
     (1+b)*v^2 = 1.  Near theta = 0 the integrand is 1 - C*v^(2m), so
     k = 1 for m >= 1, and for m < 1 the integer k = ceil(1.2/m) kept
     within [3, 7], which makes the power 2*m*k at least 2.4 down to

@@ -2,15 +2,16 @@
 
 Finite intervals go through a Kronrod panel whose embedded Gauss rule
 gives the error estimate.  The 15-point rule, with 7 Gauss points, is
-the default: the oracle's fading average, the Appell F1 kernel, the
-selftest identities and integrate_semi_infinite run on it.  The two
-correction-term (R2) kernels, whose sinh-graded integrands are smooth,
-pass QUADPACK's 21-point rule, with 10 Gauss points, and take 23% fewer
-evaluations on it over a seed-601 benchmark series pass.  The oracle
-stays on 15 points because it is the arbiter: on the 21-point rule its
-evaluations fell by a fifth on a 2,160-point panel, but its estimate
-understated the true error at 2 of them, by up to 94 times, where the
-15-point estimate held.
+the default.  Only the Craig-form correction-term kernel, r2_integral,
+whose sinh-graded integrand is smooth, passes QUADPACK's 21-point rule,
+with 10 Gauss points: it takes a quarter fewer evaluations there.  The
+oracle's fading average stays on 15 points because it is the arbiter:
+on the 21-point rule its estimate understated the true error at 2 of
+2,160 benchmark points, by up to 94 times, where the 15-point estimate
+held.  The series kernel, r2_term_scaled, stays on 15 points because
+most of its integrals settle on the opening: 30 evaluations there
+against 42 on the 21-point rule, which is the margin acceptance check 8
+times against the oracle.
 
 The engine opens on the two halves of the interval, not on one panel
 over all of it as QUADPACK's qag does: nearly every library integral
@@ -295,9 +296,9 @@ def _kronrod15(f: Callable[[float], float], lo: float, hi: float):
 def _kronrod21(f: Callable[[float], float], lo: float, hi: float):
     """One 21-point Kronrod panel, QUADPACK's qk21 in _kronrod15's layout
     and with its error recipe; the embedded 10-point Gauss rule has no
-    centre node.  The recipe is written out in both panels: a shared
-    helper, handed the node values for resabs, made a panel 4-8%
-    slower."""
+    centre node.  The recipe is written out in each panel, not shared:
+    the oracle's integrand is cheap, and a shared helper's call alone
+    made an oracle pass about 3% slower."""
     x0, x1, x2, x3, x4, x5, x6, x7, x8, x9 = _XGK21
     k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10 = _WGK21
     g0, g1, g2, g3, g4 = _WG21
@@ -380,11 +381,11 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
                      rule: int = 15) -> QuadratureResult:
     """Adaptive integral of f over the finite interval [lo, hi].
 
-    rule names the panel by its point count: 15, _kronrod15, or 21,
-    _kronrod21, looked up when the call starts.  Opens on [lo, mid] and
-    [mid, hi], 2*rule evaluations, or on one panel where [lo, hi] is one
-    float wide and cannot be split.  The loop keeps running totals of
-    the panels' values and errors; where a split panel outweighs the
+    rule names the panel by its point count, 15 for _kronrod15 or 21
+    for _kronrod21, looked up when the call starts.  Opens on [lo, mid]
+    and [mid, hi], 2*rule evaluations, or on one panel where [lo, hi] is
+    one float wide and cannot be split.  The loop keeps running totals
+    of the panels' values and errors; where a split panel outweighs the
     totals left after its split by a factor _RESUM, subtracting it has
     left its rounding residue in them, and they are summed afresh from
     the live panels.  It stops only where the sums it reports, taken
@@ -392,19 +393,14 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
 
     Never raises on slow convergence; the result records converged=False
     instead, with the error estimate still honest.  Raises ValueError on
-    a malformed interval or rule, and ConvergenceError on a non-finite
-    integrand value, which is a numerical failure, not a usage error.
+    a malformed interval and ConvergenceError on a non-finite integrand
+    value, which is a numerical failure, not a usage error.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
     if not lo < hi:
         raise ValueError("integration requires lo < hi")
-    if rule == 15:
-        panel = _kronrod15
-    elif rule == 21:
-        panel = _kronrod21
-    else:
-        raise ValueError("rule must be 15 or 21")
+    panel = _kronrod21 if rule == 21 else _kronrod15
 
     rel_tol, max_splits = spec.rel_tol, _MAX_SUBDIVISIONS
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace

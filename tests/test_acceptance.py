@@ -275,7 +275,7 @@ def test_08_closed_form_is_faster():
 def test_08_closed_form_takes_fewer_evaluations(monkeypatch):
     # check 8's claim in deterministic counts, free of timing noise: at
     # its point, R2 for N = 0..5 takes fewer integrand evaluations than
-    # the oracle at the tolerance check 8 times it at (42 against 90)
+    # the oracle at the tolerance check 8 times it at (30 against 90)
     from nakaber import _purekernels
 
     kernel = _purekernels.r2_term_scaled
