@@ -1,9 +1,9 @@
 """Numeric kernels: special functions and the correction-term integrals.
 
 Plain functions of floats; the quadrature-backed ones take a
-``quad.QuadratureSpec`` and return a ``quad.QuadratureResult``.  The
-validated public front end is ``specfun`` and ``aber``.  No caches, no
-global state.
+``quad.QuadratureSpec`` and return a ``quad.QuadratureResult``.  No
+argument checks: ``aber``, ``channel`` and ``harness`` pass checked or
+fixed values.  No caches, no global state.
 """
 
 from __future__ import annotations
@@ -213,7 +213,8 @@ def r2_term_scaled(coefs, m: float, b: float,
     275,970 evaluations here, 415,590 (+50.6%, failing acceptance check
     8) with the m >= 1 rule at every m, and 283,680 (+2.8%) with only
     the knee moved.  It carries (b*t/(1 + b*t))^m over its peak,
-    log_mgf_peak.
+    log_mgf_peak.  It keeps the 15-point rule: acceptance check 8's
+    integral settles on its opening in 30 evaluations, 42 on 21 points.
 
     coefs are doubles, summed by Horner's scheme, or _fixed_coefs'
     integers at 2^_FIXED_BITS, summed by _horner_fixed to about 2^-110

@@ -1,17 +1,8 @@
 """Deterministic adaptive Gauss-Kronrod quadrature.
 
 Finite intervals go through a Kronrod panel whose embedded Gauss rule
-gives the error estimate.  The 15-point rule, with 7 Gauss points, is
-the default.  Only the Craig-form correction-term kernel, r2_integral,
-whose sinh-graded integrand is smooth, passes QUADPACK's 21-point rule,
-with 10 Gauss points: it takes a quarter fewer evaluations there.  The
-oracle's fading average stays on 15 points because it is the arbiter:
-on the 21-point rule its estimate understated the true error at 2 of
-2,160 benchmark points, by up to 94 times, where the 15-point estimate
-held.  The series kernel, r2_term_scaled, stays on 15 points because
-most of its integrals settle on the opening: 30 evaluations there
-against 42 on the 21-point rule, which is the margin acceptance check 8
-times against the oracle.
+gives the error estimate: 15 points (7 Gauss) by default, or QUADPACK's
+21 (10 Gauss) with rule=21; each integral's docstring says why.
 
 The engine opens on the two halves of the interval, not on one panel
 over all of it as QUADPACK's qag does: nearly every library integral

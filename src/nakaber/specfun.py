@@ -1,8 +1,8 @@
-"""Special functions backing the error-rate formulas.
+"""The validated Appell F1 front end, which no route calls.
 
-Validated front end over the numeric kernels: log-gamma, the Gaussian
-tail function, log-beta and the regularized incomplete beta, and the
-two-variable hypergeometric F1.  All operations are pure and reentrant.
+It stays because the benchmark's tracer wraps ``specfun.appell_f1`` by
+name, and goes with the next change to the benchmark.  Every other
+special function has one door, ``_purekernels``.
 """
 
 from __future__ import annotations
@@ -14,50 +14,7 @@ from .quad import QuadratureSpec, require_converged
 
 _F1_SPEC = QuadratureSpec(rel_tol=1e-11)
 
-__all__ = [
-    "appell_f1",
-    "gauss_q",
-    "log_beta",
-    "log_gamma",
-    "reg_inc_beta",
-]
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function, for finite x > 0."""
-    if not (x > 0.0 and math.isfinite(x)):
-        raise ValueError("log_gamma requires finite x > 0")
-    return kernels.log_gamma(x)
-
-
-def gauss_q(z: float) -> float:
-    """Standard normal tail probability Q(z) = P(Z > z)."""
-    if not math.isfinite(z):
-        raise ValueError("gauss_q requires finite z")
-    return kernels.gauss_q(z)
-
-
-def log_beta(a: float, b: float) -> float:
-    """Natural log of the beta function B(a, b), for a, b > 0."""
-    if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("log_beta requires finite a > 0 and b > 0")
-    return kernels.log_beta(a, b)
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b) on x in [0, 1].
-
-    Continued-fraction evaluation with the symmetry switch at
-    x > a/(a+b); endpoints return exactly 0 and 1.  Raises
-    ConvergenceError where the fraction has not converged in 400 steps
-    (a and b near 1e6 and above, x near the switch); Lemma 2's pairs
-    (m, 1/2) and (1/2, m) with m <= 1e4 need at most 135.
-    """
-    if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("reg_inc_beta requires finite a > 0 and b > 0")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("reg_inc_beta requires 0 <= x <= 1")
-    return kernels.reg_inc_beta(x, a, b, kernels.log_beta(a, b))
+__all__ = ["appell_f1"]
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,

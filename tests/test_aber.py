@@ -12,6 +12,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reg_inc_beta
+
 from nakaber.aber import (
     AberMethod,
     RouteValue,
@@ -28,9 +30,8 @@ from nakaber.aber import (
     r2_series,
 )
 from nakaber.channel import (SUPPORTED_ORDERS, ChannelParams, Modulation, QApproxVariant,
-                             db_to_linear)
+                             ber_exact, ber_lu_approx, db_to_linear)
 from nakaber.quad import DEFAULT_SPEC, ConvergenceError, QuadratureSpec
-from nakaber.specfun import reg_inc_beta
 
 RAYLEIGH_UNIT = ChannelParams(1.0, 1.0)
 QPSK = Modulation(4)
@@ -225,10 +226,9 @@ def test_r2_integral_resolves_the_low_snr_knee():
 def test_r2_integral_evaluation_budget(monkeypatch):
     # in v = tan(theta), graded by v = A*sinh(lam*w^k), the integrand is
     # smooth at both ends of its range, so no call on the selftest
-    # identity grid needs deep bisection towards either (5,550
-    # evaluations in all, worst 225, in theta = w^k on one opening panel;
-    # 3,570 and 84 now, on two 21-point panels); no node pays an
-    # incomplete beta
+    # identity grid needs deep bisection towards either (3,570
+    # evaluations in all, worst 84, on two 21-point panels); no node pays
+    # an incomplete beta
     from nakaber import _purekernels
     from nakaber.harness import _IDENTITY_SPEC, _identity_grid
 
@@ -551,7 +551,8 @@ def test_r2_term_is_the_papers_appell_f1_term(m, b):
     # B(n+m+1, 1/2)/(4 pi B(1/2, m)) * c_n * b^m
     #     * F1(n+m+1; m, n+1/2; n+m+3/2; -b, -(1+b))
     from nakaber import _purekernels
-    from nakaber.specfun import appell_f1, log_beta
+    from nakaber._purekernels import log_beta
+    from nakaber.specfun import appell_f1
 
     spec = QuadratureSpec(rel_tol=1e-13)
     c_n = 2.0  # c_n = (1-m)_n / (n! (n+1/2))
@@ -848,6 +849,21 @@ def test_aber_lu_closed_is_the_per_term_lemma2_sum(order):
                 k = 2.0 * j - 1.0
                 total += lemma2_avg_q(ch, mod.c1 * k * k)
             assert aber_lu_closed(ch, mod) == 4.0 * mod.c0 * total
+
+
+def test_qam_order_is_an_integer_lu_serves():
+    # 4.0 equals an order but is refused, as Modulation(5) is: lu's
+    # multipliers come from math.isqrt, which refuses a float.  A NumPy
+    # integer is an order, kept as an int
+    import numpy
+
+    with pytest.raises(ValueError, match=r"order must be one of \(4, 16, 64"):
+        Modulation(4.0)
+    mod = Modulation(numpy.int64(16))
+    assert type(mod.order) is int and mod == Modulation(16)
+    ch = ChannelParams(2.5, 4.0)
+    assert aber_lu_closed(ch, mod) == aber_lu_closed(ch, Modulation(16))
+    assert oracle_result(ch, mod, "lu").value == aber_oracle(ch, Modulation(16), "lu")
 
 
 def test_aber_lu_closed_matches_its_own_average():
@@ -1163,6 +1179,58 @@ def test_oracle_decreases_as_the_mean_snr_rises():
         if not hi < lo:
             rises.append((m, snr_db, step_db, order, lo, hi))
     assert rises == []
+
+
+# --- the AWGN and high-SNR limits ---------------------------------------------
+
+def _closed_adaptive(ch, mod):
+    return aber_closed(ch, mod, TruncationPolicy.adaptive())
+
+
+@pytest.mark.parametrize("order", [4, 64, 4096])
+@pytest.mark.parametrize("route, awgn", [
+    (aber_oracle, ber_exact),
+    (_closed_adaptive, ber_exact),
+    (aber_lu_closed, ber_lu_approx),
+], ids=["oracle", "adaptive", "lu"])
+def test_awgn_limit_approached_like_1_over_m(route, awgn, order):
+    # as m grows the fading vanishes and ABER/BER_AWGN - 1 falls like
+    # 1/m, so m times it settles (QPSK: 67.5, 56.07, 55.03 at m = 1e2,
+    # 1e3, 1e4); past m = 1e4 Lemma 2 refuses (exit 3), so the arm stops
+    # there
+    mod, snr = Modulation(order), db_to_linear(10.0)
+    scaled = [m * (route(ChannelParams(m, snr), mod) / awgn(mod, snr) - 1.0)
+              for m in (1e2, 1e3, 1e4)]
+    assert all(s > 0.0 for s in scaled), scaled
+    assert abs(scaled[1] / scaled[2] - 1.0) <= 0.03, scaled
+
+
+@pytest.mark.parametrize("m", [0.6, 1.0, 2.5, 8.3, 20.5])
+@pytest.mark.parametrize("order", [4, 256])
+@pytest.mark.parametrize("route", [aber_oracle, _closed_adaptive],
+                         ids=["oracle", "adaptive"])
+def test_high_snr_gap_shrinks_like_1_over_mean_snr(route, order, m):
+    # ABER ~ (m/(c1*snr))^m * [4*c0*G(m+1/2)/(2*sqrt(pi)*G(m+1))
+    #        - (4*c0^2/pi) * B(1/2; m+1/2, 1/2)/2], the diversity order m
+    # and the coding gain; the relative gap to it is O(1/snr), so it
+    # falls 10x a decade.  The incomplete beta B comes from scipy, not
+    # the kernels.  At 40 dB, m = 20.5, 256-QAM is pre-asymptotic (a
+    # ratio of 0.145), so the arm starts at 50 dB.  closed(N) is left
+    # out: five terms turn the sign from m = 20.5 up (ROADMAP item 1)
+    from scipy import special
+
+    mod = Modulation(order)
+    a = m + 0.5
+    inc_b = float(special.betainc(a, 0.5, 0.5) * special.beta(a, 0.5))
+    bracket = (2.0 * mod.c0 * math.exp(math.lgamma(a) - math.lgamma(m + 1.0))
+               / math.sqrt(math.pi) - 2.0 * mod.c0 ** 2 / math.pi * inc_b)
+    gaps = []
+    for snr_db in (50.0, 60.0, 70.0):
+        snr = db_to_linear(snr_db)
+        asymptote = (m / (mod.c1 * snr)) ** m * bracket
+        gaps.append(route(ChannelParams(m, snr), mod) / asymptote - 1.0)
+    ratios = [g2 / g1 for g1, g2 in zip(gaps, gaps[1:])]
+    assert all(0.09 <= r <= 0.11 for r in ratios), (gaps, ratios)
 
 
 # 1e-14 lies below the 50*eps roundoff floor of every Kronrod panel, so

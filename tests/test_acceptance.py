@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from conftest import record_acceptance
+from conftest import record_acceptance, reg_inc_beta
 
 from nakaber.aber import (
     TruncationPolicy,
@@ -40,7 +40,7 @@ from nakaber.harness import (
 )
 from nakaber.aber import AberMethod
 from nakaber.quad import QuadratureSpec, integrate_finite
-from nakaber.specfun import appell_f1, reg_inc_beta
+from nakaber.specfun import appell_f1
 
 GRID_MS = (0.6, 1.0, 2.5, 4.1)
 GRID_DBS = (-5.0, 0.0, 10.0, 20.0, 30.0)

@@ -21,7 +21,7 @@ from nakaber.channel import (
     q_exp_approx,
 )
 from nakaber.quad import QuadratureSpec
-from nakaber.specfun import gauss_q
+from nakaber._purekernels import gauss_q
 
 
 # --- parameter containers ----------------------------------------------------

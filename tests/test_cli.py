@@ -701,10 +701,14 @@ def test_cli_import_leaves_unused_stdlib_modules_out():
     ("nakaber.cli", {"nakaber", "nakaber._backend", "nakaber._purekernels",
                      "nakaber.quad", "nakaber.channel", "nakaber.aber",
                      "nakaber.cli"}),
+    ("nakaber.harness", {"nakaber", "nakaber._backend", "nakaber._purekernels",
+                         "nakaber.quad", "nakaber.channel", "nakaber.aber",
+                         "nakaber.harness"}),
 ])
 def test_import_loads_only_the_modules_it_serves(module, loaded):
-    # the package exports backend_name alone; cli loads harness and
-    # specfun only when a command needs them
+    # the package exports backend_name alone; cli loads harness only
+    # when a command needs it, and none of them loads specfun, whose Appell
+    # F1 front end no route calls
     probe = ("import sys\n"
              f"import {module}\n"
              "print(' '.join(sorted(n for n in sys.modules\n"
