@@ -47,6 +47,8 @@ _EPS = 2.220446049250313e-16
 _FIXED_KEEP = 64
 # largest m the closed-form E[Q] takes (see lemma2_avg_q)
 _AVG_Q_M_MAX = 1e4
+# a term at most this share of a sum lies below half the sum's ulp
+_BELOW_HALF_ULP = 2.0 ** -55
 # the ConvergenceError message of an oracle that misses its tolerance
 _ORACLE_UNCONVERGED = "average-BER quadrature did not reach its tolerance"
 # the oracle's and expq's default variant
@@ -123,20 +125,26 @@ def lemma2_avg_q(ch: ChannelParams, alpha: float) -> float:
     1 - x, which would keep only the rounding of x at low mean SNR.
     What error is left grows with m, from the continued fraction, whose
     leading terms cancel to O(1/m) near x = m/(m + c): against 40-digit
-    references over all six orders it is at most 2.5e-12 at m = 3000
-    and 1.4e-11 at m = 5000 (-30 to 80 dB, 0.5 dB steps), and 3.3e-11
-    at m = 1e4 (-30 to 40 dB in 0.02 dB steps, at 5.44 dB; 2 dB steps
-    to 80 dB).  For m above _AVG_Q_M_MAX = 1e4 it raises
-    ConvergenceError: the error keeps growing with m, and huge m needs
-    a route of its own.  Where x underflows to 0 it raises ValueError:
+    references over all six orders it is at most 1.9e-13 at m = 100,
+    1.2e-12 at m = 3000 and 2.1e-12 at m = 5000 (-30 to 80 dB, 0.5 dB
+    steps), and 5.4e-12 at m = 1e4 (-30 to 40 dB in 0.02 dB steps, at
+    10.42 dB; 0.5 dB steps to 80 dB).  For m above _AVG_Q_M_MAX = 1e4
+    it raises ConvergenceError: the error keeps growing with m, and
+    huge m needs a route of its own.  Where x underflows to 0 it raises ValueError:
     I_x(m, 1/2) is then about x^m, which is near 1 at tiny m.
     """
     return _avg_q_sum(ch, alpha, (1,))
 
 
 def _avg_q_sum(ch: ChannelParams, alpha: float, ks) -> float:
-    """Sum over k in ks of the fading average of
-    Q(sqrt(2*alpha*k^2*snr)), each term by lemma2_avg_q's rule."""
+    """Sum over k in ks, rising, of the fading average of
+    Q(sqrt(2*alpha*k^2*snr)), each term by lemma2_avg_q's rule.
+
+    The terms fall as k rises.  Once one is at most 2^-55 of the running
+    total, it and every later one lie below half the total's ulp, so
+    none can change it: the sum stops calling the kernel there and
+    returns the same double.  Every later k still has its x checked, so
+    a refusal where x underflows is raised as before."""
     b = _ratio(ch, alpha)  # for the x of a c past DBL_MAX
     m, snr = ch.m, ch.mean_snr
     if m > _AVG_Q_M_MAX:
@@ -148,16 +156,21 @@ def _avg_q_sum(ch: ChannelParams, alpha: float, ks) -> float:
     # B(m, 1/2) and B(1/2, m) agree to the bit
     log_b = kernels.log_beta(m, 0.5)
     total = 0.0
+    settled = False
     for k in ks:
         c = alpha * k * k * snr
         x = m / (m + c) if c < math.inf else b / (b + k * k)
-        if x > switch:
-            total += 0.5 * (1.0 - reg_inc_beta(c / (m + c), 0.5, m, log_b))
-        elif x > 0.0:
-            total += 0.5 * reg_inc_beta(x, m, 0.5, log_b)
-        else:
+        if not x > 0.0:
             # x ~ b/k^2 can underflow where b does not (1e-20, 3055 dB)
             raise channel._ratio_underflow(ch)
+        if settled:
+            continue
+        if x > switch:
+            term = 0.5 * (1.0 - reg_inc_beta(c / (m + c), 0.5, m, log_b))
+        else:
+            term = 0.5 * reg_inc_beta(x, m, 0.5, log_b)
+        settled = term <= _BELOW_HALF_ULP * total
+        total += term
     return total
 
 

@@ -129,12 +129,14 @@ def test_avg_q_frozen_value():
     (5.44, 64, 0.15868025838332024458),
     (-30.0, 4096, 0.49881715374794805699),
     (0.0, 4096, 0.46264979870824552541),
+    (10.42, 256, 0.1542962601574775081926),
 ])
 def test_avg_q_holds_to_1e_10_at_the_largest_m_it_takes(snr_db, order, expected):
     # 50-digit quadrature of Craig's form, equal to 50-digit
     # (1/2)*I_x(m, 1/2); m = 1e4 is the largest m the closed form takes,
-    # and 64-QAM at 5.44 dB is its worst point there on a 0.02 dB grid
-    # over -30 to 40 dB and all six orders (3.3e-11 off)
+    # and 256-QAM at 10.42 dB is its worst point there on a 0.02 dB grid
+    # over -30 to 40 dB and all six orders (5.4e-12 off).  64-QAM at
+    # 5.44 dB was, 3.3e-11 off, while log B came from an lgamma difference
     ch = ChannelParams(1e4, 10.0 ** (snr_db / 10.0))
     got = lemma2_avg_q(ch, Modulation(order).c1)
     assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
@@ -345,40 +347,82 @@ def test_r2_term_scaled_evaluation_budget(monkeypatch):
     assert sum(counts) <= 6450
 
 
-def test_r2_kernels_evaluation_budget_from_m_1(monkeypatch):
-    # both correction-term kernels at m >= 1, each at its route's spec:
-    # closed(N=5) sums the series at 1e-11, closed(adaptive) takes Craig's
-    # form at 1e-12.  With the sinh knee at (1+b)*x^2 = 1 and the series
-    # kernel's endpoint power m^(-1/4) the panel takes 11,730 and 7,182
-    # evaluations, the latter on the 21-point rule (11,970 for the
-    # series kernel with the knee at (1+b)*x^2 = 4 and power 1)
+def _r2_kernel_calls(monkeypatch, ms):
+    # (kernel name, arguments, result) of each correction-term kernel call
+    # that closed(N=5) and closed(adaptive) make over ms x {-30 .. 80} dB
+    # x orders {4, 256, 4096}, each at its route's spec: the series at
+    # 1e-11, Craig's form at 1e-12
     from nakaber import _purekernels
 
-    counts = {"r2_term_scaled": [], "r2_integral": []}
+    calls = []
 
     def counter(name):
         kernel = getattr(_purekernels, name)
 
         def counted(*args):
             res = kernel(*args)
-            assert res.converged
-            counts[name].append(res.evaluations)
+            calls.append((name, args, res))
             return res
 
         return counted
 
-    for name in counts:
+    for name in ("r2_term_scaled", "r2_integral"):
         monkeypatch.setattr(_purekernels, name, counter(name))
-    for m in (1.5, 4.1, 8.3, 20.5, 50.0):
+    for m in ms:
         for snr_db in (-30, -10, 0, 10, 30, 60, 80):
             ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
             for order in (4, 256, 4096):
                 mod = Modulation(order)
                 aber_closed(ch, mod, TruncationPolicy.fixed(5))
                 aber_closed(ch, mod, TruncationPolicy.adaptive(1e-12))
+    monkeypatch.undo()
+    return calls
+
+
+def _evaluations(calls):
+    counts = {"r2_term_scaled": [], "r2_integral": []}
+    for name, _, res in calls:
+        assert res.converged
+        counts[name].append(res.evaluations)
     assert [len(c) for c in counts.values()] == [105, 105]
-    assert sum(counts["r2_term_scaled"]) <= 11730
-    assert sum(counts["r2_integral"]) <= 7182
+    return {name: sum(c) for name, c in counts.items()}
+
+
+def test_r2_kernels_evaluation_budget_from_m_1(monkeypatch):
+    # with the sinh knee at (1+b)*x^2 = 1, the panel takes 10,650 and
+    # 7,098 evaluations, the latter on the 21-point rule; the series
+    # kernel with power m^(-1/4) unrounded at m = 1.5 and Craig's form
+    # with k = 1 took 11,730 and 7,182 (11,970 for the series kernel with
+    # the knee at (1+b)*x^2 = 4 and power 1)
+    counts = _evaluations(_r2_kernel_calls(monkeypatch, (1.5, 4.1, 8.3, 20.5, 50.0)))
+    assert counts["r2_term_scaled"] <= 10650
+    assert counts["r2_integral"] <= 7098
+
+
+_FROM_M_1_TO_3 = (1.05, 1.3, 1.7, 2.2, 2.9)
+
+
+def test_r2_kernels_evaluation_budget_from_m_1_to_3(monkeypatch):
+    # where each kernel's node map leaves a fractional endpoint power the
+    # rule bisects towards w = 0: with the series kernel's power
+    # m^(-1/4)*(2+2m) - 1 unrounded and Craig's form at k = 1 this panel
+    # took 9,930 and 14,280 evaluations; integer powers take 6,480 and
+    # 5,376
+    counts = _evaluations(_r2_kernel_calls(monkeypatch, _FROM_M_1_TO_3))
+    assert counts["r2_term_scaled"] <= 6480
+    assert counts["r2_integral"] <= 5376
+
+
+def test_r2_kernel_estimates_bound_their_error_from_m_1_to_3(monkeypatch):
+    # each value the panel's routes take lies within its own error
+    # estimate of the same kernel's value at rel_tol 1e-13
+    from nakaber import _purekernels
+
+    tight = QuadratureSpec(rel_tol=1e-13)
+    for name, args, res in _r2_kernel_calls(monkeypatch, _FROM_M_1_TO_3):
+        ref = getattr(_purekernels, name)(*args[:-1], tight)
+        assert ref.converged
+        assert abs(res.value - ref.value) <= res.error_estimate, (name, args)
 
 
 def _r2_far_below_the_knee(m, b):
@@ -849,6 +893,38 @@ def test_aber_lu_closed_is_the_per_term_lemma2_sum(order):
                 k = 2.0 * j - 1.0
                 total += lemma2_avg_q(ch, mod.c1 * k * k)
             assert aber_lu_closed(ch, mod) == 4.0 * mod.c0 * total
+
+
+def test_lu_stops_where_no_term_can_change_its_sum(monkeypatch):
+    # each E[Q] term falls as k rises; once one is at most 2^-55 of the
+    # running total, no later one can change it, so lu stops calling the
+    # incomplete beta there and keeps the bits of the whole sum: the
+    # terms _avg_q_sum gives one k at a time, added in k order.  Summed
+    # to the end, the panel took 14,112 kernel calls, and takes 11,250
+    from nakaber import _purekernels
+    from nakaber.aber import _avg_q_sum
+
+    kernel = _purekernels.reg_inc_beta
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(_purekernels, "reg_inc_beta", counted)
+    lu_calls = 0
+    for order in SUPPORTED_ORDERS:
+        mod = Modulation(order)
+        for m in (0.05, 1.0, 8.3, 50.0):
+            for snr_db in range(-30, 81, 2):
+                ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
+                total = 0.0
+                for k in mod.odd_multipliers:
+                    total += _avg_q_sum(ch, mod.c1, (k,))
+                before = len(calls)
+                assert repr(aber_lu_closed(ch, mod)) == repr(4.0 * mod.c0 * total)
+                lu_calls += len(calls) - before
+    assert lu_calls <= 11250
 
 
 def test_qam_order_is_an_integer_lu_serves():
