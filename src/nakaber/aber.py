@@ -14,7 +14,7 @@ machinery can be driven from the CLI.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import _purekernels as kernels
 from . import channel
@@ -290,27 +290,17 @@ def aber_lu_closed(ch: ChannelParams, mod: Modulation) -> float:
     return 4.0 * mod.c0 * _avg_q_sum(ch, mod.c1, mod.odd_multipliers)
 
 
-def _ber_kernel(mod: Modulation, ber_kind: str, variant: QApproxVariant
-                ) -> tuple[Callable[[float], float], float]:
-    """(BER kernel, its slowest exponential decay rate in the SNR)."""
-    if ber_kind == "exact":
-        return channel._ber_exact_kernel(mod), mod.c1
-    if ber_kind == "lu":
-        return channel._ber_lu_kernel(mod), mod.c1
-    if ber_kind == "expq":
-        return (channel._ber_expq_kernel(mod, variant),
-                2.0 * mod.c1 * min(r for _, r in variant.coefficients))
-    raise ValueError("ber_kind must be 'exact', 'lu', or 'expq'")
-
-
 def oracle_result(ch: ChannelParams, mod: Modulation, ber_kind: str = "exact",
                   spec: QuadratureSpec = DEFAULT_SPEC,
                   variant: QApproxVariant = _CHIANI) -> QuadratureResult:
     """Average BER by direct quadrature of BER(snr)*pdf(snr) over [0, oo).
 
+    ber_kind is channel.ber_kernel's kind ("exact", "lu" or "expq",
+    the last under variant); its kernel is built once and averaged by
+    channel.fading_average at the kernel's decay rate.
     Full diagnostic record; converged=False is reported, never hidden.
     """
-    kernel, rate = _ber_kernel(mod, ber_kind, variant)
+    kernel, rate = channel.ber_kernel(mod, ber_kind, variant)
     return channel.fading_average(ch, kernel, spec, rate=rate)
 
 

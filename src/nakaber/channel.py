@@ -24,6 +24,7 @@ __all__ = [
     "QApproxVariant",
     "SUPPORTED_ORDERS",
     "ber_exact",
+    "ber_kernel",
     "ber_lu_approx",
     "db_to_linear",
     "fading_average",
@@ -139,13 +140,16 @@ def pdf(ch: ChannelParams, snr: float) -> float:
 
     Computed in log space, in z = snr/mean_snr, so large m and extreme
     mean SNR cannot overflow the gamma-function prefactor: the density
-    is exp(log_k + (m-1)*log(z) - m*(z-1)) / mean_snr, with log_k the
-    constant fading_average takes, which m*log(m) and lgamma(m) would
-    cancel to at large m.  Near z = 1, where (m-1)*log(z) and m*(z-1)
-    cancel, the exponent is m*(log1p(s) - s) - log1p(s), s = z - 1.
+    is exp(log_k + (m-1)*log(z) - m*(z-1)) / mean_snr, with log_k =
+    kernels.log_peak_density(m), the constant fading_average takes.
+    Near z = 1, where (m-1)*log(z) and m*(z-1) cancel, the exponent is
+    m*(log1p(s) - s) - log1p(s), s = z - 1.  At snr = inf it is the
+    density's limit, 0.0, for every m.
     """
     if not snr >= 0.0:
         raise ValueError("pdf requires snr >= 0")
+    if snr == math.inf:
+        return 0.0  # (m-1)*log(z) - m*z would be inf - inf at m >= 1
     m = ch.m
     gbar = ch.mean_snr
     if snr == 0.0:
@@ -165,7 +169,7 @@ def pdf(ch: ChannelParams, snr: float) -> float:
         # a z that leaves double range keeps its log as a difference
         lz = math.log(z) if 1e-300 < z < 1e300 else math.log(snr) - math.log(gbar)
         log_f = (m - 1.0) * lz - m * s
-    log_f += _log_peak_density(m)
+    log_f += kernels.log_peak_density(m)
     if abs(log_f) < 700.0:
         return math.exp(log_f) / gbar
     # past double range before the 1/mean_snr factor: m < 1 densities
@@ -203,19 +207,6 @@ def _ratio_underflow(ch: ChannelParams) -> ValueError:
                       "underflows a float to 0")
 
 
-def _log_peak_density(m: float) -> float:
-    """log(m^m * e^-m / Gamma(m)), the Gamma(m, 1/m) density at z = 1
-    with its factor z^(m-1) * e^(-m*(z-1)) divided out.
-
-    Past m = 100 it comes from Stirling's series, because m*log(m) - m
-    and lgamma(m) cancel to a residue of about log(m)/2 there."""
-    if m < 100.0:
-        return m * math.log(m) - m - kernels.log_gamma(m)
-    inv2 = 1.0 / (m * m)
-    return (0.5 * math.log(m / (2.0 * math.pi))
-            - (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) / m)
-
-
 def _log1p_minus_small(s: float) -> float:
     """log(1 + s) - s for |s| < 0.1, to full relative accuracy.
 
@@ -248,9 +239,9 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     The integral runs in z = snr / (mean_snr * lam), lam = 1/(1 + rate *
     mean_snr/m), where h * pdf behaves like z^(m-1) * e^(-m*z) at any
     mean SNR, so the mass sits at z = O(1).  The density's constant is
-    taken once, in log space, with its shape scaled to 1 at z = 1, near
-    the mode, where large m concentrates the mass in a width of about
-    1/sqrt(m).  One finite quadrature over x in [0, 2] covers the head
+    taken once, in log space, from kernels.log_peak_density as pdf takes
+    it, with its shape scaled to 1 at z = 1, near the mode, where large
+    m concentrates the mass in a width of about 1/sqrt(m).  One finite quadrature over x in [0, 2] covers the head
     z <= 1 (x < 1) and the tail z >= 1 (x >= 1), so its two opening
     panels meet at z = 1:
       head, m <= 1  z = x^(2/m), so z^(m-1) dz = (2/m)*x dx and the
@@ -287,7 +278,7 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     # exp(log_k + (m-1)*log(z) - m*(z-1) + rate*snr): log_k is
     # log((m*lam)^m * e^-m / Gamma(m)), and rate*snr = m*(1-lam)*z turns
     # the shape's e^(-m*z) back into e^(-m*lam*z)
-    log_k = _log_peak_density(m) - m * math.log1p(tilt)
+    log_k = kernels.log_peak_density(m) - m * math.log1p(tilt)
     rate_per_z = rate * snr_per_z
     exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
     log1p_minus = _log1p_minus_small
@@ -344,60 +335,59 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     return res
 
 
-def _ber_exact_kernel(mod: Modulation) -> Callable[[float], float]:
-    """snr -> ber_exact(mod, snr), with mod's constants taken once."""
+def ber_kernel(mod: Modulation, kind: str = "exact",
+               variant: QApproxVariant | None = None
+               ) -> tuple[Callable[[float], float], float]:
+    """(snr -> BER, its slowest exponential decay rate in the SNR), with
+    mod's constants taken once: the one builder of every BER the oracle
+    integrates.
+
+    kind "exact" is ber_exact, rate c1; "lu" is ber_lu_approx, rate c1;
+    "expq" is the exact BER's two-term form with Q replaced by the
+    exponential sum variant, q_exp_approx(variant, .), Chiani's pair by
+    default, rate 2*c1*min r_i.  Each node looks kernels.gauss_q up when
+    it runs, and the exact and lu nodes refuse snr < 0 and NaN.
+    """
     four_c0 = 4.0 * mod.c0
     four_c0_sq = four_c0 * mod.c0
     two_c1 = 2.0 * mod.c1
     sqrt = math.sqrt
+    if kind == "exact":
+        def ber(snr: float) -> float:
+            if not snr >= 0.0:
+                raise ValueError("ber_exact requires snr >= 0")
+            q = kernels.gauss_q(sqrt(two_c1 * snr))
+            return four_c0 * q - four_c0_sq * q * q
 
-    def ber(snr: float) -> float:
-        if not snr >= 0.0:
-            raise ValueError("ber_exact requires snr >= 0")
-        q = kernels.gauss_q(sqrt(two_c1 * snr))
-        return four_c0 * q - four_c0_sq * q * q
+        return ber, mod.c1
+    if kind == "lu":
+        odd = mod.odd_multipliers
 
-    return ber
+        def ber(snr: float) -> float:
+            if not snr >= 0.0:
+                raise ValueError("ber_lu_approx requires snr >= 0")
+            base = sqrt(two_c1 * snr)
+            total = 0.0
+            for k in odd:
+                total += kernels.gauss_q(k * base)
+            return four_c0 * total
 
+        return ber, mod.c1
+    if kind == "expq":
+        v = QApproxVariant.chiani_two_term() if variant is None else variant
 
-def _ber_lu_kernel(mod: Modulation) -> Callable[[float], float]:
-    """snr -> ber_lu_approx(mod, snr), with mod's constants taken once."""
-    four_c0 = 4.0 * mod.c0
-    two_c1 = 2.0 * mod.c1
-    odd = mod.odd_multipliers
-    sqrt = math.sqrt
+        def ber(snr: float) -> float:
+            q = q_exp_approx(v, sqrt(two_c1 * snr))
+            return four_c0 * q - four_c0_sq * q * q
 
-    def ber(snr: float) -> float:
-        if not snr >= 0.0:
-            raise ValueError("ber_lu_approx requires snr >= 0")
-        base = sqrt(two_c1 * snr)
-        total = 0.0
-        for k in odd:
-            total += kernels.gauss_q(k * base)
-        return four_c0 * total
-
-    return ber
-
-
-def _ber_expq_kernel(mod: Modulation, v: QApproxVariant) -> Callable[[float], float]:
-    """snr -> the exact BER's two-term form with Q replaced by the
-    exponential sum v, q_exp_approx(v, .), and mod's constants taken once."""
-    four_c0 = 4.0 * mod.c0
-    four_c0_sq = four_c0 * mod.c0
-    two_c1 = 2.0 * mod.c1
-    sqrt = math.sqrt
-
-    def ber(snr: float) -> float:
-        q = q_exp_approx(v, sqrt(two_c1 * snr))
-        return four_c0 * q - four_c0_sq * q * q
-
-    return ber
+        return ber, two_c1 * min(r for _, r in v.coefficients)
+    raise ValueError("ber_kind must be 'exact', 'lu', or 'expq'")
 
 
 def ber_exact(mod: Modulation, snr: float) -> float:
     """Instantaneous BER of square M-QAM with Gray mapping,
     4*c0*Q - 4*c0^2*Q^2 at Q = Q(sqrt(2*c1*snr))."""
-    return _ber_exact_kernel(mod)(snr)
+    return ber_kernel(mod)[0](snr)
 
 
 def ber_lu_approx(mod: Modulation, snr: float) -> float:
@@ -406,7 +396,7 @@ def ber_lu_approx(mod: Modulation, snr: float) -> float:
     4*c0 * sum_{j=1}^{sqrt(M)/2} Q((2j-1) * sqrt(2*c1*snr)); the odd
     multipliers scale the Q argument, not its square.
     """
-    return _ber_lu_kernel(mod)(snr)
+    return ber_kernel(mod, "lu")[0](snr)
 
 
 def q_exp_approx(v: QApproxVariant, x: float) -> float:

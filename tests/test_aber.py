@@ -990,7 +990,7 @@ def test_oracle_expq_kind_matches_closed_mgf_form():
 
 
 def test_oracle_rejects_unknown_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ber_kind must be 'exact', 'lu', or 'expq'"):
         aber_oracle(RAYLEIGH_UNIT, QPSK, ber_kind="nope")
 
 

@@ -10,10 +10,8 @@ from nakaber.channel import (
     ChannelParams,
     Modulation,
     QApproxVariant,
-    _ber_exact_kernel,
-    _ber_expq_kernel,
-    _ber_lu_kernel,
     ber_exact,
+    ber_kernel,
     ber_lu_approx,
     fading_average,
     mgf,
@@ -160,6 +158,27 @@ def test_pdf_large_m_matches_high_precision(m):
                 assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0), (gbar, z)
 
 
+@pytest.mark.parametrize("m", [0.05, 1.0, 9.99, 10.0, 20.5, 50.0, 85.554, 99.9,
+                               100.0, 1e3, 1e4, 1e6])
+def test_density_constant_matches_high_precision(m):
+    # at snr = mean_snr = 1 the density is exp of its constant,
+    # m^m * e^-m / Gamma(m); on either side of the switch to Stirling's
+    # series at m = 10 (the lgamma difference was 1.3e-13 off at 85.554)
+    import mpmath
+
+    with mpmath.workdps(40):
+        mm = mpmath.mpf(m)
+        ref = mpmath.exp(mm * mpmath.log(mm) - mm - mpmath.loggamma(mm))
+    assert pdf(ChannelParams(m, 1.0), 1.0) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.5, 500.0])
+@pytest.mark.parametrize("gbar", [1e-10, 1.0, 1e10])
+def test_pdf_vanishes_at_infinite_snr(m, gbar):
+    # the density's limit, not (m-1)*inf - m*inf = nan at m >= 1
+    assert pdf(ChannelParams(m, gbar), math.inf) == 0.0
+
+
 def test_pdf_where_snr_over_mean_leaves_double_range():
     # snr/mean_snr underflows to 0 or overflows to inf; the density's
     # logarithm still holds it, 1/mean_snr included
@@ -264,8 +283,9 @@ def test_built_ber_kernels_equal_the_scalar_functions(order):
     # expressions written out per call, as the oracle's nodes had them
     # before each kernel was built once per average
     mod = Modulation(order)
-    exact = _ber_exact_kernel(mod)
-    lu = _ber_lu_kernel(mod)
+    exact, exact_rate = ber_kernel(mod)
+    lu, lu_rate = ber_kernel(mod, "lu")
+    assert exact_rate == lu_rate == mod.c1
     for snr in KERNEL_SNRS:
         q = gauss_q(math.sqrt(2.0 * mod.c1 * snr))
         written = 4.0 * mod.c0 * q - 4.0 * mod.c0 * mod.c0 * q * q
@@ -284,11 +304,14 @@ def test_built_ber_kernels_equal_the_scalar_functions(order):
 def test_built_expq_kernel_equals_the_per_call_form(variant):
     for order in SUPPORTED_ORDERS:
         mod = Modulation(order)
-        kernel = _ber_expq_kernel(mod, variant)
+        kernel, rate = ber_kernel(mod, "expq", variant)
+        assert rate == 2.0 * mod.c1 * min(r for _, r in variant.coefficients)
+        # Chiani's pair is the default variant
+        default = ber_kernel(mod, "expq")[0] if variant.is_chiani else kernel
         for snr in KERNEL_SNRS:
             q = q_exp_approx(variant, math.sqrt(2.0 * mod.c1 * snr))
             written = 4.0 * mod.c0 * q - 4.0 * mod.c0 * mod.c0 * q * q
-            assert kernel(snr) == written, (order, snr)
+            assert kernel(snr) == default(snr) == written, (order, snr)
 
 
 def test_built_kernels_look_gauss_q_up_at_call_time(monkeypatch):
@@ -298,8 +321,8 @@ def test_built_kernels_look_gauss_q_up_at_call_time(monkeypatch):
     from nakaber import _purekernels
 
     mod = Modulation(16)
-    exact = _ber_exact_kernel(mod)
-    lu = _ber_lu_kernel(mod)
+    exact, _ = ber_kernel(mod)
+    lu, _ = ber_kernel(mod, "lu")
     calls = []
     monkeypatch.setattr(_purekernels, "gauss_q", lambda z: calls.append(z) or 0.25)
     assert exact(1.0) == 4.0 * mod.c0 * 0.25 - 4.0 * mod.c0 * mod.c0 * 0.25 * 0.25
@@ -312,9 +335,9 @@ def test_built_kernels_reject_negative_snr_at_the_node():
     mod = Modulation(16)
     for snr in (-1.0, -5e-324, math.nan):
         with pytest.raises(ValueError, match=r"ber_exact requires snr >= 0"):
-            _ber_exact_kernel(mod)(snr)
+            ber_kernel(mod)[0](snr)
         with pytest.raises(ValueError, match=r"ber_lu_approx requires snr >= 0"):
-            _ber_lu_kernel(mod)(snr)
+            ber_kernel(mod, "lu")[0](snr)
 
 
 # --- exponential Q approximation ----------------------------------------------
