@@ -2,7 +2,8 @@
 
 ``kernels`` is ``_purekernels`` itself.  aber, channel, harness and
 specfun import that module and look each kernel up in it at call time,
-so patching an attribute of ``kernels`` patches it for them too.  Only
+so patching an attribute of ``kernels`` patches it for them too; the
+nodes channel.ber_kernel builds call no kernel.  Only
 perfbench reaches the kernels and ``backend_name`` through here; this
 module goes with the next change to the benchmark.
 """

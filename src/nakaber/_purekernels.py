@@ -276,13 +276,20 @@ def r2_term_scaled(coefs, m: float, b: float,
 
     coefs are doubles, summed by Horner's scheme, or _fixed_coefs'
     integers at 2^_FIXED_BITS, summed by _horner_fixed to about 2^-110
-    absolute at each node; r2_series picks which.
+    absolute at each node; r2_series picks which.  Up to six doubles
+    (N <= 5) are padded at the top with 0.0 and summed by an unrolled
+    Horner's scheme, with the same bits as the loop, since 0.0 * r + c
+    equals c: acceptance check 8 times closed(N) for N = 0..5 against
+    the oracle, and the loop's per-node cost ate into its margin.
     """
     one_plus_b = 1.0 + b
     # Horner's scheme from the top coefficient, which 0.0 * r + c_N equals
     rev = coefs[::-1]
     top, rest = rev[0], rev[1:]
     fixed = isinstance(top, int)
+    unrolled = not fixed and len(coefs) <= 6
+    if unrolled:
+        c0, c1, c2, c3, c4, c5 = tuple(coefs) + (0.0,) * (6 - len(coefs))
     if m < 1.0:
         # A = 2/sqrt(1+b) to the bit, since (1+b)/4 is exact
         k, bend = 2.0 / (1.0 + m), 0.25 * one_plus_b
@@ -309,7 +316,9 @@ def r2_term_scaled(coefs, m: float, b: float,
         st = cos(phi)
         u = one_plus_b * t
         r = t / (1.0 + u)
-        if fixed:
+        if unrolled:
+            p = ((((c5 * r + c4) * r + c3) * r + c2) * r + c1) * r + c0
+        elif fixed:
             p = ldexp(_horner_fixed(rev, r), -_FIXED_BITS)
         else:
             p = top

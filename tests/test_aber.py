@@ -1100,24 +1100,30 @@ def test_oracle_evaluation_budget_up_to_m_1():
     assert worst <= 330
 
 
-def test_oracle_calls_gauss_q_once_per_node(monkeypatch):
-    # the exact kernel looks gauss_q up on the kernel module at call
-    # time, once per node, so a wrapped kernel sees every evaluation;
-    # at these points every node carries mass
-    from nakaber import _purekernels
+@pytest.mark.parametrize("kind", ["exact", "lu"])
+def test_oracle_calls_its_ber_kernel_once_per_node(monkeypatch, kind):
+    # the oracle builds one BER kernel and calls it once per node, so a
+    # wrapped kernel sees every evaluation; at these points every node
+    # carries mass
+    from nakaber import channel
 
-    gauss_q = _purekernels.gauss_q
+    build = channel.ber_kernel
     calls = []
 
-    def counting(z):
-        calls.append(z)
-        return gauss_q(z)
+    def counting_build(*args, **kwargs):
+        kernel, rate = build(*args, **kwargs)
 
-    monkeypatch.setattr(_purekernels, "gauss_q", counting)
+        def counted(snr):
+            calls.append(snr)
+            return kernel(snr)
+
+        return counted, rate
+
+    monkeypatch.setattr(channel, "ber_kernel", counting_build)
     for m, gbar, order in ((2.5, 100.0, 16), (50.0, 1e4, 4), (0.05, 1e8, 4096)):
         calls.clear()
-        res = oracle_result(ChannelParams(m, gbar), Modulation(order))
-        assert len(calls) == res.evaluations, (m, gbar, order)
+        res = oracle_result(ChannelParams(m, gbar), Modulation(order), kind)
+        assert len(calls) == res.evaluations, (kind, m, gbar, order)
 
 
 # repr of oracle_result, bits and all.  The m > 1 entries are as the
@@ -1157,6 +1163,73 @@ ORACLE_BITS = [
 def test_oracle_keeps_its_bits(m, gbar, order, kind, variant, expected):
     res = oracle_result(ChannelParams(m, gbar), Modulation(order), kind, variant=variant)
     assert repr(res) == expected
+
+
+# repr(r2_series(ch, c1, N)) for N = 0..5, bits and all, on the float
+# Horner path: check 8's point, then m = 2.5 and m = 20.5, where the
+# coefficients alternate in sign
+R2_SERIES_BITS = [
+    (0.6, 10.0, 256, 0,
+     "RouteValue(value=0.04246774774005155, "
+     "kind='truncated', terms_used=1, error_estimate=None)"),
+    (0.6, 10.0, 256, 1,
+     "RouteValue(value=0.04391845311096539, "
+     "kind='truncated', terms_used=2, error_estimate=None)"),
+    (0.6, 10.0, 256, 2,
+     "RouteValue(value=0.04408309459577892, "
+     "kind='truncated', terms_used=3, error_estimate=None)"),
+    (0.6, 10.0, 256, 3,
+     "RouteValue(value=0.04410921389565827, "
+     "kind='truncated', terms_used=4, error_estimate=None)"),
+    (0.6, 10.0, 256, 4,
+     "RouteValue(value=0.04411408874965405, "
+     "kind='truncated', terms_used=5, error_estimate=None)"),
+    (0.6, 10.0, 256, 5,
+     "RouteValue(value=0.044115091078088184, "
+     "kind='truncated', terms_used=6, error_estimate=None)"),
+    (2.5, 20.0, 16, 0,
+     "RouteValue(value=8.19651062251175e-05, "
+     "kind='truncated', terms_used=1, error_estimate=None)"),
+    (2.5, 20.0, 16, 1,
+     "RouteValue(value=6.36783375701544e-05, "
+     "kind='truncated', terms_used=2, error_estimate=None)"),
+    (2.5, 20.0, 16, 2,
+     "RouteValue(value=6.491854776025372e-05, "
+     "kind='truncated', terms_used=3, error_estimate=None)"),
+    (2.5, 20.0, 16, 3,
+     "RouteValue(value=6.498592878841212e-05, "
+     "kind='truncated', terms_used=4, error_estimate=None)"),
+    (2.5, 20.0, 16, 4,
+     "RouteValue(value=6.499496094301525e-05, "
+     "kind='truncated', terms_used=5, error_estimate=None)"),
+    (2.5, 20.0, 16, 5,
+     "RouteValue(value=6.49966684439725e-05, "
+     "kind='truncated', terms_used=6, error_estimate=None)"),
+    (20.5, 30.0, 1024, 0,
+     "RouteValue(value=1.9972539581604877e-06, "
+     "kind='truncated', terms_used=1, error_estimate=None)"),
+    (20.5, 30.0, 1024, 1,
+     "RouteValue(value=-1.7636251619135166e-06, "
+     "kind='truncated', terms_used=2, error_estimate=None)"),
+    (20.5, 30.0, 1024, 2,
+     "RouteValue(value=4.286130298202518e-06, "
+     "kind='truncated', terms_used=3, error_estimate=None)"),
+    (20.5, 30.0, 1024, 3,
+     "RouteValue(value=-3.0232681115055994e-06, "
+     "kind='truncated', terms_used=4, error_estimate=None)"),
+    (20.5, 30.0, 1024, 4,
+     "RouteValue(value=3.7797845005208684e-06, "
+     "kind='truncated', terms_used=5, error_estimate=None)"),
+    (20.5, 30.0, 1024, 5,
+     "RouteValue(value=-1.227875516666295e-06, "
+     "kind='truncated', terms_used=6, error_estimate=None)"),
+]
+
+
+@pytest.mark.parametrize("m,snr_db,order,n,expected", R2_SERIES_BITS)
+def test_r2_series_keeps_its_bits(m, snr_db, order, n, expected):
+    ch = ChannelParams(m, db_to_linear(snr_db))
+    assert repr(r2_series(ch, Modulation(order).c1, n)) == expected
 
 
 @pytest.mark.parametrize("kind,variant", [

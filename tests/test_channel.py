@@ -314,23 +314,6 @@ def test_built_expq_kernel_equals_the_per_call_form(variant):
             assert kernel(snr) == default(snr) == written, (order, snr)
 
 
-def test_built_kernels_look_gauss_q_up_at_call_time(monkeypatch):
-    # a kernel swapped or wrapped on the kernel module after a BER
-    # kernel is built still serves that kernel's nodes: one call per
-    # node for the exact BER, sqrt(M)/2 for the sum of Q
-    from nakaber import _purekernels
-
-    mod = Modulation(16)
-    exact, _ = ber_kernel(mod)
-    lu, _ = ber_kernel(mod, "lu")
-    calls = []
-    monkeypatch.setattr(_purekernels, "gauss_q", lambda z: calls.append(z) or 0.25)
-    assert exact(1.0) == 4.0 * mod.c0 * 0.25 - 4.0 * mod.c0 * mod.c0 * 0.25 * 0.25
-    assert len(calls) == 1
-    assert lu(1.0) == 4.0 * mod.c0 * 0.5
-    assert len(calls) == 3
-
-
 def test_built_kernels_reject_negative_snr_at_the_node():
     mod = Modulation(16)
     for snr in (-1.0, -5e-324, math.nan):
