@@ -1,4 +1,5 @@
-"""Numeric kernels: special functions and the correction-term integrals.
+"""Numeric kernels: special functions, the correction-term integrals and
+closed(adaptive)'s E[Q^2] sum.
 
 Plain functions of floats; the quadrature-backed ones take a
 ``quad.QuadratureSpec`` and return a ``quad.QuadratureResult``.  No
@@ -8,7 +9,9 @@ fixed values.  No caches, no global state.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 
 from . import quad
 
@@ -16,10 +19,17 @@ BACKEND_NAME = "python"
 
 _SQRT1_2 = math.sqrt(0.5)
 _HALF_PI = math.pi / 2.0
+_TWO_PI = 2.0 * math.pi
 _INV_FOUR_PI = 1.0 / (4.0 * math.pi)
 _DBL_MAX = 1.7976931348623157e308
 # binary point of the fixed-point correction polynomial
 _FIXED_BITS = 110
+
+# sqrt(2)*(1/2)_k/(k!*2^k), k = 0, 1, ..., the weights of
+# avg_q_squared's series, as many as term_tol = 1e-13 takes
+_Q2_WEIGHTS = tuple(itertools.accumulate(
+    ((k + 0.5) / (2 * k + 2) for k in range(math.ceil(math.log2(4e13)))),
+    operator.mul, initial=math.sqrt(2.0)))
 
 # continued-fraction controls
 _CF_MAX_ITER = 400
@@ -375,10 +385,11 @@ def r2_integral(b: float, m: float,
     only by bisecting towards w = 0 unless it is high enough.  So k is
     an integer: ceil(2.4/m) for m >= 1, which makes 2*m*k at least 2.4
     (k = 1 from m = 2.4 on), and for m < 1 ceil(0.9/m) kept within
-    [3, 7].  A seed-601 perfbench series pass takes 210,504 evaluations
-    here, and 252,168 with k = 1 for m >= 1 and ceil(1.2/m) below; at
-    1 <= m < 2 a call took 124 evaluations at 0 dB and above and 200
-    below, and takes 42 and 60.
+    [3, 7].  With k = 1 for m >= 1 and ceil(1.2/m) below, a call at
+    1 <= m < 2 took 124 evaluations at 0 dB and above and 200 below; it
+    takes 42 and 60.  It is the Craig-form reference for R2, which the
+    self tests and the tests check the routes against; closed(adaptive)
+    takes E[Q^2] from avg_q_squared instead.
     """
     if m >= 1.0:
         k = math.ceil(2.4 / m)
@@ -415,3 +426,85 @@ def r2_integral(b: float, m: float,
 
     res = quad.integrate_finite(f, 0.0, 1.0, spec, rule=21)
     return _scaled(res, m, b)
+
+
+def avg_q_squared(m: float, b: float, term_tol: float) -> float:
+    """E[Q^2], the fading average of Q(sqrt(2*alpha*snr))^2, as one
+    hypergeometric sum, b = m/(alpha*mean_snr) (inf as mean_snr -> 0).
+
+    With z = b/(b+2), y = 2/(b+2) and u = sin^2(theta) in Craig's form,
+    expanding (1-u)^(-1/2) on u <= 1/2 makes term k the incomplete beta
+    B_z(m+k+1/2, -k-1/2), so
+
+        E[Q^2] = (1/pi) int_0^{pi/4} (1 + 1/(b*sin^2(theta)))^(-m) dtheta
+               = z^m/(2*sqrt(2)*pi) * sum_k w_k * F_k/(m+k+1/2),
+
+    w_k = (1/2)_k/(k!*2^k) and F_k = 2F1(1, m; m+k+3/2; z).  Each term
+    is at most half the one before at every SNR, so the first
+    K = ceil(log2(4/term_tol)) + 1 leave a tail below term_tol/4 of the
+    sum: 43 terms at 1e-12.  They are summed smallest first.
+
+    _beta_cf(z, m+p+1/2, -p-1/2) is F_p, and the contiguous relation
+    F_{k+1} = (m+k+3/2)*(1 - y*F_k)/((k+3/2)*z) gives every other F_k
+    from that one fraction.  Run forward it multiplies an error by
+    g_k = (m+k+3/2)*y/((k+3/2)*z), so it runs forward above the pivot
+    p = ceil(m*y/(z-y) - 3/2), where g_k falls to 1, and backward below
+    it; where z <= 1/2, g_k > 1 for every k and p = K - 1.
+
+    F_0's fraction converges only for z < (m+3/2)/(m+2), and near that
+    bound it is slow and, at large m, inaccurate (1.4e-12 at m = 1e4,
+    against 2e-15 from the connection).  So where y*(m+2) <= 1, twice
+    as far from z = 1 as the bound, F_0 comes from the 1 - z connection
+    (DLMF 15.8.4), a series in y:
+
+        F_0 = (2m+1)*2F1(1, m; 1/2; y)
+              - 2*sqrt(pi)*Gamma(m+3/2)/Gamma(m)*sqrt(y)*z^(-m-1/2).
+
+    Its first part is at most 21 times F_0 there (at large m, where
+    y*(m+2) = 1), so the difference loses at most 5 bits.  The Gamma
+    ratio is (m+1/2)*sqrt(pi)/B(m, 1/2) by log_beta: an lgamma
+    difference would carry eps*lgamma(m) into it, 7e-15 at m = 37.88
+    and 1.9e-13 at m = 500.  At b = inf, y = 0, F_0 = 2m+1 and
+    E[Q^2] = 1/4.  z^m is carried in logs to the final product, as
+    _scaled carries the other kernels' peaks, so nothing underflows
+    before it.
+
+    Against 40-digit values (mpmath's 2F1 term by term) at
+    term_tol = 1e-12 it is within 7.5e-14 relative on 600 random
+    (m, b) in [0.05, 50] x [1e-8, 1e8], the worst at b below 1e-6,
+    where z^m's exponent is about -500 and carries the rounding of
+    log(z) m-fold, and within 8.4e-13 on 100 with m in [50, 1e4].
+    """
+    n = math.ceil(math.log2(4.0 / term_tol)) + 1
+    last = n - 1
+    if b == math.inf:
+        z, y, log_z = 1.0, 0.0, 0.0
+    else:
+        y = 2.0 / (b + 2.0)
+        z = b / (b + 2.0)
+        inv = 2.0 / b
+        log_z = -math.log1p(inv) if inv < math.inf else math.log(b) - math.log(b + 2.0)
+    f = [0.0] * n
+    if y * (m + 2.0) <= 1.0:
+        p = 0
+        s = term = 1.0
+        j = 0.0
+        while term > _CF_EPS * s:
+            term *= (m + j) * y / (j + 0.5)
+            s += term
+            j += 1.0
+        f[0] = (2.0 * m + 1.0) * s - _TWO_PI * (m + 0.5) * math.sqrt(y) * math.exp(
+            -(m + 0.5) * log_z - log_beta(m, 0.5))
+    else:
+        p = last if z <= 0.5 else min(last, max(0, math.ceil(m * y / (z - y) - 1.5)))
+        f[p] = _beta_cf(z, m + p + 0.5, -p - 0.5)
+    for k in range(p, last):
+        f[k + 1] = (m + k + 1.5) * (1.0 - y * f[k]) / ((k + 1.5) * z)
+    for k in range(p - 1, -1, -1):
+        f[k] = (1.0 - (k + 1.5) * z * f[k + 1] / (m + k + 1.5)) / y
+    s = 0.0
+    for k in range(last, -1, -1):
+        s += _Q2_WEIGHTS[k] * f[k] / (m + k + 0.5)
+    # the weights carry sqrt(2), so z^m*s/(4*pi) is z^m/(2*sqrt(2)*pi)
+    # times the sum of w_k*F_k/(m+k+1/2)
+    return _scale(s, m * log_z)

@@ -1,13 +1,14 @@
 """Average bit error rate of square M-QAM over Nakagami-m fading.
 
 Three independent routes to the same quantity live here: a closed form
-built from an incomplete beta and a correction term, either the paper's
-series of Appell-F1 terms truncated and summed in one integral or its
-untruncated limit in Craig's form, an exact closed form for the
-sum-of-Q BER approximation, and direct adaptive quadrature of the
-defining average, which acts as the reference the closed forms are
-judged against.  The discrepancy metric and the series/quadrature
-split of the squared-Q correction term are exposed so the comparison
+built from an incomplete beta and either a correction term, the
+paper's series of Appell-F1 terms truncated and summed in one
+integral, or its untruncated limit, E[Q^2] as one hypergeometric sum
+with no quadrature; an exact closed form for the sum-of-Q BER
+approximation; and direct adaptive quadrature of the defining average,
+which acts as the reference the closed forms are judged against.  The
+discrepancy metric, the truncated series and the Craig-form quadrature
+of the squared-Q correction term are exposed so the comparison
 machinery can be driven from the CLI.
 """
 
@@ -61,10 +62,12 @@ class TruncationPolicy(_Value):
     fixed_terms sums the paper's series for indices n = 0..n_max
     inclusive, so n_max = 0 is the one-term evaluation; an integer m
     stops the series at its exact zero.  adaptive takes the series'
-    N -> oo limit instead, R2 by quadrature of Craig's form
-    (r2_quadrature) to relative tolerance term_tol, and keeps no terms.
-    term_tol stops at 1e-13: below it the quadrature sits at its 50*eps
-    roundoff floor and cannot converge.
+    N -> oo limit instead, E[Q^2] as one hypergeometric sum
+    (kernels.avg_q_squared), and keeps no terms: term_tol sets how many
+    terms of that sum are taken, K = ceil(log2(4/term_tol)) + 1, so its
+    tail lies below term_tol/4 (43 terms at 1e-12).  term_tol stops at
+    1e-13, the floor of the contract, where the Craig-form reference
+    r2_quadrature sits at its 50*eps roundoff floor.
     """
 
     __slots__ = ("mode", "n_max", "term_tol")
@@ -175,12 +178,15 @@ def _avg_q_sum(ch: ChannelParams, alpha: float, ks) -> float:
 
 
 def _ratio(ch: ChannelParams, alpha: float) -> float:
-    """b = m/(alpha*mean_snr), which both correction-term kernels and
-    lemma2_avg_q's rule take.  Raises ValueError for a bad alpha and
-    where b underflows to 0, as the MGF does."""
+    """b = m/(alpha*mean_snr), which the correction-term kernels,
+    avg_q_squared and lemma2_avg_q's rule take.  Where alpha*mean_snr
+    underflows to 0 it is inf, the mean SNR -> 0 limit every closed form
+    serves.  Raises ValueError for a bad alpha and where b underflows to
+    0, as the MGF does."""
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise ValueError("alpha must be positive and finite")
-    b = ch.m / (alpha * ch.mean_snr)
+    c = alpha * ch.mean_snr
+    b = ch.m / c if c > 0.0 else math.inf
     if b == 0.0:
         raise channel._ratio_underflow(ch)
     return b
@@ -190,13 +196,14 @@ def r2_quadrature(ch: ChannelParams, alpha: float,
                   spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Squared-Q correction term by adaptive quadrature.
 
-    This is the series-free reference for the correction: the fading
-    average of Q^2 equals (1/4)*I_x(m, 1/2) minus this value.  The
-    r2_integral kernel writes it with Craig's form of Q and Q^2 as
-    E[Q]/2 - E[Q^2], one positive integral of elementary functions over
-    Craig's angle on [0, pi/4]; it needs no incomplete beta per node and
-    a few hundred evaluations at most.  It is the correction term of
-    the closed form under TruncationPolicy.adaptive.
+    This is the series-free reference for the correction, the Craig-form
+    R2 the self tests and the tests check the series and closed(adaptive)
+    against: the fading average of Q^2 equals (1/4)*I_x(m, 1/2) minus
+    this value.  The r2_integral kernel writes it with Craig's form of Q
+    and Q^2 as E[Q]/2 - E[Q^2], one positive integral of elementary
+    functions over Craig's angle on [0, pi/4]; it needs no incomplete
+    beta per node and a few hundred evaluations at most.  No route calls
+    it.
     """
     return require_converged(
         kernels.r2_integral(_ratio(ch, alpha), ch.m, spec),
@@ -256,19 +263,24 @@ def aber_closed_with_terms(ch: ChannelParams, mod: Modulation,
                            trunc: TruncationPolicy = _FIVE_TERMS) -> RouteValue:
     """Series closed form of the average BER, with the terms it used.
 
-    Combines the averaged Q and Q^2 pieces into
-    (4*c0 - 2*c0^2) * E[Q] + 4*c0^2 * R2, E[Q] = (1/2) * I_x(m, 1/2).
-    A fixed policy takes R2 from r2_series at N = trunc.n_max, a
-    "truncated" value.  The adaptive policy takes the series'
-    untruncated limit, r2_quadrature at rel_tol = trunc.term_tol, an
-    "untruncated" value of 0 terms.
+    A fixed policy combines the averaged Q and Q^2 pieces into
+    (4*c0 - 2*c0^2) * E[Q] + 4*c0^2 * R2, E[Q] = (1/2) * I_x(m, 1/2),
+    with R2 from r2_series at N = trunc.n_max, a "truncated" value.  The
+    adaptive policy takes the series' untruncated limit,
+    4*c0 * E[Q] - 4*c0^2 * E[Q^2] with E[Q^2] from
+    kernels.avg_q_squared at trunc.term_tol, an "untruncated" value of 0
+    terms and no quadrature.  It never forms R2 = E[Q]/2 - E[Q^2], which
+    cancels at low mean SNR: E[Q^2] <= E[Q]/2 and c0 <= 1/4, so the
+    subtracted term is at most 1/8 of the first, and E[Q^2]'s relative
+    error grows by at most 8/7 in the value.
     """
     c0 = mod.c0
     if trunc.mode == "adaptive":
-        r2 = r2_quadrature(ch, mod.c1, QuadratureSpec(rel_tol=trunc.term_tol))
-        kind, terms = "untruncated", 0
-    else:
-        r2, kind, terms, _ = r2_series(ch, mod.c1, trunc.n_max)
+        avg_q = lemma2_avg_q(ch, mod.c1)
+        avg_q2 = kernels.avg_q_squared(ch.m, _ratio(ch, mod.c1), trunc.term_tol)
+        return RouteValue(4.0 * c0 * avg_q - 4.0 * c0 * c0 * avg_q2,
+                          "untruncated", 0, None)
+    r2, kind, terms, _ = r2_series(ch, mod.c1, trunc.n_max)
     avg_q = lemma2_avg_q(ch, mod.c1)
     return RouteValue((4.0 * c0 - 2.0 * c0 * c0) * avg_q + 4.0 * c0 * c0 * r2,
                       kind, terms, None)

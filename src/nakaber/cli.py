@@ -385,9 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
                              help="dB grid as start:stop:step")
     for sub in evaluating:
         sub.add_argument("--adaptive-tol", type=float, default=None,
-                         help="untruncated series: correction term by "
-                              "quadrature of Craig's form to this relative "
-                              "tolerance, in [1e-13, 1e-4]; overrides --terms")
+                         help="untruncated series: E[Q^2] as one "
+                              "hypergeometric sum, its tail below this "
+                              "relative tolerance, in [1e-13, 1e-4]; "
+                              "overrides --terms")
         sub.add_argument("--rel-tol", type=float,
                          default=DEFAULT_SPEC.rel_tol,
                          help="relative tolerance for oracle quadrature")

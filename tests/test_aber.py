@@ -349,9 +349,9 @@ def test_r2_term_scaled_evaluation_budget(monkeypatch):
 
 def _r2_kernel_calls(monkeypatch, ms):
     # (kernel name, arguments, result) of each correction-term kernel call
-    # that closed(N=5) and closed(adaptive) make over ms x {-30 .. 80} dB
-    # x orders {4, 256, 4096}, each at its route's spec: the series at
-    # 1e-11, Craig's form at 1e-12
+    # that closed(N=5) and the Craig-form reference make over
+    # ms x {-30 .. 80} dB x orders {4, 256, 4096}: the series at
+    # closed(N=5)'s 1e-11, Craig's form at 1e-12
     from nakaber import _purekernels
 
     calls = []
@@ -374,7 +374,7 @@ def _r2_kernel_calls(monkeypatch, ms):
             for order in (4, 256, 4096):
                 mod = Modulation(order)
                 aber_closed(ch, mod, TruncationPolicy.fixed(5))
-                aber_closed(ch, mod, TruncationPolicy.adaptive(1e-12))
+                r2_quadrature(ch, mod.c1, QuadratureSpec(rel_tol=1e-12))
     monkeypatch.undo()
     return calls
 
@@ -718,6 +718,33 @@ def test_r2_series_large_b_terms_stay_accurate():
     assert res.value == pytest.approx(0.01671860004636374901, rel=1e-11)
 
 
+
+@pytest.mark.parametrize("m, b, expected", [
+    # z = b/(b+2) <= 1/2: one fraction at the last term, the relation
+    # run backward
+    (2.5, 1.5, 0.007828861008220058633375167732673347666922),
+    # small m, z > 1/2: the fraction at term 0, the relation forward
+    (0.6, 3.0, 0.1104638537090377093742988576928395105893),
+    # large m: the pivot at term 4, backward below it, forward above
+    (45.5, 20.0, 0.0003651582999765175151478126567925482836126),
+    # y*(m+2) <= 1: term 0 from the 1 - z connection
+    (37.88, 1000.0, 0.1536893003224718696726507471337625559103),
+    # the mean SNR -> 0 limit, Q(0)^2 = 1/4
+    (2.5, 1e300, 0.25),
+    (2.5, math.inf, 0.25),
+    # m = 500.5 at 30 dB (QPSK): z^m = 1e-350, below the smallest
+    # double, and so is E[Q^2]: its nearest double, 0.0, not NaN
+    (500.5, 0.5005, 8.657981782510052222169488803536087949245e-354),
+], ids=["backward", "forward", "pivot", "connection", "b1e300", "b-inf", "underflow"])
+def test_avg_q_squared_meets_40_digit_values(m, b, expected):
+    # 40-digit z^m/(2*sqrt(2)*pi) * sum_k w_k*F_k/(m+k+1/2) with
+    # mpmath's 2F1 for each F_k; the first four agree with 50-digit
+    # quadrature of Craig's (1/pi) int_0^{pi/4} (1 + 1/(b sin^2))^-m
+    from nakaber import _purekernels
+
+    got = _purekernels.avg_q_squared(m, b, 1e-13)
+    assert got == pytest.approx(expected, rel=1e-13, abs=math.ulp(0.0))
+
 # --- closed forms ------------------------------------------------------------
 
 def test_aber_closed_frozen_rayleigh_value():
@@ -758,8 +785,8 @@ def test_aber_closed_diagnostic_weight_differs():
 def test_aber_closed_adaptive_large_m():
     # 30-digit value of the Craig-form average at m=45.5, 20 dB, QPSK;
     # the alternating correction series loses ~7 digits to cancellation
-    # here; the adaptive route takes R2 from Craig's form, which does not
-    # cancel
+    # here; the adaptive route takes E[Q^2] from one hypergeometric sum,
+    # which does not cancel
     ch = ChannelParams(45.5, 100.0)
     got = aber_closed(ch, QPSK, TruncationPolicy.adaptive())
     assert got == pytest.approx(5.3552545392030535e-25, rel=1e-10)
@@ -854,20 +881,58 @@ def test_aber_closed_adaptive_matches_the_oracle_at_large_m(m):
     assert got == pytest.approx(aber_oracle(ch, QPSK, spec=tight), rel=1e-12, abs=0.0)
 
 
-def test_aber_closed_adaptive_takes_r2_from_craigs_form(monkeypatch):
-    from nakaber import _purekernels
+def test_aber_closed_adaptive_runs_no_quadrature(monkeypatch):
+    # closed(adaptive) is 4*c0*E[Q] - 4*c0^2*E[Q^2], an incomplete beta
+    # and one hypergeometric sum: no quadrature at all
+    from nakaber import quad
 
-    def refuse(*args):
-        raise AssertionError("closed(adaptive) summed the truncated series")
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed(adaptive) ran a quadrature")
 
-    monkeypatch.setattr(_purekernels, "r2_term_scaled", refuse)
+    monkeypatch.setattr(quad, "integrate_finite", refuse)
     ch = ChannelParams(2.5, 10.0)
     res = aber_closed_with_terms(ch, QPSK, TruncationPolicy.adaptive(1e-13))
     assert (res.kind, res.terms_used) == ("untruncated", 0)
     assert AberMethod.closed_form(TruncationPolicy.adaptive()).evaluate(ch, QPSK).terms_used == 0
-    c0 = QPSK.c0
-    r2 = r2_quadrature(ch, QPSK.c1, QuadratureSpec(rel_tol=1e-13))
-    assert res.value == (4.0 * c0 - 2.0 * c0 * c0) * lemma2_avg_q(ch, QPSK.c1) + 4.0 * c0 * c0 * r2
+
+
+def _craig_composition(ch, mod):
+    # the same value composed independently of closed(adaptive)'s sum:
+    # (4*c0 - 2*c0^2)*E[Q] + 4*c0^2*R2, R2 from the Craig-form reference
+    # at its tightest tolerance
+    c0 = mod.c0
+    r2 = r2_quadrature(ch, mod.c1, QuadratureSpec(rel_tol=1e-13))
+    return (4.0 * c0 - 2.0 * c0 * c0) * lemma2_avg_q(ch, mod.c1) + 4.0 * c0 * c0 * r2
+
+
+def test_aber_closed_adaptive_meets_craigs_form_on_the_whole_domain():
+    # 1,000 seeded draws, m log-uniform on [0.05, 50], -30 to 80 dB, all
+    # six orders: the sum for E[Q^2] meets the Craig-form R2 to 1e-13
+    # (measured 8.3e-15)
+    rng = random.Random(21)
+    for _ in range(1000):
+        m = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+        snr_db = rng.uniform(-30.0, 80.0)
+        mod = Modulation(rng.choice(SUPPORTED_ORDERS))
+        ch = ChannelParams(m, db_to_linear(snr_db))
+        got = aber_closed(ch, mod, TruncationPolicy.adaptive(1e-13))
+        assert got == pytest.approx(_craig_composition(ch, mod), rel=1e-13, abs=0.0), (
+            m, snr_db, mod.order)
+
+
+@pytest.mark.parametrize("m", [1e3, 3e3, 1e4])
+def test_aber_closed_adaptive_serves_every_m_that_avg_q_serves(m):
+    # up to m = 1e4, where E[Q] stops, E[Q^2]'s fraction converges and
+    # its sum meets the Craig-form composition to 1e-10 (measured
+    # 2.2e-13, at m = 1e4).  Where the value is subnormal, each side
+    # rounds to a few of its 5e-324 steps
+    for snr_db in range(-30, 81, 2):
+        ch = ChannelParams(m, db_to_linear(snr_db))
+        for order in SUPPORTED_ORDERS:
+            mod = Modulation(order)
+            got = aber_closed(ch, mod, TruncationPolicy.adaptive(1e-12))
+            assert got == pytest.approx(_craig_composition(ch, mod), rel=1e-10,
+                                        abs=1e-322), (snr_db, order)
 
 
 def test_aber_lu_closed_frozen_value():
@@ -1472,6 +1537,22 @@ def test_lu_refuses_where_a_term_underflows_before_the_ratio():
                                          r"SNR\) underflows a float to 0$"):
         aber_lu_closed(ch, mod)
 
+
+
+@pytest.mark.parametrize("order", SUPPORTED_ORDERS)
+def test_closed_forms_serve_the_mean_snr_limit_where_alpha_snr_underflows(order):
+    # at -3230 dB the mean SNR is the subnormal 1e-323: alpha*mean_snr
+    # underflows to 0.0 from 64-QAM on, and b = m/(alpha*mean_snr)
+    # overflows below it.  b = inf is the mean SNR -> 0 limit, where
+    # Q = 1/2: the closed form is 2*c0 - c0^2 and lu 2*c0 per odd
+    # multiplier
+    ch = ChannelParams(1.0, db_to_linear(-3230.0))
+    mod = Modulation(order)
+    limit = 2.0 * mod.c0 - mod.c0 * mod.c0
+    for trunc in (TruncationPolicy.fixed(5), TruncationPolicy.adaptive(1e-12)):
+        assert aber_closed(ch, mod, trunc) == pytest.approx(limit, rel=1e-15, abs=0.0)
+    lu = 2.0 * mod.c0 * len(mod.odd_multipliers)
+    assert aber_lu_closed(ch, mod) == pytest.approx(lu, rel=1e-15, abs=0.0)
 
 # --- discrepancy -------------------------------------------------------------
 
