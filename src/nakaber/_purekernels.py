@@ -280,9 +280,7 @@ def r2_term_scaled(coefs, m: float, b: float,
     (1+b)*phi^2 = 4: a seed-601 perfbench series pass takes 257,400
     evaluations here, 275,970 with k = m^(-1/4) on all of m >= 1, and
     415,590 (failing acceptance check 8) with that rule at every m.
-    It carries (b*t/(1 + b*t))^m over its peak,
-    log_mgf_peak.  It keeps the 15-point rule: acceptance check 8's
-    integral settles on its opening in 30 evaluations, 42 on 21 points.
+    It carries (b*t/(1 + b*t))^m over its peak, log_mgf_peak.
 
     coefs are doubles, summed by Horner's scheme, or _fixed_coefs'
     integers at 2^_FIXED_BITS, summed by _horner_fixed to about 2^-110
@@ -376,20 +374,16 @@ def r2_integral(b: float, m: float,
     exp(-m*log1p(s^2/((1+b)*c^2))).  In v = tan(theta) on [0, 1] it is
     rational in v, with no trig call per node: s^2/c^2 = v^2,
     x = (1 - v^2)*(1 + v^2)/((1 + v^2 + b)*v^2) and
-    dtheta = dv/(1 + v^2).  The quadrature runs on the 21-point Kronrod
-    rule, which this smooth integrand settles in a quarter fewer
-    evaluations than the 15-point one, and on _sinh_grading's nodes up
-    to v = 1, with the knee A where the integrand bends, at
+    dtheta = dv/(1 + v^2).  The quadrature runs on _sinh_grading's nodes
+    up to v = 1, with the knee A where the integrand bends, at
     (1+b)*v^2 = 1.  Near theta = 0 the integrand is 1 - C*v^(2m), and in
     w it is w^(k-1) less a w^(k-1+2mk) term, which the rule resolves
     only by bisecting towards w = 0 unless it is high enough.  So k is
     an integer: ceil(2.4/m) for m >= 1, which makes 2*m*k at least 2.4
     (k = 1 from m = 2.4 on), and for m < 1 ceil(0.9/m) kept within
-    [3, 7].  With k = 1 for m >= 1 and ceil(1.2/m) below, a call at
-    1 <= m < 2 took 124 evaluations at 0 dB and above and 200 below; it
-    takes 42 and 60.  It is the Craig-form reference for R2, which the
-    self tests and the tests check the routes against; closed(adaptive)
-    takes E[Q^2] from avg_q_squared instead.
+    [3, 7].  It is the Craig-form reference for R2, which the self tests
+    and the tests check the routes against; closed(adaptive) takes
+    E[Q^2] from avg_q_squared instead.
     """
     if m >= 1.0:
         k = math.ceil(2.4 / m)
@@ -397,20 +391,14 @@ def r2_integral(b: float, m: float,
         k = max(3, math.ceil(min(7.0, 0.9 / m)))
     one_plus_b = 1.0 + b
     knee, lam, jac_scale = _sinh_grading(one_plus_b, 1.0, k)
-    # w^k = w when k = 1, since w ** 1 == w and w / w == 1.0 exactly
-    power = k != 1
     neg_m = -m
     exp, expm1, log1p = math.exp, math.expm1, math.log1p
     sinh, cosh = math.sinh, math.cosh
 
     def f(w: float) -> float:
-        if power:
-            wk = w ** k
-            t = lam * wk
-            jac = jac_scale * (wk / w) * cosh(t)
-        else:
-            t = lam * w
-            jac = jac_scale * cosh(t)
+        wk = w ** k
+        t = lam * wk
+        jac = jac_scale * (wk / w) * cosh(t)
         v = knee * sinh(t)
         v2 = v * v
         # (1+b+v^2)*v^2 as ((1+b+v^2)*v)*v, since v^2 is subnormal below
@@ -424,7 +412,7 @@ def r2_integral(b: float, m: float,
         x = (1.0 - v) * (1.0 + v) * (1.0 + v2) / u
         return jac * exp(neg_m * log1p(v2 / one_plus_b)) * -expm1(neg_m * log1p(x))
 
-    res = quad.integrate_finite(f, 0.0, 1.0, spec, rule=21)
+    res = quad.integrate_finite(f, 0.0, 1.0, spec)
     return _scaled(res, m, b)
 
 

@@ -265,8 +265,6 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     log head at m <= 1 takes as many and about 4% more CPU; a log tail
     takes 6.0% fewer with p = 4/m but fails acceptance check 8, and 34%
     to 1,740% more with p = 2/m, 4/sqrt(m), 4 or 2.
-    It is the arbiter, so it keeps the 15-point rule: on the 21-point one
-    its estimate understated the error at 2 of that pass's 2,160 points.
     Each call builds one node closure, for m's map family (m <= 1 or
     m > 1), so no node tests m.
     Full diagnostic record; converged=False is reported, never hidden.

@@ -160,19 +160,19 @@ def _median_time_ns(fn: Callable[[], object], reps: int) -> int:
 def stabilized_oracle_spec(ch: ChannelParams, mod: Modulation) -> QuadratureSpec:
     """Loosest oracle tolerance whose value is 5-significant-digit stable.
 
-    Tightens rel_tol decade by decade until two successive values agree
-    to 1e-5 relative, then keeps the earlier (cheaper) setting; this is
-    the 'equal precision' footing for timing ratios.
+    Tightens rel_tol through the exact decades 1e-4 .. 1e-13 until two
+    successive values agree to 1e-5 relative, then keeps the earlier
+    (cheaper) setting; this is the 'equal precision' footing for timing
+    ratios.  Where no two agree it keeps 1e-13, the tightest decade the
+    engine's roundoff floor lets converge.
     """
-    rel = 1e-4
-    spec = QuadratureSpec(rel_tol=rel)
+    spec = QuadratureSpec(rel_tol=1e-4)
     prev = aber_mod.aber_oracle(ch, mod, "exact", spec)
-    while rel > 1e-13:
-        tighter = QuadratureSpec(rel_tol=rel / 10.0)
+    for k in range(5, 14):
+        tighter = QuadratureSpec(rel_tol=10.0 ** -k)
         cur = aber_mod.aber_oracle(ch, mod, "exact", tighter)
         if abs(cur - prev) <= 1e-5 * abs(cur):
             return spec
-        rel /= 10.0
         spec = tighter
         prev = cur
     return spec
