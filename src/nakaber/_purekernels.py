@@ -381,9 +381,9 @@ def r2_integral(b: float, m: float,
     only by bisecting towards w = 0 unless it is high enough.  So k is
     an integer: ceil(2.4/m) for m >= 1, which makes 2*m*k at least 2.4
     (k = 1 from m = 2.4 on), and for m < 1 ceil(0.9/m) kept within
-    [3, 7].  It is the Craig-form reference for R2, which the self tests
-    and the tests check the routes against; closed(adaptive) takes
-    E[Q^2] from avg_q_squared instead.
+    [3, 7].  It is the Craig-form reference for R2 behind
+    aber.r2_quadrature, which the tests check the routes against; no
+    route or self test runs it.
     """
     if m >= 1.0:
         k = math.ceil(2.4 / m)

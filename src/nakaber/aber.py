@@ -7,9 +7,9 @@ integral, or its untruncated limit, E[Q^2] as one hypergeometric sum
 with no quadrature; an exact closed form for the sum-of-Q BER
 approximation; and direct adaptive quadrature of the defining average,
 which acts as the reference the closed forms are judged against.  The
-discrepancy metric, the truncated series and the Craig-form quadrature
-of the squared-Q correction term are exposed so the comparison
-machinery can be driven from the CLI.
+discrepancy metric, the truncated series and the averaged Q and Q^2 are
+exposed so the comparison machinery can be driven from the CLI; the
+Craig-form quadrature of the correction term is the tests' reference.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "aber_expq_closed",
     "aber_lu_closed",
     "aber_oracle",
+    "avg_q_squared",
     "discrepancy",
     "lemma2_avg_q",
     "oracle_result",
@@ -63,7 +64,7 @@ class TruncationPolicy(_Value):
     inclusive, so n_max = 0 is the one-term evaluation; an integer m
     stops the series at its exact zero.  adaptive takes the series'
     N -> oo limit instead, E[Q^2] as one hypergeometric sum
-    (kernels.avg_q_squared), and keeps no terms: term_tol sets how many
+    (avg_q_squared), and keeps no terms: term_tol sets how many
     terms of that sum are taken, K = ceil(log2(4/term_tol)) + 1, so its
     tail lies below term_tol/4 (43 terms at 1e-12).  term_tol stops at
     1e-13, the floor of the contract, where the Craig-form reference
@@ -192,18 +193,29 @@ def _ratio(ch: ChannelParams, alpha: float) -> float:
     return b
 
 
+def avg_q_squared(ch: ChannelParams, alpha: float, term_tol: float) -> float:
+    """Fading average of Q(sqrt(2*alpha*snr))^2, lemma2_avg_q's twin.
+
+    The one E[Q^2] the library serves: the avg_q_squared kernel's
+    hypergeometric sum, its tail below term_tol/4, which closed(adaptive)
+    takes and the self tests check against direct quadrature of the
+    defining average.  It refuses what _ratio refuses.
+    """
+    return kernels.avg_q_squared(ch.m, _ratio(ch, alpha), term_tol)
+
+
 def r2_quadrature(ch: ChannelParams, alpha: float,
                   spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Squared-Q correction term by adaptive quadrature.
 
     This is the series-free reference for the correction, the Craig-form
-    R2 the self tests and the tests check the series and closed(adaptive)
-    against: the fading average of Q^2 equals (1/4)*I_x(m, 1/2) minus
-    this value.  The r2_integral kernel writes it with Craig's form of Q
-    and Q^2 as E[Q]/2 - E[Q^2], one positive integral of elementary
-    functions over Craig's angle on [0, pi/4]; it needs no incomplete
-    beta per node and a few hundred evaluations at most.  No route calls
-    it.
+    R2 the tests check the series and closed(adaptive) against: the
+    fading average of Q^2 equals (1/4)*I_x(m, 1/2) minus this value.
+    The r2_integral kernel writes it with Craig's form of Q and Q^2 as
+    E[Q]/2 - E[Q^2], one positive integral of elementary functions over
+    Craig's angle on [0, pi/4]; it needs no incomplete beta per node and
+    a few hundred evaluations at most.  No route, self test or command
+    calls it.
     """
     return require_converged(
         kernels.r2_integral(_ratio(ch, alpha), ch.m, spec),
@@ -268,7 +280,7 @@ def aber_closed_with_terms(ch: ChannelParams, mod: Modulation,
     with R2 from r2_series at N = trunc.n_max, a "truncated" value.  The
     adaptive policy takes the series' untruncated limit,
     4*c0 * E[Q] - 4*c0^2 * E[Q^2] with E[Q^2] from
-    kernels.avg_q_squared at trunc.term_tol, an "untruncated" value of 0
+    avg_q_squared at trunc.term_tol, an "untruncated" value of 0
     terms and no quadrature.  It never forms R2 = E[Q]/2 - E[Q^2], which
     cancels at low mean SNR: E[Q^2] <= E[Q]/2 and c0 <= 1/4, so the
     subtracted term is at most 1/8 of the first, and E[Q^2]'s relative
@@ -277,7 +289,7 @@ def aber_closed_with_terms(ch: ChannelParams, mod: Modulation,
     c0 = mod.c0
     if trunc.mode == "adaptive":
         avg_q = lemma2_avg_q(ch, mod.c1)
-        avg_q2 = kernels.avg_q_squared(ch.m, _ratio(ch, mod.c1), trunc.term_tol)
+        avg_q2 = avg_q_squared(ch, mod.c1, trunc.term_tol)
         return RouteValue(4.0 * c0 * avg_q - 4.0 * c0 * c0 * avg_q2,
                           "untruncated", 0, None)
     r2, kind, terms, _ = r2_series(ch, mod.c1, trunc.n_max)

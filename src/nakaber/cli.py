@@ -114,15 +114,6 @@ def _parse_methods(text: str, args) -> tuple[AberMethod, ...]:
 # given on the command line win on conflict
 
 
-def _extract_config_path(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
-
-
 def _config_tokens(path: str) -> list[str]:
     tokens: list[str] = []
     with open(path) as fh:
@@ -150,7 +141,11 @@ def _config_tokens(path: str) -> list[str]:
 def _merge_config(argv: list[str]) -> list[str]:
     """Splice config-derived tokens in right after the subcommand so any
     explicit flags, parsed later, override them."""
-    path = _extract_config_path(argv)
+    # argparse finds the path as the full parser does, under any prefix
+    # of --config; one without a value is left to the full parser
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    path = pre.parse_known_args(argv)[0].config
     if path is None:
         return argv
     tokens = _config_tokens(path)

@@ -473,15 +473,18 @@ def test_selftest_full_run_passes(capsys):
 
 
 def test_selftest_failure_exits_1(capsys, monkeypatch):
-    # a correction term below 0 breaks the sandwich bounds at the grid's
-    # first point, and a failed check is exit 1
+    # an E[Q^2] above E[Q]/2 <= 1/4 (a correction term below 0) breaks
+    # the sandwich bounds at the grid's first point, and a failed check
+    # is exit 1
     import nakaber.aber
 
-    monkeypatch.setattr(nakaber.aber, "r2_quadrature", lambda ch, alpha: -1e-3)
+    monkeypatch.setattr(nakaber.aber, "avg_q_squared",
+                        lambda ch, alpha, term_tol: 0.3)
     code, out, _ = run_cli(capsys, "selftest", "--group", "sandwich")
     assert code == 1
     assert ("[FAIL] sandwich :: correction-term bounds | violated at "
-            "m=0.6 snr=-5dB M=4: r2=-1.000e-03 ") in out
+            "m=0.6 snr=-5dB M=4: avg_q=") in out
+    assert " avg_q2=3.000000e-01\n" in out
     assert "selftest: 1 checks, 1 failures" in out
 
 
@@ -540,6 +543,21 @@ def test_config_equals_form_matches_the_spaced_form(tmp_path, capsys):
     spaced = run_cli(capsys, "aber", "--config", str(cfg))
     assert spaced[0] == 0
     assert run_cli(capsys, "aber", f"--config={cfg}") == spaced
+
+
+@pytest.mark.parametrize("form", [lambda path: ["--conf", path],
+                                  lambda path: [f"--co={path}"]],
+                         ids=["conf-spaced", "co-equals"])
+def test_config_prefix_reads_the_file(tmp_path, capsys, form):
+    # argparse takes any unambiguous prefix of --config, so the file it
+    # names must be read, not stored and ignored
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("method=lu\n")
+    point = ("aber", "--m", "2.5", "--mod", "16", "--snr-db", "10")
+    full = run_cli(capsys, *point, "--config", str(cfg))
+    assert full[0] == 0
+    assert parse_kv_line(full[1])["method"] == "lu"
+    assert run_cli(capsys, *point, *form(str(cfg))) == full
 
 
 def test_config_false_switch_leaves_it_off(tmp_path, capsys):

@@ -202,6 +202,29 @@ def test_selftest_all_groups_pass():
     assert {r.group for r in results} == set(selftest_groups())
 
 
+def test_selftest_checks_the_served_avg_q_squared(monkeypatch):
+    # the self tests run no Craig-form quadrature, and lemma3 and
+    # sandwich each take the served E[Q^2] at every grid point
+    from nakaber import _purekernels, aber
+    from nakaber.harness import _identity_grid
+
+    calls = {"r2_integral": [], "avg_q_squared": []}
+    for name, record in calls.items():
+        kernel = getattr(_purekernels, name)
+
+        def spy(*args, kernel=kernel, record=record):
+            record.append(args[:2])
+            return kernel(*args)
+
+        monkeypatch.setattr(_purekernels, name, spy)
+    results = run_selftest()
+    assert results and all(r.passed for r in results)
+    assert calls["r2_integral"] == []
+    grid = [(ch.m, aber._ratio(ch, mod.c1)) for ch, mod, _ in _identity_grid()]
+    assert len(set(grid)) == 80
+    assert calls["avg_q_squared"] == grid + grid
+
+
 def test_selftest_lemma1_is_a_short_finite_quadrature(monkeypatch):
     # the tail identity in phi with x = tan^2(phi) is smooth on
     # [0, pi/2): 690 evaluations over the five z (765 on one opening
