@@ -34,6 +34,9 @@ _Q2_WEIGHTS = tuple(itertools.accumulate(
 # continued-fraction controls
 _CF_MAX_ITER = 400
 _CF_EPS = 1e-16
+# _CF_EPS is under the spacing of doubles below 1 (2^-53), so a step
+# that settles one ulp under 1 never meets it; within this it has
+_CF_SETTLED = 3e-16
 _CF_TINY = 1e-300
 
 # Stirling's series for lgamma: B_2n/(2n*(2n-1)), n = 8 down to 1, and
@@ -102,15 +105,19 @@ def log_peak_density(m: float) -> float:
     return 0.5 * math.log(m / (2.0 * math.pi)) - _stirling_delta(m)
 
 
-def _beta_cf(x: float, a: float, b: float) -> float:
+def _beta_cf(x: float, a: float, b: float, eps: float = _CF_EPS) -> float:
     """Continued fraction for the regularized incomplete beta.
 
     Modified Lentz iteration; caller guarantees the convergent regime
     x <= (a+1)/(a+b+2) via the symmetry switch in reg_inc_beta.  Raises
     ConvergenceError if the fraction has not converged after
-    _CF_MAX_ITER steps.
+    _CF_MAX_ITER steps.  A fraction whose step has settled within
+    _CF_SETTLED of 1 by then has converged, but never met eps: it is
+    run again to stop at the first such step.  avg_q_squared's F_0 at
+    m = 1/2 and z = 0.575 (a = 1, b = -1/2) settles at 1 - 2^-53 from
+    the 12th step on.
     """
-    tiny, eps = _CF_TINY, _CF_EPS
+    tiny = _CF_TINY
     # v < t and -t < v is abs(v) < t, NaN included, without the call;
     # d and c are mostly positive, so the first test settles it
     neg_tiny, neg_eps = -tiny, -eps
@@ -147,6 +154,8 @@ def _beta_cf(x: float, a: float, b: float) -> float:
         h *= delta
         if neg_eps < delta - 1.0 < eps:
             return h
+    if eps < _CF_SETTLED and -_CF_SETTLED < delta - 1.0 < _CF_SETTLED:
+        return _beta_cf(x, a, b, _CF_SETTLED)
     raise quad.ConvergenceError(
         f"incomplete-beta continued fraction did not converge in "
         f"{_CF_MAX_ITER} steps (x={x!r}, a={a!r}, b={b!r})")

@@ -10,7 +10,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import reg_inc_beta
 
@@ -105,6 +105,7 @@ def test_avg_q_does_not_rise_with_mean_snr(m, snr_db, step_db, order):
        st.floats(min_value=-30.0, max_value=80.0),
        st.floats(min_value=0.5, max_value=5.0),
        st.sampled_from(SUPPORTED_ORDERS))
+@example(m=0.5, snr_db=6.0, step_db=5.0, order=1024)
 @settings(max_examples=100, deadline=None)
 def test_closed_routes_do_not_rise_with_mean_snr(m, snr_db, step_db, order):
     # closed(adaptive) and lu each take their E[Q] terms from the
@@ -779,7 +780,11 @@ def test_r2_series_large_b_terms_stay_accurate():
     # m = 500.5 at 30 dB (QPSK): z^m = 1e-350, below the smallest
     # double, and so is E[Q^2]: its nearest double, 0.0, not NaN
     (500.5, 0.5005, 8.657981782510052222169488803536087949245e-354),
-], ids=["backward", "forward", "pivot", "connection", "b1e300", "b-inf", "underflow"])
+    # m = 1/2 at 11 dB (1024-QAM), z = 0.575: term 0's fraction settles
+    # one ulp under 1 and never met the 1e-16 stop, so it was refused
+    (0.5, 2.708659280409799, 0.1196568823566692454914749662584801166979),
+], ids=["backward", "forward", "pivot", "connection", "b1e300", "b-inf", "underflow",
+        "settled"])
 def test_avg_q_squared_meets_40_digit_values(m, b, expected):
     # 40-digit z^m/(2*sqrt(2)*pi) * sum_k w_k*F_k/(m+k+1/2) with
     # mpmath's 2F1 for each F_k; the first four agree with 50-digit
