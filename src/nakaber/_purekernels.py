@@ -39,6 +39,11 @@ _CF_EPS = 1e-16
 _CF_SETTLED = 3e-16
 _CF_TINY = 1e-300
 
+# r2_sum's stop: a tail at most this share of the sum so far, and the
+# most terms it takes
+_R2_TAIL = 2.0 ** -58
+_R2_CAP = 400
+
 # Stirling's series for lgamma: B_2n/(2n*(2n-1)), n = 8 down to 1, and
 # the argument from which log_beta and log_peak_density take it
 _STIRLING = (-3617.0 / 122400.0, 1.0 / 156.0, -691.0 / 360360.0,
@@ -286,27 +291,24 @@ def r2_term_scaled(coefs, m: float, b: float,
     saves nothing and cost an estimate: at m = 6.934, -17.1 dB, a value
     converged with an estimate of 9.9e-12 and a true error of 3.6e-11.
     For m < 1, k = 2/(1+m) makes the power w^3 and A stays at
-    (1+b)*phi^2 = 4: a seed-601 perfbench series pass takes 257,400
-    evaluations here, 275,970 with k = m^(-1/4) on all of m >= 1, and
-    415,590 (failing acceptance check 8) with that rule at every m.
+    (1+b)*phi^2 = 4: when every closed(N) value ran this quadrature, a
+    seed-601 perfbench series pass took 257,400 evaluations here,
+    275,970 with k = m^(-1/4) on all of m >= 1, and 415,590 (failing
+    acceptance check 8) with that rule at every m.
     It carries (b*t/(1 + b*t))^m over its peak, log_mgf_peak.
 
     coefs are doubles, summed by Horner's scheme, or _fixed_coefs'
     integers at 2^_FIXED_BITS, summed by _horner_fixed to about 2^-110
-    absolute at each node; r2_series picks which.  Up to six doubles
-    (N <= 5) are padded at the top with 0.0 and summed by an unrolled
-    Horner's scheme, with the same bits as the loop, since 0.0 * r + c
-    equals c: acceptance check 8 times closed(N) for N = 0..5 against
-    the oracle, and the loop's per-node cost ate into its margin.
+    absolute at each node; r2_series picks which, and runs the kernel
+    only where r2_sum would cancel or run past its length cap.  Doubles
+    serve the capped points at large m, where P_N(r) does not cancel:
+    in fixed point each node cost 1.1 us more, and m = 500.5 at 80 dB
+    (QPSK, N = 5) took 2.8x as long.
     """
     one_plus_b = 1.0 + b
-    # Horner's scheme from the top coefficient, which 0.0 * r + c_N equals
     rev = coefs[::-1]
     top, rest = rev[0], rev[1:]
     fixed = isinstance(top, int)
-    unrolled = not fixed and len(coefs) <= 6
-    if unrolled:
-        c0, c1, c2, c3, c4, c5 = tuple(coefs) + (0.0,) * (6 - len(coefs))
     if m < 1.0:
         # A = 2/sqrt(1+b) to the bit, since (1+b)/4 is exact
         k, bend = 2.0 / (1.0 + m), 0.25 * one_plus_b
@@ -333,9 +335,7 @@ def r2_term_scaled(coefs, m: float, b: float,
         st = cos(phi)
         u = one_plus_b * t
         r = t / (1.0 + u)
-        if unrolled:
-            p = ((((c5 * r + c4) * r + c3) * r + c2) * r + c1) * r + c0
-        elif fixed:
+        if fixed:
             p = ldexp(_horner_fixed(rev, r), -_FIXED_BITS)
         else:
             p = top
@@ -505,3 +505,110 @@ def avg_q_squared(m: float, b: float, term_tol: float) -> float:
     # the weights carry sqrt(2), so z^m*s/(4*pi) is z^m/(2*sqrt(2)*pi)
     # times the sum of w_k*F_k/(m+k+1/2)
     return _scale(s, m * log_z)
+
+
+def r2_sum(coefs, m: float, b: float) -> tuple[float, float] | None:
+    """Truncated squared-Q correction series R2_N, with no quadrature:
+    (R2_N, kappa), or None where the sum would take more than _R2_CAP
+    terms.
+
+    With x = 1/(2+b), y = 1 - x and z = b*x, t = cos^2(theta) and
+    r = x*s in r2_term_scaled's integral,
+
+        R2_N = z^m*x/(4*pi*B(1/2, m)) * int_0^1 s^m (1-s)^(-1/2)
+               * (1-x*s)^(-m) * (1-y*s)^(-1) * P_N(x*s) ds.
+
+    Expanding (1-x*s)^(-m) = sum_k e_k s^k, e_k = (m)_k x^k/k!, and
+    integrating term by term (DLMF 15.6.1),
+
+        R2_N = z^m*x/(4*pi) * sum_n coefs[n] x^n T_n,
+        T_n = sum_k e_k h_(n+k),
+        h_j = B(m+j+1, 1/2)/B(m, 1/2) * 2F1(1, m+j+1; m+j+3/2; y).
+
+    h_j - y*h_(j+1) = beta_j = B(m+j+1, 1/2)/B(m, 1/2), so h runs
+    backward from one incomplete-beta fraction at the top index, each
+    step adding positive terms and shrinking an error by y < 1
+    (Gautschi, SIAM Review 1967).  The fraction is _beta_cf's for
+    I_y(a - 1/2, 1/2) where that converges, y <= (a - 1/2)/a, and for
+    the complement I_x(1/2, a - 1/2) elsewhere, on x computed directly.
+    At m in the thousands it carries that fraction's own error, as E[Q]
+    does (lemma2_avg_q): R2_N was 3.3e-12 off at m = 8,632, -2.7 dB.
+
+    The k-sum stops where e_k times its geometric tail bound is below
+    2^-58 of the sum so far; h falls with j, so that bounds every T_n's
+    tail alike.  At most _R2_CAP terms are taken: past that (from
+    m = 220 at high mean SNR, where x -> 1/2) the sum is slower than the
+    quadrature.  The check before the loop keeps m*x/y < _R2_CAP, so
+    sum(e_k) = y^-m stays under e^_R2_CAP and cannot overflow.
+
+    kappa = sum_n |coefs[n] x^n T_n| / |R2_N's sum| is how far the
+    alternating coefficients of m > 1 cancel; r2_series falls back to
+    r2_term_scaled's fixed point where it is large.  z^m is carried in
+    logs to the final product, as in avg_q_squared, but where b < 1 and
+    z^m is a normal double: there pow keeps R2_N within 6.3e-15 of
+    40-digit values on 60 series points, where the logs were 4.9e-14
+    off (m = 29.1, 54 dB).  At b = inf, the mean SNR -> 0 limit, R2_N
+    is 0.
+    """
+    if b == math.inf:
+        return 0.0, 1.0
+    x = 1.0 / (2.0 + b)
+    y = (1.0 + b) * x
+    # e_k*y^m is the negative binomial distribution of mean m*x/y and
+    # deviation sqrt(m*x)/y, and its stop lies more than 8 deviations
+    # past the mean
+    mx = m * x
+    if mx + 8.0 * math.sqrt(mx) > y * _R2_CAP:
+        return None
+    e = [1.0]
+    term = total = 1.0
+    k = 0.0
+    while True:
+        ratio = (m + k) * x / (k + 1.0)
+        # every later ratio is at most the larger of this one and x
+        bound = ratio if ratio > x else x
+        if bound < 0.9 and term * bound <= _R2_TAIL * (1.0 - bound) * total:
+            break
+        if k == _R2_CAP - 1.0:
+            return None
+        term *= ratio
+        total += term
+        e.append(term)
+        k += 1.0
+    top = len(e) + len(coefs) - 2
+    a = m + top + 1.0
+    a_half = a - 0.5
+    log_x = -math.log(2.0 + b)
+    if y * a <= a_half:
+        g = _beta_cf(y, a_half, 0.5)
+    else:
+        # the complement, 1 - I_x(1/2, a - 1/2), on x computed directly
+        front = math.exp(a_half * math.log1p(-x) + 0.5 * log_x - log_beta(a_half, 0.5))
+        g = a_half * (1.0 / front - 2.0 * _beta_cf(x, 0.5, a_half))
+    beta = math.exp(log_beta(a, 0.5) - log_beta(m, 0.5))
+    h = [0.0] * (top + 1)
+    h[top] = hj = beta * g
+    for j in range(top - 1, -1, -1):
+        beta *= (m + j + 1.5) / (m + j + 1.0)
+        hj = beta + y * hj
+        h[j] = hj
+    s = magnitude = 0.0
+    xn = 1.0
+    for n, c in enumerate(coefs):
+        t = c * xn * sum(map(operator.mul, e, h[n:]))
+        s += t
+        magnitude += abs(t)
+        xn *= x
+    if s == 0.0:
+        return s, math.inf
+    kappa = magnitude / abs(s)
+    if b < 1.0:
+        # z^m by pow carries z's rounding m-fold, m*eps/2, where the
+        # exponent m*log(z) carries eps*|m*log(z)|, larger for z < 1/3;
+        # pow serves while z^m stays a normal double with room to spare
+        zm = (b / (2.0 + b)) ** m
+        if zm > 1e-290:
+            return _INV_FOUR_PI * x * s * zm, kappa
+    inv = 2.0 / b
+    log_z = -math.log1p(inv) if inv < math.inf else math.log(b) - math.log(b + 2.0)
+    return _scale(s, m * log_z + log_x), kappa

@@ -2,9 +2,10 @@
 
 Three independent routes to the same quantity live here: a closed form
 built from an incomplete beta and either a correction term, the
-paper's series of Appell-F1 terms truncated and summed in one
-integral, or its untruncated limit, E[Q^2] as one hypergeometric sum
-with no quadrature; an exact closed form for the sum-of-Q BER
+paper's series of Appell-F1 terms truncated and summed over one
+sequence of Gauss functions (by quadrature in fixed point where that
+sum cancels), or its untruncated limit, E[Q^2] as one hypergeometric
+sum with no quadrature; an exact closed form for the sum-of-Q BER
 approximation; and direct adaptive quadrature of the defining average,
 which acts as the reference the closed forms are judged against.  The
 discrepancy metric, the truncated series and the averaged Q and Q^2 are
@@ -230,17 +231,22 @@ def r2_series(ch: ChannelParams, alpha: float, n_max: int = 5,
     * F1(n+m+1; m, n+1/2; n+m+3/2; -b, -(1+b)), with
     c_n = (1-m)_n / (n! (n+1/2)) and b = m/(alpha*mean_snr).  Every F1
     shares one theta-integrand times r(theta)^n, so the terms kept,
-    n = 0..n_max, are summed as a polynomial P_N(r) inside a single
-    quadrature (see the r2_term_scaled kernel).  For integer m (1-m)_n
-    hits an exact zero and the series terminates at n = m-1 with the
-    closed form exact.  For m > 1 the coefficients alternate in sign,
-    and P_N(r) can be far smaller than its terms (by about 1.5^m at high
-    mean SNR).  Where that cancellation at r_max = 1/(2+b), the largest
-    r, lets rounding of the coefficients or of Horner's scheme reach a
-    tenth of spec.rel_tol, the kernel sums the exact coefficients of m
-    in fixed point at 2^110.  Raises ValueError for n_max outside
-    [0, 200], and ConvergenceError if the quadrature cannot meet spec or
-    if P_N(r_max) keeps fewer than 64 bits there.
+    n = 0..n_max, are one integral of a polynomial P_N(r), and the
+    r2_sum kernel sums that integral with no quadrature, over one
+    sequence of Gauss functions.  For integer m (1-m)_n hits an exact
+    zero and the series terminates at n = m-1 with the closed form
+    exact.  For m > 1 the coefficients alternate in sign, and the sum
+    can be far smaller than its terms (by about 1.5^m at high mean
+    SNR).  Where that cancellation, the sum's kappa, lets its rounding
+    reach a tenth of spec.rel_tol, or where the sum would take more
+    than 400 terms (from m = 220 at high mean SNR), the r2_term_scaled
+    kernel integrates P_N(r) by quadrature.  It sums P_N(r) in doubles
+    by Horner's scheme unless the cancellation of P_N at r_max =
+    1/(2+b), the largest r, lets their rounding reach a tenth of
+    spec.rel_tol; there it takes the exact coefficients of m in fixed
+    point at 2^110.  Raises ValueError for n_max outside [0, 200], and
+    ConvergenceError if the quadrature cannot meet spec or if P_N(r_max)
+    keeps fewer than 64 bits in fixed point.
     """
     if not 0 <= n_max <= _SERIES_CAP:
         raise ValueError(f"n_max must lie in [0, {_SERIES_CAP}]")
@@ -253,6 +259,9 @@ def r2_series(ch: ChannelParams, alpha: float, n_max: int = 5,
         if factor == 0.0:
             break  # integer m: every later coefficient carries this zero
         coefs.append(coefs[-1] * factor / n * (n - 0.5) / (n + 0.5))
+    served = kernels.r2_sum(coefs, m, b)
+    if served is not None and 4 * len(coefs) * _EPS * served[1] <= 0.1 * spec.rel_tol:
+        return RouteValue(served[0], "truncated", len(coefs), None)
     r_max = 1.0 / (2.0 + b)
     # P_N(r_max) and sum |c_n| r_max^n, by Horner's scheme
     p_max = magnitude = 0.0
@@ -287,13 +296,13 @@ def aber_closed_with_terms(ch: ChannelParams, mod: Modulation,
     error grows by at most 8/7 in the value.
     """
     c0 = mod.c0
+    # E[Q] first: it refuses m above 1e4 before the correction is formed
+    avg_q = lemma2_avg_q(ch, mod.c1)
     if trunc.mode == "adaptive":
-        avg_q = lemma2_avg_q(ch, mod.c1)
         avg_q2 = avg_q_squared(ch, mod.c1, trunc.term_tol)
         return RouteValue(4.0 * c0 * avg_q - 4.0 * c0 * c0 * avg_q2,
                           "untruncated", 0, None)
     r2, kind, terms, _ = r2_series(ch, mod.c1, trunc.n_max)
-    avg_q = lemma2_avg_q(ch, mod.c1)
     return RouteValue((4.0 * c0 - 2.0 * c0 * c0) * avg_q + 4.0 * c0 * c0 * r2,
                       kind, terms, None)
 

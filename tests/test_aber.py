@@ -337,64 +337,57 @@ def test_no_library_path_uses_the_half_line_fold(monkeypatch):
     assert 15 * panels == sum(reported)
 
 
-def test_r2_term_scaled_evaluation_budget(monkeypatch):
+def test_r2_term_scaled_evaluation_budget():
     # for m < 1 the theta-integrand has a fractional-power endpoint at
     # theta = pi/2; the kernel's variable makes it smooth, so no call on
     # the small-m panel needs deep bisection there (8,280 evaluations in
     # all, worst 255, with phi = w^k; 6,450 and 150 with the sinh knee
-    # grading on two opening panels).  Its evaluation counts are the
-    # same for every N on this panel
+    # grading on two opening panels).  The kernel runs on the exact
+    # coefficients in fixed point; its evaluation counts are the same on
+    # doubles and for every N on this panel
     from nakaber import _purekernels
 
-    kernel = _purekernels.r2_term_scaled
+    spec = QuadratureSpec(rel_tol=1e-11)
     counts = []
-
-    def counted(*args):
-        res = kernel(*args)
-        assert args[3] == QuadratureSpec(rel_tol=1e-11)
-        assert res.converged
-        counts.append(res.evaluations)
-        return res
-
-    monkeypatch.setattr(_purekernels, "r2_term_scaled", counted)
     for m in (0.05, 0.2, 0.6, 0.95):
         for snr_db in (-30, -10, 0, 10, 30, 60, 80):
-            ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
             for order in (4, 256):
+                b = m / (Modulation(order).c1 * 10.0 ** (snr_db / 10.0))
                 for n_max in (5, 30):
-                    r2_series(ch, Modulation(order).c1, n_max)
+                    coefs = tuple(_purekernels._fixed_coefs(n_max + 1, m))
+                    res = _purekernels.r2_term_scaled(coefs, m, b, spec)
+                    assert res.converged
+                    counts.append(res.evaluations)
     assert len(counts) == 112
     assert max(counts) <= 150
     assert sum(counts) <= 6450
 
 
 def _r2_kernel_calls(monkeypatch, ms):
-    # (kernel name, arguments, result) of each correction-term kernel call
-    # that closed(N=5) and the Craig-form reference make over
-    # ms x {-30 .. 80} dB x orders {4, 256, 4096}: the series at
-    # closed(N=5)'s 1e-11, Craig's form at 1e-12
+    # (kernel name, arguments, result) of each correction-term kernel
+    # call over ms x {-30 .. 80} dB x orders {4, 256, 4096}: the series
+    # kernel on closed(N=5)'s exact coefficients at its 1e-11, and the
+    # Craig-form reference at 1e-12
     from nakaber import _purekernels
 
     calls = []
+    kernel = _purekernels.r2_integral
 
-    def counter(name):
-        kernel = getattr(_purekernels, name)
+    def counted(*args):
+        res = kernel(*args)
+        calls.append(("r2_integral", args, res))
+        return res
 
-        def counted(*args):
-            res = kernel(*args)
-            calls.append((name, args, res))
-            return res
-
-        return counted
-
-    for name in ("r2_term_scaled", "r2_integral"):
-        monkeypatch.setattr(_purekernels, name, counter(name))
+    monkeypatch.setattr(_purekernels, "r2_integral", counted)
+    series_spec = QuadratureSpec(rel_tol=1e-11)
     for m in ms:
         for snr_db in (-30, -10, 0, 10, 30, 60, 80):
             ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
             for order in (4, 256, 4096):
                 mod = Modulation(order)
-                aber_closed(ch, mod, TruncationPolicy.fixed(5))
+                args = (tuple(_purekernels._fixed_coefs(len(_five_term_coefs(m)), m)),
+                        m, m / (mod.c1 * ch.mean_snr), series_spec)
+                calls.append(("r2_term_scaled", args, _purekernels.r2_term_scaled(*args)))
                 r2_quadrature(ch, mod.c1, QuadratureSpec(rel_tol=1e-12))
     monkeypatch.undo()
     return calls
@@ -477,14 +470,19 @@ def _r2_far_below_the_knee(m, b):
                     - math.log(2.0) - 0.5 * math.log(b))
 
 
-def _five_term_coefs(m):
+def _series_coefs(m, n_max):
+    # r2_series' coefficients c_n, n = 0..n_max, stopped at integer m
     coefs = [2.0]
-    for n in range(1, 6):
+    for n in range(1, n_max + 1):
         factor = (1.0 - m) + (n - 1.0)
         if factor == 0.0:
             break
         coefs.append(coefs[-1] * factor / n * (n - 0.5) / (n + 0.5))
     return tuple(coefs)
+
+
+def _five_term_coefs(m):
+    return _series_coefs(m, 5)
 
 
 _TOP_B = (1e300, 1e306, 1e307, 4e307, 1e308, sys.float_info.max)
@@ -499,18 +497,23 @@ def test_r2_kernels_converge_at_the_top_of_the_float_range(m):
     # From v^2, r2_integral at m = 0.05 missed rel_tol 1e-12 from
     # b = 1e306 on, and at 1e-10 reported values 1e-9 to 2e-8 off,
     # converged.  r2_integral takes at most 450 evaluations here and the
-    # series kernel 300
+    # series kernel 300.  The sum that serves closed(N) meets the limit
+    # too, though x = 1/(2+b) is subnormal from b = 4.5e307 on
     from nakaber import _purekernels as kernels
 
+    coefs = _five_term_coefs(m)
     for b in _TOP_B:
         limit = _r2_far_below_the_knee(m, b)
         integral = kernels.r2_integral(b, m, TIGHT)
-        series = kernels.r2_term_scaled(_five_term_coefs(m), m, b,
-                                        QuadratureSpec(rel_tol=1e-11))
+        series = kernels.r2_term_scaled(tuple(kernels._fixed_coefs(len(coefs), m)),
+                                        m, b, QuadratureSpec(rel_tol=1e-11))
         assert integral.converged and series.converged, b
         assert integral.value == pytest.approx(limit, rel=1e-12, abs=0.0), b
         assert series.value == pytest.approx(limit, rel=1e-12, abs=0.0), b
         assert integral.evaluations <= 450 and series.evaluations <= 300, b
+        value, kappa = kernels.r2_sum(coefs, m, b)
+        assert value == pytest.approx(limit, rel=1e-12, abs=0.0), b
+        assert kappa == pytest.approx(1.0, rel=1e-12), b
 
 
 # (m, dB, order, R2, R2_5) at 24 whole-domain draws from random.Random(24):
@@ -603,40 +606,31 @@ _R2_PANEL = [
 ]
 
 
-def test_r2_kernels_meet_the_frozen_40_digit_panel(monkeypatch):
-    # each kernel at its route's tolerance: r2_integral at
-    # closed(adaptive)'s 1e-12, and the five-term series at closed(N)'s
-    # 1e-11, summed in doubles or in fixed point as r2_series picks.  Each
-    # value must meet that tolerance and lie within max(10x its own
-    # estimate, 1e-13 relative) of the reference
+def test_r2_kernels_meet_the_frozen_40_digit_panel():
+    # r2_integral at closed(adaptive)'s 1e-12 must meet that tolerance
+    # and lie within max(10x its own estimate, 1e-13 relative) of R2;
+    # the five-term series r2_series serves, a sum with no quadrature at
+    # every point here, must lie within 1e-13 of R2_5
     from nakaber import _purekernels
 
-    kernel = _purekernels.r2_term_scaled
-    series = []
-
-    def spy(*args):
-        series.append(kernel(*args))
-        return series[-1]
-
-    monkeypatch.setattr(_purekernels, "r2_term_scaled", spy)
     for m, snr_db, order, r2, r2_5 in _R2_PANEL:
         ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
         alpha = Modulation(order).c1
-        r2_series(ch, alpha, 5)
         integral = _purekernels.r2_integral(m / (alpha * ch.mean_snr), m, TIGHT)
-        for res, ref, tol in ((integral, r2, 1e-12), (series.pop(), r2_5, 1e-11)):
-            assert res.converged, (m, snr_db, order)
-            err = abs(res.value - ref)
-            assert err <= tol * ref, (m, snr_db, order, err / ref)
-            assert err <= max(10.0 * res.error_estimate, 1e-13 * ref), (
-                m, snr_db, order, err, res.error_estimate)
+        assert integral.converged, (m, snr_db, order)
+        err = abs(integral.value - r2)
+        assert err <= 1e-12 * r2, (m, snr_db, order, err / r2)
+        assert err <= max(10.0 * integral.error_estimate, 1e-13 * r2), (
+            m, snr_db, order, err, integral.error_estimate)
+        series = r2_series(ch, alpha, 5).value
+        assert series == pytest.approx(r2_5, rel=1e-13, abs=0.0), (m, snr_db, order)
 
 
 @pytest.mark.parametrize("m", [0.6, 2.5, 4.1])
 @pytest.mark.parametrize("b", [0.3, 0.05, 1.7])
 def test_r2_term_is_the_papers_appell_f1_term(m, b):
-    # the one-integral series kernel, given a one-hot coefficient vector,
-    # reproduces term n of the paper's series:
+    # the series sum, given a one-hot coefficient vector, reproduces
+    # term n of the paper's series:
     # B(n+m+1, 1/2)/(4 pi B(1/2, m)) * c_n * b^m
     #     * F1(n+m+1; m, n+1/2; n+m+3/2; -b, -(1+b))
     from nakaber import _purekernels
@@ -648,7 +642,8 @@ def test_r2_term_is_the_papers_appell_f1_term(m, b):
     for n in range(5):
         if n:
             c_n *= (n - m) / n * (n - 0.5) / (n + 0.5)
-        got = _purekernels.r2_term_scaled((0.0,) * n + (c_n,), m, b, spec).value
+        got, kappa = _purekernels.r2_sum((0.0,) * n + (c_n,), m, b)
+        assert kappa == 1.0
         factor = math.exp(log_beta(n + m + 1, 0.5) - log_beta(0.5, m)) / (4 * math.pi)
         term = factor * c_n * b ** m * appell_f1(
             n + m + 1, m, n + 0.5, n + m + 1.5, -b, -(1 + b), spec)
@@ -882,16 +877,101 @@ def test_r2_series_refuses_n_max_outside_the_policy_range(n_max):
         r2_series(RAYLEIGH_UNIT, 1.0, n_max)
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
-    "the fixed-point path's 64-bit keep check refuses a polynomial that "
-    "vanishes only at r_max; ROADMAP item 1's certified bound replaces it"))
 def test_r2_series_where_the_polynomial_vanishes_at_r_max():
     # at m = 80.5, P_1(r) = 2 - 53r reaches 0 only at r_max = 2/53
-    # (b = 24.5), so R2_1 is well defined; the double and fixed-point
-    # sums give 2.6502034519994883e-05 and 2.6502034519994835e-05
+    # (b = 24.5), so R2_1 is well defined; the series sum serves it
+    # (kappa about 416) where the fixed-point path's 64-bit keep check
+    # refused it.  The double and fixed-point quadratures gave
+    # 2.6502034519994883e-05 and 2.6502034519994835e-05
     ch = ChannelParams(80.5, db_to_linear(5.1662979600333605))
     res = r2_series(ch, QPSK.c1, 1)
     assert res.value == pytest.approx(2.6502034519994883e-05, rel=1e-10, abs=0.0)
+
+
+def _r2_sum_and_quadrature(m, b, n_max):
+    # the series sum and the fixed-point series quadrature at 1e-13 on
+    # the same coefficients
+    from nakaber import _purekernels
+
+    coefs = _series_coefs(m, n_max)
+    served = _purekernels.r2_sum(coefs, m, b)
+    ref = _purekernels.r2_term_scaled(tuple(_purekernels._fixed_coefs(len(coefs), m)),
+                                      m, b, QuadratureSpec(rel_tol=1e-13))
+    assert ref.converged, (m, b, n_max)
+    return served, ref.value
+
+
+def test_r2_sum_meets_the_series_quadrature_on_the_whole_domain():
+    # 1,000 seeded draws: m log-uniform on [0.05, 50], -30 .. 80 dB, all
+    # six orders and N = 0..5.  Where closed(N) takes the sum (kappa
+    # under its guard at rel_tol 1e-11; 4 draws, with kappa 222 to 640
+    # at m 9.9 to 39, fall back), it lies within 1e-12 of the
+    # fixed-point quadrature at 1e-13 (worst 7.5e-14, at m = 33.8,
+    # 74.6 dB, where the quadrature carries its MGF peak in a log of
+    # magnitude 360, whose rounding alone is 2.8e-14), or within a few
+    # subnormal ulps where R2_N underflows
+    rng = random.Random(1000)
+    guard = 0.1 * 1e-11 / (4 * 2.220446049250313e-16)
+    fallbacks = 0
+    for _ in range(1000):
+        m = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+        snr_db = rng.uniform(-30.0, 80.0)
+        order = rng.choice(SUPPORTED_ORDERS)
+        n_max = rng.randrange(6)
+        b = m / (Modulation(order).c1 * db_to_linear(snr_db))
+        served, ref = _r2_sum_and_quadrature(m, b, n_max)
+        if served is None or (n_max + 1) * served[1] > guard:
+            fallbacks += 1
+            continue
+        assert served[0] == pytest.approx(ref, rel=1e-12, abs=1e-322), (
+            m, snr_db, order, n_max)
+    assert fallbacks == 4
+
+
+@pytest.mark.parametrize("m, snr_db", [
+    # 1/b overflows: b is 1e-308, then subnormal, z = b/(2+b) too
+    (0.05, 3070.0), (0.05, 3082.0),
+    # b = 5e200: x = 1/(2+b) is 2e-201, and the fraction takes the
+    # complement on it
+    (2.5, -2000.0),
+    # integer m: the coefficients stop at n = m - 1
+    (1.0, 10.0), (2.0, -5.0), (3.0, 40.0),
+], ids=["b1e-308", "b-subnormal", "mean-snr-1e-200", "m1", "m2", "m3"])
+def test_r2_sum_at_the_edges_of_its_regimes(m, snr_db):
+    (value, kappa), ref = _r2_sum_and_quadrature(m, m / (QPSK.c1 * db_to_linear(snr_db)), 5)
+    assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert kappa < 100.0
+
+
+def test_r2_sum_is_zero_where_the_mean_snr_underflows():
+    # alpha*mean_snr underflows to 0 (4096-QAM at -3230 dB), so b = inf,
+    # the mean SNR -> 0 limit, where R2_N is 0
+    from nakaber import _purekernels
+
+    ch = ChannelParams(1.0, db_to_linear(-3230.0))
+    assert _purekernels.r2_sum(_five_term_coefs(1.0), 1.0, math.inf) == (0.0, 1.0)
+    assert r2_series(ch, Modulation(4096).c1, 5).value == 0.0
+
+
+@pytest.mark.parametrize("m", [1000.5, 9999.5])
+@pytest.mark.parametrize("snr_db", [20.0, 80.0])
+def test_r2_series_at_large_m_meets_its_fallback(m, snr_db):
+    # at 20 dB the sum serves (x = 1/(2+b) is 0.083 and 0.0098); at
+    # 80 dB, x -> 1/2, it would take thousands of terms, and sum(e_k) =
+    # ((2+b)/(1+b))^m overflows from about m = 1,000: it returns None
+    # before its loop, and r2_series runs the series quadrature, here on
+    # doubles, since P_5(r) does not cancel
+    from nakaber import _purekernels
+
+    ch = ChannelParams(m, db_to_linear(snr_db))
+    b = m / (QPSK.c1 * ch.mean_snr)
+    got = r2_series(ch, QPSK.c1, 5).value
+    fallback = _purekernels.r2_term_scaled(tuple(_purekernels._fixed_coefs(6, m)), m, b,
+                                           QuadratureSpec(rel_tol=1e-11))
+    assert fallback.converged
+    assert got == pytest.approx(fallback.value, rel=1e-10, abs=0.0)
+    served = _purekernels.r2_sum(_five_term_coefs(m), m, b)
+    assert (served is None) == (snr_db == 80.0)
 
 
 @pytest.mark.parametrize("m", [13.35, 30.5, 45.2, 80.5])
@@ -1279,71 +1359,102 @@ def test_oracle_keeps_its_bits(m, gbar, order, kind, variant, expected):
     assert repr(res) == expected
 
 
-# repr(r2_series(ch, c1, N)) for N = 0..5, bits and all, on the float
-# Horner path: check 8's point, then m = 2.5 and m = 20.5, where the
-# coefficients alternate in sign
+# repr(r2_series(ch, c1, N)) for N = 0..5, bits and all: check 8's
+# point, then m = 2.5 and m = 20.5, where the coefficients alternate in
+# sign; every value is served by the sum, with no quadrature
 R2_SERIES_BITS = [
     (0.6, 10.0, 256, 0,
-     "RouteValue(value=0.04246774774005155, "
+     "RouteValue(value=0.04246774774005176, "
      "kind='truncated', terms_used=1, error_estimate=None)"),
     (0.6, 10.0, 256, 1,
-     "RouteValue(value=0.04391845311096539, "
+     "RouteValue(value=0.04391845311096559, "
      "kind='truncated', terms_used=2, error_estimate=None)"),
     (0.6, 10.0, 256, 2,
-     "RouteValue(value=0.04408309459577892, "
+     "RouteValue(value=0.044083094595779165, "
      "kind='truncated', terms_used=3, error_estimate=None)"),
     (0.6, 10.0, 256, 3,
-     "RouteValue(value=0.04410921389565827, "
+     "RouteValue(value=0.04410921389565852, "
      "kind='truncated', terms_used=4, error_estimate=None)"),
     (0.6, 10.0, 256, 4,
-     "RouteValue(value=0.04411408874965405, "
+     "RouteValue(value=0.0441140887496543, "
      "kind='truncated', terms_used=5, error_estimate=None)"),
     (0.6, 10.0, 256, 5,
-     "RouteValue(value=0.044115091078088184, "
+     "RouteValue(value=0.044115091078088434, "
      "kind='truncated', terms_used=6, error_estimate=None)"),
     (2.5, 20.0, 16, 0,
-     "RouteValue(value=8.19651062251175e-05, "
+     "RouteValue(value=8.196510622511743e-05, "
      "kind='truncated', terms_used=1, error_estimate=None)"),
     (2.5, 20.0, 16, 1,
-     "RouteValue(value=6.36783375701544e-05, "
+     "RouteValue(value=6.367833757015435e-05, "
      "kind='truncated', terms_used=2, error_estimate=None)"),
     (2.5, 20.0, 16, 2,
-     "RouteValue(value=6.491854776025372e-05, "
+     "RouteValue(value=6.49185477602537e-05, "
      "kind='truncated', terms_used=3, error_estimate=None)"),
     (2.5, 20.0, 16, 3,
-     "RouteValue(value=6.498592878841212e-05, "
+     "RouteValue(value=6.498592878841207e-05, "
      "kind='truncated', terms_used=4, error_estimate=None)"),
     (2.5, 20.0, 16, 4,
-     "RouteValue(value=6.499496094301525e-05, "
+     "RouteValue(value=6.49949609430152e-05, "
      "kind='truncated', terms_used=5, error_estimate=None)"),
     (2.5, 20.0, 16, 5,
-     "RouteValue(value=6.49966684439725e-05, "
+     "RouteValue(value=6.499666844397247e-05, "
      "kind='truncated', terms_used=6, error_estimate=None)"),
     (20.5, 30.0, 1024, 0,
-     "RouteValue(value=1.9972539581604877e-06, "
+     "RouteValue(value=1.9972539581604843e-06, "
      "kind='truncated', terms_used=1, error_estimate=None)"),
     (20.5, 30.0, 1024, 1,
-     "RouteValue(value=-1.7636251619135166e-06, "
+     "RouteValue(value=-1.76362516191351e-06, "
      "kind='truncated', terms_used=2, error_estimate=None)"),
     (20.5, 30.0, 1024, 2,
-     "RouteValue(value=4.286130298202518e-06, "
+     "RouteValue(value=4.286130298202509e-06, "
      "kind='truncated', terms_used=3, error_estimate=None)"),
     (20.5, 30.0, 1024, 3,
-     "RouteValue(value=-3.0232681115055994e-06, "
+     "RouteValue(value=-3.0232681115055884e-06, "
      "kind='truncated', terms_used=4, error_estimate=None)"),
     (20.5, 30.0, 1024, 4,
-     "RouteValue(value=3.7797845005208684e-06, "
+     "RouteValue(value=3.779784500520855e-06, "
      "kind='truncated', terms_used=5, error_estimate=None)"),
     (20.5, 30.0, 1024, 5,
-     "RouteValue(value=-1.227875516666295e-06, "
+     "RouteValue(value=-1.2278755166662929e-06, "
      "kind='truncated', terms_used=6, error_estimate=None)"),
 ]
 
+# the same R2_N to 40 digits, at the b = m/(alpha*mean_snr) r2_series
+# takes, computed once with mpmath at 80 digits, not at test time: the
+# s-integral in r2_sum's docstring with the exact c_n, by tanh-sinh
+# quadrature in s = 1 - u^2 on pieces split at u = 10^-12 .. 10^-1
+# (the same integral at 60 digits in s agreed to 1e-32)
+_R2_SERIES_40 = {
+    (0.6, 10.0, 256, 0): "4.246774774005180258552738119315157691118e-2",
+    (0.6, 10.0, 256, 1): "4.391845311096562770474628056844272780784e-2",
+    (0.6, 10.0, 256, 2): "4.408309459577915036009728631236140352138e-2",
+    (0.6, 10.0, 256, 3): "4.410921389565850944232890325195411811246e-2",
+    (0.6, 10.0, 256, 4): "4.411408874965428678257566792393748829244e-2",
+    (0.6, 10.0, 256, 5): "4.411509107808842994564626266459584198521e-2",
+    (2.5, 20.0, 16, 0): "8.196510622511761221919650986455457945581e-5",
+    (2.5, 20.0, 16, 1): "6.367833757015447677503428096904006234639e-5",
+    (2.5, 20.0, 16, 2): "6.491854776025383378372466492870968627558e-5",
+    (2.5, 20.0, 16, 3): "6.498592878841221051580016643025173668413e-5",
+    (2.5, 20.0, 16, 4): "6.499496094301534925369297907052343810776e-5",
+    (2.5, 20.0, 16, 5): "6.499666844397262130244206798138304606595e-5",
+    (20.5, 30.0, 1024, 0): "1.997253958160484356479746750905072379694e-6",
+    (20.5, 30.0, 1024, 1): "-1.76362516191351569890466024973183901746e-6",
+    (20.5, 30.0, 1024, 2): "4.286130298202512884726460699009712502557e-6",
+    (20.5, 30.0, 1024, 3): "-3.023268111505595371400655340292872188002e-6",
+    (20.5, 30.0, 1024, 4): "3.779784500520861625028915031395406746617e-6",
+    (20.5, 30.0, 1024, 5): "-1.227875516666294131305233666268950160741e-6",
+}
 
-@pytest.mark.parametrize("m,snr_db,order,n,expected", R2_SERIES_BITS)
+
+@pytest.mark.parametrize("m,snr_db,order,n,expected", R2_SERIES_BITS,
+                         ids=[f"m{m}-{snr_db:g}dB-M{order}-N{n}"
+                              for m, snr_db, order, n, _ in R2_SERIES_BITS])
 def test_r2_series_keeps_its_bits(m, snr_db, order, n, expected):
     ch = ChannelParams(m, db_to_linear(snr_db))
-    assert repr(r2_series(ch, Modulation(order).c1, n)) == expected
+    got = r2_series(ch, Modulation(order).c1, n)
+    assert repr(got) == expected
+    ref = float(_R2_SERIES_40[m, snr_db, order, n])
+    assert got.value == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("kind,variant", [

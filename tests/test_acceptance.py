@@ -274,8 +274,9 @@ def test_08_closed_form_is_faster():
 
 def test_08_closed_form_takes_fewer_evaluations(monkeypatch):
     # check 8's claim in deterministic counts, free of timing noise: at
-    # its point, R2 for N = 0..5 takes fewer integrand evaluations than
-    # the oracle at the tolerance check 8 times it at (30 against 90)
+    # its point, R2 for N = 0..5 is a sum with no quadrature, so it makes
+    # no call of the series kernel, where the oracle at the tolerance
+    # check 8 times it at takes 90 evaluations
     from nakaber import _purekernels
 
     kernel = _purekernels.r2_term_scaled
@@ -292,8 +293,8 @@ def test_08_closed_form_takes_fewer_evaluations(monkeypatch):
     for n in range(6):
         aber_closed(ch, mod, TruncationPolicy.fixed(n))
     oracle = oracle_result(ch, mod, "exact", stabilized_oracle_spec(ch, mod))
-    assert len(counts) == 6
-    assert max(counts) < oracle.evaluations, (counts, oracle.evaluations)
+    assert counts == []
+    assert oracle.evaluations > 0
 
 
 def test_09_special_function_floor():

@@ -110,7 +110,8 @@ def test_kronrod_panel_bits_are_pinned(monkeypatch):
         got = quad._kronrod15(lambda x: math.cos(a * x + b), lo, hi)
         assert got == (value, error), (a, b)
 
-    # the correction-series integrand at m = 0.6, b = 0.3, five terms
+    # the correction-series integrand at m = 0.6, b = 0.3, five terms in
+    # fixed point (the same bits as the five doubles it once summed)
     integrands = []
 
     def first_panel(f, lo, hi, spec=None):
@@ -119,10 +120,8 @@ def test_kronrod_panel_bits_are_pinned(monkeypatch):
 
     monkeypatch.setattr(quad, "integrate_finite", first_panel)
     m = 0.6
-    coefs = [2.0]
-    for n in range(1, 6):
-        coefs.append(coefs[-1] * ((1.0 - m) + (n - 1.0)) / n * (n - 0.5) / (n + 0.5))
-    _purekernels.r2_term_scaled(tuple(coefs), m, 0.3, QuadratureSpec(rel_tol=1e-11))
+    _purekernels.r2_term_scaled(tuple(_purekernels._fixed_coefs(6, m)), m, 0.3,
+                                QuadratureSpec(rel_tol=1e-11))
     f, lo, hi = integrands[0]
     assert (lo, hi) == (0.0, 1.0)
     assert quad._kronrod15(f, lo, hi) == (2.387349130402698, 8.648716824109859e-09)

@@ -25,6 +25,8 @@ from nakaber.aber import TruncationPolicy
 from nakaber.channel import ChannelParams, Modulation
 ch, mod = ChannelParams(0.6, 10.0), Modulation(16)
 aber.aber_closed_with_terms(ch, mod, TruncationPolicy.fixed(5))
+# 72 terms cancel at m = 80.5: the fixed-point series quadrature
+aber.r2_series(ChannelParams(80.5, 1000.0), Modulation(4).c1, 71)
 aber.aber_lu_closed(ch, mod)
 aber.aber_expq_closed(ch, mod)
 aber.oracle_result(ch, mod)
