@@ -22,8 +22,10 @@ _HALF_PI = math.pi / 2.0
 _TWO_PI = 2.0 * math.pi
 _INV_FOUR_PI = 1.0 / (4.0 * math.pi)
 _DBL_MAX = 1.7976931348623157e308
-# binary point of the fixed-point correction polynomial
+# binary point of the fixed-point correction polynomial, and the bits
+# it must keep at r_max
 _FIXED_BITS = 110
+_FIXED_KEEP = 64
 
 # sqrt(2)*(1/2)_k/(k!*2^k), k = 0, 1, ..., the weights of
 # avg_q_squared's series, as many as term_tol = 1e-13 takes
@@ -267,14 +269,14 @@ def _sinh_grading(bend: float, top: float, k: float) -> tuple[float, float, floa
     return knee, lam, 2.0 * k * knee * lam
 
 
-def r2_term_scaled(coefs, m: float, b: float,
+def r2_term_scaled(n_terms: int, m: float, b: float,
                    spec: quad.QuadratureSpec) -> quad.QuadratureResult:
     """Truncated squared-Q correction series R2_N as one integral.
 
     Term n of the series integrates the same theta-integrand times
     r^n, r = t/(1 + (1+b)*t) with t = cos^2(theta), so the sum over
-    n <= N is the integral of that integrand times the polynomial
-    P_N(r) = sum_n coefs[n] * r^n, coefs[n] = (1-m)_n/(n! (n+1/2)):
+    n <= N = n_terms - 1 is the integral of that integrand times the
+    polynomial P_N(r) = sum_n c_n * r^n, c_n = (1-m)_n/(n! (n+1/2)):
 
         R2_N = 1/(4*pi*B(1/2, m)) * int_0^{pi/2} 2*cos(theta)
                * (b*t/(1 + b*t))^m * (1 + (1+b)*t)^(-1/2) * P_N(r) dtheta
@@ -297,18 +299,21 @@ def r2_term_scaled(coefs, m: float, b: float,
     acceptance check 8) with that rule at every m.
     It carries (b*t/(1 + b*t))^m over its peak, log_mgf_peak.
 
-    coefs are doubles, summed by Horner's scheme, or _fixed_coefs'
-    integers at 2^_FIXED_BITS, summed by _horner_fixed to about 2^-110
-    absolute at each node; r2_series picks which, and runs the kernel
-    only where r2_sum would cancel or run past its length cap.  Doubles
-    serve the capped points at large m, where P_N(r) does not cancel:
-    in fixed point each node cost 1.1 us more, and m = 500.5 at 80 dB
-    (QPSK, N = 5) took 2.8x as long.
+    P_N takes the exact c_n at 2^_FIXED_BITS (_fixed_coefs), summed by
+    _horner_fixed to about 2^-110 absolute at each node, so the
+    alternating c_n of m > 1 cancel without losing the value.  Where
+    P_N at r_max = 1/(2+b), the largest r, keeps fewer than _FIXED_KEEP
+    bits, it raises ConvergenceError.  r2_series runs the kernel only
+    where r2_sum would cancel or run past its length cap.  At the capped
+    points, m from about 220 at high mean SNR, a value takes 0.24 ms in
+    integers where doubles took 0.12 ms.
     """
+    rev = _fixed_coefs(n_terms, m)[::-1]
+    if abs(_horner_fixed(rev, 1.0 / (2.0 + b))).bit_length() < _FIXED_KEEP:
+        raise quad.ConvergenceError(
+            f"correction polynomial keeps fewer than {_FIXED_KEEP} bits "
+            f"at r_max in 2^{_FIXED_BITS} fixed point (m={m:g})")
     one_plus_b = 1.0 + b
-    rev = coefs[::-1]
-    top, rest = rev[0], rev[1:]
-    fixed = isinstance(top, int)
     if m < 1.0:
         # A = 2/sqrt(1+b) to the bit, since (1+b)/4 is exact
         k, bend = 2.0 / (1.0 + m), 0.25 * one_plus_b
@@ -334,13 +339,7 @@ def r2_term_scaled(coefs, m: float, b: float,
             return 0.0
         st = cos(phi)
         u = one_plus_b * t
-        r = t / (1.0 + u)
-        if fixed:
-            p = ldexp(_horner_fixed(rev, r), -_FIXED_BITS)
-        else:
-            p = top
-            for c in rest:
-                p = p * r + c
+        p = ldexp(_horner_fixed(rev, t / (1.0 + u)), -_FIXED_BITS)
         # (b*t/(1+b*t))^m / (b/(1+b))^m = (1 + sin^2/((1+b)*t))^-m
         return jac * ct * p * exp(neg_m * log1p(st * st / u) - 0.5 * log1p(u))
 
@@ -543,12 +542,12 @@ def r2_sum(coefs, m: float, b: float) -> tuple[float, float] | None:
 
     kappa = sum_n |coefs[n] x^n T_n| / |R2_N's sum| is how far the
     alternating coefficients of m > 1 cancel; r2_series falls back to
-    r2_term_scaled's fixed point where it is large.  z^m is carried in
-    logs to the final product, as in avg_q_squared, but where b < 1 and
-    z^m is a normal double: there pow keeps R2_N within 6.3e-15 of
-    40-digit values on 60 series points, where the logs were 4.9e-14
-    off (m = 29.1, 54 dB).  At b = inf, the mean SNR -> 0 limit, R2_N
-    is 0.
+    r2_term_scaled, on the exact coefficients, where it is large.  z^m
+    is carried in logs to the final product, as in avg_q_squared, but
+    where b < 1 and z^m is a normal double: there pow keeps R2_N within
+    6.3e-15 of 40-digit values on 60 series points, where the logs were
+    4.9e-14 off (m = 29.1, 54 dB).  At b = inf, the mean SNR -> 0
+    limit, R2_N is 0.
     """
     if b == math.inf:
         return 0.0, 1.0

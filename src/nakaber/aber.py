@@ -43,11 +43,9 @@ __all__ = [
 
 # largest n_max a fixed truncation takes
 _SERIES_CAP = 200
-# r2_series' default; one shared value, since a spec is immutable
+# the tolerance of r2_series' sum guard and series quadrature
 _SERIES_SPEC = QuadratureSpec(rel_tol=1e-11)
 _EPS = 2.220446049250313e-16
-# the bits the fixed-point correction polynomial must keep at r_max
-_FIXED_KEEP = 64
 # largest m the closed-form E[Q] takes (see lemma2_avg_q)
 _AVG_Q_M_MAX = 1e4
 # a term at most this share of a sum lies below half the sum's ulp
@@ -223,8 +221,7 @@ def r2_quadrature(ch: ChannelParams, alpha: float,
         "squared-Q correction quadrature did not converge").value
 
 
-def r2_series(ch: ChannelParams, alpha: float, n_max: int = 5,
-              spec: QuadratureSpec = _SERIES_SPEC) -> RouteValue:
+def r2_series(ch: ChannelParams, alpha: float, n_max: int = 5) -> RouteValue:
     """Squared-Q correction term as the paper's truncated series.
 
     Term n is B(n+m+1, 1/2)/(4*pi*B(1/2, m)) * c_n * b^m
@@ -238,14 +235,12 @@ def r2_series(ch: ChannelParams, alpha: float, n_max: int = 5,
     exact.  For m > 1 the coefficients alternate in sign, and the sum
     can be far smaller than its terms (by about 1.5^m at high mean
     SNR).  Where that cancellation, the sum's kappa, lets its rounding
-    reach a tenth of spec.rel_tol, or where the sum would take more
-    than 400 terms (from m = 220 at high mean SNR), the r2_term_scaled
-    kernel integrates P_N(r) by quadrature.  It sums P_N(r) in doubles
-    by Horner's scheme unless the cancellation of P_N at r_max =
-    1/(2+b), the largest r, lets their rounding reach a tenth of
-    spec.rel_tol; there it takes the exact coefficients of m in fixed
-    point at 2^110.  Raises ValueError for n_max outside [0, 200], and
-    ConvergenceError if the quadrature cannot meet spec or if P_N(r_max)
+    reach a tenth of the series tolerance (_SERIES_SPEC, rel_tol 1e-11),
+    or where the sum would take more than 400 terms (from m = 220 at
+    high mean SNR), the r2_term_scaled kernel integrates P_N(r) by
+    quadrature at that tolerance, on the exact coefficients of m in
+    fixed point.  Raises ValueError for n_max outside [0, 200], and
+    ConvergenceError if the quadrature does not converge or if P_N(r_max)
     keeps fewer than 64 bits in fixed point.
     """
     if not 0 <= n_max <= _SERIES_CAP:
@@ -260,22 +255,11 @@ def r2_series(ch: ChannelParams, alpha: float, n_max: int = 5,
             break  # integer m: every later coefficient carries this zero
         coefs.append(coefs[-1] * factor / n * (n - 0.5) / (n + 0.5))
     served = kernels.r2_sum(coefs, m, b)
-    if served is not None and 4 * len(coefs) * _EPS * served[1] <= 0.1 * spec.rel_tol:
+    if (served is not None
+            and 4 * len(coefs) * _EPS * served[1] <= 0.1 * _SERIES_SPEC.rel_tol):
         return RouteValue(served[0], "truncated", len(coefs), None)
-    r_max = 1.0 / (2.0 + b)
-    # P_N(r_max) and sum |c_n| r_max^n, by Horner's scheme
-    p_max = magnitude = 0.0
-    for c in reversed(coefs):
-        p_max = p_max * r_max + c
-        magnitude = magnitude * r_max + abs(c)
-    if 4 * len(coefs) * _EPS * magnitude > 0.1 * spec.rel_tol * abs(p_max):
-        coefs = kernels._fixed_coefs(len(coefs), m)
-        if abs(kernels._horner_fixed(coefs[::-1], r_max)).bit_length() < _FIXED_KEEP:
-            raise ConvergenceError(
-                f"correction polynomial keeps fewer than {_FIXED_KEEP} bits "
-                f"at r_max in 2^{kernels._FIXED_BITS} fixed point (m={m:g})")
     res = require_converged(
-        kernels.r2_term_scaled(tuple(coefs), m, b, spec),
+        kernels.r2_term_scaled(len(coefs), m, b, _SERIES_SPEC),
         "correction series quadrature did not converge")
     return RouteValue(res.value, "truncated", len(coefs), None)
 

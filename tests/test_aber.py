@@ -354,8 +354,7 @@ def test_r2_term_scaled_evaluation_budget():
             for order in (4, 256):
                 b = m / (Modulation(order).c1 * 10.0 ** (snr_db / 10.0))
                 for n_max in (5, 30):
-                    coefs = tuple(_purekernels._fixed_coefs(n_max + 1, m))
-                    res = _purekernels.r2_term_scaled(coefs, m, b, spec)
+                    res = _purekernels.r2_term_scaled(n_max + 1, m, b, spec)
                     assert res.converged
                     counts.append(res.evaluations)
     assert len(counts) == 112
@@ -385,8 +384,8 @@ def _r2_kernel_calls(monkeypatch, ms):
             ch = ChannelParams(m, 10.0 ** (snr_db / 10.0))
             for order in (4, 256, 4096):
                 mod = Modulation(order)
-                args = (tuple(_purekernels._fixed_coefs(len(_five_term_coefs(m)), m)),
-                        m, m / (mod.c1 * ch.mean_snr), series_spec)
+                args = (len(_five_term_coefs(m)), m, m / (mod.c1 * ch.mean_snr),
+                        series_spec)
                 calls.append(("r2_term_scaled", args, _purekernels.r2_term_scaled(*args)))
                 r2_quadrature(ch, mod.c1, QuadratureSpec(rel_tol=1e-12))
     monkeypatch.undo()
@@ -505,8 +504,7 @@ def test_r2_kernels_converge_at_the_top_of_the_float_range(m):
     for b in _TOP_B:
         limit = _r2_far_below_the_knee(m, b)
         integral = kernels.r2_integral(b, m, TIGHT)
-        series = kernels.r2_term_scaled(tuple(kernels._fixed_coefs(len(coefs), m)),
-                                        m, b, QuadratureSpec(rel_tol=1e-11))
+        series = kernels.r2_term_scaled(len(coefs), m, b, QuadratureSpec(rel_tol=1e-11))
         assert integral.converged and series.converged, b
         assert integral.value == pytest.approx(limit, rel=1e-12, abs=0.0), b
         assert series.value == pytest.approx(limit, rel=1e-12, abs=0.0), b
@@ -690,8 +688,7 @@ def test_r2_series_error_decreases_with_terms():
     ch = ChannelParams(4.1, 1.0)
     alpha = Modulation(256).c1
     ref = r2_quadrature(ch, alpha, spec=QuadratureSpec(rel_tol=1e-13))
-    spec = QuadratureSpec(rel_tol=1e-13)
-    errs = [abs(r2_series(ch, alpha, n, spec).value - ref)
+    errs = [abs(r2_series(ch, alpha, n).value - ref)
             for n in (0, 1, 2, 3, 5)]
     assert all(e2 <= e1 for e1, e2 in zip(errs, errs[1:]))
     assert errs[-1] < 1e-10 * ref
@@ -861,8 +858,8 @@ def test_r2_series_cancelling_coefficients_stay_accurate():
 
 
 def test_r2_series_five_terms_keep_their_bits_at_m_190_5():
-    # at m = 190.5 five terms cancel far less than the whole series, and
-    # the fixed-point polynomial keeps its 64 bits there.  Reference:
+    # at m = 190.5 five terms cancel far less than the whole series:
+    # the sum serves this point, with kappa 1.16.  Reference:
     # quadrature of the N = 5 theta-integral in 50-digit arithmetic,
     # good to ~1e-13
     ch = ChannelParams(190.5, 1000.0)
@@ -895,8 +892,7 @@ def _r2_sum_and_quadrature(m, b, n_max):
 
     coefs = _series_coefs(m, n_max)
     served = _purekernels.r2_sum(coefs, m, b)
-    ref = _purekernels.r2_term_scaled(tuple(_purekernels._fixed_coefs(len(coefs), m)),
-                                      m, b, QuadratureSpec(rel_tol=1e-13))
+    ref = _purekernels.r2_term_scaled(len(coefs), m, b, QuadratureSpec(rel_tol=1e-13))
     assert ref.converged, (m, b, n_max)
     return served, ref.value
 
@@ -956,22 +952,76 @@ def test_r2_sum_is_zero_where_the_mean_snr_underflows():
 @pytest.mark.parametrize("m", [1000.5, 9999.5])
 @pytest.mark.parametrize("snr_db", [20.0, 80.0])
 def test_r2_series_at_large_m_meets_its_fallback(m, snr_db):
-    # at 20 dB the sum serves (x = 1/(2+b) is 0.083 and 0.0098); at
-    # 80 dB, x -> 1/2, it would take thousands of terms, and sum(e_k) =
-    # ((2+b)/(1+b))^m overflows from about m = 1,000: it returns None
-    # before its loop, and r2_series runs the series quadrature, here on
-    # doubles, since P_5(r) does not cancel
+    # at 20 dB the sum serves (x = 1/(2+b) is 0.083 and 0.0098) and meets
+    # the series quadrature; at 80 dB, x -> 1/2, it would take thousands
+    # of terms, and sum(e_k) = ((2+b)/(1+b))^m overflows from about
+    # m = 1,000: it returns None before its loop.  R2_5 underflows to
+    # -0.0 there, so the capped points below check the fallback's values
     from nakaber import _purekernels
 
     ch = ChannelParams(m, db_to_linear(snr_db))
     b = m / (QPSK.c1 * ch.mean_snr)
-    got = r2_series(ch, QPSK.c1, 5).value
-    fallback = _purekernels.r2_term_scaled(tuple(_purekernels._fixed_coefs(6, m)), m, b,
-                                           QuadratureSpec(rel_tol=1e-11))
-    assert fallback.converged
-    assert got == pytest.approx(fallback.value, rel=1e-10, abs=0.0)
     served = _purekernels.r2_sum(_five_term_coefs(m), m, b)
     assert (served is None) == (snr_db == 80.0)
+    if served is not None:
+        got = r2_series(ch, QPSK.c1, 5).value
+        fallback = _purekernels.r2_term_scaled(6, m, b, QuadratureSpec(rel_tol=1e-11))
+        assert fallback.converged
+        assert got != 0.0
+        assert got == pytest.approx(fallback.value, rel=1e-10, abs=0.0)
+
+
+# R2_5 to 40 digits at the b = m/(alpha*mean_snr) r2_series forms,
+# computed once with mpmath at 70 digits, not at test time: the
+# s-integral in r2_sum's docstring with the exact c_n, by tanh-sinh
+# quadrature in s = 1 - u^2 on pieces a quarter of the peak's width
+# apart, which met r2_term_scaled's theta-integral by Gauss-Legendre to
+# 1e-58.  First capped QPSK points, mean SNR m/b, where R2_5 is a normal
+# double; then closed(N=5) points of the series benchmark workload on
+# seed 601 where the sum's kappa (255 to 590) fails r2_series' guard
+_R2_CAPPED_40 = [
+    (1000.5, 1.0, "-2.585691204504817703075797018610749187781e-293"),
+    (4000.5, 10.0, "-1.189016389185719288439913488911363380765e-157"),
+    (9999.5, 30.0, "-1.384696192975465685252868711682174543158e-134"),
+]
+_R2_CANCELLING_40 = [
+    (12.623100814507254, 28.235294117647058, 64,
+     "-3.822135298374015170915580605316732685839e-15"),
+    (13.021689620288518, 21.764705882352942, 16,
+     "-5.738359723877929251412132068901238192009e-13"),
+    (12.232165728775213, 41.17647058823529, 256,
+     "-6.003790348431439511777201674970767484844e-24"),
+]
+
+
+@pytest.mark.parametrize("m, b, expected", _R2_CAPPED_40,
+                         ids=[f"m{m}-b{b:g}" for m, b, _ in _R2_CAPPED_40])
+def test_r2_series_past_the_sums_cap_meets_40_digits(m, b, expected):
+    # the series quadrature serves: within 8.5e-14 here, about what
+    # _scaled's exp of the MGF peak's log (magnitude 320 to 700) rounds
+    from nakaber import _purekernels
+
+    ch = ChannelParams(m, m / b)
+    b = m / (QPSK.c1 * ch.mean_snr)
+    assert _purekernels.r2_sum(_five_term_coefs(m), m, b) is None
+    got = r2_series(ch, QPSK.c1, 5).value
+    assert got == pytest.approx(float(expected), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m, snr_db, order, expected", _R2_CANCELLING_40,
+                         ids=[f"m{m:.4g}-M{order}" for m, _, order, _ in _R2_CANCELLING_40])
+def test_r2_series_where_the_sum_cancels_meets_40_digits(m, snr_db, order, expected):
+    # the series quadrature on the exact coefficients serves, within
+    # 4.1e-16 to 2.5e-15 here; on P_5(r) in doubles it was 7.6e-15 to
+    # 1.3e-14 off
+    from nakaber import _purekernels
+
+    ch = ChannelParams(m, db_to_linear(snr_db))
+    alpha = Modulation(order).c1
+    _, kappa = _purekernels.r2_sum(_five_term_coefs(m), m, m / (alpha * ch.mean_snr))
+    assert 4 * 6 * 2.220446049250313e-16 * kappa > 0.1 * 1e-11
+    got = r2_series(ch, alpha, 5).value
+    assert got == pytest.approx(float(expected), rel=5e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("m", [13.35, 30.5, 45.2, 80.5])
@@ -1609,24 +1659,27 @@ def test_high_snr_gap_shrinks_like_1_over_mean_snr(route, order, m):
 
 # 1e-14 lies below the 50*eps roundoff floor of every Kronrod panel, so
 # these integrals spend the engine's whole budget of bisections, which
-# the tests cut from 2000 to 20
+# the tests cut from 2000 to 20.  r2_series takes no spec: it runs its
+# quadrature at 1e-11, only where its sum cancels, as at m = 80.5,
+# 30 dB, N = 71, where it converges in 150 evaluations, so a budget of
+# 3 starves it
 STARVED = QuadratureSpec(rel_tol=1e-14)
 
 
-@pytest.mark.parametrize("route, message", [
-    (lambda ch: aber_oracle(ch, QPSK, spec=STARVED),
+@pytest.mark.parametrize("route, budget, message", [
+    (lambda: aber_oracle(ChannelParams(0.6, 10.0), QPSK, spec=STARVED), 20,
      "average-BER quadrature did not reach its tolerance"),
-    (lambda ch: r2_quadrature(ch, QPSK.c1, spec=STARVED),
+    (lambda: r2_quadrature(ChannelParams(0.6, 10.0), QPSK.c1, spec=STARVED), 20,
      "squared-Q correction quadrature did not converge"),
-    (lambda ch: r2_series(ch, QPSK.c1, spec=STARVED),
+    (lambda: r2_series(ChannelParams(80.5, 1000.0), QPSK.c1, 71), 3,
      "correction series quadrature did not converge"),
 ], ids=["oracle", "r2_quadrature", "r2_series"])
-def test_starved_budget_raises_with_payload(monkeypatch, route, message):
+def test_starved_budget_raises_with_payload(monkeypatch, route, budget, message):
     from nakaber import quad
 
-    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 20)
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", budget)
     with pytest.raises(ConvergenceError, match=message) as exc_info:
-        route(ChannelParams(0.6, 10.0))
+        route()
     err = exc_info.value
     # best-effort value is still in the right ballpark
     assert 0.0 < err.value < 0.5

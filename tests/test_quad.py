@@ -120,8 +120,7 @@ def test_kronrod_panel_bits_are_pinned(monkeypatch):
 
     monkeypatch.setattr(quad, "integrate_finite", first_panel)
     m = 0.6
-    _purekernels.r2_term_scaled(tuple(_purekernels._fixed_coefs(6, m)), m, 0.3,
-                                QuadratureSpec(rel_tol=1e-11))
+    _purekernels.r2_term_scaled(6, m, 0.3, QuadratureSpec(rel_tol=1e-11))
     f, lo, hi = integrands[0]
     assert (lo, hi) == (0.0, 1.0)
     assert quad._kronrod15(f, lo, hi) == (2.387349130402698, 8.648716824109859e-09)
