@@ -27,10 +27,12 @@ _DBL_MAX = 1.7976931348623157e308
 _FIXED_BITS = 110
 _FIXED_KEEP = 64
 
-# sqrt(2)*(1/2)_k/(k!*2^k), k = 0, 1, ..., the weights of
-# avg_q_squared's series, as many as term_tol = 1e-13 takes
+# avg_q_squared's smallest term_tol, TruncationPolicy's floor, and the
+# weights of its series, sqrt(2)*(1/2)_k/(k!*2^k), as many as it takes
+_TERM_TOL_MIN = 1e-13
 _Q2_WEIGHTS = tuple(itertools.accumulate(
-    ((k + 0.5) / (2 * k + 2) for k in range(math.ceil(math.log2(4e13)))),
+    ((k + 0.5) / (2 * k + 2)
+     for k in range(math.ceil(math.log2(4.0 / _TERM_TOL_MIN)))),
     operator.mul, initial=math.sqrt(2.0)))
 
 # continued-fraction controls
@@ -115,8 +117,10 @@ def log_peak_density(m: float) -> float:
 def _beta_cf(x: float, a: float, b: float, eps: float = _CF_EPS) -> float:
     """Continued fraction for the regularized incomplete beta.
 
-    Modified Lentz iteration; caller guarantees the convergent regime
-    x <= (a+1)/(a+b+2) via the symmetry switch in reg_inc_beta.  Raises
+    Modified Lentz iteration; I_x(a, b) is x^a*(1-x)^b/B(a, b) times
+    this over a.  A caller takes it where it converges fast, below or
+    near x = (a+1)/(a+b+2): reg_inc_beta on x up to its switch
+    x = a/(a+b), and on y = 1 - x with a and b swapped past it.  Raises
     ConvergenceError if the fraction has not converged after
     _CF_MAX_ITER steps.  A fraction whose step has settled within
     _CF_SETTLED of 1 by then has converged, but never met eps: it is
@@ -168,17 +172,21 @@ def _beta_cf(x: float, a: float, b: float, eps: float = _CF_EPS) -> float:
         f"{_CF_MAX_ITER} steps (x={x!r}, a={a!r}, b={b!r})")
 
 
-def reg_inc_beta(x: float, a: float, b: float, log_b_ab: float) -> float:
-    """I_x(a, b) by the continued fraction, given log_b_ab = log B(a, b),
-    which a caller summing many terms of one (a, b) pair takes once."""
+def reg_inc_beta(x: float, y: float, a: float, b: float, log_b_ab: float) -> float:
+    """I_x(a, b) by the continued fraction, given y = 1 - x computed by
+    the caller, as TOMS 708's BRATIO takes it, and log_b_ab = log B(a, b),
+    which a caller summing many terms of one (a, b) pair takes once.
+    Past the switch x = a/(a + b) it is the complement 1 - I_y(b, a),
+    its front factor and fraction taken on y."""
     if x <= 0.0:
         return 0.0
-    if x >= 1.0:
+    if y <= 0.0:
         return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_b_ab)
     if x <= a / (a + b):
+        front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_b_ab)
         return front * _beta_cf(x, a, b) / a
-    return 1.0 - front * _beta_cf(1.0 - x, b, a) / b
+    front = math.exp(b * math.log(y) + a * math.log1p(-y) - log_b_ab)
+    return 1.0 - front * _beta_cf(y, b, a) / b
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,

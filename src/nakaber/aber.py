@@ -66,8 +66,9 @@ class TruncationPolicy(_Value):
     (avg_q_squared), and keeps no terms: term_tol sets how many
     terms of that sum are taken, K = ceil(log2(4/term_tol)) + 1, so its
     tail lies below term_tol/4 (43 terms at 1e-12).  term_tol stops at
-    1e-13, the floor of the contract, where the Craig-form reference
-    r2_quadrature sits at its 50*eps roundoff floor.
+    1e-13 (_purekernels._TERM_TOL_MIN), the floor of the contract, where
+    the Craig-form reference r2_quadrature sits at its 50*eps roundoff
+    floor.
     """
 
     __slots__ = ("mode", "n_max", "term_tol")
@@ -79,8 +80,8 @@ class TruncationPolicy(_Value):
             raise ValueError("mode must be 'fixed_terms' or 'adaptive'")
         if not (0 <= self.n_max <= _SERIES_CAP):
             raise ValueError(f"n_max must lie in [0, {_SERIES_CAP}]")
-        if not (1e-13 <= self.term_tol <= 1e-4):
-            raise ValueError("term_tol must lie in [1e-13, 1e-4]")
+        if not (kernels._TERM_TOL_MIN <= self.term_tol <= 1e-4):
+            raise ValueError(f"term_tol must lie in [{kernels._TERM_TOL_MIN:g}, 1e-4]")
 
     @classmethod
     def fixed(cls, n_max: int) -> "TruncationPolicy":
@@ -122,18 +123,18 @@ def lemma2_avg_q(ch: ChannelParams, alpha: float) -> float:
     pass (_avg_q_sum, of which this is the one-term case).  Each term is
     one call of the reg_inc_beta kernel.
 
-    Where x > m/(m + 1/2), the side on which the incomplete beta takes
-    its complement, it is (1/2)*(1 - I_y(1/2, m)) with
-    y = alpha*mean_snr/(m + alpha*mean_snr) computed directly, not as
-    1 - x, which would keep only the rounding of x at low mean SNR.
-    What error is left grows with m, from the continued fraction, whose
-    leading terms cancel to O(1/m) near x = m/(m + c): against 40-digit
-    references over all six orders it is at most 1.9e-13 at m = 100,
-    1.2e-12 at m = 3000 and 2.1e-12 at m = 5000 (-30 to 80 dB, 0.5 dB
-    steps), and 5.4e-12 at m = 1e4 (-30 to 40 dB in 0.02 dB steps, at
-    10.42 dB; 0.5 dB steps to 80 dB).  For m above _AVG_Q_M_MAX = 1e4
-    it raises ConvergenceError: the error keeps growing with m, and
-    huge m needs a route of its own.  Where x underflows to 0 it raises ValueError:
+    The kernel takes y = 1 - x = alpha*mean_snr/(m + alpha*mean_snr)
+    computed directly, not as 1 - x, which would keep only the rounding
+    of x at low mean SNR: past its switch x = m/(m + 1/2) it returns the
+    complement 1 - I_y(1/2, m), taken on y.  What error is left grows
+    with m, from the continued fraction, whose leading terms cancel to
+    O(1/m) near x = m/(m + c): against 40-digit references over all six
+    orders it is at most 1.9e-13 at m = 100, 1.2e-12 at m = 3000 and
+    2.1e-12 at m = 5000 (-30 to 80 dB, 0.5 dB steps), and 5.4e-12 at
+    m = 1e4 (-30 to 40 dB in 0.02 dB steps, at 10.42 dB; 0.5 dB steps
+    to 80 dB).  For m above _AVG_Q_M_MAX = 1e4 it raises
+    ConvergenceError: the error keeps growing with m, and huge m needs a
+    route of its own.  Where x underflows to 0 it raises ValueError:
     I_x(m, 1/2) is then about x^m, which is near 1 at tiny m.
     """
     return _avg_q_sum(ch, alpha, (1,))
@@ -143,35 +144,34 @@ def _avg_q_sum(ch: ChannelParams, alpha: float, ks) -> float:
     """Sum over k in ks, rising, of the fading average of
     Q(sqrt(2*alpha*k^2*snr)), each term by lemma2_avg_q's rule.
 
-    The terms fall as k rises.  Once one is at most 2^-55 of the running
-    total, it and every later one lie below half the total's ulp, so
-    none can change it: the sum stops calling the kernel there and
-    returns the same double.  Every later k still has its x checked, so
-    a refusal where x underflows is raised as before."""
-    b = _ratio(ch, alpha)  # for the x of a c past DBL_MAX
+    Each term is one reg_inc_beta call on x = m/(m + c) and
+    y = c/(m + c), c = alpha*k^2*mean_snr, with b = m/(alpha*mean_snr)
+    and k^2 in place of m and c where c overflows.  The terms fall as k
+    rises.  Once one is at most 2^-55 of the running total, it and every
+    later one lie below half the total's ulp, so none can change it: the
+    sum stops calling the kernel there and returns the same double.
+    Every later k still has its x checked, so a refusal where x
+    underflows is raised as before."""
+    b = _ratio(ch, alpha)  # for the x and y of a c past DBL_MAX
     m, snr = ch.m, ch.mean_snr
     if m > _AVG_Q_M_MAX:
         raise ConvergenceError(
             f"closed-form E[Q] is not accurate to 1e-10 for m above "
             f"{_AVG_Q_M_MAX:g} (m={m:g})")
     reg_inc_beta = kernels.reg_inc_beta
-    switch = m / (m + 0.5)
-    # B(m, 1/2) and B(1/2, m) agree to the bit
     log_b = kernels.log_beta(m, 0.5)
     total = 0.0
     settled = False
     for k in ks:
         c = alpha * k * k * snr
-        x = m / (m + c) if c < math.inf else b / (b + k * k)
+        p, q = (m, c) if c < math.inf else (b, k * k)
+        x, y = p / (p + q), q / (p + q)
         if not x > 0.0:
             # x ~ b/k^2 can underflow where b does not (1e-20, 3055 dB)
             raise channel._ratio_underflow(ch)
         if settled:
             continue
-        if x > switch:
-            term = 0.5 * (1.0 - reg_inc_beta(c / (m + c), 0.5, m, log_b))
-        else:
-            term = 0.5 * reg_inc_beta(x, m, 0.5, log_b)
+        term = 0.5 * reg_inc_beta(x, y, m, 0.5, log_b)
         settled = term <= _BELOW_HALF_ULP * total
         total += term
     return total

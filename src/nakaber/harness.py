@@ -287,6 +287,10 @@ def _check_lemma3() -> list[CheckResult]:
 
 
 def _check_reflection() -> list[CheckResult]:
+    """I_x(a, b) two ways at one x between reg_inc_beta's switch a/(a+b)
+    and (a+1)/(a+b+2), where both fractions converge fast: on x,
+    F*cf(x; a, b)/a, and as the complement on y = 1 - x,
+    1 - F*cf(y; b, a)/b, one front factor F = x^a*y^b/B(a, b) shared."""
     import random
 
     rng = random.Random(20250818)
@@ -294,12 +298,15 @@ def _check_reflection() -> list[CheckResult]:
     for _ in range(300):
         a = rng.uniform(0.3, 10.0)
         b = rng.uniform(0.3, 10.0)
-        x = rng.random()
-        log_b = kernels.log_beta(a, b)
-        gap = abs(kernels.reg_inc_beta(x, a, b, log_b)
-                  + kernels.reg_inc_beta(1.0 - x, b, a, log_b) - 1.0)
-        worst = max(worst, gap)
-    return [CheckResult("reflection", "incomplete-beta reflection (300 random draws)",
+        lo, hi = a / (a + b), (a + 1.0) / (a + b + 2.0)
+        x = lo + (hi - lo) * rng.random()
+        y = 1.0 - x
+        front = math.exp(a * math.log(x) + b * math.log(y) - kernels.log_beta(a, b))
+        on_x = front * kernels._beta_cf(x, a, b) / a
+        on_y = 1.0 - front * kernels._beta_cf(y, b, a) / b
+        worst = max(worst, abs(on_x - on_y))
+    return [CheckResult("reflection", "incomplete-beta fractions on x and on 1 - x "
+                        "(300 random draws)",
                         worst <= 1e-12, f"worst abs gap={worst:.3e} tol=1e-12")]
 
 

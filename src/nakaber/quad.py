@@ -37,9 +37,11 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 _UFLOW = 2.2250738585072014e-308
-# a panel's roundoff floor, 50*eps, with room for the rounding of the
-# sums that bound its resabs
-_FLOOR_BOUND = 50.0 * _EPS * (1.0 + 1e-12)
+# every panel's error is at least this share of its resabs, so no
+# rel_tol at or below it can be met, and QuadratureSpec refuses one
+_FLOOR = 50.0 * _EPS
+# the floor with room for the rounding of the sums that bound resabs
+_FLOOR_BOUND = _FLOOR * (1.0 + 1e-12)
 # bisections one adaptive integral may spend before it reports
 # converged=False
 _MAX_SUBDIVISIONS = 2000
@@ -141,15 +143,19 @@ class QuadratureSpec(_Value):
     """The adaptive engine's one setting, its relative tolerance.
 
     Convergence is relative only, err <= rel_tol*|value|, so a value of
-    1e-117 gets the same relative accuracy as one of 0.4.
+    1e-117 gets the same relative accuracy as one of 0.4.  rel_tol lies
+    in (50*eps, 1e-3]: at or below the panels' roundoff floor, 50*eps,
+    no integral of a normal value converges.  1.12e-14 does: the oracle
+    at m = 1.7, 10 dB, QPSK in 1,590 evaluations.
     """
 
     __slots__ = ("rel_tol",)
 
     def __init__(self, rel_tol: float = 1e-10):
         self._init(rel_tol)
-        if not (1e-14 <= self.rel_tol <= 1e-3):
-            raise ValueError("rel_tol must lie in [1e-14, 1e-3]")
+        if not (_FLOOR < self.rel_tol <= 1e-3):
+            raise ValueError(f"rel_tol must lie in (50*eps, 1e-3]: 50*eps = "
+                             f"{_FLOOR:.5g} is the quadrature's roundoff floor")
 
 
 # the engine's default setting, shared since a spec is immutable
@@ -238,8 +244,8 @@ def _kronrod15(f: Callable[[float], float], lo: float, hi: float):
                   + k4 * (abs(a4) + abs(b4)) + k5 * (abs(a5) + abs(b5))
                   + k6 * (abs(a6) + abs(b6)))
         resabs *= abs(h)
-        if resabs > _UFLOW / (50.0 * _EPS):
-            err = max(err, 50.0 * _EPS * resabs)
+        if resabs > _UFLOW / _FLOOR:
+            err = max(err, _FLOOR * resabs)
     if not (math.isfinite(value) and math.isfinite(err)):
         raise ConvergenceError("integrand produced a non-finite value")
     return value, err

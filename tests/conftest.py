@@ -17,8 +17,9 @@ def record_acceptance(index: int, ok: bool, detail: str) -> None:
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """I_x(a, b) from the kernel, with log B(a, b) taken for the call."""
-    return kernels.reg_inc_beta(x, a, b, kernels.log_beta(a, b))
+    """I_x(a, b) from the kernel, with y = 1 - x and log B(a, b) taken
+    for the call."""
+    return kernels.reg_inc_beta(x, 1.0 - x, a, b, kernels.log_beta(a, b))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

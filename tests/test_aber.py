@@ -64,6 +64,19 @@ def test_truncation_policy_validation():
         TruncationPolicy(n_max=-1)
 
 
+def test_term_tol_floor_sizes_the_avg_q_squared_weights():
+    # TruncationPolicy's floor is the kernel's _TERM_TOL_MIN, which sizes
+    # avg_q_squared's table of weights: the smallest term_tol the policy
+    # takes uses all 47 of them, and a smaller one is refused
+    from nakaber import _purekernels
+
+    floor = _purekernels._TERM_TOL_MIN
+    assert TruncationPolicy.adaptive(floor).term_tol == floor == 1e-13
+    with pytest.raises(ValueError, match=r"term_tol must lie in \[1e-13, 1e-4\]"):
+        TruncationPolicy.adaptive(math.nextafter(floor, 0.0))
+    assert math.ceil(math.log2(4.0 / floor)) + 1 == len(_purekernels._Q2_WEIGHTS) == 47
+
+
 def test_truncation_policy_defaults():
     t = TruncationPolicy()
     assert t.mode == "fixed_terms"
@@ -1657,13 +1670,13 @@ def test_high_snr_gap_shrinks_like_1_over_mean_snr(route, order, m):
     assert all(0.09 <= r <= 0.11 for r in ratios), (gaps, ratios)
 
 
-# 1e-14 lies below the 50*eps roundoff floor of every Kronrod panel, so
-# these integrals spend the engine's whole budget of bisections, which
-# the tests cut from 2000 to 20.  r2_series takes no spec: it runs its
-# quadrature at 1e-11, only where its sum cancels, as at m = 80.5,
-# 30 dB, N = 71, where it converges in 150 evaluations, so a budget of
-# 3 starves it
-STARVED = QuadratureSpec(rel_tol=1e-14)
+# 1.12e-14 lies just above the 50*eps roundoff floor of every Kronrod
+# panel: the oracle and r2_quadrature at m = 0.6, 10 dB converge there
+# only in 1,890 and 990 evaluations, so a budget of 20 bisections (600)
+# starves them.  r2_series takes no spec: it runs its quadrature at
+# 1e-11, only where its sum cancels, as at m = 80.5, 30 dB, N = 71,
+# where it converges in 150 evaluations, so a budget of 3 starves it
+STARVED = QuadratureSpec(rel_tol=1.12e-14)
 
 
 @pytest.mark.parametrize("route, budget, message", [

@@ -164,6 +164,22 @@ def test_aber_nonfinite_integrand_is_numerical_failure(capsys, argv):
     assert "not accurate to 1e-10 for m above" in err
 
 
+def test_aber_unconverged_oracle_is_numerical_failure(monkeypatch, capsys):
+    # the oracle at m = 1, 0 dB, QPSK converges in 5 bisections at the
+    # default rel_tol, so a budget of 3 starves it: exit 3, with the
+    # best value and estimate it reached
+    from nakaber import quad
+
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 3)
+    code, out, err = run_cli(capsys, "aber", "--m", "1", "--mod", "4",
+                             "--snr-db", "0", "--method", "oracle")
+    assert code == 3
+    assert out == ""
+    assert err == ("error: did not converge: average-BER quadrature did not "
+                   "reach its tolerance (best value 0.137702055558, error "
+                   "estimate 3.248e-07)\n")
+
+
 @pytest.mark.parametrize("method", [("closed", "--terms", "0"), ("lu",)],
                          ids=["closed", "lu"])
 def test_aber_huge_m_closed_form_is_numerical_failure(capsys, method):
@@ -292,9 +308,9 @@ _REFUSALS = [
     (("aber", "--snr-db", "0"), "m 1\n", 2,
      "{cfg}:1: expected key=value, got 'm 1'"),
     (("aber", "--snr-db", "0"), "=1\n", 2, "{cfg}:1: empty key"),
-    (("aber", "--snr-db", "0", "--method", "oracle", "--rel-tol", "1e-14"), None, 3,
-     "did not converge: average-BER quadrature did not reach its tolerance "
-     "(best value 0.137702055556, error estimate {est})"),
+    (("aber", "--snr-db", "0", "--method", "oracle", "--rel-tol", "1e-14"), None, 2,
+     "rel_tol must lie in (50*eps, 1e-3]: 50*eps = 1.1102e-14 is the "
+     "quadrature's roundoff floor"),
     (("aber", "--snr-db", "nan"), None, 2, "nan dB is not a finite number"),
 ]
 
@@ -303,7 +319,7 @@ _REFUSALS = [
     "argv, config, code, message", _REFUSALS,
     ids=["range-parts", "range-numeric", "expq-pair", "expq-numeric",
          "expq-positive", "bench-terms", "bench-no-snr", "config-no-equals",
-         "config-empty-key", "oracle-unconverged", "snr-db-nan"])
+         "config-empty-key", "rel-tol-floor", "snr-db-nan"])
 def test_refusal_prints_only_its_message(tmp_path, capsys, argv, config, code,
                                          message):
     if config is not None:

@@ -225,6 +225,24 @@ def test_selftest_checks_the_served_avg_q_squared(monkeypatch):
     assert calls["avg_q_squared"] == grid + grid
 
 
+@pytest.mark.parametrize("wrong", [lambda cf: 1.0, lambda cf: 1.7 * cf + 0.3],
+                         ids=["constant", "affine"])
+def test_selftest_reflection_fails_on_a_wrong_fraction(monkeypatch, wrong):
+    # the group compares the incomplete beta's fraction on x with the
+    # complement's fraction on 1 - x, so a wrong fraction shows.  The sum
+    # I_x(a, b) + I_{1-x}(b, a) would not: the kernel's switch sends both
+    # calls through one fraction at nearly one point, and with these two
+    # it read 2.2e-16 and 8.9e-16
+    from nakaber import _purekernels
+
+    right = _purekernels._beta_cf
+    monkeypatch.setattr(_purekernels, "_beta_cf",
+                        lambda x, a, b, *eps: wrong(right(x, a, b, *eps)))
+    (result,) = run_selftest(["reflection"])
+    assert result.group == "reflection"
+    assert not result.passed, result.detail
+
+
 def test_selftest_lemma1_is_a_short_finite_quadrature(monkeypatch):
     # the tail identity in phi with x = tan^2(phi) is smooth on
     # [0, pi/2): 690 evaluations over the five z (765 on one opening

@@ -243,7 +243,7 @@ def test_interior_cusp_value():
      "QuadratureResult(value=2.768765155288553, "
      "error_estimate=2.7424203463729784e-10, evaluations=5640, converged=True)"),
     (lambda t: t ** (-0.9) if t > 0.0 else 0.0, 1e-300, 1.0,
-     QuadratureSpec(rel_tol=1e-14),
+     QuadratureSpec(rel_tol=1.12e-14),
      "QuadratureResult(value=9.999999999999998, "
      "error_estimate=1.1262757322868518e-13, evaluations=60000, converged=False)"),
 ], ids=["interior-cusp", "whole-budget"])
@@ -255,16 +255,18 @@ def test_bisection_order_is_pinned(f, lo, hi, spec, shown):
 
 
 def test_starved_budget_reports_nonconvergence(monkeypatch):
-    # rel_tol 1e-14 lies below the panels' 50*eps roundoff floor, so only
-    # the fixed budget of bisections ends the loop; it is read at call
-    # time, so a budget of 20 shows the same as the shipped 2000.  The
-    # opening split into two panels is the first of the budget's bisections
+    # rel_tol 1.12e-14 lies just above the panels' 50*eps roundoff
+    # floor, which t^-0.9 on [1e-300, 1] does not meet in 2000
+    # bisections, so only the fixed budget of bisections ends the loop;
+    # it is read at call time, so a budget of 20 shows the same as the
+    # shipped 2000.  The opening split into two panels is the first of
+    # the budget's bisections
     from nakaber import quad
 
     assert quad._MAX_SUBDIVISIONS == 2000
     budget = 20
     monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", budget)
-    spec = QuadratureSpec(rel_tol=1e-14)
+    spec = QuadratureSpec(rel_tol=1.12e-14)
     res = integrate_finite(lambda t: t ** (-0.9) if t > 0.0 else 0.0,
                            1e-300, 1.0, spec=spec)
     assert not res.converged
@@ -327,12 +329,24 @@ def test_panel_at_float_resolution_is_kept_unsplit():
     # [1, 1 + 2^-52] is one float wide: its midpoint rounds onto an end,
     # so the engine opens on the whole interval as one panel, which
     # cannot be bisected, and the loop ends with it in the sum
+    from nakaber import quad
+
     hi = math.nextafter(1.0, 2.0)
-    res = integrate_finite(lambda t: t, 1.0, hi, QuadratureSpec(rel_tol=1e-14))
+    spec = QuadratureSpec(rel_tol=1.12e-14)
+    # t converges on that one panel: the exact value,
+    # 2^-52 * (1 + 2^-53), lies 2^-105 from 2^-52
+    res = integrate_finite(lambda t: t, 1.0, hi, spec)
+    assert res.converged
+    assert res.evaluations == 15
+    assert abs(res.value - 2.0 ** -52) + 2.0 ** -105 <= res.error_estimate
+    # t - 1 - 2^-53 integrates to 0 there, which no relative tolerance
+    # meets: the loop tries to split the panel, keeps it unsplit and
+    # reports it as it stands
+    f = lambda t: t - 1.0 - 2.0 ** -53  # noqa: E731
+    res = integrate_finite(f, 1.0, hi, spec)
     assert not res.converged
     assert res.evaluations == 15
-    # the exact value, 2^-52 * (1 + 2^-53), lies 2^-105 from 2^-52
-    assert abs(res.value - 2.0 ** -52) + 2.0 ** -105 <= res.error_estimate
+    assert (res.value, res.error_estimate) == quad._kronrod15(f, 1.0, hi)
 
 
 def test_convergence_error_carries_payload():
@@ -343,10 +357,17 @@ def test_convergence_error_carries_payload():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match=r"rel_tol must lie in \[1e-14, 1e-3\]"):
-        QuadratureSpec(rel_tol=1e-15)
-    with pytest.raises(ValueError, match=r"rel_tol must lie in \[1e-14, 1e-3\]"):
-        QuadratureSpec(rel_tol=1e-2)
+    # the floor is the engine's own, 50*eps: every panel's error is at
+    # least that share of its resabs, so no tolerance at or below it
+    # converges, while 1.12e-14 does (test_panel_at_float_resolution_...)
+    floor = 50.0 * 2.220446049250313e-16
+    message = (r"rel_tol must lie in \(50\*eps, 1e-3\]: 50\*eps = 1\.1102e-14 "
+               r"is the quadrature's roundoff floor")
+    for rel_tol in (1e-15, 1e-14, floor, 1e-2, math.nan):
+        with pytest.raises(ValueError, match=message):
+            QuadratureSpec(rel_tol=rel_tol)
+    assert QuadratureSpec(math.nextafter(floor, 1.0)).rel_tol > floor
+    assert QuadratureSpec(1e-3).rel_tol == 1e-3
     # the tolerance is the spec's one field; the subdivision budget is a
     # constant of the engine
     with pytest.raises(TypeError):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import reg_inc_beta
 
-from nakaber._purekernels import gauss_q, log_beta, log_gamma
+from nakaber._purekernels import _beta_cf, gauss_q, log_beta, log_gamma
 from nakaber.quad import ConvergenceError, QuadratureSpec
 from nakaber.specfun import appell_f1
 
@@ -143,14 +143,23 @@ def test_reg_inc_beta_known_values():
 
 @given(st.floats(min_value=0.3, max_value=10.0),
        st.floats(min_value=0.3, max_value=10.0),
-       st.integers(min_value=0, max_value=2**53))
+       st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=300)
-def test_reg_inc_beta_reflection(a, b, k):
-    # x drawn dyadic so the complement 1 - x is exact; otherwise the
-    # identity is limited by the rounding of 1 - x, not by the code
-    x = k / 2.0**53
-    gap = reg_inc_beta(x, a, b) + reg_inc_beta(1.0 - x, b, a) - 1.0
-    assert abs(gap) <= 1e-12
+def test_reg_inc_beta_reflection(a, b, u):
+    # the kernel's two representations of I_x(a, b), the fraction on x
+    # and the complement 1 - I_y(b, a) on y = 1 - x, at one point
+    # between its switch a/(a+b) and (a+1)/(a+b+2), where both
+    # fractions converge: they share one front factor, so the gap is the
+    # fractions' alone, and a wrong fraction on either side shows.
+    # I_x(a, b) + I_{1-x}(b, a) = 1 would not: the switch sends both
+    # calls through one fraction at nearly one point
+    lo, hi = a / (a + b), (a + 1.0) / (a + b + 2.0)
+    x = lo + (hi - lo) * u
+    y = 1.0 - x
+    front = math.exp(a * math.log(x) + b * math.log(y) - log_beta(a, b))
+    on_x = front * _beta_cf(x, a, b) / a
+    on_y = 1.0 - front * _beta_cf(y, b, a) / b
+    assert abs(on_x - on_y) <= 1e-12
 
 
 @given(st.floats(min_value=0.3, max_value=10.0),
@@ -230,14 +239,18 @@ def _beta_cf_plain(x, a, b):
 
 
 def _reg_inc_beta_plain(x, a, b):
+    # the complement takes its front factor and fraction on y = 1 - x,
+    # as the kernel does on the y its caller passes
+    y = 1.0 - x
     if x <= 0.0:
         return 0.0
-    if x >= 1.0:
+    if y <= 0.0:
         return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
     if x <= a / (a + b):
+        front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
         return front * _beta_cf_plain(x, a, b) / a
-    return 1.0 - front * _beta_cf_plain(1.0 - x, b, a) / b
+    front = math.exp(b * math.log(y) + a * math.log1p(-y) - log_beta(a, b))
+    return 1.0 - front * _beta_cf_plain(y, b, a) / b
 
 
 def _lemma2_panel(seed, pairs):
@@ -332,11 +345,14 @@ def test_appell_f1_domain():
         appell_f1(1.0, 1.0, 1.0, 2.0, float("inf"), -1.0)
 
 
-def test_appell_f1_unreachable_accuracy_raises_with_payload():
-    # a 1e-14 relative request sits below the summed per-panel roundoff
-    # bound (50*eps*resabs, about 1.11e-14 relative), so the engine can
-    # never certify it
-    spec = QuadratureSpec(rel_tol=1e-14)
+def test_appell_f1_unreachable_accuracy_raises_with_payload(monkeypatch):
+    # a 1.12e-14 relative request sits just above the summed per-panel
+    # roundoff bound (50*eps*resabs, about 1.11e-14 relative): it takes
+    # 1,170 evaluations here, so a budget of 20 bisections (600) starves it
+    from nakaber import quad
+
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 20)
+    spec = QuadratureSpec(rel_tol=1.12e-14)
     with pytest.raises(ConvergenceError) as exc_info:
         appell_f1(2.0, 1.0, 0.5, 2.5, -0.6, -1.6, spec=spec)
     err = exc_info.value
