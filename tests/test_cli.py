@@ -192,6 +192,26 @@ def test_aber_huge_m_closed_form_is_numerical_failure(capsys, method):
     assert "not accurate to 1e-10 for m above" in err
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: closed(N=5) has no truncation bound here and prints "
+    "a wrong value with exit 0"))
+@pytest.mark.parametrize("m, snr_db, order", [
+    # prints -8.344291015004995e-06, where the oracle gives 1.0248e-05
+    ("50", "10", "4"),
+    # prints 3.3212349551156391e-13, where closed(adaptive) gives 1.5399e-12
+    ("20.5", "40", "4096"),
+], ids=["m50-qpsk", "m20.5-4096qam"])
+def test_aber_closed_is_right_or_refused(capsys, m, snr_db, order):
+    point = ("aber", "--m", m, "--snr-db", snr_db, "--mod", order, "--method", "closed")
+    code, out, _ = run_cli(capsys, *point)
+    if code == 3:
+        return
+    assert code == 0
+    _, out_a, _ = run_cli(capsys, *point, "--adaptive-tol", "1e-12")
+    adaptive = float(parse_kv_line(out_a)["aber"])
+    assert float(parse_kv_line(out)["aber"]) == pytest.approx(adaptive, rel=1e-6, abs=0.0)
+
+
 def test_aber_oracle_tiny_m_value(capsys):
     # the density's z^(m-1) endpoint is integrated in v = z^m, so even
     # m = 0.001 gives a finite integrand (30-digit Craig value)

@@ -197,7 +197,7 @@ def test_reg_inc_beta_against_scipy_grid():
 # which compares without abs() and counts in floats.  Both take log B
 # from the log_beta kernel
 _CF_MAX_ITER = 400
-_CF_EPS = 1e-16
+_CF_EPS = 3e-16
 _CF_TINY = 1e-300
 
 
