@@ -238,17 +238,29 @@ def _horner_fixed(rev, r: float) -> int:
     return p
 
 
-def log_mgf_peak(m: float, b: float) -> float:
-    """log((b/(1+b))^m), the Nakagami MGF (1 + alpha*mean_snr/m)^(-m) at
-    -alpha with b = m/(alpha*mean_snr): the peak that both correction-term
-    kernels divide out of their integrands and _scaled multiplies back in,
-    so b^m neither overflows at tiny mean SNR nor drags an integrand into
-    subnormals at high mean SNR and large m.  m*(log(b) - log1p(b))
-    cancels for b near 1, so it serves only where 1/b overflows."""
-    inv_b = 1.0 / b
-    if inv_b == math.inf:
-        return m * (math.log(b) - math.log1p(b))
-    return -m * math.log1p(inv_b)
+def mgf_power(m: float, b: float, c: float) -> tuple[float, float]:
+    """(b/(b+c))^m as (power, log_power), the value power*exp(log_power).
+
+    With c = 1 and b = m/(alpha*mean_snr) it is the Nakagami MGF
+    (1 + alpha*mean_snr/m)^(-m) at -alpha, the peak that both
+    correction-term kernels divide out of their integrands; with c = 2
+    it is the z^m of the squared-Q sums.  Where b < 1 and the power
+    stays above 1e-290 it is (z^m, 0.0), z = b/(b+c), by pow, which
+    carries z's rounding m-fold, about m*eps/2.  Elsewhere it is
+    (1.0, m*log(z)), for a caller to add to its own logs, so a power
+    past the double range still scales a value back into it.  The log
+    carries eps*|m*log(z)|, more than pow for z < 1/3, which b >= 1
+    keeps out; below b = 1 only a power under 1e-290 takes it.  It is
+    -m*log1p(c/b), and m*(log(b) - log(b+c)), which cancels for b near
+    c, only where c/b overflows.  At b = inf it is (1.0, -0.0)."""
+    if b < 1.0:
+        power = (b / (b + c)) ** m
+        if power > 1e-290:
+            return power, 0.0
+    ratio = c / b
+    if ratio == math.inf:
+        return 1.0, m * (math.log(b) - math.log(b + c))
+    return 1.0, -m * math.log1p(ratio)
 
 
 def _sinh_grading(bend: float, top: float, k: float) -> tuple[float, float, float]:
@@ -300,7 +312,7 @@ def r2_term_scaled(n_terms: int, m: float, b: float,
     seed-601 perfbench series pass took 257,400 evaluations here,
     275,970 with k = m^(-1/4) on all of m >= 1, and 415,590 (failing
     acceptance check 8) with that rule at every m.
-    It carries (b*t/(1 + b*t))^m over its peak, log_mgf_peak.
+    It carries (b*t/(1 + b*t))^m over its peak, mgf_power(m, b, 1).
 
     P_N takes the exact c_n at 2^_FIXED_BITS (_fixed_coefs), summed by
     _horner_fixed to about 2^-110 absolute at each node, so the
@@ -353,10 +365,11 @@ def r2_term_scaled(n_terms: int, m: float, b: float,
 def _scaled(res: quad.QuadratureResult, m: float, b: float,
             log_scale: float = 0.0) -> quad.QuadratureResult:
     """res with its value and error estimate times
-    (b/(1+b))^m * exp(log_scale)/(4*pi)."""
-    log_scale = log_mgf_peak(m, b) + log_scale
-    return quad.QuadratureResult(_scale(res.value, log_scale),
-                                 _scale(res.error_estimate, log_scale),
+    mgf_power(m, b, 1) * exp(log_scale)/(4*pi)."""
+    peak, log_peak = mgf_power(m, b, 1.0)
+    log_scale += log_peak
+    return quad.QuadratureResult(peak * _scale(res.value, log_scale),
+                                 peak * _scale(res.error_estimate, log_scale),
                                  res.evaluations, res.converged)
 
 
@@ -381,9 +394,10 @@ def r2_integral(b: float, m: float,
            = 1/(2*pi) * int_0^{pi/4} M(pi/2 - theta) * (-expm1(-m*log1p(x))),
         x = (c^2 - s^2)/((1 + b*c^2)*s^2),  c = cos(theta), s = sin(theta).
 
-    The integrand carries M(pi/2 - theta) over its peak, log_mgf_peak:
-    exp(-m*log1p(s^2/((1+b)*c^2))).  In v = tan(theta) on [0, 1] it is
-    rational in v, with no trig call per node: s^2/c^2 = v^2,
+    The integrand carries M(pi/2 - theta) over its peak,
+    mgf_power(m, b, 1): exp(-m*log1p(s^2/((1+b)*c^2))).  In
+    v = tan(theta) on [0, 1] it is rational in v, with no trig call per
+    node: s^2/c^2 = v^2,
     x = (1 - v^2)*(1 + v^2)/((1 + v^2 + b)*v^2) and
     dtheta = dv/(1 + v^2).  The quadrature runs on _sinh_grading's nodes
     up to v = 1, with the knee A where the integrand bends, at
@@ -465,12 +479,9 @@ def avg_q_squared(m: float, b: float, term_tol: float) -> float:
     ratio is (m+1/2)*sqrt(pi)/B(m, 1/2) by log_beta: an lgamma
     difference would carry eps*lgamma(m) into it, 7e-15 at m = 37.88
     and 1.9e-13 at m = 500.  At b = inf, y = 0, F_0 = 2m+1 and
-    E[Q^2] = 1/4.  z^m is carried in logs to the final product, as
-    _scaled carries the other kernels' peaks, so nothing underflows
-    before it.  But where b < 1 and z^m is a normal double with room to
-    spare, it is taken by pow, as in r2_sum: pow carries z's rounding
-    m-fold, m*eps/2, where m*log(z) carries eps*|m*log(z)|, larger for
-    z < 1/3.
+    E[Q^2] = 1/4.  z^m is mgf_power(m, b, 2), multiplied into the final
+    product, by pow or in logs, so nothing underflows before it; the
+    connection's z^(-m-1/2) is mgf_power's log.
 
     Against 40-digit values (mpmath's 2F1 term by term, 160 terms) at
     term_tol = 1e-12 it is within 1.2e-14 relative on 597 random
@@ -484,12 +495,10 @@ def avg_q_squared(m: float, b: float, term_tol: float) -> float:
     n = math.ceil(math.log2(4.0 / term_tol)) + 1
     last = n - 1
     if b == math.inf:
-        z, y, log_z = 1.0, 0.0, 0.0
+        z, y = 1.0, 0.0
     else:
         y = 2.0 / (b + 2.0)
         z = b / (b + 2.0)
-        inv = 2.0 / b
-        log_z = -math.log1p(inv) if inv < math.inf else math.log(b) - math.log(b + 2.0)
     f = [0.0] * n
     if y * (m + 2.0) <= 1.0:
         p = 0
@@ -499,8 +508,9 @@ def avg_q_squared(m: float, b: float, term_tol: float) -> float:
             term *= (m + j) * y / (j + 0.5)
             s += term
             j += 1.0
+        # b >= 2m + 2 here, so z^(-m-1/2) comes as its log
         f[0] = (2.0 * m + 1.0) * s - _TWO_PI * (m + 0.5) * math.sqrt(y) * math.exp(
-            -(m + 0.5) * log_z - log_beta(m, 0.5))
+            mgf_power(-m - 0.5, b, 2.0)[1] - log_beta(m, 0.5))
     else:
         p = last if z <= 0.5 else min(last, max(0, math.ceil(m * y / (z - y) - 1.5)))
         f[p] = _beta_cf(z, m + p + 0.5, -p - 0.5)
@@ -512,12 +522,11 @@ def avg_q_squared(m: float, b: float, term_tol: float) -> float:
     for k in range(last, -1, -1):
         s += _Q2_WEIGHTS[k] * f[k] / (m + k + 0.5)
     # the weights carry sqrt(2), so z^m*s/(4*pi) is z^m/(2*sqrt(2)*pi)
-    # times the sum of w_k*F_k/(m+k+1/2); z^m by pow as in r2_sum
-    if b < 1.0:
-        zm = z ** m
-        if zm > 1e-290:
-            return _INV_FOUR_PI * s * zm
-    return _scale(s, m * log_z)
+    # times the sum of w_k*F_k/(m+k+1/2)
+    zm, log_zm = mgf_power(m, b, 2.0)
+    if log_zm == 0.0:
+        return _INV_FOUR_PI * s * zm
+    return _scale(s, log_zm)
 
 
 def r2_sum(coefs, m: float, b: float) -> tuple[float, float] | None:
@@ -561,11 +570,11 @@ def r2_sum(coefs, m: float, b: float) -> tuple[float, float] | None:
     kappa = sum_n |coefs[n] x^n T_n| / |R2_N's sum| is how far the
     alternating coefficients of m > 1 cancel; r2_series falls back to
     r2_term_scaled, on the exact coefficients, where it is large.  z^m
-    is carried in logs to the final product, as in avg_q_squared, but
-    where b < 1 and z^m is a normal double: there pow keeps R2_N within
-    6.3e-15 of 40-digit values on 60 series points, where the logs were
-    4.9e-14 off (m = 29.1, 54 dB).  At b = inf, the mean SNR -> 0
-    limit, R2_N is 0.
+    is mgf_power(m, b, 2), multiplied into the final product with x,
+    in logs where it comes as one: its pow keeps R2_N within 6.3e-15 of
+    40-digit values on 60 series points, where the logs were 4.9e-14
+    off (m = 29.1, 54 dB).  At b = inf, the mean SNR -> 0 limit, R2_N
+    is 0.
     """
     if b == math.inf:
         return 0.0, 1.0
@@ -619,13 +628,7 @@ def r2_sum(coefs, m: float, b: float) -> tuple[float, float] | None:
     if s == 0.0:
         return s, math.inf
     kappa = magnitude / abs(s)
-    if b < 1.0:
-        # z^m by pow carries z's rounding m-fold, m*eps/2, where the
-        # exponent m*log(z) carries eps*|m*log(z)|, larger for z < 1/3;
-        # pow serves while z^m stays a normal double with room to spare
-        zm = (b / (2.0 + b)) ** m
-        if zm > 1e-290:
-            return _INV_FOUR_PI * x * s * zm, kappa
-    inv = 2.0 / b
-    log_z = -math.log1p(inv) if inv < math.inf else math.log(b) - math.log(b + 2.0)
-    return _scale(s, m * log_z + log_x), kappa
+    zm, log_zm = mgf_power(m, b, 2.0)
+    if log_zm == 0.0:
+        return _INV_FOUR_PI * x * s * zm, kappa
+    return _scale(s, log_zm + log_x), kappa

@@ -182,19 +182,20 @@ def pdf(ch: ChannelParams, snr: float) -> float:
 def mgf(ch: ChannelParams, p: float) -> float:
     """E[exp(p*snr)] = (1 - p*mean_snr/m)^(-m), left of the pole.
 
-    Where u = p*mean_snr/m overflows to -inf, it is the same value as
-    (b/(1+b))^m, b = (m/mean_snr)/(-p), from kernels.log_mgf_peak; where
-    b underflows to 0 as well, it raises ValueError."""
+    For p < 0 it is kernels.mgf_power(m, b, 1), b = (m/mean_snr)/(-p),
+    which holds where p*mean_snr/m overflows; where b underflows to 0
+    it raises ValueError."""
     if not math.isfinite(p):
         raise ValueError("mgf requires finite p")
-    u = p * ch.mean_snr / ch.m
-    if not u < 1.0:
-        raise ValueError("mgf is undefined at or beyond the pole p = m/mean_snr")
-    if u == -math.inf:
+    if p < 0.0:
         b = ch.m / ch.mean_snr / -p
         if b == 0.0:
             raise _ratio_underflow(ch)
-        return math.exp(kernels.log_mgf_peak(ch.m, b))
+        power, log_power = kernels.mgf_power(ch.m, b, 1.0)
+        return power * math.exp(log_power)
+    u = p * ch.mean_snr / ch.m
+    if not u < 1.0:
+        raise ValueError("mgf is undefined at or beyond the pole p = m/mean_snr")
     return math.exp(-ch.m * math.log1p(-u))
 
 

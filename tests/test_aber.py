@@ -1014,7 +1014,8 @@ _R2_CANCELLING_40 = [
                          ids=[f"m{m}-b{b:g}" for m, b, _ in _R2_CAPPED_40])
 def test_r2_series_past_the_sums_cap_meets_40_digits(m, b, expected):
     # the series quadrature serves: within 8.5e-14 here, about what
-    # _scaled's exp of the MGF peak's log (magnitude 320 to 700) rounds
+    # _scaled's exp of the MGF peak's log (magnitude 320 to 700) rounds;
+    # the peaks lie below 1e-290, so mgf_power gives them as logs
     from nakaber import _purekernels
 
     ch = ChannelParams(m, m / b)
@@ -1028,7 +1029,7 @@ def test_r2_series_past_the_sums_cap_meets_40_digits(m, b, expected):
                          ids=[f"m{m:.4g}-M{order}" for m, _, order, _ in _R2_CANCELLING_40])
 def test_r2_series_where_the_sum_cancels_meets_40_digits(m, snr_db, order, expected):
     # the series quadrature on the exact coefficients serves, within
-    # 4.1e-16 to 2.5e-15 here; on P_5(r) in doubles it was 7.6e-15 to
+    # 7.1e-16 to 2.3e-15 here; on P_5(r) in doubles it was 7.6e-15 to
     # 1.3e-14 off
     from nakaber import _purekernels
 
@@ -1717,17 +1718,14 @@ def test_expq_closed_custom_pairs():
         aber_expq_closed(RAYLEIGH_UNIT, QPSK), rel=1e-15)
 
 
-@pytest.mark.parametrize("m, snr_db", [(0.05, 3075.0), (0.5, 3082.0)])
-def test_expq_closed_at_the_top_of_the_float_range(m, snr_db):
-    # p*mean_snr/m overflows in every MGF term; the MGF is then its peak
-    # form (b/(1+b))^m, not 0.0.  The reference is the same sum in 40 digits
+def _expq_40(ch, mod):
+    """aber_expq_closed's sum of its six MGF values, in 40 digits."""
     import mpmath
 
-    ch = ChannelParams(m, db_to_linear(snr_db))
     pairs = QApproxVariant.chiani_two_term().coefficients
     with mpmath.workdps(40):
-        mm, g = mpmath.mpf(m), mpmath.mpf(ch.mean_snr)
-        two_c1, c0 = 2 * mpmath.mpf(QPSK.c1), mpmath.mpf(QPSK.c0)
+        mm, g = mpmath.mpf(ch.m), mpmath.mpf(ch.mean_snr)
+        two_c1, c0 = 2 * mpmath.mpf(mod.c1), mpmath.mpf(mod.c0)
 
         def mgf(rate):
             return (1 + two_c1 * rate * g / mm) ** -mm
@@ -1735,8 +1733,47 @@ def test_expq_closed_at_the_top_of_the_float_range(m, snr_db):
         linear = sum(w * mgf(mpmath.mpf(r)) for w, r in pairs)
         square = sum(wi * wj * mgf(mpmath.mpf(ri) + rj)
                      for wi, ri in pairs for wj, rj in pairs)
-        ref = 4 * c0 * linear - 4 * c0 * c0 * square
-    assert aber_expq_closed(ch, QPSK) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+        return float(4 * c0 * linear - 4 * c0 * c0 * square)
+
+
+@pytest.mark.parametrize("m, snr_db", [(0.05, 3075.0), (0.5, 3082.0)])
+def test_expq_closed_at_the_top_of_the_float_range(m, snr_db):
+    # p*mean_snr/m overflows in every MGF term; the MGF is then its peak
+    # form (b/(1+b))^m, not 0.0
+    ch = ChannelParams(m, db_to_linear(snr_db))
+    assert aber_expq_closed(ch, QPSK) == pytest.approx(_expq_40(ch, QPSK), rel=1e-12, abs=0.0)
+
+
+def test_expq_closed_meets_40_digits_on_the_whole_domain():
+    # each MGF value is mgf_power's (b/(1+b))^m, by pow where b < 1; taken
+    # through one exp of m*log(b/(1+b)), up to 780 in magnitude, the
+    # worst of these draws was 7.4e-14 (m = 43.16, 79.47 dB, 16-QAM)
+    rng = random.Random(2026)
+    worst = (0.0, ())
+    for _ in range(1000):
+        m, snr_db, order = _whole_domain_draw(rng)
+        ch, mod = ChannelParams(m, 10.0 ** (snr_db / 10.0)), Modulation(order)
+        ref = _expq_40(ch, mod)
+        if ref > 1e-290:
+            worst = max(worst, (abs(aber_expq_closed(ch, mod) - ref) / ref, (m, snr_db, order)))
+    assert worst[0] <= 2e-14, worst
+
+
+# aber_expq_closed's reprs; the last is the worst point of the draws above
+EXPQ_BITS = [
+    (0.6, 10.0, 256, "0.10068382540882034"),
+    (2.5, 20.0, 16, "0.00013049962586715586"),
+    (43.16155476903462, 79.46680273391911, 16, "3.579548445719623e-257"),
+]
+
+
+@pytest.mark.parametrize("m, snr_db, order, expected", EXPQ_BITS,
+                         ids=[f"m{m:.4g}-{snr_db:.4g}dB-M{order}" for m, snr_db, order, _ in EXPQ_BITS])
+def test_aber_expq_closed_keeps_its_bits(m, snr_db, order, expected):
+    ch, mod = ChannelParams(m, db_to_linear(snr_db)), Modulation(order)
+    got = aber_expq_closed(ch, mod)
+    assert repr(got) == expected
+    assert got == pytest.approx(_expq_40(ch, mod), rel=2e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("route", [

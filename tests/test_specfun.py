@@ -6,13 +6,14 @@ the checks do not depend on the code under test.
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import reg_inc_beta
 
-from nakaber._purekernels import _beta_cf, gauss_q, log_beta, log_gamma
+from nakaber._purekernels import _beta_cf, gauss_q, log_beta, log_gamma, mgf_power
 from nakaber.quad import ConvergenceError, QuadratureSpec
 from nakaber.specfun import appell_f1
 
@@ -122,6 +123,50 @@ def test_log_beta_does_not_cancel_at_large_arguments(a, b, expected):
 @settings(max_examples=200)
 def test_beta_symmetry(a, b):
     assert log_beta(a, b) == pytest.approx(log_beta(b, a), rel=1e-13, abs=1e-13)
+
+
+# --- mgf_power -------------------------------------------------------------
+
+def test_mgf_power_meets_40_digit_values_on_the_whole_domain():
+    # (b/(b+c))^m against 40-digit mpmath, m log-uniform on [0.05, 1e4],
+    # b log-uniform on [1e-300, 1e300], c = 1 (the MGF) or 2 (z^m), then
+    # subnormal b, where c/b overflows, and b = inf.  The bounds follow
+    # the rule.  By pow, z = b/(b+c) rounds twice and the power once, so
+    # the power is within (m + 2)*eps relative.  In logs, c/b, log1p and
+    # the product round once each, and log1p passes c/b's rounding on at
+    # most in full, so the log is within 2*eps of its own size; where c/b
+    # overflows, m*(log(b) - log(b+c)) does not cancel, as log(b) < -700
+    import mpmath
+
+    eps = sys.float_info.epsilon
+    rng = random.Random(44)
+    draws = [(math.exp(rng.uniform(math.log(0.05), math.log(1e4))),
+              10.0 ** rng.uniform(-300.0, 300.0), c)
+             for _ in range(1000) for c in (1.0, 2.0)]
+    draws += [(math.exp(rng.uniform(math.log(0.05), math.log(1e4))), b, c)
+              for b in (5e-324, 1e-320, 1e-310, math.inf) for c in (1.0, 2.0)]
+    misses = []
+    for m, b, c in draws:
+        power, log_power = mgf_power(m, b, c)
+        if b == math.inf:
+            assert (power, log_power) == (1.0, 0.0)
+            continue
+        with mpmath.workdps(40):
+            log_ref = -m * mpmath.log1p(c / mpmath.mpf(b))
+        if log_power == 0.0:
+            # pow only below b = 1 and above 1e-290
+            assert b < 1.0 and power > 1e-290
+            ref = float(mpmath.exp(log_ref))
+            err, bound = abs(power - ref) / ref, (m + 2.0) * eps
+        else:
+            assert power == 1.0 and (b >= 1.0 or log_ref < math.log(1e-290))
+            err, bound = float(abs(log_power - log_ref)), 2.0 * eps * float(abs(log_ref))
+        if not err <= bound:
+            misses.append((m, b, c, err / bound))
+    assert misses == []
+    # both paths and the overflow branch ran
+    assert any(mgf_power(m, b, c)[1] == 0.0 for m, b, c in draws)
+    assert all(1.0 / b == math.inf for b in (5e-324, 1e-320, 1e-310))
 
 
 # --- reg_inc_beta ----------------------------------------------------------
