@@ -138,10 +138,14 @@ def _beta_cf(x: float, a: float, b: float) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    # it and 2*it as floats, exact, so each product rounds as with ints
-    for it in map(float, range(1, _CF_MAX_ITER + 1)):
-        m2 = 2.0 * it
-        aa = it * (b - it) * x / ((qam + m2) * (a + m2))
+    # it and m2 = 2*it count in floats, exact, so each product rounds
+    # as with ints
+    it = m2 = 0.0
+    for _ in itertools.repeat(None, _CF_MAX_ITER):
+        it += 1.0
+        m2 += 2.0
+        a_m2 = a + m2
+        aa = it * (b - it) * x / ((qam + m2) * a_m2)
         d = 1.0 + aa * d
         if d < tiny and neg_tiny < d:
             d = tiny
@@ -150,7 +154,7 @@ def _beta_cf(x: float, a: float, b: float) -> float:
             c = tiny
         d = 1.0 / d
         h *= d * c
-        aa = -(a + it) * (qab + it) * x / ((a + m2) * (qap + m2))
+        aa = -(a + it) * (qab + it) * x / (a_m2 * (qap + m2))
         d = 1.0 + aa * d
         if d < tiny and neg_tiny < d:
             d = tiny
@@ -556,16 +560,37 @@ def r2_sum(coefs, m: float, b: float) -> tuple[float, float] | None:
     At m in the thousands it carries that fraction's own error, as E[Q]
     does (lemma2_avg_q): R2_N was 3.3e-12 off at m = 8,632, -2.7 dB.
 
+    Of the N+1 sums T_n only T_N is a dot product.  With
+    L_n = sum_k e_k beta_(n+k) = beta_n * 2F1(m, m+n+1; m+n+3/2; x),
+    h_j = beta_j + y*h_(j+1) gives T_n = L_n + y*T_(n+1), and
+    integrating d/ds[s^(m+n+1) (1-s)^(1/2) (1-x*s)^(1-m)] over [0, 1]
+    by parts (DLMF 15.5(ii)) gives the three-term relation
+
+        (m+n+1) L_n = (m+n+3/2 + x*(n+2)) L_(n+1) - x*(n+5/2) L_(n+2).
+
+    For large n it reads L_n = (1+x) L_(n+1) - x L_(n+2), whose
+    solutions go as a power of n, as L_n does, and as x^-n.  Run upward
+    the second would swamp L_n; run downward it shrinks by x < 1/2 a
+    step, so the relation runs from the top down.  L_(N-1) and L_(N-2)
+    are dot products, and the relation gives L_(N-3) .. L_0, so R2_N
+    takes min(N+1, 3) dot products at any N, and the beta/h
+    ladder stops at j = N-2.  T_n and the sum over n run from n = N
+    down.  Against every T_n its own dot product, on 1,000
+    whole-domain draws with N up to 200, R2_N stays within 0.35 of the
+    sum's rounding bound, 4(N+1)*eps*kappa + 1e-15, and r2_series'
+    guard decides alike at every draw.
+
     The k-sum stops where e_k times its geometric tail bound is below
-    2^-58 of the sum so far; h falls with j, so that bounds every T_n's
-    tail alike.  Each T_n is taken by math.fsum, correctly rounded, so
-    R2_N has the same bits on every Python: the built-in sum of floats
-    is compensated from 3.12 on, and gave other bits at 562 of seed
-    601's 3,456 perfbench series points, up to 1.6e-14 apart in
-    closed(N=5).  At most _R2_CAP terms are taken: past that (from
-    m = 220 at high mean SNR, where x -> 1/2) the sum is slower than the
-    quadrature.  The check before the loop keeps m*x/y < _R2_CAP, so
-    sum(e_k) = y^-m stays under e^_R2_CAP and cannot overflow.
+    2^-58 of the sum so far; beta and h fall with j, so that bounds
+    every dot product's tail alike.  Each is taken by math.fsum,
+    correctly rounded, so R2_N has the same bits on every Python: the
+    built-in sum of floats is compensated from 3.12 on, and gave other
+    bits at 562 of seed 601's 3,456 perfbench series points, up to
+    1.6e-14 apart in closed(N=5).  At most _R2_CAP terms are taken:
+    past that (from m = 220 at high mean SNR, where x -> 1/2) the sum
+    is slower than the quadrature.  The check before the loop keeps
+    m*x/y < _R2_CAP, so sum(e_k) = y^-m stays under e^_R2_CAP and cannot
+    overflow.
 
     kappa = sum_n |coefs[n] x^n T_n| / |R2_N's sum| is how far the
     alternating coefficients of m > 1 cancel; r2_series falls back to
@@ -588,20 +613,19 @@ def r2_sum(coefs, m: float, b: float) -> tuple[float, float] | None:
         return None
     e = [1.0]
     term = total = 1.0
-    k = 0.0
-    while True:
+    for k in map(float, range(_R2_CAP)):
         ratio = (m + k) * x / (k + 1.0)
         # every later ratio is at most the larger of this one and x
         bound = ratio if ratio > x else x
         if bound < 0.9 and term * bound <= _R2_TAIL * (1.0 - bound) * total:
             break
-        if k == _R2_CAP - 1.0:
-            return None
         term *= ratio
         total += term
         e.append(term)
-        k += 1.0
-    top = len(e) + len(coefs) - 2
+    else:
+        return None
+    last = len(coefs) - 1
+    top = len(e) + last - 1
     a = m + top + 1.0
     a_half = a - 0.5
     log_x = -math.log(2.0 + b)
@@ -612,19 +636,36 @@ def r2_sum(coefs, m: float, b: float) -> tuple[float, float] | None:
         front = math.exp(a_half * math.log1p(-x) + 0.5 * log_x - log_beta(a_half, 0.5))
         g = a_half * (1.0 / front - 2.0 * _beta_cf(x, 0.5, a_half))
     beta = math.exp(log_beta(a, 0.5) - log_beta(m, 0.5))
+    betas = [0.0] * (top + 1)
     h = [0.0] * (top + 1)
+    betas[top] = beta
     h[top] = hj = beta * g
-    for j in range(top - 1, -1, -1):
-        beta *= (m + j + 1.5) / (m + j + 1.0)
+    # the dot products read beta_j from j = N-2 up and h_j from j = N up
+    for j in range(top - 1, max(last - 2, 0) - 1, -1):
+        mj = m + j
+        beta *= (mj + 1.5) / (mj + 1.0)
+        betas[j] = beta
         hj = beta + y * hj
         h[j] = hj
-    s = magnitude = 0.0
+    weights = []
     xn = 1.0
-    for n, c in enumerate(coefs):
-        t = c * xn * math.fsum(map(operator.mul, e, h[n:]))
-        s += t
-        magnitude += abs(t)
+    for c in coefs:
+        weights.append(c * xn)
         xn *= x
+    t = math.fsum(map(operator.mul, e, h[last:]))
+    s = weights[last] * t
+    magnitude = abs(s)
+    l_n = l_up = 0.0
+    for n in range(last - 1, -1, -1):
+        if n >= last - 2:
+            l_n, l_up = math.fsum(map(operator.mul, e, betas[n:])), l_n
+        else:
+            l_n, l_up = ((m + n + 1.5 + x * (n + 2.0)) * l_n
+                         - x * (n + 2.5) * l_up) / (m + n + 1.0), l_n
+        t = l_n + y * t
+        term = weights[n] * t
+        s += term
+        magnitude += abs(term)
     if s == 0.0:
         return s, math.inf
     kappa = magnitude / abs(s)

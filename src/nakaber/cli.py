@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import __version__
 from .aber import AberMethod, TruncationPolicy
 from .channel import ChannelParams, Modulation, QApproxVariant, db_to_linear
 from .quad import DEFAULT_SPEC, ConvergenceError, QuadratureSpec
@@ -338,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nakaber",
         description="Average BER of square M-QAM over Nakagami-m fading: "
                     "series closed forms vs quadrature reference.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
     p_aber = subs.add_parser("aber", help="evaluate one ABER value")
     p_aber.set_defaults(func=_cmd_aber)

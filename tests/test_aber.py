@@ -6,6 +6,7 @@ defining-average integrals.
 """
 
 import math
+import operator
 import random
 import sys
 
@@ -940,6 +941,117 @@ def test_r2_sum_meets_the_series_quadrature_on_the_whole_domain():
     assert fallbacks == 4
 
 
+def _r2_sum_per_n(coefs, m, b):
+    # r2_sum as it took every T_n = sum_k e_k h_(n+k) by its own fsum,
+    # N+1 dot products, summed from n = 0 up: the reference for the
+    # kernel's three dot products and the relation between them
+    from nakaber import _purekernels as kernels
+
+    if b == math.inf:
+        return 0.0, 1.0
+    x = 1.0 / (2.0 + b)
+    y = (1.0 + b) * x
+    mx = m * x
+    if mx + 8.0 * math.sqrt(mx) > y * kernels._R2_CAP:
+        return None
+    e = [1.0]
+    term = total = 1.0
+    k = 0.0
+    while True:
+        ratio = (m + k) * x / (k + 1.0)
+        bound = ratio if ratio > x else x
+        if bound < 0.9 and term * bound <= kernels._R2_TAIL * (1.0 - bound) * total:
+            break
+        if k == kernels._R2_CAP - 1.0:
+            return None
+        term *= ratio
+        total += term
+        e.append(term)
+        k += 1.0
+    top = len(e) + len(coefs) - 2
+    a = m + top + 1.0
+    a_half = a - 0.5
+    log_x = -math.log(2.0 + b)
+    if y * a <= a_half:
+        g = kernels._beta_cf(y, a_half, 0.5)
+    else:
+        front = math.exp(a_half * math.log1p(-x) + 0.5 * log_x
+                         - kernels.log_beta(a_half, 0.5))
+        g = a_half * (1.0 / front - 2.0 * kernels._beta_cf(x, 0.5, a_half))
+    beta = math.exp(kernels.log_beta(a, 0.5) - kernels.log_beta(m, 0.5))
+    h = [0.0] * (top + 1)
+    h[top] = hj = beta * g
+    for j in range(top - 1, -1, -1):
+        beta *= (m + j + 1.5) / (m + j + 1.0)
+        hj = beta + y * hj
+        h[j] = hj
+    s = magnitude = 0.0
+    xn = 1.0
+    for n, c in enumerate(coefs):
+        t = c * xn * math.fsum(map(operator.mul, e, h[n:]))
+        s += t
+        magnitude += abs(t)
+        xn *= x
+    if s == 0.0:
+        return s, math.inf
+    kappa = magnitude / abs(s)
+    zm, log_zm = kernels.mgf_power(m, b, 2.0)
+    if log_zm == 0.0:
+        return kernels._INV_FOUR_PI * x * s * zm, kappa
+    return kernels._scale(s, log_zm + log_x), kappa
+
+
+def test_r2_sum_meets_its_per_n_form_on_the_whole_domain():
+    # 1,000 seeded draws: m log-uniform on [0.05, 50], -30 .. 80 dB, all
+    # six orders and N up to 200.  The kernel's R2_N, from three dot
+    # products and the downward relation between the L_n, lies within
+    # the rounding bound the guard charges the sum, 4(N+1)*eps*kappa,
+    # plus 1e-15, of the sum with every T_n its own fsum (or within a
+    # few subnormal ulps where R2_N underflows), and takes the same
+    # served-or-fallback decision at every draw
+    from nakaber import _purekernels
+
+    rng = random.Random(1045)
+    eps = 2.220446049250313e-16
+    guard = 0.1 * 1e-11 / (4 * eps)
+    fallbacks = 0
+    for _ in range(1000):
+        m = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+        snr_db = rng.uniform(-30.0, 80.0)
+        order = rng.choice(SUPPORTED_ORDERS)
+        n_max = rng.choice((0, 1, 2, 3, 4, 5, 10, 20, 42, 71, 200))
+        b = m / (Modulation(order).c1 * db_to_linear(snr_db))
+        coefs = _series_coefs(m, n_max)
+        served = _purekernels.r2_sum(coefs, m, b)
+        ref = _r2_sum_per_n(coefs, m, b)
+        where = (m, snr_db, order, n_max)
+        assert (served is None) == (ref is None), where
+        if ref is None:
+            fallbacks += 1
+            continue
+        n_terms = len(coefs)
+        assert ((n_terms * served[1] > guard)
+                == (n_terms * ref[1] > guard)), where
+        fallbacks += n_terms * ref[1] > guard
+        bound = (4 * n_terms * eps * ref[1] + 1e-15) * abs(ref[0])
+        assert abs(served[0] - ref[0]) <= max(bound, 1e-322), where
+    assert 0 < fallbacks < 1000
+
+
+@pytest.mark.parametrize("n_max, dots", [(0, 1), (1, 2), (2, 3), (5, 3), (71, 3), (200, 3)])
+def test_r2_sum_takes_at_most_three_dot_products(monkeypatch, n_max, dots):
+    # T_N and the two L_n below it are dot products, each one fsum; the
+    # other L_n come from the relation, whatever N is
+    from nakaber import _purekernels
+
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+    m, b = 2.5, 2.5 / (QPSK.c1 * db_to_linear(20.0))
+    assert _purekernels.r2_sum(_series_coefs(m, n_max), m, b) is not None
+    assert len(calls) == dots
+
+
 @pytest.mark.parametrize("m, snr_db", [
     # 1/b overflows: b is 1e-308, then subnormal, z = b/(2+b) too
     (0.05, 3070.0), (0.05, 3082.0),
@@ -1434,7 +1546,7 @@ R2_SERIES_BITS = [
      "RouteValue(value=0.04246774774005177, "
      "kind='truncated', terms_used=1, error_estimate=None)"),
     (0.6, 10.0, 256, 1,
-     "RouteValue(value=0.043918453110965594, "
+     "RouteValue(value=0.04391845311096559, "
      "kind='truncated', terms_used=2, error_estimate=None)"),
     (0.6, 10.0, 256, 2,
      "RouteValue(value=0.044083094595779165, "
@@ -1443,10 +1555,10 @@ R2_SERIES_BITS = [
      "RouteValue(value=0.04410921389565852, "
      "kind='truncated', terms_used=4, error_estimate=None)"),
     (0.6, 10.0, 256, 4,
-     "RouteValue(value=0.04411408874965431, "
+     "RouteValue(value=0.0441140887496543, "
      "kind='truncated', terms_used=5, error_estimate=None)"),
     (0.6, 10.0, 256, 5,
-     "RouteValue(value=0.04411509107808844, "
+     "RouteValue(value=0.04411509107808845, "
      "kind='truncated', terms_used=6, error_estimate=None)"),
     (2.5, 20.0, 16, 0,
      "RouteValue(value=8.196510622511743e-05, "
@@ -1461,10 +1573,10 @@ R2_SERIES_BITS = [
      "RouteValue(value=6.498592878841207e-05, "
      "kind='truncated', terms_used=4, error_estimate=None)"),
     (2.5, 20.0, 16, 4,
-     "RouteValue(value=6.49949609430152e-05, "
+     "RouteValue(value=6.499496094301523e-05, "
      "kind='truncated', terms_used=5, error_estimate=None)"),
     (2.5, 20.0, 16, 5,
-     "RouteValue(value=6.499666844397247e-05, "
+     "RouteValue(value=6.49966684439725e-05, "
      "kind='truncated', terms_used=6, error_estimate=None)"),
     (20.5, 30.0, 1024, 0,
      "RouteValue(value=1.997253958160481e-06, "

@@ -39,6 +39,14 @@ def _child_env():
     return env
 
 
+def test_version_prints_the_package_version(capsys):
+    from nakaber import __version__
+
+    code, out, err = run_cli(capsys, "--version")
+    assert (code, out, err) == (0, f"nakaber {__version__}\n", "")
+    assert __version__ == "0.1.0"
+
+
 # --- aber --------------------------------------------------------------------
 
 def test_aber_lu_line(capsys):

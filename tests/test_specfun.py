@@ -320,9 +320,40 @@ def _lemma2_panel(seed, pairs):
             for c in ((x, a, b), (x, a, b), (math.nextafter(x, 0.0), a, b))]
 
 
-def test_reg_inc_beta_keeps_the_plain_loops_bits():
+def _sum_fractions(monkeypatch, seed, draws):
+    """(x, a, b) of every _beta_cf call r2_sum and avg_q_squared make
+    at `draws` whole-domain points (m log-uniform on [0.05, 50],
+    -30 .. 80 dB, all six orders, N in 0..5 or 71): I_y(a - 1/2, 1/2)
+    and its complement's I_x(1/2, a - 1/2) for the sum, and
+    2F1(1, m; m+p+3/2; z) on b = -p-1/2 for E[Q^2]."""
+    from nakaber import _purekernels
+    from nakaber.channel import SUPPORTED_ORDERS, Modulation, db_to_linear
+
+    calls = []
+    cf = _purekernels._beta_cf
+    monkeypatch.setattr(_purekernels, "_beta_cf",
+                        lambda x, a, b: calls.append((x, a, b)) or cf(x, a, b))
+    rng = random.Random(seed)
+    for _ in range(draws):
+        m = math.exp(rng.uniform(math.log(0.05), math.log(50.0)))
+        b = m / (Modulation(rng.choice(SUPPORTED_ORDERS)).c1
+                 * db_to_linear(rng.uniform(-30.0, 80.0)))
+        # the fraction's arguments depend on N, not on the coefficients
+        _purekernels.r2_sum([2.0] * rng.choice((1, 2, 3, 4, 5, 6, 72)), m, b)
+        _purekernels.avg_q_squared(m, b, 1e-12)
+    return calls
+
+
+def test_reg_inc_beta_keeps_the_plain_loops_bits(monkeypatch):
     for x, a, b in _lemma2_panel(20, 60):
         assert reg_inc_beta(x, a, b) == _reg_inc_beta_plain(x, a, b), (x, a, b)
+    # the fraction keeps its bits on the arguments the sums pass too
+    calls = _sum_fractions(monkeypatch, 21, 300)
+    assert {a == 0.5 for _, a, _ in calls} == {True, False}
+    assert {b == 0.5 for _, _, b in calls} == {True, False}
+    assert any(b < 0.0 for _, _, b in calls)
+    for x, a, b in calls:
+        assert _beta_cf(x, a, b) == _beta_cf_plain(x, a, b), (x, a, b)
 
 
 @pytest.mark.parametrize("x, n", [(0.5, 1e6), (0.49995, 1e7)])
