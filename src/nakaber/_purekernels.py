@@ -118,12 +118,15 @@ def _beta_cf(x: float, a: float, b: float) -> float:
     """Continued fraction for the regularized incomplete beta.
 
     Modified Lentz iteration; I_x(a, b) is x^a*(1-x)^b/B(a, b) times
-    this over a.  A caller takes it where it converges fast, below or
-    near x = (a+1)/(a+b+2): reg_inc_beta on x up to its switch
-    x = a/(a+b), and on y = 1 - x with a and b swapped past it.  It
-    stops at the first step within _CF_EPS of 1, which takes a step that
-    settles one ulp off 1 on either side, and raises ConvergenceError if
-    none comes in _CF_MAX_ITER steps.
+    this over a.  It converges fast below or near x = (a+1)/(a+b+2), so
+    _beta_start, the one start of I_x(a, b), runs it on x up to the
+    switch x = a/(a+b) and on y = 1 - x with a and b swapped past it.
+    Two callers take it directly: avg_q_squared, whose fraction on a
+    negative second parameter never crosses the switch and takes no
+    front factor, and the self tests' reflection group, which compares
+    the two sides.  It stops at the first step within _CF_EPS of 1,
+    which takes a step that settles one ulp off 1 on either side, and
+    raises ConvergenceError if none comes in _CF_MAX_ITER steps.
     """
     tiny, eps = _CF_TINY, _CF_EPS
     # v < t and -t < v is abs(v) < t, NaN included, without the call;
@@ -171,21 +174,40 @@ def _beta_cf(x: float, a: float, b: float) -> float:
         f"{_CF_MAX_ITER} steps (x={x!r}, a={a!r}, b={b!r})")
 
 
+def _beta_start(x: float, y: float, a: float, b: float,
+                log_b_ab: float) -> tuple[float, bool, float]:
+    """The one start of the incomplete-beta fraction for I_x(a, b), given
+    0 < x < 1, y = 1 - x computed by the caller and log_b_ab =
+    log B(a, b): (cf, on_x, log_front).
+
+    It takes the side by the one switch, x = a/(a + b).  Up to it, on_x
+    is True, cf is _beta_cf(x, a, b) and I_x(a, b) = front*cf/a.  Past
+    it, cf is _beta_cf(y, b, a), the fraction of the complement
+    I_y(b, a), and I_x(a, b) = 1 - front*cf/b.  front = exp(log_front)
+    is x^a*y^b/B(a, b) either way, its log formed on the side taken:
+    a*log(x) + b*log1p(-x) on x, b*log(y) + a*log1p(-y) on y.
+    reg_inc_beta and r2_sum's h at its top index take it."""
+    if x <= a / (a + b):
+        log_front = a * math.log(x) + b * math.log1p(-x) - log_b_ab
+        return _beta_cf(x, a, b), True, log_front
+    log_front = b * math.log(y) + a * math.log1p(-y) - log_b_ab
+    return _beta_cf(y, b, a), False, log_front
+
+
 def reg_inc_beta(x: float, y: float, a: float, b: float, log_b_ab: float) -> float:
-    """I_x(a, b) by the continued fraction, given y = 1 - x computed by
-    the caller, as TOMS 708's BRATIO takes it, and log_b_ab = log B(a, b),
-    which a caller summing many terms of one (a, b) pair takes once.
-    Past the switch x = a/(a + b) it is the complement 1 - I_y(b, a),
-    its front factor and fraction taken on y."""
+    """I_x(a, b) from the fraction's one start, _beta_start, given
+    y = 1 - x computed by the caller, as TOMS 708's BRATIO takes it, and
+    log_b_ab = log B(a, b), which a caller summing many terms of one
+    (a, b) pair takes once.  Past the switch x = a/(a + b) it is the
+    complement 1 - I_y(b, a), its front factor and fraction taken on y."""
     if x <= 0.0:
         return 0.0
     if y <= 0.0:
         return 1.0
-    if x <= a / (a + b):
-        front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_b_ab)
-        return front * _beta_cf(x, a, b) / a
-    front = math.exp(b * math.log(y) + a * math.log1p(-y) - log_b_ab)
-    return 1.0 - front * _beta_cf(y, b, a) / b
+    cf, on_x, log_front = _beta_start(x, y, a, b, log_b_ab)
+    if on_x:
+        return math.exp(log_front) * cf / a
+    return 1.0 - math.exp(log_front) * cf / b
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float,
@@ -554,11 +576,16 @@ def r2_sum(coefs, m: float, b: float) -> tuple[float, float] | None:
     h_j - y*h_(j+1) = beta_j = B(m+j+1, 1/2)/B(m, 1/2), so h runs
     backward from one incomplete-beta fraction at the top index, each
     step adding positive terms and shrinking an error by y < 1
-    (Gautschi, SIAM Review 1967).  The fraction is _beta_cf's for
-    I_y(a - 1/2, 1/2) where that converges, y <= (a - 1/2)/a, and for
-    the complement I_x(1/2, a - 1/2) elsewhere, on x computed directly.
-    At m in the thousands it carries that fraction's own error, as E[Q]
-    does (lemma2_avg_q): R2_N was 3.3e-12 off at m = 8,632, -2.7 dB.
+    (Gautschi, SIAM Review 1967).  The fraction comes from _beta_start,
+    the start reg_inc_beta takes too, for I_y(a - 1/2, 1/2) with x
+    computed directly and log B(a - 1/2, 1/2) = log(pi/(a - 1/2)) -
+    log B(a, 1/2), from the log B(a, 1/2) that beta at the top index
+    takes.  Up to the switch y = (a - 1/2)/a the 2F1 in h is the
+    fraction itself; past it the start gives the complement's fraction
+    cf, of I_x(1/2, a - 1/2), and its front factor F, and the 2F1 is
+    (a - 1/2)*(1/F - 2*cf).  At m in the thousands it carries that
+    fraction's own error, as E[Q] does (lemma2_avg_q): R2_N was 3.3e-12
+    off at m = 8,632, -2.7 dB.
 
     Of the N+1 sums T_n only T_N is a dot product.  With
     L_n = sum_k e_k beta_(n+k) = beta_n * 2F1(m, m+n+1; m+n+3/2; x),
@@ -629,13 +656,14 @@ def r2_sum(coefs, m: float, b: float) -> tuple[float, float] | None:
     a = m + top + 1.0
     a_half = a - 0.5
     log_x = -math.log(2.0 + b)
-    if y * a <= a_half:
-        g = _beta_cf(y, a_half, 0.5)
-    else:
-        # the complement, 1 - I_x(1/2, a - 1/2), on x computed directly
-        front = math.exp(a_half * math.log1p(-x) + 0.5 * log_x - log_beta(a_half, 0.5))
-        g = a_half * (1.0 / front - 2.0 * _beta_cf(x, 0.5, a_half))
-    beta = math.exp(log_beta(a, 0.5) - log_beta(m, 0.5))
+    log_b_top = log_beta(a, 0.5)
+    # B(a - 1/2, 1/2)*B(a, 1/2) = pi/(a - 1/2)
+    g, on_y, log_front = _beta_start(y, x, a_half, 0.5,
+                                     math.log(math.pi / a_half) - log_b_top)
+    if not on_y:
+        # g is the complement's fraction, of I_x(1/2, a - 1/2)
+        g = a_half * (1.0 / math.exp(log_front) - 2.0 * g)
+    beta = math.exp(log_b_top - log_beta(m, 0.5))
     betas = [0.0] * (top + 1)
     h = [0.0] * (top + 1)
     betas[top] = beta

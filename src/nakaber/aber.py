@@ -121,7 +121,9 @@ def lemma2_avg_q(ch: ChannelParams, alpha: float) -> float:
     Every route that averages Q in closed form (closed, lu) goes through
     this rule: closed calls it, and lu sums its terms through it in one
     pass (_avg_q_sum, of which this is the one-term case).  Each term is
-    one call of the reg_inc_beta kernel.
+    one call of the reg_inc_beta kernel, which takes its continued
+    fraction from _beta_start, the one start of the incomplete beta,
+    which closed(N)'s r2_sum takes too.
 
     The kernel takes y = 1 - x = alpha*mean_snr/(m + alpha*mean_snr)
     computed directly, not as 1 - x, which would keep only the rounding

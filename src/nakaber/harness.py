@@ -287,10 +287,12 @@ def _check_lemma3() -> list[CheckResult]:
 
 
 def _check_reflection() -> list[CheckResult]:
-    """I_x(a, b) two ways at one x between reg_inc_beta's switch a/(a+b)
-    and (a+1)/(a+b+2), where both fractions converge fast: on x,
+    """I_x(a, b) two ways at one x between the switch a/(a+b) and
+    (a+1)/(a+b+2), where both fractions converge fast: on x,
     F*cf(x; a, b)/a, and as the complement on y = 1 - x,
-    1 - F*cf(y; b, a)/b, one front factor F = x^a*y^b/B(a, b) shared."""
+    1 - F*cf(y; b, a)/b, one front factor F = x^a*y^b/B(a, b) shared.
+    It calls the fraction _beta_cf on both sides, where the kernels'
+    one start, _beta_start, takes one side by the switch."""
     import random
 
     rng = random.Random(20250818)

@@ -183,7 +183,8 @@ def _kronrod15(f: Callable[[float], float], lo: float, hi: float):
 
     The error estimate follows the QUADPACK recipe: the Gauss/Kronrod
     difference is sharpened by the panel's variation and floored at the
-    roundoff level of the absolute integral.
+    roundoff level of the absolute integral.  An integrand that raises
+    OverflowError or gives a non-finite value raises ConvergenceError.
     """
     x0, x1, x2, x3, x4, x5, x6 = _XGK
     k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
@@ -193,28 +194,34 @@ def _kronrod15(f: Callable[[float], float], lo: float, hi: float):
     # nodes c -/+ h*x_i; every sum adds the centre's term first, then
     # i = 0..6, QUADPACK's order: the panel's bits depend on it, and
     # tests/test_quad.py pins them
-    fc = f(c)
-    d = h * x0
-    a0 = f(c - d)
-    b0 = f(c + d)
-    d = h * x1
-    a1 = f(c - d)
-    b1 = f(c + d)
-    d = h * x2
-    a2 = f(c - d)
-    b2 = f(c + d)
-    d = h * x3
-    a3 = f(c - d)
-    b3 = f(c + d)
-    d = h * x4
-    a4 = f(c - d)
-    b4 = f(c + d)
-    d = h * x5
-    a5 = f(c - d)
-    b5 = f(c + d)
-    d = h * x6
-    a6 = f(c - d)
-    b6 = f(c + d)
+    # an integrand whose value passes the double range, as a float or
+    # as an int converted to one, is a numerical failure too
+    try:
+        fc = f(c)
+        d = h * x0
+        a0 = f(c - d)
+        b0 = f(c + d)
+        d = h * x1
+        a1 = f(c - d)
+        b1 = f(c + d)
+        d = h * x2
+        a2 = f(c - d)
+        b2 = f(c + d)
+        d = h * x3
+        a3 = f(c - d)
+        b3 = f(c + d)
+        d = h * x4
+        a4 = f(c - d)
+        b4 = f(c + d)
+        d = h * x5
+        a5 = f(c - d)
+        b5 = f(c + d)
+        d = h * x6
+        a6 = f(c - d)
+        b6 = f(c + d)
+    except OverflowError as exc:
+        raise ConvergenceError(
+            f"integrand overflowed a double on [{lo!r}, {hi!r}]: {exc}") from exc
     s1 = a1 + b1
     s3 = a3 + b3
     s5 = a5 + b5
@@ -267,7 +274,8 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
     Never raises on slow convergence; the result records converged=False
     instead, with the error estimate still honest.  Raises ValueError on
     a malformed interval and ConvergenceError on a non-finite integrand
-    value, which is a numerical failure, not a usage error.
+    value or one that overflows (OverflowError), which is a numerical
+    failure, not a usage error.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")

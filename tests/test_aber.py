@@ -972,13 +972,14 @@ def _r2_sum_per_n(coefs, m, b):
     a = m + top + 1.0
     a_half = a - 0.5
     log_x = -math.log(2.0 + b)
-    if y * a <= a_half:
-        g = kernels._beta_cf(y, a_half, 0.5)
-    else:
-        front = math.exp(a_half * math.log1p(-x) + 0.5 * log_x
-                         - kernels.log_beta(a_half, 0.5))
-        g = a_half * (1.0 / front - 2.0 * kernels._beta_cf(x, 0.5, a_half))
-    beta = math.exp(kernels.log_beta(a, 0.5) - kernels.log_beta(m, 0.5))
+    # h at the top index from the kernel's own start, so this tests the
+    # dot products and the relation alone
+    log_b_top = kernels.log_beta(a, 0.5)
+    g, on_y, log_front = kernels._beta_start(y, x, a_half, 0.5,
+                                             math.log(math.pi / a_half) - log_b_top)
+    if not on_y:
+        g = a_half * (1.0 / math.exp(log_front) - 2.0 * g)
+    beta = math.exp(log_b_top - kernels.log_beta(m, 0.5))
     h = [0.0] * (top + 1)
     h[top] = hj = beta * g
     for j in range(top - 1, -1, -1):

@@ -172,6 +172,34 @@ def test_aber_nonfinite_integrand_is_numerical_failure(capsys, argv):
     assert "not accurate to 1e-10 for m above" in err
 
 
+# the 23 points of a QPSK scan of closed(N) (m in {500.5, 1e3, 2e3, 3e3,
+# 5e3, 9999.5, 1e4}, N in {20, 42, 71, 100, 150, 200}, 0 dB and 20 to
+# 80 dB in 10 dB steps) whose fallback quadrature meets a fixed-point
+# P_N(r) past the double range, as (m, N, dB)
+_OVERFLOWING_CLOSED = (
+    [("5000", "200", db) for db in (40, 50, 60, 70, 80)]
+    + [(m, "150", db) for m in ("9999.5", "10000") for db in (50, 60, 70, 80)]
+    + [(m, "200", db) for m in ("9999.5", "10000") for db in (40, 50, 60, 70, 80)])
+
+
+@pytest.mark.parametrize("argv", [
+    *(("aber", "--m", m, "--mod", "4", "--snr-db", str(db), "--method", "closed",
+       "--terms", n) for m, n, db in _OVERFLOWING_CLOSED),
+    ("sweep", "--m", "10000", "--mod", "4", "--snr-db-range=40:60:10",
+     "--method", "closed", "--terms", "200"),
+    # the oracle's node exp(log_w + rate_per_z*z) overflows
+    ("aber", "--m", "1e300", "--mod", "16", "--snr-db", "1000", "--method", "oracle"),
+], ids=[*(f"closed-m{m}-N{n}-{db}dB" for m, n, db in _OVERFLOWING_CLOSED),
+        "sweep-closed-m10000-N200", "oracle-m1e300-1000dB"])
+def test_an_overflowing_integrand_is_numerical_failure(capsys, argv):
+    # an integrand value past the double range raised OverflowError,
+    # which main printed as a traceback with exit 1, the selftest code
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: did not converge: integrand overflowed a double on [")
+
+
 def test_aber_unconverged_oracle_is_numerical_failure(monkeypatch, capsys):
     # the oracle at m = 1, 0 dB, QPSK converges in 5 bisections at the
     # default rel_tol, so a budget of 3 starves it: exit 3, with the

@@ -364,6 +364,64 @@ def test_reg_inc_beta_refuses_an_unconverged_fraction(x, n):
         reg_inc_beta(x, n, n)
 
 
+def _start_draws(seed, draws):
+    """(x, y, a, b, log B(a, b)) in the two shapes the fraction's start
+    serves, `draws` of each: (m, 1/2) at x = m/(m + c), y = c/(m + c),
+    c = alpha*mean_snr, as E[Q] and lu pass it (m log-uniform on
+    [0.05, 1e4], -30 .. 80 dB, all six orders), and (a - 1/2, 1/2) at
+    x = (1+b)/(2+b), y = 1/(2+b), as r2_sum passes it, with its
+    log B(a - 1/2, 1/2) = log(pi/(a - 1/2)) - log B(a, 1/2) (a uniform
+    on [1, 620], b log-uniform on [1e-6, 1e6])."""
+    from nakaber.channel import SUPPORTED_ORDERS, Modulation, db_to_linear
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        m = math.exp(rng.uniform(math.log(0.05), math.log(1e4)))
+        c = (Modulation(rng.choice(SUPPORTED_ORDERS)).c1
+             * db_to_linear(rng.uniform(-30.0, 80.0)))
+        out.append((m / (m + c), c / (m + c), m, 0.5, log_beta(m, 0.5)))
+    for _ in range(draws):
+        a = rng.uniform(1.0, 620.0)
+        b = math.exp(rng.uniform(math.log(1e-6), math.log(1e6)))
+        a_half = a - 0.5
+        out.append(((1.0 + b) / (2.0 + b), 1.0 / (2.0 + b), a_half, 0.5,
+                    math.log(math.pi / a_half) - log_beta(a, 0.5)))
+    return out
+
+
+def test_beta_start_meets_30_digits_on_both_sides_of_the_switch():
+    # I_x(a, b) from the start's fraction, side and front factor, against
+    # mpmath's 30-digit betainc on the x the side reads (1 - y past the
+    # switch).  Where I_x is at least 1e-300 it lies within
+    # 3*(a + |log_front| + 8)*eps relative: the fraction's own error,
+    # about 1.2*a*eps near the switch x = a/(a+b), plus the exp of the
+    # front factor's log, eps*|log_front|.  On 10,000 draws of these
+    # shapes the worst read 1.73*(a + |log_front| + 8)*eps
+    import mpmath
+
+    from nakaber import _purekernels
+
+    eps = 2.220446049250313e-16
+    per_shape = 100
+    draws = _start_draws(46, per_shape)
+    sides = set()
+    with mpmath.workdps(30):
+        for i, (x, y, a, b, log_b_ab) in enumerate(draws):
+            cf, on_x, log_front = _purekernels._beta_start(x, y, a, b, log_b_ab)
+            front = math.exp(log_front)
+            got = front * cf / a if on_x else 1.0 - front * cf / b
+            sides.add((i < per_shape, on_x))
+            ref = mpmath.betainc(a, b, 0, x if on_x else 1 - mpmath.mpf(y),
+                                 regularized=True)
+            if ref < 1e-300:
+                continue
+            bound = 3.0 * (a + abs(log_front) + 8.0) * eps
+            assert abs(got - ref) <= bound * ref, (x, y, a, b)
+    # each shape takes both sides
+    assert len(sides) == 4
+
+
 # --- appell_f1 -------------------------------------------------------------
 
 def test_appell_f1_at_origin_is_one():
