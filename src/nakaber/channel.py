@@ -39,6 +39,12 @@ SUPPORTED_ORDERS = (4, 16, 64, 256, 1024, 4096)
 
 _CHIANI_PAIRS = ((1.0 / 12.0, 0.5), (0.25, 2.0 / 3.0))
 
+# fading_average opens on the quarters of [0, 2] below this rel_tol and
+# on its halves at or above it: on a seed-601 perfbench oracle pass the
+# quarters save 16.8% of the evaluations at 1e-10 and 3.5% at 1e-5, but
+# cost 10.1% more at 1e-4, where most integrals converge on the halves
+_QUARTERS_BELOW = 1e-5
+
 
 def db_to_linear(snr_db: float) -> float:
     """dB to linear power ratio; the only dB conversion in the package.
@@ -242,9 +248,10 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     mean SNR, so the mass sits at z = O(1).  The density's constant is
     taken once, in log space, from kernels.log_peak_density as pdf takes
     it, with its shape scaled to 1 at z = 1, near the mode, where large
-    m concentrates the mass in a width of about 1/sqrt(m).  One finite quadrature over x in [0, 2] covers the head
-    z <= 1 (x < 1) and the tail z >= 1 (x >= 1), so its two opening
-    panels meet at z = 1:
+    m concentrates the mass in a width of about 1/sqrt(m).  One finite
+    quadrature over x in [0, 2] covers the head z <= 1 (x < 1) and the
+    tail z >= 1 (x >= 1), so z = 1 is an edge of its opening panels, the
+    halves of [0, 2] or, below rel_tol 1e-5, its quarters:
       head, m <= 1  z = x^(2/m), so z^(m-1) dz = (2/m)*x dx and the
                     density's endpoint power leaves the integrand; the
                     BER's sqrt(snr) term, powers of sqrt(z), becomes
@@ -262,10 +269,13 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
       tail, m > 1   z = 1 - p*log(2-x), so e^(-m*z) becomes
                     e^(-m)*(2-x)^(4*sqrt(m)), with no decay squeezed
                     towards x = 2.
-    On a seed-601 perfbench oracle pass (376,620 evaluations) the m > 1
-    log head at m <= 1 takes as many and about 4% more CPU; a log tail
-    takes 6.0% fewer with p = 4/m but fails acceptance check 8, and 34%
-    to 1,740% more with p = 2/m, 4/sqrt(m), 4 or 2.
+    A seed-601 perfbench oracle pass takes 313,380 evaluations, 376,620
+    on the halves.  Measured on the halves, the m > 1 log head at m <= 1
+    takes as many and about 4% more CPU; a log tail takes 6.0% fewer
+    with p = 4/m but fails acceptance check 8, and 34% to 1,740% more
+    with p = 2/m, 4/sqrt(m), 4 or 2.  On the quarters the p = 4/m log
+    tail takes 7.3% fewer (290,490) and cuts check 8's oracle at 1e-4
+    from 90 evaluations to 30.
     Each call builds one node closure, for m's map family (m <= 1 or
     m > 1), so no node tests m.
     Full diagnostic record; converged=False is reported, never hidden.
@@ -341,7 +351,10 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
                 return 0.0
             return h(snr_per_z * z) * (w * jac)
 
-    res = quad.integrate_finite(f, 0.0, 2.0, spec)
+    # x = 1, where the head meets the tail, is a panel edge of either
+    # opening
+    pieces = 4 if spec.rel_tol < _QUARTERS_BELOW else 2
+    res = quad.integrate_finite(f, 0.0, 2.0, spec, pieces)
     if res.value == 0.0:
         return res._replace(converged=False)
     return res

@@ -3,11 +3,14 @@
 Finite intervals go through one 15-point Kronrod rule with the
 embedded 7-point Gauss rule for error estimation; every integral in the
 library runs on it.  The engine opens on the two halves of the
-interval, not on one panel over all of it as QUADPACK's qag does:
-nearly every library integral splits that panel anyway.  The panel with
-the worst error estimate is then bisected until the global estimate
-meets the relative tolerance, the one setting, or _MAX_SUBDIVISIONS
-bisections, the opening split included, are spent.
+interval, 30 evaluations, not on one panel over all of it as QUADPACK's
+qag does: nearly every library integral splits that panel anyway.  A
+caller whose integrals go on to bisect both halves asks for
+pieces=4 and opens on the four quarters, 60 evaluations, as the
+fading average does below rel_tol 1e-5.  The panel with the worst
+error estimate is then bisected until the global estimate meets the
+relative tolerance, the one setting, or _MAX_SUBDIVISIONS bisections,
+the opening's one or three splits included, are spent.
 Every integral in the library is finite: a half-line one with the
 weight dx/(sqrt(x)*(1+x)) becomes 2*dphi on [0, pi/2) under
 x = tan^2(phi).  integrate_semi_infinite, the rational fold
@@ -146,7 +149,8 @@ class QuadratureSpec(_Value):
     1e-117 gets the same relative accuracy as one of 0.4.  rel_tol lies
     in (50*eps, 1e-3]: at or below the panels' roundoff floor, 50*eps,
     no integral of a normal value converges.  1.12e-14 does: the oracle
-    at m = 1.7, 10 dB, QPSK in 1,590 evaluations.
+    at m = 1.7, 10 dB, QPSK in 1,560 evaluations, opening on the
+    quarters of its interval.
     """
 
     __slots__ = ("rel_tol",)
@@ -259,34 +263,46 @@ def _kronrod15(f: Callable[[float], float], lo: float, hi: float):
 
 
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
-                     spec: QuadratureSpec = DEFAULT_SPEC) -> QuadratureResult:
+                     spec: QuadratureSpec = DEFAULT_SPEC,
+                     pieces: int = 2) -> QuadratureResult:
     """Adaptive integral of f over the finite interval [lo, hi].
 
-    The panel, _kronrod15, is looked up when the call starts.  Opens on
-    [lo, mid] and [mid, hi], 30 evaluations, or on one panel where
-    [lo, hi] is one float wide and cannot be split.  The loop keeps
-    running totals of the panels' values and errors; where a split panel
-    outweighs the totals left after its split by a factor _RESUM,
-    subtracting it has left its rounding residue in them, and they are
-    summed afresh from the live panels.  It stops only where the sums it
-    reports, taken left to right, meet the tolerance as well.
+    The panel, _kronrod15, is looked up when the call starts.  With
+    pieces=2, the default, it opens on [lo, mid] and [mid, hi], 30
+    evaluations and one bisection of the budget; with pieces=4 it
+    bisects each half at its own midpoint as well and opens on the four
+    quarters, 60 evaluations and three bisections.  An interval too
+    narrow to quarter opens on its halves, and one a float wide, which
+    cannot be split, on one panel.  The loop keeps running totals of the
+    panels' values and errors; where a split panel outweighs the totals
+    left after its split by a factor _RESUM, subtracting it has left its
+    rounding residue in them, and they are summed afresh from the live
+    panels.  It stops only where the sums it reports, taken left to
+    right, meet the tolerance as well.
 
     Never raises on slow convergence; the result records converged=False
     instead, with the error estimate still honest.  Raises ValueError on
-    a malformed interval and ConvergenceError on a non-finite integrand
-    value or one that overflows (OverflowError), which is a numerical
-    failure, not a usage error.
+    a malformed interval or a pieces other than 2 and 4, and
+    ConvergenceError on a non-finite integrand value or one that
+    overflows (OverflowError), which is a numerical failure, not a usage
+    error.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
     if not lo < hi:
         raise ValueError("integration requires lo < hi")
+    if type(pieces) is not int or pieces not in (2, 4):
+        raise ValueError(f"pieces must be 2 or 4, not {pieces!r}")
     panel = _kronrod15
 
     rel_tol, max_splits = spec.rel_tol, _MAX_SUBDIVISIONS
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
     mid = 0.5 * (lo + hi)
-    if lo < mid < hi:
+    left, right = 0.5 * (lo + mid), 0.5 * (mid + hi)
+    if pieces == 4 and lo < left < mid < right < hi:
+        opening = [(lo, left), (left, mid), (mid, right), (right, hi)]
+        splits = 3
+    elif lo < mid < hi:
         opening = [(lo, mid), (mid, hi)]
         splits = 1
     else:

@@ -250,8 +250,25 @@ def test_interior_cusp_value():
 def test_bisection_order_is_pinned(f, lo, hi, spec, shown):
     # two deep trees, the cusp's and one that spends all 2000 bisections:
     # the worst panel is bisected first, ties going to the older panel,
-    # so how the heap stores its panels changes no split and no bit
+    # so how the heap stores its panels changes no split and no bit.
+    # The halves are the default opening
     assert repr(integrate_finite(f, lo, hi, spec)) == shown
+    assert repr(integrate_finite(f, lo, hi, spec, pieces=2)) == shown
+
+
+@pytest.mark.parametrize("f, lo, hi, spec", [
+    (lambda t: 1.0 / math.sqrt(abs(t - 0.3) + 1e-308), 0.0, 1.0, DEFAULT_SPEC),
+    (lambda t: t ** (-0.9) if t > 0.0 else 0.0, 1e-300, 1.0,
+     QuadratureSpec(rel_tol=1.12e-14)),
+], ids=["interior-cusp", "whole-budget"])
+def test_quarters_grow_the_tree_the_halves_grow(f, lo, hi, spec):
+    # both deep trees bisect each half first, so opening on the quarters
+    # reaches the same panels, value and error bits and all, for the 30
+    # evaluations of the two halves it never takes; at the budget's
+    # 2000th bisection as well, the opening's three included
+    halves = integrate_finite(f, lo, hi, spec)
+    quarters = integrate_finite(f, lo, hi, spec, pieces=4)
+    assert quarters == halves._replace(evaluations=halves.evaluations - 30)
 
 
 def test_starved_budget_reports_nonconvergence(monkeypatch):
@@ -272,6 +289,22 @@ def test_starved_budget_reports_nonconvergence(monkeypatch):
     assert not res.converged
     assert res.evaluations == 30 * budget
     # the value is still the best available estimate, not garbage
+    assert 0.0 < res.value < 20.0
+    assert res.error_estimate > 0.0
+
+
+@pytest.mark.parametrize("budget", [3, 20])
+def test_starved_budget_on_the_quarters(monkeypatch, budget):
+    # the quarters' opening spends three bisections of the budget on 60
+    # evaluations, so a budget of 3 stops on the opening, 15*(3+1)
+    # evaluations, and every later bisection adds 30: 30*(budget - 1)
+    from nakaber import quad
+
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", budget)
+    res = integrate_finite(lambda t: t ** (-0.9) if t > 0.0 else 0.0,
+                           1e-300, 1.0, QuadratureSpec(rel_tol=1.12e-14), pieces=4)
+    assert not res.converged
+    assert res.evaluations == 30 * (budget - 1)
     assert 0.0 < res.value < 20.0
     assert res.error_estimate > 0.0
 
@@ -432,10 +465,36 @@ def test_nonfinite_integrand_rejected():
 
 def test_result_records_evaluations():
     # the engine opens on the two halves of the interval, 15 nodes each,
-    # and a smooth integrand converges there without a further bisection
+    # and a smooth integrand converges there without a further bisection;
+    # with pieces=4 it opens on the four quarters
     res = integrate_finite(lambda t: math.exp(t), 0.0, 1.0)
     assert res.converged
     assert res.evaluations == 30
+    res = integrate_finite(lambda t: math.exp(t), 0.0, 1.0, pieces=4)
+    assert res.converged
+    assert res.evaluations == 60
+    assert res.value == pytest.approx(math.e - 1.0, rel=1e-15)
+
+
+def test_quarters_open_on_the_halves_of_a_narrow_interval():
+    # [1, 1 + 2^-51] is two floats wide: its halves are one float wide
+    # each and cannot be split again, so pieces=4 opens on the halves,
+    # and [1, 1 + 2^-52], one float wide, on one panel, as the default
+    # does; [1, 1 + 2^-50] quarters
+    spec = QuadratureSpec(rel_tol=1.12e-14)
+    for ulps, evaluations in ((1, 15), (2, 30), (4, 60)):
+        hi = 1.0 + ulps * 2.0 ** -52
+        res = integrate_finite(lambda t: t, 1.0, hi, spec, pieces=4)
+        assert res.converged
+        assert res.evaluations == evaluations, ulps
+        if ulps < 4:
+            assert res == integrate_finite(lambda t: t, 1.0, hi, spec)
+
+
+@pytest.mark.parametrize("pieces", [0, 3, 2.0])
+def test_pieces_other_than_2_or_4_is_refused(pieces):
+    with pytest.raises(ValueError, match=r"pieces must be 2 or 4, not "):
+        integrate_finite(lambda t: 1.0, 0.0, 1.0, pieces=pieces)
 
 
 def test_evaluations_count_at_the_rules_size():
