@@ -39,11 +39,22 @@ SUPPORTED_ORDERS = (4, 16, 64, 256, 1024, 4096)
 
 _CHIANI_PAIRS = ((1.0 / 12.0, 0.5), (0.25, 2.0 / 3.0))
 
-# fading_average opens on the quarters of [0, 2] below this rel_tol and
-# on its halves at or above it: on a seed-601 perfbench oracle pass the
-# quarters save 16.8% of the evaluations at 1e-10 and 3.5% at 1e-5, but
-# cost 10.1% more at 1e-4, where most integrals converge on the halves
+# fading_average's openings of [0, 2], each named by its interior cuts.
+# It opens on the quarters below _QUARTERS_BELOW and on the halves at or
+# above it: on a seed-601 perfbench oracle pass the quarters save 16.8%
+# of the evaluations at 1e-10 and 3.5% at 1e-5, but cost 10.1% more at
+# 1e-4, where most integrals converge on the halves
 _QUARTERS_BELOW = 1e-5
+_HALVES = (1.0,)
+_QUARTERS = (0.5, 1.0, 1.5)
+# below _GRADED_BELOW it opens on cuts graded towards the end each map
+# family goes on to refine: x = 2 under the m <= 1 rational tail fold,
+# x = 0 under the m > 1 head.  Against the quarters on the seed-601 pass
+# they cost 16.4% more at 3e-7 and 3.5% at 1e-7, and save 3.2% at 3e-8,
+# 8.3% at 1e-9, 15.6% at 1e-10 and 15.4% at 1e-11
+_GRADED_BELOW = 1e-7
+_GRADED_FOLD = (0.5, 1.0, 1.5, 1.75, 1.875, 1.9375)
+_GRADED_HEAD = (0.25, 0.5, 1.0, 1.5)
 
 
 def db_to_linear(snr_db: float) -> float:
@@ -250,14 +261,19 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     it, with its shape scaled to 1 at z = 1, near the mode, where large
     m concentrates the mass in a width of about 1/sqrt(m).  One finite
     quadrature over x in [0, 2] covers the head z <= 1 (x < 1) and the
-    tail z >= 1 (x >= 1), so z = 1 is an edge of its opening panels, the
-    halves of [0, 2] or, below rel_tol 1e-5, its quarters:
-      head, m <= 1  z = x^(2/m), so z^(m-1) dz = (2/m)*x dx and the
-                    density's endpoint power leaves the integrand; the
-                    BER's sqrt(snr) term, powers of sqrt(z), becomes
-                    x^(1+1/m), x^(1+2/m), ..., with no exponent below 2
-                    (z = x^(1/m) left x^(1/(2m)), a power below 1 for
-                    m > 1/2, where the rule under-stated its error);
+    tail z >= 1 (x >= 1), so z = 1, x = 1, is an edge of every opening:
+    the halves of [0, 2] at rel_tol 1e-5 and above, its quarters from
+    1e-7 up to 1e-5, and below 1e-7 cuts graded towards the end the
+    family refines, (0.5, 1, 1.5, 1.75, 1.875, 1.9375) for m <= 1 and
+    (0.25, 0.5, 1, 1.5) for m > 1:
+      head, m <= 1  z = x^(q/m), so z^(m-1) dz = (q/m)*x^(q-1) dx and
+                    the density's endpoint power leaves the integrand;
+                    the BER's sqrt(snr) term, powers of sqrt(z), becomes
+                    x^(q-1+q/(2m)), x^(q-1+q/m), ..., with no exponent
+                    below 2 for q = 2 and, at m <= 1/4, for q = 1, which
+                    the head takes there (q = 1 above m = 1/4 left
+                    x^(1/(2m)), a power below 1 for m > 1/2, where the
+                    rule under-stated its error);
       head, m > 1   z = x^p, p = 4/sqrt(m), taken in logs: the
                     density's z^(m-1) and the jacobian p*z/x leave
                     x^(4*sqrt(m)-1), no endpoint power below 3, and the
@@ -269,15 +285,18 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
       tail, m > 1   z = 1 - p*log(2-x), so e^(-m*z) becomes
                     e^(-m)*(2-x)^(4*sqrt(m)), with no decay squeezed
                     towards x = 2.
-    A seed-601 perfbench oracle pass takes 313,380 evaluations, 376,620
-    on the halves.  Measured on the halves, the m > 1 log head at m <= 1
+    A seed-601 perfbench oracle pass takes 261,000 evaluations: 265,020
+    with q = 2 for every m <= 1, 313,380 on the quarters and 376,620 on
+    the halves.  Measured on the halves, the m > 1 log head at m <= 1
     takes as many and about 4% more CPU; a log tail takes 6.0% fewer
     with p = 4/m but fails acceptance check 8, and 34% to 1,740% more
     with p = 2/m, 4/sqrt(m), 4 or 2.  On the quarters the p = 4/m log
     tail takes 7.3% fewer (290,490) and cuts check 8's oracle at 1e-4
-    from 90 evaluations to 30.
+    from 90 evaluations to 30; on the graded cuts it takes 7.4% more
+    (280,320 on the m > 1 cuts, 314,370 on the m <= 1 ones).
     Each call builds one node closure, for m's map family (m <= 1 or
-    m > 1), so no node tests m.
+    m > 1), so no node tests m; an m <= 1 head node reads one flag, set
+    once, for its jacobian, x where q = 2 and 1 where q = 1.
     Full diagnostic record; converged=False is reported, never hidden.
     """
     if not (rate >= 0.0 and math.isfinite(rate)):
@@ -294,15 +313,20 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     exp, expm1, log, log1p = math.exp, math.expm1, math.log, math.log1p
     log1p_minus = _log1p_minus_small
     if m <= 1.0:
-        log_k_head = log_k + math.log(2.0 / m)
-        head_power = 2.0 / m
+        # z = x^(q/m) leaves jacobian (q/m)*x^(q-1): q = 2 above m = 1/4,
+        # q = 1 at or below it, where sqrt(z) is already x^2 or flatter
+        q = 1.0 if m <= 0.25 else 2.0
+        log_k_head = log_k + math.log(q / m)
+        head_power = q / m
+        x_jac = q == 2.0
         width = 1.0 / m
+        graded = _GRADED_FOLD
 
         def f(x: float) -> float:
             if x < 1.0:
                 z = x ** head_power
                 log_w = log_k_head + m * (1.0 - z)
-                jac = x
+                jac = x if x_jac else 1.0
             else:
                 u = 2.0 - x
                 if u <= 0.0:
@@ -323,6 +347,7 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
     else:
         power = 4.0 / math.sqrt(m)
         log_k_head = log_k + math.log(power)
+        graded = _GRADED_HEAD
 
         def f(x: float) -> float:
             if x < 1.0:
@@ -351,10 +376,15 @@ def fading_average(ch: ChannelParams, h: Callable[[float], float],
                 return 0.0
             return h(snr_per_z * z) * (w * jac)
 
-    # x = 1, where the head meets the tail, is a panel edge of either
+    # x = 1, where the head meets the tail, is a panel edge of every
     # opening
-    pieces = 4 if spec.rel_tol < _QUARTERS_BELOW else 2
-    res = quad.integrate_finite(f, 0.0, 2.0, spec, pieces)
+    if spec.rel_tol >= _QUARTERS_BELOW:
+        splits = _HALVES
+    elif spec.rel_tol >= _GRADED_BELOW:
+        splits = _QUARTERS
+    else:
+        splits = graded
+    res = quad.integrate_finite(f, 0.0, 2.0, spec, splits)
     if res.value == 0.0:
         return res._replace(converged=False)
     return res

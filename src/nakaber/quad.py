@@ -5,12 +5,14 @@ embedded 7-point Gauss rule for error estimation; every integral in the
 library runs on it.  The engine opens on the two halves of the
 interval, 30 evaluations, not on one panel over all of it as QUADPACK's
 qag does: nearly every library integral splits that panel anyway.  A
-caller whose integrals go on to bisect both halves asks for
-pieces=4 and opens on the four quarters, 60 evaluations, as the
-fading average does below rel_tol 1e-5.  The panel with the worst
-error estimate is then bisected until the global estimate meets the
-relative tolerance, the one setting, or _MAX_SUBDIVISIONS bisections,
-the opening's one or three splits included, are spent.
+caller that knows which panels its integrals go on to bisect names the
+interior points of its opening, splits, and opens on the panels
+between them, 15*(len(splits)+1) evaluations: the fading average cuts
+[0, 2] at its quarters below rel_tol 1e-5 and, below 1e-7, at points
+graded towards the end each map family refines.  The panel with the
+worst error estimate is then bisected until the global estimate meets
+the relative tolerance, the one setting, or _MAX_SUBDIVISIONS
+bisections, the opening's len(splits) included, are spent.
 Every integral in the library is finite: a half-line one with the
 weight dx/(sqrt(x)*(1+x)) becomes 2*dphi on [0, pi/2) under
 x = tan^2(phi).  integrate_semi_infinite, the rational fold
@@ -149,8 +151,8 @@ class QuadratureSpec(_Value):
     1e-117 gets the same relative accuracy as one of 0.4.  rel_tol lies
     in (50*eps, 1e-3]: at or below the panels' roundoff floor, 50*eps,
     no integral of a normal value converges.  1.12e-14 does: the oracle
-    at m = 1.7, 10 dB, QPSK in 1,560 evaluations, opening on the
-    quarters of its interval.
+    at m = 1.7, 10 dB, QPSK in 1,545 evaluations, opening on its
+    interval's graded cuts for m > 1.
     """
 
     __slots__ = ("rel_tol",)
@@ -264,25 +266,25 @@ def _kronrod15(f: Callable[[float], float], lo: float, hi: float):
 
 def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
                      spec: QuadratureSpec = DEFAULT_SPEC,
-                     pieces: int = 2) -> QuadratureResult:
+                     splits: tuple[float, ...] | None = None) -> QuadratureResult:
     """Adaptive integral of f over the finite interval [lo, hi].
 
     The panel, _kronrod15, is looked up when the call starts.  With
-    pieces=2, the default, it opens on [lo, mid] and [mid, hi], 30
-    evaluations and one bisection of the budget; with pieces=4 it
-    bisects each half at its own midpoint as well and opens on the four
-    quarters, 60 evaluations and three bisections.  An interval too
-    narrow to quarter opens on its halves, and one a float wide, which
-    cannot be split, on one panel.  The loop keeps running totals of the
-    panels' values and errors; where a split panel outweighs the totals
-    left after its split by a factor _RESUM, subtracting it has left its
-    rounding residue in them, and they are summed afresh from the live
-    panels.  It stops only where the sums it reports, taken left to
-    right, meet the tolerance as well.
+    splits=None, the default, it opens on [lo, mid] and [mid, hi], 30
+    evaluations and one bisection of the budget, or on one panel where
+    the interval is a float wide and cannot be split.  splits, a tuple
+    rising strictly inside (lo, hi), names the opening's interior
+    points instead: it opens on the len(splits)+1 panels between them,
+    15*(len(splits)+1) evaluations and len(splits) bisections.  The loop
+    keeps running totals of the panels' values and errors; where a split
+    panel outweighs the totals left after its split by a factor _RESUM,
+    subtracting it has left its rounding residue in them, and they are
+    summed afresh from the live panels.  It stops only where the sums it
+    reports, taken left to right, meet the tolerance as well.
 
     Never raises on slow convergence; the result records converged=False
     instead, with the error estimate still honest.  Raises ValueError on
-    a malformed interval or a pieces other than 2 and 4, and
+    a malformed interval or splits that are not such a tuple, and
     ConvergenceError on a non-finite integrand value or one that
     overflows (OverflowError), which is a numerical failure, not a usage
     error.
@@ -291,35 +293,33 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
         raise ValueError("integration limits must be finite")
     if not lo < hi:
         raise ValueError("integration requires lo < hi")
-    if type(pieces) is not int or pieces not in (2, 4):
-        raise ValueError(f"pieces must be 2 or 4, not {pieces!r}")
+    if splits is None:
+        mid = 0.5 * (lo + hi)
+        edges = (lo, mid, hi) if lo < mid < hi else (lo, hi)
+    else:
+        if type(splits) is not tuple:
+            raise ValueError(f"splits must be a tuple, not {splits!r}")
+        edges = (lo, *splits, hi)
+        if not all(a < b for a, b in zip(edges, edges[1:])):
+            raise ValueError(f"splits must rise strictly inside ({lo!r}, {hi!r}), "
+                             f"not {splits!r}")
     panel = _kronrod15
 
-    rel_tol, max_splits = spec.rel_tol, _MAX_SUBDIVISIONS
+    rel_tol, budget = spec.rel_tol, _MAX_SUBDIVISIONS
     heappush, heappop, heapreplace = heapq.heappush, heapq.heappop, heapq.heapreplace
-    mid = 0.5 * (lo + hi)
-    left, right = 0.5 * (lo + mid), 0.5 * (mid + hi)
-    if pieces == 4 and lo < left < mid < right < hi:
-        opening = [(lo, left), (left, mid), (mid, right), (right, hi)]
-        splits = 3
-    elif lo < mid < hi:
-        opening = [(lo, mid), (mid, hi)]
-        splits = 1
-    else:
-        opening = [(lo, hi)]
-        splits = 0
     # heap entries: (-err, insertion counter, lo, hi, value, err); the
     # counter breaks ties deterministically, so the worst panel, and
     # with it every split, does not depend on the heap's layout
     heap = []
     total_v = total_e = 0.0
-    for counter, (a, b) in enumerate(opening):
+    for counter, (a, b) in enumerate(zip(edges, edges[1:])):
         v, e = panel(f, a, b)
         total_v += v
         total_e += e
         heappush(heap, (-e, counter, a, b, v, e))
     counter = len(heap)
     evaluations = 15 * counter
+    bisections = counter - 1
     frozen: list[tuple[float, float, float]] = []  # (lo, value, err) of unsplittable panels
 
     while True:
@@ -329,7 +329,7 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
             if not error > rel_tol * abs(value):
                 break
             total_v, total_e = value, error
-        if splits >= max_splits or not heap:
+        if bisections >= budget or not heap:
             value, error = _left_to_right(heap, frozen)
             break
         _, _, a, b, va, ea = heap[0]
@@ -342,7 +342,7 @@ def integrate_finite(f: Callable[[float], float], lo: float, hi: float,
         v1, e1 = panel(f, a, mid)
         v2, e2 = panel(f, mid, b)
         evaluations += 30
-        splits += 1
+        bisections += 1
         total_v += v1 + v2 - va
         total_e += e1 + e2 - ea
         # the left half takes the worst panel's place: one sift, not a

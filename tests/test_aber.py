@@ -1414,8 +1414,10 @@ def test_oracle_evaluation_budget():
     # evaluation counts are deterministic; a panel over the whole domain
     # (m x dB x M) and a small-m point, where the density's z^(m-1)
     # endpoint sets the cost.  The bounds are the counts fading_average's
-    # maps give on two opening panels (the panel read 54,990 with the
-    # rational m > 1 maps, and 40,080 on one opening panel)
+    # maps give on their graded openings (the panel read 54,990 with the
+    # rational m > 1 maps, 40,080 on one opening panel, 36,840 and 300 on
+    # the halves, 31,440 and 270 on the quarters, and 27,360 and 255 on
+    # the graded openings with z = x^(2/m) at m = 0.05 too)
     total = 0
     for m in (0.05, 0.2, 0.6, 1.0, 2.5, 4.1, 20.5, 50.0):
         for snr_db in (-30.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0, 60.0, 80.0):
@@ -1424,9 +1426,9 @@ def test_oracle_evaluation_budget():
                                     Modulation(order))
                 assert res.converged, (m, snr_db, order)
                 total += res.evaluations
-    assert total <= 36_840
+    assert total <= 27_660
     assert oracle_result(ChannelParams(0.05, 10.0),
-                         Modulation(256)).evaluations <= 300
+                         Modulation(256)).evaluations <= 195
 
 
 def _head_evaluations(ms):
@@ -1448,30 +1450,36 @@ def test_oracle_evaluation_budget_between_m_1_and_4():
     # fractional; in z = x^p, p = 4/sqrt(m), they become x^(4*sqrt(m)-1)
     # and up and cost no deep bisection (116,985 evaluations and 1,035 at
     # worst with the ungraded rational head, 43,005 and 255 graded,
-    # 25,485 and 195 with the power head and logarithmic tail, and 22,650
-    # and 180 on two opening panels)
+    # 25,485 and 195 with the power head and logarithmic tail, 22,650
+    # and 180 on two opening panels, 17,370 and 150 on the quarters, and
+    # 17,325 and 135 on the cuts graded towards x = 0)
     total, worst = _head_evaluations((1.05, 1.2, 1.5, 2.0, 2.5, 3.3, 3.9))
-    assert total <= 22_650
-    assert worst <= 180
+    assert total <= 17_325
+    assert worst <= 135
 
 
 def test_oracle_evaluation_budget_from_m_4():
     # for m > 1 the head is z = x^p, p = 4/sqrt(m), and the tail
     # z = 1 - p*log(2-x): neither squeezes the mass towards an end of
     # [0, 2] (54,075 evaluations and 315 at worst with the rational maps,
-    # 27,735 and 195 with these maps on one opening panel)
+    # 27,735 and 195 with these maps on one opening panel, 24,900 and 180
+    # on two, 19,530 and 150 on the quarters, and 17,625 and 135 on the
+    # cuts graded towards x = 0)
     total, worst = _head_evaluations((4.1, 6.0, 8.3, 12.0, 20.5, 30.0, 50.0))
-    assert total <= 24_900
-    assert worst <= 180
+    assert total <= 17_625
+    assert worst <= 135
 
 
 def test_oracle_evaluation_budget_up_to_m_1():
-    # in z = x^(2/m) the BER's powers of sqrt(z) leave no endpoint power
-    # below x^2 (107,175 evaluations and 765 at worst with z = x^(1/m),
-    # 57,465 and 345 with z = x^(2/m) on one opening panel)
+    # in z = x^(2/m), and for m <= 1/4 in z = x^(1/m), the BER's powers
+    # of sqrt(z) leave no endpoint power below x^2 (107,175 evaluations
+    # and 765 at worst with z = x^(1/m) for every m, 57,465 and 345 with
+    # z = x^(2/m) on one opening panel, 53,820 and 330 on two, 47,670 and
+    # 300 on the quarters, 37,995 and 255 on the cuts graded towards
+    # x = 2, and 37,485 and 225 with z = x^(1/m) for m <= 1/4)
     total, worst = _head_evaluations((0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 1.0))
-    assert total <= 53_820
-    assert worst <= 330
+    assert total <= 37_485
+    assert worst <= 225
 
 
 @pytest.mark.parametrize("kind", ["exact", "lu"])
@@ -1502,33 +1510,33 @@ def test_oracle_calls_its_ber_kernel_once_per_node(monkeypatch, kind):
 
 # repr of oracle_result, bits and all.  The m > 1 entries are as the
 # z = x^(4/sqrt(m)) head and logarithmic tail give them, the m <= 1
-# entries as the z = x^(2/m) head gives them, each on the four quarters
-# of [0, 2] the default rel_tol opens on and within its own estimate of
-# its 30-digit value
+# entries as the z = x^(2/m) head gives them (z = x^(1/m) at m = 0.05),
+# each on the graded opening of [0, 2] the default rel_tol takes for its
+# map family and within its own estimate of its 30-digit value
 ORACLE_BITS = [
     (0.6, 10.0, 256, "exact", None,
-     "QuadratureResult(value=0.10988539743730956, error_estimate=4.307228595545806e-12, "
-     "evaluations=180, converged=True)"),
+     "QuadratureResult(value=0.10988539743731113, error_estimate=1.5843278384223124e-12, "
+     "evaluations=165, converged=True)"),
     (50.0, 1e4, 4, "exact", None,
      "QuadratureResult(value=2.7611068993735222e-117, error_estimate=1.0986198430343997e-127, "
-     "evaluations=150, converged=True)"),
+     "evaluations=135, converged=True)"),
     (0.05, 1e8, 4096, "exact", None,
-     "QuadratureResult(value=0.0664079595629639, error_estimate=5.117855129288143e-12, "
-     "evaluations=270, converged=True)"),
+     "QuadratureResult(value=0.06640795956296391, error_estimate=1.7611961257128487e-13, "
+     "evaluations=195, converged=True)"),
     (4.1, 0.1, 64, "lu", None,
-     "QuadratureResult(value=0.6379332524337756, error_estimate=3.7556616931813753e-11, "
-     "evaluations=60, converged=True)"),
+     "QuadratureResult(value=0.6379332524337756, error_estimate=5.863312805838177e-12, "
+     "evaluations=75, converged=True)"),
     (0.6, 1e6, 16, "expq", QApproxVariant.from_pairs([(0.3, 0.6), (0.1, 0.4)]),
      "QuadratureResult(value=8.756328253387057e-05, error_estimate=5.974213108031533e-16, "
-     "evaluations=150, converged=True)"),
+     "evaluations=105, converged=True)"),
     # either side of m = 1: m = 1 takes the x^(2/m) head and the
     # rational tail, m = 4 the x^(4/sqrt(m)) head and the logarithmic tail
     (1.0, 10.0, 16, "exact", None,
      "QuadratureResult(value=0.03810711953357782, error_estimate=4.796544547382203e-13, "
-     "evaluations=150, converged=True)"),
+     "evaluations=105, converged=True)"),
     (4.0, 100.0, 64, "exact", None,
-     "QuadratureResult(value=0.00020049720635270858, error_estimate=8.00858379073541e-15, "
-     "evaluations=60, converged=True)"),
+     "QuadratureResult(value=0.00020049720635270858, error_estimate=1.149128954547496e-15, "
+     "evaluations=75, converged=True)"),
 ]
 
 

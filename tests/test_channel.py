@@ -108,16 +108,19 @@ def test_fading_average_default_spec_is_relative():
 
 
 def test_fading_average_reports_a_zero_as_unconverged():
-    # with rate=0 no node sees the QPSK BER's mass at m=2.5, 100 dB, so
-    # the quadrature sums to exactly 0.0
+    # with rate=0 no node sees the QPSK BER's mass at m=2.5, 110 dB, so
+    # the quadrature sums to exactly 0.0 on its opening's 75 evaluations
     qpsk = Modulation(4)
-    missed = fading_average(ChannelParams(2.5, 1e10), lambda g: ber_exact(qpsk, g))
+    missed = fading_average(ChannelParams(2.5, 1e11), lambda g: ber_exact(qpsk, g))
     assert missed.value == 0.0
+    assert missed.evaluations == 75
     assert not missed.converged
-    # at 60 and 80 dB the right rate finds the value (80 dB: the 30-digit
-    # Craig value), and the x^p head's first panels reach the mass near
-    # z = 0 even with rate=0
-    for gbar, expected in ((1e6, 1.6567342475583142e-15), (1e8, 1.6567430956194855e-20)):
+    # at 60, 80 and 100 dB the right rate finds the value (80 and 100 dB:
+    # the 30-digit Craig value), and the x^p head's first panels reach
+    # the mass near z = 0 even with rate=0; at 100 dB the m > 1 opening's
+    # cut at x = 0.25 is what reaches it
+    for gbar, expected in ((1e6, 1.6567342475583142e-15), (1e8, 1.6567430956194855e-20),
+                           (1e10, 1.6567431841004421e-25)):
         ch = ChannelParams(2.5, gbar)
         found = fading_average(ch, lambda g: ber_exact(qpsk, g), rate=qpsk.c1)
         assert found.converged
@@ -125,6 +128,33 @@ def test_fading_average_reports_a_zero_as_unconverged():
         unrated = fading_average(ch, lambda g: ber_exact(qpsk, g))
         assert unrated.converged
         assert unrated.value == pytest.approx(found.value, rel=1e-9, abs=0.0)
+
+
+def test_fading_average_opens_on_its_map_familys_cuts(monkeypatch):
+    # the halves of [0, 2] at rel_tol 1e-5 and above, the quarters from
+    # 1e-7 up to 1e-5, and below 1e-7 cuts graded towards x = 2 for
+    # m <= 1, whose tail fold bisects there, and towards x = 0 for m > 1,
+    # whose head does; x = 1, where head meets tail, is a cut of each
+    from nakaber import channel, quad
+
+    opened = []
+    integrate = quad.integrate_finite
+
+    def spy(f, lo, hi, spec, splits):
+        opened.append((lo, hi, splits))
+        return integrate(f, lo, hi, spec, splits)
+
+    monkeypatch.setattr(quad, "integrate_finite", spy)
+    graded = {0.6: (0.5, 1.0, 1.5, 1.75, 1.875, 1.9375), 4.0: (0.25, 0.5, 1.0, 1.5)}
+    for m in (0.6, 4.0):
+        for rel_tol, splits in ((1e-4, (1.0,)), (1e-6, (0.5, 1.0, 1.5)),
+                                (1e-10, graded[m])):
+            opened.clear()
+            res = fading_average(ChannelParams(m, 10.0), lambda g: math.exp(-g),
+                                 QuadratureSpec(rel_tol), rate=1.0)
+            assert res.converged
+            assert opened == [(0.0, 2.0, splits)], (m, rel_tol)
+            assert res.evaluations >= 15 * (len(splits) + 1)
 
 
 @pytest.mark.parametrize("rate", [-1.0, math.inf, math.nan])

@@ -201,20 +201,21 @@ def test_an_overflowing_integrand_is_numerical_failure(capsys, argv):
 
 
 def test_aber_unconverged_oracle_is_numerical_failure(monkeypatch, capsys):
-    # the oracle at m = 1, 0 dB, QPSK converges in 6 bisections at the
-    # default rel_tol, the 3 of its opening on the quarters included, so
-    # a budget of 4 starves it after one more: exit 3, with the best
-    # value and estimate it reached
+    # the oracle at m = 0.6, 10 dB, 256-QAM converges in 8 bisections at
+    # the default rel_tol, the 6 of its graded opening included, so a
+    # budget of 7 starves it after one more: exit 3, with the best value
+    # and estimate it reached (at m = 1, 0 dB, QPSK the opening alone
+    # converges, so no budget starves it)
     from nakaber import quad
 
-    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 4)
-    code, out, err = run_cli(capsys, "aber", "--m", "1", "--mod", "4",
-                             "--snr-db", "0", "--method", "oracle")
+    monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", 7)
+    code, out, err = run_cli(capsys, "aber", "--m", "0.6", "--mod", "256",
+                             "--snr-db", "10", "--method", "oracle")
     assert code == 3
     assert out == ""
     assert err == ("error: did not converge: average-BER quadrature did not "
-                   "reach its tolerance (best value 0.137702055558, error "
-                   "estimate 3.248e-07)\n")
+                   "reach its tolerance (best value 0.109885397437, error "
+                   "estimate 2.262e-11)\n")
 
 
 @pytest.mark.parametrize("method", [("closed", "--terms", "0"), ("lu",)],

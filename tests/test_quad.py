@@ -251,9 +251,10 @@ def test_bisection_order_is_pinned(f, lo, hi, spec, shown):
     # two deep trees, the cusp's and one that spends all 2000 bisections:
     # the worst panel is bisected first, ties going to the older panel,
     # so how the heap stores its panels changes no split and no bit.
-    # The halves are the default opening
+    # The halves are the default opening, and naming the midpoint as the
+    # one split opens on them too
     assert repr(integrate_finite(f, lo, hi, spec)) == shown
-    assert repr(integrate_finite(f, lo, hi, spec, pieces=2)) == shown
+    assert repr(integrate_finite(f, lo, hi, spec, splits=(0.5 * (lo + hi),))) == shown
 
 
 @pytest.mark.parametrize("f, lo, hi, spec", [
@@ -265,10 +266,11 @@ def test_quarters_grow_the_tree_the_halves_grow(f, lo, hi, spec):
     # both deep trees bisect each half first, so opening on the quarters
     # reaches the same panels, value and error bits and all, for the 30
     # evaluations of the two halves it never takes; at the budget's
-    # 2000th bisection as well, the opening's three included
+    # 2000th bisection as well, the opening's three included.  Both
+    # intervals' halves bisect at 0.25 and 0.75
     halves = integrate_finite(f, lo, hi, spec)
-    quarters = integrate_finite(f, lo, hi, spec, pieces=4)
-    assert quarters == halves._replace(evaluations=halves.evaluations - 30)
+    opened = integrate_finite(f, lo, hi, spec, splits=(0.25, 0.5, 0.75))
+    assert opened == halves._replace(evaluations=halves.evaluations - 30)
 
 
 def test_starved_budget_reports_nonconvergence(monkeypatch):
@@ -293,20 +295,28 @@ def test_starved_budget_reports_nonconvergence(monkeypatch):
     assert res.error_estimate > 0.0
 
 
-@pytest.mark.parametrize("budget", [3, 20])
+@pytest.mark.parametrize("budget", [3, 6, 20])
 def test_starved_budget_on_the_quarters(monkeypatch, budget):
-    # the quarters' opening spends three bisections of the budget on 60
-    # evaluations, so a budget of 3 stops on the opening, 15*(3+1)
-    # evaluations, and every later bisection adds 30: 30*(budget - 1)
+    # an opening on k splits spends k bisections of the budget on
+    # 15*(k+1) evaluations, so a budget of k stops after 15*(budget+1),
+    # on the opening, and every later bisection adds 30.  On the
+    # quarters, k = 3; on the six splits of a graded opening a budget of
+    # 3 stops on the opening's 105 evaluations too, since an opening is
+    # always spent whole
     from nakaber import quad
 
     monkeypatch.setattr(quad, "_MAX_SUBDIVISIONS", budget)
-    res = integrate_finite(lambda t: t ** (-0.9) if t > 0.0 else 0.0,
-                           1e-300, 1.0, QuadratureSpec(rel_tol=1.12e-14), pieces=4)
+    spec = QuadratureSpec(rel_tol=1.12e-14)
+    f = lambda t: t ** (-0.9) if t > 0.0 else 0.0  # noqa: E731
+    res = integrate_finite(f, 1e-300, 1.0, spec, splits=(0.25, 0.5, 0.75))
     assert not res.converged
-    assert res.evaluations == 30 * (budget - 1)
+    assert res.evaluations == 15 * (3 + 1) + 30 * (budget - 3)
     assert 0.0 < res.value < 20.0
     assert res.error_estimate > 0.0
+    graded = (0.5, 0.75, 0.875, 0.9375, 0.96875, 0.984375)
+    res = integrate_finite(f, 1e-300, 1.0, spec, splits=graded)
+    assert not res.converged
+    assert res.evaluations == 15 * (6 + 1) + 30 * max(0, budget - 6)
 
 
 @pytest.mark.parametrize("m, snr_db, order, evaluations", [
@@ -466,35 +476,35 @@ def test_nonfinite_integrand_rejected():
 def test_result_records_evaluations():
     # the engine opens on the two halves of the interval, 15 nodes each,
     # and a smooth integrand converges there without a further bisection;
-    # with pieces=4 it opens on the four quarters
+    # k splits open on k+1 panels, 15*(k+1) evaluations: the four
+    # quarters take 60, and no split one panel over the whole interval
     res = integrate_finite(lambda t: math.exp(t), 0.0, 1.0)
     assert res.converged
     assert res.evaluations == 30
-    res = integrate_finite(lambda t: math.exp(t), 0.0, 1.0, pieces=4)
-    assert res.converged
-    assert res.evaluations == 60
-    assert res.value == pytest.approx(math.e - 1.0, rel=1e-15)
-
-
-def test_quarters_open_on_the_halves_of_a_narrow_interval():
-    # [1, 1 + 2^-51] is two floats wide: its halves are one float wide
-    # each and cannot be split again, so pieces=4 opens on the halves,
-    # and [1, 1 + 2^-52], one float wide, on one panel, as the default
-    # does; [1, 1 + 2^-50] quarters
-    spec = QuadratureSpec(rel_tol=1.12e-14)
-    for ulps, evaluations in ((1, 15), (2, 30), (4, 60)):
-        hi = 1.0 + ulps * 2.0 ** -52
-        res = integrate_finite(lambda t: t, 1.0, hi, spec, pieces=4)
+    for splits, evaluations in (((0.25, 0.5, 0.75), 60), ((), 15),
+                                ((0.1, 0.5, 0.6, 0.7, 0.99), 90)):
+        res = integrate_finite(lambda t: math.exp(t), 0.0, 1.0, splits=splits)
         assert res.converged
-        assert res.evaluations == evaluations, ulps
-        if ulps < 4:
-            assert res == integrate_finite(lambda t: t, 1.0, hi, spec)
+        assert res.evaluations == evaluations, splits
+        assert res.value == pytest.approx(math.e - 1.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("pieces", [0, 3, 2.0])
-def test_pieces_other_than_2_or_4_is_refused(pieces):
-    with pytest.raises(ValueError, match=r"pieces must be 2 or 4, not "):
-        integrate_finite(lambda t: 1.0, 0.0, 1.0, pieces=pieces)
+@pytest.mark.parametrize("splits, message", [
+    ((0.5, 0.25), "rise strictly"),
+    ((0.5, 0.5), "rise strictly"),
+    ((0.0, 0.5), "rise strictly"),
+    ((0.5, 1.0), "rise strictly"),
+    ((1.5,), "rise strictly"),
+    ((-0.5,), "rise strictly"),
+    ((math.nan,), "rise strictly"),
+    ([0.25, 0.5, 0.75], "be a tuple"),
+    (4, "be a tuple"),
+    (0.5, "be a tuple"),
+], ids=["falling", "repeated", "at-lo", "at-hi", "past-hi", "below-lo", "nan",
+        "list", "int", "float"])
+def test_splits_not_rising_inside_the_interval_are_refused(splits, message):
+    with pytest.raises(ValueError, match=f"splits must {message}"):
+        integrate_finite(lambda t: 1.0, 0.0, 1.0, splits=splits)
 
 
 def test_evaluations_count_at_the_rules_size():
